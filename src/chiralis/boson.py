@@ -21,6 +21,7 @@ from .geometry import (
     form_to_atoms,
     gauss_rational_roots,
 )
+from .jets import coerce_scalar_or_jet
 from .states import DomainError, SymState, monomial_state, vacuum
 
 __all__ = [
@@ -57,14 +58,6 @@ BosonState = SymState
 FuncState = SymState
 
 
-def _scalar(z):
-    from .jets import Jet
-
-    if isinstance(z, (GaussRational, RatFunc, Jet)):
-        return z
-    return GaussRational.coerce(z)
-
-
 def _check_form_domain(state: SymState, z):
     for atom in state.atoms():
         if atom[0] == "pole" and not (z - atom[1]):
@@ -78,7 +71,7 @@ def _check_form_domain(state: SymState, z):
 
 def e_apply(z, state: SymState) -> SymState:
     """Multiplication by the double-pole creation form at z (hatted -1/(u-z)^2)."""
-    z = _scalar(z)
+    z = coerce_scalar_or_jet(z)
     return state.multiply_atom(("pole", z, 2), -QI_ONE)
 
 
@@ -88,7 +81,7 @@ def e_deriv_apply(z, order: int, state: SymState) -> SymState:
     order = 0 is the field itself; the l-th derivative multiplies by
     -(l+1)!/(u-z)^(l+2).
     """
-    z = _scalar(z)
+    z = coerce_scalar_or_jet(z)
     fact = 1
     for k in range(2, order + 2):
         fact *= k
@@ -97,14 +90,14 @@ def e_deriv_apply(z, order: int, state: SymState) -> SymState:
 
 def i_apply(z, state: SymState) -> SymState:
     """The evaluation derivation at z: each basis form goes to -(its value at z)."""
-    z = _scalar(z)
+    z = coerce_scalar_or_jet(z)
     _check_form_domain(state, z)
     return state.contract(lambda atom: -atom_eval(atom, z))
 
 
 def i_deriv_apply(z, order: int, state: SymState) -> SymState:
     """order-th coordinate derivative of the evaluation field."""
-    z = _scalar(z)
+    z = coerce_scalar_or_jet(z)
     _check_form_domain(state, z)
     return state.contract(lambda atom: -atom_deriv_eval(atom, z, order))
 
@@ -119,7 +112,7 @@ def b_deriv_apply(z, order: int, state: SymState) -> SymState:
 
 def T_apply(z, state: SymState) -> SymState:
     """Energy field: half the normal-ordered square of b at z."""
-    z = _scalar(z)
+    z = coerce_scalar_or_jet(z)
     ii = i_apply(z, i_apply(z, state))
     ee = e_apply(z, e_apply(z, state))
     ei = e_apply(z, i_apply(z, state))
@@ -131,7 +124,7 @@ def commutator_ie(z1, z2, state: SymState | None = None):
 
     Must equal 1/(z1-z2)^2 exactly.
     """
-    z1, z2 = _scalar(z1), _scalar(z2)
+    z1, z2 = coerce_scalar_or_jet(z1), coerce_scalar_or_jet(z2)
     if not (z1 - z2):
         raise DomainError("coincident points in the i/e commutator")
     if state is None:
@@ -160,7 +153,7 @@ def _pair_partitions(indices):
 
 def npoint_wick(points) -> GaussRational:
     """Pair-partition sum of products of 1/(z_a - z_b)^2."""
-    pts = [_scalar(p) for p in points]
+    pts = [coerce_scalar_or_jet(p) for p in points]
     _require_distinct(pts)
     n = len(pts)
     if n % 2:
@@ -176,7 +169,7 @@ def npoint_wick(points) -> GaussRational:
 
 def npoint_operator(points) -> GaussRational:
     """Vacuum component of the composed field product at the given points."""
-    pts = [_scalar(p) for p in points]
+    pts = [coerce_scalar_or_jet(p) for p in points]
     _require_distinct(pts)
     state = vacuum()
     for z in reversed(pts):
@@ -311,7 +304,7 @@ def expand_at_generic_point(
     """
     from .jets import JetPrecisionError
 
-    z = _scalar(z)
+    z = coerce_scalar_or_jet(z)
     prec = _prec if _prec is not None else order + _JET_SLACK
     try:
         return _expand_with_jets(field, z, state, order, prec)
@@ -373,7 +366,7 @@ def ope_extract(A, B, z, state: SymState, order: int) -> OpeExpansion:
         A = field_by_name(A)
     if isinstance(B, str):
         B = field_by_name(B)
-    z = _scalar(z)
+    z = coerce_scalar_or_jet(z)
     inner = B.apply(z, state)
     return expand_at_generic_point(A, z, inner, order)
 
@@ -410,7 +403,7 @@ def field_lie_derivative(field, X, z, state: SymState) -> SymState:
     if isinstance(field, str):
         field = field_by_name(field)
     xi = X.xi if hasattr(X, "xi") else X
-    z = _scalar(z)
+    z = coerce_scalar_or_jet(z)
     xi_z = xi.num.evaluate(z) / xi.den.evaluate(z)
     xip_z = xi.derivative().num.evaluate(z) / xi.derivative().den.evaluate(z)
     deriv = DerivedField(field, 1).apply(z, state)
@@ -434,13 +427,13 @@ def covariance_check(X, field, z, state: SymState) -> bool:
 
 def eps_apply(z, state: SymState) -> SymState:
     """Multiplication by the simple-pole function 1/(u - z)."""
-    z = _scalar(z)
+    z = coerce_scalar_or_jet(z)
     return state.multiply_atom(("pole", z, 1), QI_ONE)
 
 
 def iota_apply(z, state: SymState) -> SymState:
     """Derivation sending each basis function to minus its derivative's value."""
-    z = _scalar(z)
+    z = coerce_scalar_or_jet(z)
     _check_form_domain(state, z)
     return state.contract(lambda atom: -atom_deriv_eval(atom, z, 1))
 
@@ -466,7 +459,7 @@ def eps_tilde_offset(z) -> RatFunc:
     Returns the exact rational function (in u) by which the origin-based
     multiplier exceeds 1/(u-z); must equal the constant 1/z.
     """
-    z = _scalar(z)
+    z = coerce_scalar_or_jet(z)
     if not z:
         raise DomainError("base-point comparison needs z away from both points")
     u = RatFunc.variable(QI_ONE)
@@ -480,7 +473,7 @@ def eps_tilde_offset(z) -> RatFunc:
 def davatar_check(z, state: SymState) -> bool:
     """d intertwines the function-space fields with the form-space fields,
     and the base-point change shifts the creation multiplier by 1/z."""
-    z = _scalar(z)
+    z = coerce_scalar_or_jet(z)
     d_then_eps = d_isomorphism(eps_apply(z, state))
     e_then_d = e_apply(z, d_isomorphism(state))
     if d_then_eps != e_then_d:

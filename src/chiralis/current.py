@@ -19,12 +19,14 @@ from .exactnum import (
     QI_ONE,
     QI_ZERO,
     RatFunc,
+    coerce_scalar,
     gauss_rational_roots,
     local_expansion,
     partial_fractions,
     residue_at,
 )
-from .states import DomainError
+from .boson import eps_tilde_offset
+from .states import DomainError, LinComb, add_term
 
 __all__ = [
     "LieAlgebra",
@@ -61,8 +63,17 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
+# structure (labels, brackets, form) -> small int: the cache key of an algebra
+_STRUCTURE_KEYS: dict = {}
+
+
 class LieAlgebra:
-    """Structure constants plus an invariant symmetric bilinear form."""
+    """Structure constants plus an invariant symmetric bilinear form.
+
+    ``key`` identifies the structure, not the name: the caches of this
+    module are keyed on it, so two algebras share entries exactly when
+    their labels, brackets and form agree.
+    """
 
     def __init__(self, name, labels, brackets, form):
         self.name = name
@@ -70,14 +81,20 @@ class LieAlgebra:
         self.dim = len(self.labels)
         table = {}
         for (i, j), comps in brackets.items():
-            table[(i, j)] = {k: _g(c) for k, c in comps.items() if _g(c)}
-            table[(j, i)] = {k: -_g(c) for k, c in comps.items() if _g(c)}
+            comps = {k: GaussRational.coerce(c) for k, c in comps.items()}
+            table[(i, j)] = {k: c for k, c in comps.items() if c}
+            table[(j, i)] = {k: -c for k, c in comps.items() if c}
         self.brackets = table
         self.form = {}
         for (i, j), val in form.items():
-            self.form[(i, j)] = _g(val)
-            self.form[(j, i)] = _g(val)
+            self.form[(i, j)] = self.form[(j, i)] = GaussRational.coerce(val)
         self.validate()
+        structure = (
+            self.labels,
+            tuple(sorted((ij, tuple(sorted(comps.items()))) for ij, comps in table.items())),
+            tuple(sorted(self.form.items())),
+        )
+        self.key = _STRUCTURE_KEYS.setdefault(structure, len(_STRUCTURE_KEYS))
 
     def bracket_basis(self, i, j) -> dict:
         return self.brackets.get((i, j), {})
@@ -87,11 +104,7 @@ class LieAlgebra:
         for i, ci in x.items():
             for j, cj in y.items():
                 for k, c in self.bracket_basis(i, j).items():
-                    acc = out.get(k, QI_ZERO) + ci * cj * c
-                    if acc:
-                        out[k] = acc
-                    elif k in out:
-                        del out[k]
+                    add_term(out, k, ci * cj * c)
         return out
 
     def pair(self, x: dict, y: dict):
@@ -147,12 +160,6 @@ class LieAlgebra:
         return f"LieAlgebra({self.name!r}, dim={self.dim})"
 
 
-def _g(x):
-    if isinstance(x, GaussRational):
-        return x
-    return GaussRational.coerce(x)
-
-
 def abelian_algebra() -> LieAlgebra:
     return LieAlgebra("abelian", ("t",), {}, {(0, 0): 1})
 
@@ -197,7 +204,7 @@ class InsertionContext:
 
     def __init__(self, algebra: LieAlgebra, sites):
         self.algebra = algebra
-        self.points = tuple(_g(p) for p, _ in sites)
+        self.points = tuple(GaussRational.coerce(p) for p, _ in sites)
         self.reps = tuple(rep for _, rep in sites)
         self.dims = tuple(
             max((len(m) for m in rep.values()), default=1) for rep in self.reps
@@ -227,7 +234,7 @@ class InsertionContext:
 def LoopGen(a: int, c, l: int):
     if l < 1:
         raise ValueError("loop generators vanish at infinity (order >= 1)")
-    return (a, c if isinstance(c, (GaussRational, RatFunc)) else _g(c), l)
+    return (a, coerce_scalar(c), l)
 
 
 def _gen_key(gen):
@@ -235,50 +242,26 @@ def _gen_key(gen):
     return (c.sort_key(), -l, a)
 
 
-class CurrentState:
-    """Linear combination of normal-form words, with insertion indices."""
+class CurrentState(LinComb):
+    """Linear combination of normal-form words, with insertion indices.
 
-    __slots__ = ("terms", "ctx")
+    ``ctx`` rides along: results keep it, and a sum takes whichever side
+    has one.  Equality compares the terms only.
+    """
+
+    __slots__ = ("ctx",)
 
     def __init__(self, terms=None, ctx: InsertionContext | None = None):
-        clean = {}
-        if terms:
-            for key, coeff in terms.items():
-                if coeff:
-                    clean[key] = coeff
-        self.terms = clean
+        LinComb.__init__(self, terms)
         self.ctx = ctx
 
+    def _like(self, terms):
+        return CurrentState(terms, self.ctx)
+
     def __add__(self, other: "CurrentState") -> "CurrentState":
-        ctx = self.ctx or other.ctx
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            acc = out.get(key)
-            acc = coeff if acc is None else acc + coeff
-            if acc:
-                out[key] = acc
-            elif key in out:
-                del out[key]
-        return CurrentState(out, ctx)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, s) -> "CurrentState":
-        if not s:
-            return CurrentState({}, self.ctx)
-        return CurrentState({k: c * s for k, c in self.terms.items()}, self.ctx)
-
-    def __eq__(self, other):
-        if not isinstance(other, CurrentState):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def is_zero(self):
-        return not self.terms
+        out = LinComb.__add__(self, other)
+        out.ctx = self.ctx or other.ctx
+        return out
 
     def degree(self) -> int:
         return max((len(w) for w, _ in self.terms), default=0)
@@ -347,7 +330,7 @@ _PBW_CACHE: dict = {}
 
 def _pbw_word_terms(algebra: LieAlgebra, word) -> dict:
     """Normal-form expansion {sorted word: coeff} of one input word."""
-    key = (algebra.name, word)
+    key = (algebra.key, word)
     cached = _PBW_CACHE.get(key)
     if cached is not None:
         return cached
@@ -361,11 +344,7 @@ def _pbw_word_terms(algebra: LieAlgebra, word) -> dict:
                 idx = i
                 break
         if idx is None:
-            acc = out.get(w, QI_ZERO) + c
-            if acc:
-                out[w] = acc
-            elif w in out:
-                del out[w]
+            add_term(out, w, c)
             continue
         x, y = w[idx], w[idx + 1]
         swapped = w[:idx] + (y, x) + w[idx + 2:]
@@ -393,13 +372,13 @@ def pbw_normalize(algebra: LieAlgebra, word, ins=(), coeff=QI_ONE, ctx=None) -> 
 
 def _left_multiply(algebra, combos, state: CurrentState) -> CurrentState:
     """Left multiplication by sum(coeff * LoopGen) followed by straightening."""
-    out = CurrentState({}, state.ctx)
+    out: dict = {}
     for gen, gcoeff in combos:
         for (word, ins), c in state.terms.items():
-            out = out + pbw_normalize(
-                algebra, (gen,) + word, ins, c * gcoeff, state.ctx
-            )
-    return out
+            coeff = c * gcoeff
+            for w, wc in _pbw_word_terms(algebra, (gen,) + word).items():
+                add_term(out, (w, ins), wc * coeff)
+    return CurrentState(out, state.ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -413,16 +392,10 @@ def _as_elem(algebra, v):
     return algebra.basis_element(v)
 
 
-def _scalar(z):
-    if isinstance(z, (GaussRational, RatFunc)):
-        return z
-    return GaussRational.coerce(z)
-
-
 def epsilon_apply(algebra, v, z, state: CurrentState) -> CurrentState:
     """Left multiplication by the simple-pole loop element at z."""
     v = _as_elem(algebra, v)
-    z = _scalar(z)
+    z = coerce_scalar(z)
     combos = [((a, z, 1), coeff) for a, coeff in v.items()]
     return _left_multiply(algebra, combos, state)
 
@@ -433,7 +406,7 @@ _IOTA_CACHE: dict = {}
 def iota_apply(algebra, v, z, state: CurrentState) -> CurrentState:
     """Contraction field at z via the commutation recursion."""
     v = _as_elem(algebra, v)
-    z = _scalar(z)
+    z = coerce_scalar(z)
     out = CurrentState({}, state.ctx)
     for (word, ins), coeff in state.terms.items():
         out = out + _iota_term_cached(algebra, v, z, word, ins, state.ctx).scale(coeff)
@@ -443,7 +416,7 @@ def iota_apply(algebra, v, z, state: CurrentState) -> CurrentState:
 def _iota_term_cached(algebra, v, z, word, ins, ctx) -> CurrentState:
     if ctx is not None:
         return _iota_term(algebra, v, z, word, ins, ctx)
-    key = (algebra.name, tuple(sorted(v.items())), z, word)
+    key = (algebra.key, tuple(sorted(v.items())), z, word)
     cached = _IOTA_CACHE.get(key)
     if cached is None:
         cached = _iota_term(algebra, v, z, word, ins, ctx)
@@ -463,12 +436,7 @@ def _iota_term(algebra, v, z, word, ins, ctx) -> CurrentState:
             for a, va in v.items():
                 for new_idx, mc in ctx.act(j, a, ins[j]).items():
                     new_ins = ins[:j] + (new_idx,) + ins[j + 1:]
-                    key = ((), new_ins)
-                    acc = out.get(key, QI_ZERO) + va * mc / dz
-                    if acc:
-                        out[key] = acc
-                    elif key in out:
-                        del out[key]
+                    add_term(out, ((), new_ins), va * mc / dz)
         return CurrentState(out, ctx)
     x = word[0]
     rest = word[1:]
@@ -513,7 +481,7 @@ def j_apply(algebra, v, z, state: CurrentState) -> CurrentState:
 def npoint_current(algebra, vs, points):
     """Closed recursion for the vacuum expectation of a product of currents."""
     vs = [_as_elem(algebra, v) for v in vs]
-    pts = [_scalar(p) for p in points]
+    pts = [coerce_scalar(p) for p in points]
     _require_distinct(pts)
     return _npoint_rec(algebra, vs, pts)
 
@@ -543,7 +511,7 @@ def _npoint_rec(algebra, vs, pts):
 def npoint_current_operator(algebra, vs, points):
     """Vacuum component of the composed field product."""
     vs = [_as_elem(algebra, v) for v in vs]
-    pts = [_scalar(p) for p in points]
+    pts = [coerce_scalar(p) for p in points]
     _require_distinct(pts)
     state = current_vacuum()
     for v, z in zip(reversed(vs), reversed(pts)):
@@ -560,14 +528,14 @@ def _require_distinct(pts):
 
 def three_point_closed_form(algebra, vs, points):
     v1, v2, v3 = (_as_elem(algebra, v) for v in vs)
-    z1, z2, z3 = (_scalar(p) for p in points)
+    z1, z2, z3 = (coerce_scalar(p) for p in points)
     num = algebra.pair(v1, algebra.bracket(v2, v3))
     return num / ((z1 - z2) * (z1 - z3) * (z2 - z3))
 
 
 def four_point_closed_form(algebra, vs, points):
     v = [_as_elem(algebra, x) for x in vs]
-    z = [_scalar(p) for p in points]
+    z = [coerce_scalar(p) for p in points]
 
     def g(i, j):
         return algebra.pair(v[i], v[j])
@@ -613,7 +581,7 @@ def mode_j(algebra, v, l: int, state: CurrentState) -> CurrentState:
 def _mode_term(algebra, v, l, word, ins, ctx) -> CurrentState:
     if not word:
         return CurrentState({}, ctx)
-    key = (algebra.name, tuple(sorted(v.items())), l, word, ins)
+    key = (algebra.key, tuple(sorted(v.items())), l, word, ins)
     cached = _MODE_CACHE.get(key)
     if cached is not None:
         return cached
@@ -697,19 +665,10 @@ def _nu_components(algebra, nu):
     for key, f in (nu.items() if isinstance(nu, dict) else nu):
         idx = algebra.labels.index(key) if isinstance(key, str) else key
         if not isinstance(f, RatFunc):
-            f = RatFunc.const(_g(f))
+            f = RatFunc.const(GaussRational.coerce(f))
         if f:
             out[idx] = out.get(idx, RatFunc.const(QI_ZERO)) + f
     return {k: v for k, v in out.items() if v}
-
-
-def _nu_value(nu_comps, z) -> dict:
-    out = {}
-    for a, f in nu_comps.items():
-        val = f.num.evaluate(z) / f.den.evaluate(z)
-        if val:
-            out[a] = val
-    return out
 
 
 def _nu_bracket_gen(algebra, nu_comps, gen):
@@ -794,24 +753,32 @@ def _J_P_base(algebra, nu_comps, ins, ctx) -> CurrentState:
     if combos:
         out = out + _left_multiply(algebra, combos, vac)
     if ctx is not None:
+        acts: dict = {}
         for j, zj in enumerate(ctx.points):
             # constant part acts diagonally; polynomial part by its value
-            action: dict = {}
-            for a, coeff in const.items():
-                for idx, mc in ctx.act(j, a, ins[j]).items():
-                    action[idx] = action.get(idx, QI_ZERO) + coeff * mc
-            for a, powers in polys.items():
-                val = QI_ZERO
-                for m, coeff in powers.items():
-                    val = val + coeff * zj ** m
-                if val:
-                    for idx, mc in ctx.act(j, a, ins[j]).items():
-                        action[idx] = action.get(idx, QI_ZERO) + val * mc
-            for idx, coeff in action.items():
-                if coeff:
-                    new_ins = ins[:j] + (idx,) + ins[j + 1:]
-                    out = out + CurrentState({((), new_ins): coeff}, ctx)
+            _act_on_slot(ctx, j, ins, const.items(), acts)
+            _act_on_slot(ctx, j, ins, _poly_values(polys, zj), acts)
+        out = out + CurrentState(acts, ctx)
     return out
+
+
+def _poly_values(polys, z):
+    """[(a, p_a(z))] for polynomial parts {a: {power: coeff}}."""
+    out = []
+    for a, powers in polys.items():
+        val = QI_ZERO
+        for m, coeff in powers.items():
+            val = val + coeff * z ** m
+        out.append((a, val))
+    return out
+
+
+def _act_on_slot(ctx, j, ins, values, out: dict):
+    """Accumulate the action of sum(val * v_a) on insertion slot j into out."""
+    for a, val in values:
+        if val:
+            for idx, mc in ctx.act(j, a, ins[j]).items():
+                add_term(out, ((), ins[:j] + (idx,) + ins[j + 1:]), val * mc)
 
 
 def J_site_apply(algebra, nu, site_index: int, state: CurrentState) -> CurrentState:
@@ -850,56 +817,24 @@ def _J_site_base(algebra, nu_comps, site, ins, ctx) -> CurrentState:
     atoms, const, polys = _nu_split(nu_comps)
     out = CurrentState({}, ctx)
     vac = CurrentState({((), tuple(ins)): QI_ONE}, ctx)
+    acts: dict = {}
     # singular-at-the-site part: multiply, minus its values at other sites
-    sing = {}
-    regular = dict(const)
-    reg_atoms = {}
-    for c, entries in atoms.items():
-        if c == zl:
-            sing[c] = entries
-        else:
-            reg_atoms[c] = entries
-    combos = []
-    for c, entries in sing.items():
-        for a, order, coeff in entries:
-            combos.append(((a, c, order), coeff))
-    if combos:
+    sing = [entry for c, entries in atoms.items() if c == zl for entry in entries]
+    if sing:
+        combos = [((a, zl, order), coeff) for a, order, coeff in sing]
         out = out + _left_multiply(algebra, combos, vac)
         for j, zj in enumerate(ctx.points):
-            if j == site:
-                continue
-            action: dict = {}
-            for c, entries in sing.items():
-                for a, order, coeff in entries:
-                    val = coeff / (zj - c) ** order
-                    for idx, mc in ctx.act(j, a, ins[j]).items():
-                        action[idx] = action.get(idx, QI_ZERO) + val * mc
-            for idx, coeff in action.items():
-                if coeff:
-                    new_ins = ins[:j] + (idx,) + ins[j + 1:]
-                    out = out - CurrentState({((), new_ins): coeff}, ctx)
+            if j != site:
+                values = [(a, -coeff / (zj - zl) ** order) for a, order, coeff in sing]
+                _act_on_slot(ctx, j, ins, values, acts)
     # regular-at-the-site part: value at the site acting there
-    action: dict = {}
-    for a, coeff in regular.items():
-        for idx, mc in ctx.act(site, a, ins[site]).items():
-            action[idx] = action.get(idx, QI_ZERO) + coeff * mc
-    for c, entries in reg_atoms.items():
-        for a, order, coeff in entries:
-            val = coeff / (zl - c) ** order
-            for idx, mc in ctx.act(site, a, ins[site]).items():
-                action[idx] = action.get(idx, QI_ZERO) + val * mc
-    for a, powers in polys.items():
-        val = QI_ZERO
-        for m, coeff in powers.items():
-            val = val + coeff * zl ** m
-        if val:
-            for idx, mc in ctx.act(site, a, ins[site]).items():
-                action[idx] = action.get(idx, QI_ZERO) + val * mc
-    for idx, coeff in action.items():
-        if coeff:
-            new_ins = ins[:site] + (idx,) + ins[site + 1:]
-            out = out + CurrentState({((), new_ins): coeff}, ctx)
-    return out
+    _act_on_slot(ctx, site, ins, const.items(), acts)
+    for c, entries in atoms.items():
+        if c != zl:
+            values = [(a, coeff / (zl - c) ** order) for a, order, coeff in entries]
+            _act_on_slot(ctx, site, ins, values, acts)
+    _act_on_slot(ctx, site, ins, _poly_values(polys, zl), acts)
+    return out + CurrentState(acts, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -915,6 +850,7 @@ def constant_adjoint(algebra, elem: dict, state: CurrentState) -> CurrentState:
     present, are acted on matrix-wise).
     """
     out = CurrentState({}, state.ctx)
+    acts: dict = {}
     for (word, ins), coeff in state.terms.items():
         for i, (b, c, l) in enumerate(word):
             br = algebra.bracket(elem, {b: QI_ONE})
@@ -925,11 +861,8 @@ def constant_adjoint(algebra, elem: dict, state: CurrentState) -> CurrentState:
             for j in range(len(state.ctx.points)):
                 for a, va in elem.items():
                     for idx, mc in state.ctx.act(j, a, ins[j]).items():
-                        new_ins = ins[:j] + (idx,) + ins[j + 1:]
-                        out = out + CurrentState(
-                            {(word, new_ins): coeff * va * mc}, state.ctx
-                        )
-    return out
+                        add_term(acts, (word, ins[:j] + (idx,) + ins[j + 1:]), coeff * va * mc)
+    return out + CurrentState(acts, state.ctx)
 
 
 def _convert_reciprocal_word_to_origin(algebra, word, coeff):
@@ -968,7 +901,7 @@ def base_point_independence_check(algebra, v, z, recip_word) -> bool:
     the constant Lie element v/z (the base-point shift).
     """
     v = _as_elem(algebra, v)
-    z = _scalar(z)
+    z = coerce_scalar(z)
     if not z:
         raise DomainError("base-point comparison needs a point away from both charts")
     # u-chart side
@@ -987,18 +920,8 @@ def base_point_independence_check(algebra, v, z, recip_word) -> bool:
     return converted == j_u
 
 
-def epsilon_base_point_offset(z) -> RatFunc:
-    """Exact difference of the two creation multiplier functions.
-
-    The origin-based simple-pole multiplier, written in the u-chart and
-    hatted against du, exceeds 1/(u-z) by the constant 1/z.
-    """
-    z = _scalar(z)
-    if not z:
-        raise DomainError("offset needs a point away from both base points")
-    u = RatFunc.variable(QI_ONE)
-    tilde = (1 / (1 / u - 1 / z)) * (-1 / z ** 2)
-    return tilde - 1 / (u - z)
+# the origin-based creation multiplier exceeds 1/(u-z) by the constant 1/z
+epsilon_base_point_offset = eps_tilde_offset
 
 
 # ---------------------------------------------------------------------------
@@ -1007,7 +930,7 @@ def epsilon_base_point_offset(z) -> RatFunc:
 
 
 def in_unit_disc(c) -> bool:
-    return _g(c).norm() < 1 if isinstance(c, GaussRational) else c.norm() < 1
+    return c.norm() < 1
 
 
 def dual_gen_function(gen) -> RatFunc:
@@ -1091,8 +1014,8 @@ def separation_check(algebra, z1, z2, gens1, gens2) -> bool:
     ctx = InsertionContext(algebra, [(z1, trivial_rep()), (z2, trivial_rep())])
     vac = current_vacuum(ctx)
     u = RatFunc.variable(QI_ONE)
-    nu1 = {gens1[0]: 1 / (u - _g(z1)) ** gens1[1]}
-    nu2 = {gens2[0]: 1 / (u - _g(z2)) ** gens2[1]}
+    nu1 = {gens1[0]: 1 / (u - GaussRational.coerce(z1)) ** gens1[1]}
+    nu2 = {gens2[0]: 1 / (u - GaussRational.coerce(z2)) ** gens2[1]}
     lhs = J_site_apply(algebra, nu1, 0, J_site_apply(algebra, nu2, 1, vac))
     rhs = J_site_apply(algebra, nu2, 1, J_site_apply(algebra, nu1, 0, vac))
     return lhs == rhs
@@ -1111,7 +1034,7 @@ def current_expand_at_generic_point(
     Returns {order: CurrentState}; negative orders are the singular data,
     order 0 the regular value.
     """
-    z = _scalar(z)
+    z = coerce_scalar(z)
     one = z * 0 + 1 if isinstance(z, RatFunc) else QI_ONE
     w = RatFunc.variable(one)
     apply_fn = {"j": j_apply, "iota": iota_apply, "epsilon": epsilon_apply}[field]

@@ -41,6 +41,7 @@ __all__ = [
     "INFINITY",
     "Poly",
     "RatFunc",
+    "coerce_scalar",
     "LaurentTail",
     "PartialFractions",
     "partial_fractions",
@@ -770,6 +771,14 @@ class RatFunc:
         return f"RatFunc({self})"
 
 
+def coerce_scalar(z):
+    """A field point or coefficient: GaussRational and RatFunc (a generic
+    point) pass through; anything else is coerced to GaussRational."""
+    if isinstance(z, (GaussRational, RatFunc)):
+        return z
+    return GaussRational.coerce(z)
+
+
 def _one_like(p: Poly):
     for c in p.coeffs:
         return c * 0 + 1
@@ -903,14 +912,6 @@ def evaluate(f: RatFunc, z) -> GaussRational:
     if not bot:
         raise PoleError(z)
     return top / bot
-
-
-def eval_at_scalar(f: RatFunc, c):
-    """Value of f at a scalar point of the coefficient field (exact)."""
-    bot = f.den.evaluate(c)
-    if not bot:
-        raise PoleError(Point(c) if isinstance(c, GaussRational) else c)
-    return f.num.evaluate(c) / bot
 
 
 def at_infinity_substitution(f: RatFunc) -> RatFunc:

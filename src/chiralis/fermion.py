@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactnum import GaussRational, QI_ONE, QI_ZERO, RatFunc
+from .exactnum import GaussRational, QI_ONE, QI_ZERO, coerce_scalar
 from .geometry import Kernel, atom_eval, atom_sort_key, form_to_atoms
-from .states import DomainError, SymState
+from .states import DomainError, LinComb, SymState, add_term
 
 __all__ = [
     "ExtState",
@@ -34,10 +34,6 @@ __all__ = [
 ]
 
 
-def _g(z):
-    return z if isinstance(z, (GaussRational, RatFunc)) else GaussRational.coerce(z)
-
-
 def _wedge(atom, mono):
     """Sorted insertion into a strict exterior monomial: (sign, new) or None."""
     key = atom_sort_key(atom)
@@ -54,48 +50,10 @@ def _wedge(atom, mono):
     return sign, mono[:pos] + (atom,) + mono[pos:]
 
 
-class ExtState:
+class ExtState(LinComb):
     """Linear combination of exterior monomials (strictly sorted tuples)."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for mon, coeff in terms.items():
-                if coeff:
-                    clean[mon] = coeff
-        self.terms = clean
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for mon, coeff in other.terms.items():
-            acc = out.get(mon)
-            acc = coeff if acc is None else acc + coeff
-            if acc:
-                out[mon] = acc
-            elif mon in out:
-                del out[mon]
-        return ExtState(out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, s):
-        if not s:
-            return ExtState()
-        return ExtState({m: c * s for m, c in self.terms.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, ExtState):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def is_zero(self):
-        return not self.terms
+    __slots__ = ()
 
     def vacuum_coefficient(self):
         return self.terms.get((), QI_ZERO)
@@ -110,11 +68,7 @@ class ExtState:
             if hit is None:
                 continue
             sign, new = hit
-            acc = out.get(new, QI_ZERO) + c * coeff * sign
-            if acc:
-                out[new] = acc
-            elif new in out:
-                del out[new]
+            add_term(out, new, c * coeff * sign)
         return ExtState(out)
 
     def contract(self, value_of_atom):
@@ -125,13 +79,8 @@ class ExtState:
                 val = value_of_atom(atom)
                 if not val:
                     continue
-                rest = mon[:j] + mon[j + 1:]
                 sign = -1 if j % 2 else 1
-                acc = out.get(rest, QI_ZERO) + c * val * sign
-                if acc:
-                    out[rest] = acc
-                elif rest in out:
-                    del out[rest]
+                add_term(out, mon[:j] + mon[j + 1:], c * val * sign)
         return ExtState(out)
 
     def __repr__(self):
@@ -150,11 +99,11 @@ def fermion_vacuum() -> ExtState:
 
 def psi_e_apply(z, state: ExtState) -> ExtState:
     """Wedge with the simple-pole half-form section at z."""
-    return state.wedge_front(("pole", _g(z), 1))
+    return state.wedge_front(("pole", coerce_scalar(z), 1))
 
 
 def psi_i_apply(z, state: ExtState) -> ExtState:
-    z = _g(z)
+    z = coerce_scalar(z)
     for mon in state.terms:
         for atom in mon:
             if atom[0] == "pole" and not (z - atom[1]):
@@ -168,7 +117,7 @@ def psi_apply(z, state: ExtState) -> ExtState:
 
 def fermion_npoint(points) -> GaussRational:
     """Signed pair-partition sum of the odd kernel 1/(z_a - z_b)."""
-    pts = [_g(p) for p in points]
+    pts = [coerce_scalar(p) for p in points]
     _distinct(pts)
     return _pfaffian_sum(pts)
 
@@ -189,7 +138,7 @@ def _pfaffian_sum(pts):
 
 
 def fermion_npoint_operator(points) -> GaussRational:
-    pts = [_g(p) for p in points]
+    pts = [coerce_scalar(p) for p in points]
     _distinct(pts)
     state = fermion_vacuum()
     for z in reversed(pts):
@@ -226,48 +175,10 @@ def mode_psi(l, state: ExtState) -> ExtState:
 # ---------------------------------------------------------------------------
 
 
-class BCState:
+class BCState(LinComb):
     """Pairs of exterior monomials: the weight-one sector and its twist dual."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for key, coeff in terms.items():
-                if coeff:
-                    clean[key] = coeff
-        self.terms = clean
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            acc = out.get(key)
-            acc = coeff if acc is None else acc + coeff
-            if acc:
-                out[key] = acc
-            elif key in out:
-                del out[key]
-        return BCState(out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, s):
-        if not s:
-            return BCState()
-        return BCState({k: c * s for k, c in self.terms.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, BCState):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def is_zero(self):
-        return not self.terms
+    __slots__ = ()
 
     def vacuum_coefficient(self):
         return self.terms.get(((), ()), QI_ZERO)
@@ -293,7 +204,7 @@ def _bc_domain_check(state: BCState, z, sector: int):
 
 def bc_apply(field: str, z, state: BCState) -> BCState:
     """Apply one of the sector fields; Koszul signs cross the first sector."""
-    z = _g(z)
+    z = coerce_scalar(z)
     out = {}
     if field == "b_e":
         for (b, c), coeff in state.terms.items():
@@ -301,7 +212,7 @@ def bc_apply(field: str, z, state: BCState) -> BCState:
             if hit is None:
                 continue
             sign, nb = hit
-            _acc(out, (nb, c), coeff * sign)
+            add_term(out, (nb, c), coeff * sign)
     elif field == "c_e":
         # the twist-sector section reads the kernel in its second slot,
         # which is minus the pole atom: 1/(z - u)
@@ -311,7 +222,7 @@ def bc_apply(field: str, z, state: BCState) -> BCState:
                 continue
             sign, nc = hit
             cross = -1 if len(b) % 2 else 1
-            _acc(out, (b, nc), -coeff * sign * cross)
+            add_term(out, (b, nc), -coeff * sign * cross)
     elif field == "b_i":
         _bc_domain_check(state, z, 1)
         for (b, c), coeff in state.terms.items():
@@ -321,7 +232,7 @@ def bc_apply(field: str, z, state: BCState) -> BCState:
                 if not val:
                     continue
                 sign = -1 if j % 2 else 1
-                _acc(out, (b, c[:j] + c[j + 1:]), coeff * val * sign * cross)
+                add_term(out, (b, c[:j] + c[j + 1:]), coeff * val * sign * cross)
     elif field == "c_i":
         _bc_domain_check(state, z, 0)
         for (b, c), coeff in state.terms.items():
@@ -330,7 +241,7 @@ def bc_apply(field: str, z, state: BCState) -> BCState:
                 if not val:
                     continue
                 sign = -1 if j % 2 else 1
-                _acc(out, (b[:j] + b[j + 1:], c), -coeff * val * sign)
+                add_term(out, (b[:j] + b[j + 1:], c), -coeff * val * sign)
     elif field == "b":
         return bc_apply("b_i", z, state) + bc_apply("b_e", z, state)
     elif field == "c":
@@ -340,18 +251,9 @@ def bc_apply(field: str, z, state: BCState) -> BCState:
     return BCState(out)
 
 
-def _acc(out, key, val):
-    acc = out.get(key)
-    acc = val if acc is None else acc + val
-    if acc:
-        out[key] = acc
-    elif key in out:
-        del out[key]
-
-
 def composite_b_apply(z, state: BCState) -> BCState:
     """The normal-ordered bilinear of the two sector fields at one point."""
-    z = _g(z)
+    z = coerce_scalar(z)
     out = bc_apply("b_i", z, bc_apply("c_i", z, state))
     out = out + bc_apply("b_e", z, bc_apply("c_e", z, state))
     out = out + bc_apply("b_e", z, bc_apply("c_i", z, state))
@@ -361,7 +263,7 @@ def composite_b_apply(z, state: BCState) -> BCState:
 
 def composite_two_point(z1, z2) -> GaussRational:
     """Vacuum two-point value of the composite field (double-pole kernel)."""
-    state = composite_b_apply(_g(z1), composite_b_apply(_g(z2), bc_vacuum()))
+    state = composite_b_apply(coerce_scalar(z1), composite_b_apply(coerce_scalar(z2), bc_vacuum()))
     return state.vacuum_coefficient()
 
 
@@ -384,7 +286,7 @@ class KernelBoson:
         self.kernel = kernel
 
     def creation_expansion(self, z) -> dict:
-        sec = self.kernel.section_at(_g(z))
+        sec = self.kernel.section_at(coerce_scalar(z))
         return {atom: -coeff for atom, coeff in form_to_atoms(sec).items()}
 
     def e_apply(self, z, state: SymState) -> SymState:

@@ -33,14 +33,10 @@ from .exactnum import (
 
 __all__ = [
     "GeometryError",
-    "pole_atom",
-    "poly_atom",
     "atom_sort_key",
     "atom_ratfunc",
     "atom_eval",
-    "atom_derivative",
     "form_to_atoms",
-    "func_to_atoms",
     "Form",
     "VectorField",
     "is_second_kind",
@@ -66,16 +62,6 @@ class GeometryError(ValueError):
 # ---------------------------------------------------------------------------
 # Basis atoms
 # ---------------------------------------------------------------------------
-
-
-def pole_atom(c, order: int):
-    if not isinstance(c, (GaussRational, RatFunc)):
-        c = GaussRational.coerce(c)
-    return ("pole", c, order)
-
-
-def poly_atom(m: int):
-    return ("poly", m)
 
 
 def atom_sort_key(atom):
@@ -127,21 +113,6 @@ def atom_deriv_eval(atom, z, k: int):
     return falling * z ** (m - k)
 
 
-def atom_derivative(atom) -> dict:
-    """d/du of the atom's coefficient, expanded in atoms: {atom: coeff}."""
-    if atom[0] == "pole":
-        _, c, l = atom
-        return {("pole", c, l + 1): -l * _one_of(c)}
-    m = atom[1]
-    if m == 0:
-        return {}
-    return {("poly", m - 1): GaussRational(m)}
-
-
-def _one_of(c):
-    return c * 0 + 1
-
-
 def form_to_atoms(f: RatFunc, poles=None) -> dict:
     """Expand a second-kind coefficient function into form atoms.
 
@@ -161,32 +132,6 @@ def form_to_atoms(f: RatFunc, poles=None) -> dict:
         if coeff:
             out[("poly", m)] = coeff
     return out
-
-
-def func_to_atoms(f: RatFunc, poles=None, drop_constant=False):
-    """Expand a function into function atoms; returns (atoms, constant).
-
-    Atoms are ("pole", c, l >= 1) and ("poly", m >= 1); the constant term
-    is returned separately (and simply dropped when ``drop_constant``).
-    """
-    if poles is None:
-        dec = partial_fractions(f)
-    else:
-        dec = partial_fractions_known(f, poles)
-    out = {}
-    for c, order, coeff in dec.terms:
-        out[("pole", c, order)] = coeff
-    constant = QI_ZERO
-    for m, coeff in enumerate(dec.polynomial.coeffs):
-        if not coeff:
-            continue
-        if m == 0:
-            constant = coeff
-        else:
-            out[("poly", m)] = coeff
-    if drop_constant:
-        return out
-    return out, constant
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactnum import GaussRational, RATIONAL, RatFunc
+from .exactnum import GaussRational, RATIONAL, RatFunc, coerce_scalar
 
-__all__ = ["Jet", "JetPrecisionError", "jet_point"]
+__all__ = ["Jet", "JetPrecisionError", "jet_point", "coerce_scalar_or_jet"]
 
 
 class JetPrecisionError(ArithmeticError):
@@ -250,5 +250,6 @@ def jet_point(z, prec: int) -> Jet:
     return Jet(0, [z, one], prec, one)
 
 
-def inverse_scalar(x):
-    return 1 / x
+def coerce_scalar_or_jet(z):
+    """``coerce_scalar``, with a jet (a moving point) passed through too."""
+    return z if isinstance(z, Jet) else coerce_scalar(z)

@@ -17,7 +17,7 @@ import math
 
 from .exactnum import GaussRational, QI_ONE, QI_ZERO, RatFunc
 from .geometry import atom_ratfunc, atom_sort_key
-from .states import DomainError
+from .states import DomainError, LinComb, add_term
 
 __all__ = [
     "LatticeScalar",
@@ -163,12 +163,7 @@ class SectionClass:
             roots = roots.items()
         clean = {}
         for c, m in roots:
-            c = c if isinstance(c, GaussRational) else GaussRational.coerce(c)
-            acc = clean.get(c, 0) + m
-            if acc:
-                clean[c] = acc
-            elif c in clean:
-                del clean[c]
+            add_term(clean, GaussRational.coerce(c), m)
         object.__setattr__(
             self,
             "roots",
@@ -229,53 +224,34 @@ def du_power_balance(N: int, grade: int, lam_check: int) -> int:
     return -N * lam_check * (grade + lam_check)
 
 
-class LatticeState:
-    """Linear combination of (function monomial, section class, du-power)."""
+class LatticeState(LinComb):
+    """Linear combination of (function monomial, section class, du-power).
 
-    __slots__ = ("terms", "N")
+    Coefficients are LatticeScalars of the state's own N; states of
+    different N neither add nor compare equal.
+    """
+
+    __slots__ = ("N",)
 
     def __init__(self, N: int, terms=None):
+        LinComb.__init__(self, terms)
         self.N = N
-        clean = {}
-        if terms:
-            for key, coeff in terms.items():
-                if coeff:
-                    clean[key] = coeff
-        self.terms = clean
+
+    def _like(self, terms):
+        return LatticeState(self.N, terms)
 
     def __add__(self, other: "LatticeState") -> "LatticeState":
         if other.N != self.N:
             raise ValueError("mixed lattice parameters")
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
-            acc = out.get(key)
-            acc = coeff if acc is None else acc + coeff
-            if acc:
-                out[key] = acc
-            elif key in out:
-                del out[key]
-        return LatticeState(self.N, out)
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
+        return LinComb.__add__(self, other)
 
     def scale(self, s) -> "LatticeState":
-        if not isinstance(s, LatticeScalar):
-            s = LatticeScalar(self.N, s)
-        if not s:
-            return LatticeState(self.N)
-        return LatticeState(self.N, {k: c * s for k, c in self.terms.items()})
+        return LinComb.scale(self, _lat(self.N, s))
 
     def __eq__(self, other):
-        if not isinstance(other, LatticeState):
-            return NotImplemented
-        return self.N == other.N and self.terms == other.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def is_zero(self):
-        return not self.terms
+        if isinstance(other, LatticeState) and other.N != self.N:
+            return False
+        return LinComb.__eq__(self, other)
 
     def du_powers(self) -> set:
         return {key[2] for key in self.terms}
@@ -319,18 +295,17 @@ class LatticeTheory:
 
     def epsilon(self, z, state: LatticeState) -> LatticeState:
         """Multiplication by the simple-pole function; adds one du."""
-        z = _g(z)
+        z = GaussRational.coerce(z)
         out = {}
         for (mon, section, tdu), coeff in state.terms.items():
             atoms = tuple(sorted(mon + (("pole", z, 1),), key=atom_sort_key))
-            key = (atoms, section, tdu + 2)
-            out[key] = out.get(key, LatticeScalar(self.N)) + coeff
+            add_term(out, (atoms, section, tdu + 2), coeff)
         return LatticeState(self.N, out)
 
     def iota(self, z, state: LatticeState) -> LatticeState:
         """Contraction plus the section's logarithmic-derivative response."""
-        z = _g(z)
-        out = LatticeState(self.N)
+        z = GaussRational.coerce(z)
+        out = {}
         for (mon, section, tdu), coeff in state.terms.items():
             if section.multiplicity(z):
                 raise DomainError("field point sits on a section root")
@@ -342,17 +317,12 @@ class LatticeTheory:
                 f = atom_ratfunc(mon[i]).derivative()
                 val = -(f.num.evaluate(z) / f.den.evaluate(z))
                 rest = mon[:i] + mon[i + 1:]
-                out = out + LatticeState(
-                    self.N, {(rest, section, tdu + 2): coeff * val * mult}
-                )
+                add_term(out, (rest, section, tdu + 2), coeff * val * mult)
             # vacuum-sector response: -sqrt(N) (log f)'(z)
             log_val = section.dlog_value(z)
             if log_val:
-                out = out + LatticeState(
-                    self.N,
-                    {(mon, section, tdu + 2): coeff * self.sqrtN * (-log_val)},
-                )
-        return LatticeState(self.N, out.terms)
+                add_term(out, (mon, section, tdu + 2), coeff * self.sqrtN * (-log_val))
+        return LatticeState(self.N, out)
 
     def j(self, z, state: LatticeState) -> LatticeState:
         return self.epsilon(z, state) + self.iota(z, state)
@@ -361,7 +331,7 @@ class LatticeTheory:
 
     def flat_plus(self, lam_check: int, z, state: LatticeState, scale=None) -> LatticeState:
         """Grade-shifting section twist; commutes with the function factors."""
-        z = _g(z)
+        z = GaussRational.coerce(z)
         out = {}
         for (mon, section, tdu), coeff in state.terms.items():
             if section.multiplicity(z):
@@ -375,15 +345,14 @@ class LatticeTheory:
                 # with t^(-N * new grade)
                 t = _lat(self.N, scale)
                 c = c * t ** (-self.N * new_section.grade)
-            key = (mon, new_section, tdu + shift)
-            out[key] = out.get(key, LatticeScalar(self.N)) + c
+            add_term(out, (mon, new_section, tdu + shift), c)
         return LatticeState(self.N, out)
 
     def flat_minus(self, lam_check: int, z, state: LatticeState, scale=None) -> LatticeState:
         """Evaluation twist: multiplies by sigma(z)^(N lam) and dresses the
         function factors with -lambda alpha(z) cross-terms."""
-        z = _g(z)
-        out = LatticeState(self.N)
+        z = GaussRational.coerce(z)
+        out = {}
         lam = self.sqrtN * lam_check
         for (mon, section, tdu), coeff in state.terms.items():
             if section.multiplicity(z):
@@ -408,8 +377,8 @@ class LatticeTheory:
                     section,
                     tdu + self.N * lam_check,
                 )
-                out = out + LatticeState(self.N, {key: base * w})
-        return LatticeState(self.N, out.terms)
+                add_term(out, key, base * w)
+        return LatticeState(self.N, out)
 
     def vertex(self, lam_check: int, z, state: LatticeState, scale=None) -> LatticeState:
         """The normal-ordered exponential: twist after evaluation."""
@@ -419,7 +388,7 @@ class LatticeTheory:
 
     def sign_rule_check(self, lam1: int, lam2: int, z1, z2, state: LatticeState) -> bool:
         """Exchange of two vertex fields produces the parity sign."""
-        z1, z2 = _g(z1), _g(z2)
+        z1, z2 = GaussRational.coerce(z1), GaussRational.coerce(z2)
         if not (z1 - z2):
             raise DomainError("exchange needs distinct points")
         a = self.vertex(lam2, z2, self.vertex(lam1, z1, state))
@@ -436,7 +405,7 @@ class LatticeTheory:
         """
         from .exactnum import INFINITY, residue_at
 
-        out = LatticeState(self.N)
+        out = {}
         u = RatFunc.variable(QI_ONE)
         for (mon, section, tdu), coeff in state.terms.items():
             dlog = RatFunc.const(QI_ZERO)
@@ -444,10 +413,8 @@ class LatticeTheory:
                 dlog = dlog + GaussRational(m) / (u - c)
             response = self.sqrtN * residue_at(dlog, INFINITY)
             if response:
-                out = out + LatticeState(
-                    self.N, {(mon, section, tdu): coeff * response}
-                )
-        return out
+                add_term(out, (mon, section, tdu), coeff * response)
+        return LatticeState(self.N, out)
 
     def rescaled_representative(self, state: LatticeState, t) -> LatticeState:
         """The same states written against the rescaled section t*sigma."""
@@ -469,14 +436,10 @@ class LatticeTheory:
         return GaussRational(section.grade)
 
 
-def _g(z):
-    return z if isinstance(z, GaussRational) else GaussRational.coerce(z)
-
-
 def _lat(N, s):
     if isinstance(s, LatticeScalar):
         return s
-    return LatticeScalar(N, _g(s))
+    return LatticeScalar(N, s)
 
 
 def atom_eval_scalar(atom, z):

@@ -332,7 +332,12 @@ def gram_matrix(points, degree: int):
 
 
 def leading_minors(matrix):
-    """Exact leading principal minors via fraction-free forward elimination."""
+    """Exact leading principal minors by forward elimination.
+
+    Up to the first zero pivot, the k-th minor is the product of the first
+    k pivots.  Past a zero pivot that product no longer describes the
+    matrix, so each remaining minor is the determinant of its own block.
+    """
     n = len(matrix)
     work = [row[:] for row in matrix]
     minors = []
@@ -342,15 +347,35 @@ def leading_minors(matrix):
         det = det * pivot
         minors.append(det)
         if not pivot:
-            # a zero pivot freezes the remaining minors at zero
-            for _ in range(k + 1, n):
-                minors.append(QI_ZERO)
+            for m in range(k + 2, n + 1):
+                minors.append(_determinant([row[:m] for row in matrix[:m]]))
             return minors
         for i in range(k + 1, n):
             factor = work[i][k] / pivot
             for j in range(k, n):
                 work[i][j] = work[i][j] - factor * work[k][j]
     return minors
+
+
+def _determinant(block):
+    """Determinant by elimination, each row swap flipping the sign."""
+    work = [row[:] for row in block]
+    n = len(work)
+    det = QI_ONE
+    for k in range(n):
+        row = next((i for i in range(k, n) if work[i][k]), None)
+        if row is None:
+            return QI_ZERO
+        if row != k:
+            work[k], work[row] = work[row], work[k]
+            det = -det
+        pivot = work[k][k]
+        det = det * pivot
+        for i in range(k + 1, n):
+            factor = work[i][k] / pivot
+            for j in range(k, n):
+                work[i][j] = work[i][j] - factor * work[k][j]
+    return det
 
 
 def positivity_check(points, degree: int) -> bool:

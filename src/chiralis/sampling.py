@@ -15,7 +15,6 @@ from .exactnum import GaussRational, Poly, RatFunc
 __all__ = [
     "rand_fraction",
     "rand_scalar",
-    "rand_nonzero_scalar",
     "rand_distinct_scalars",
     "rand_poly",
     "rand_ratfunc",
@@ -33,13 +32,6 @@ def rand_scalar(rng: random.Random, span: int = 4, complex_odds: float = 0.4) ->
     re = rand_fraction(rng, span)
     im = rand_fraction(rng, span) if rng.random() < complex_odds else Fraction(0)
     return GaussRational(re, im)
-
-
-def rand_nonzero_scalar(rng: random.Random, span: int = 4) -> GaussRational:
-    while True:
-        s = rand_scalar(rng, span)
-        if s:
-            return s
 
 
 def rand_distinct_scalars(rng: random.Random, count: int, span: int = 6) -> list:

@@ -5,6 +5,10 @@ multiset is stored as a tuple sorted by the atom order, so equality of
 states is plain dictionary equality.  Coefficients are GaussRational in
 ordinary use and rational functions of a generic point when a computation
 is carried out symbolically.
+
+``LinComb`` is the linear structure that every state type of the package
+shares, and ``add_term`` the one way a coefficient is accumulated into a
+term dict.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 from .exactnum import QI_ONE, QI_ZERO
 from .geometry import atom_sort_key
 
-__all__ = ["DomainError", "SymState", "vacuum", "monomial_state"]
+__all__ = ["DomainError", "LinComb", "add_term", "SymState", "vacuum", "monomial_state"]
 
 
 class DomainError(ValueError):
@@ -23,42 +27,49 @@ def _sorted_monomial(atoms) -> tuple:
     return tuple(sorted(atoms, key=atom_sort_key))
 
 
-class SymState:
-    """Linear combination of symmetric monomials in basis atoms."""
+def add_term(out: dict, key, val) -> None:
+    """Accumulate val into out[key], dropping the key when the sum is zero."""
+    acc = out.get(key)
+    acc = val if acc is None else acc + val
+    if acc:
+        out[key] = acc
+    elif key in out:
+        del out[key]
+
+
+class LinComb:
+    """Finite linear combination over a basis: a dict of nonzero coefficients.
+
+    Every state type of the package is one of these; a subclass names its
+    basis keys and overrides ``_like`` when a result must carry more than
+    the terms.
+    """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for mon, coeff in terms.items():
-                if coeff:
-                    clean[mon] = coeff
-        self.terms = clean
+        self.terms = {key: c for key, c in terms.items() if c} if terms else {}
 
-    # -- linear structure ---------------------------------------------------
+    def _like(self, terms):
+        """A combination of the same kind as self with the given terms."""
+        return type(self)(terms)
 
-    def __add__(self, other: "SymState") -> "SymState":
+    def __add__(self, other):
         out = dict(self.terms)
-        for mon, coeff in other.terms.items():
-            acc = out.get(mon)
-            acc = coeff if acc is None else acc + coeff
-            if acc:
-                out[mon] = acc
-            elif mon in out:
-                del out[mon]
-        return SymState(out)
+        for key, coeff in other.terms.items():
+            add_term(out, key, coeff)
+        return self._like(out)
 
-    def __sub__(self, other: "SymState") -> "SymState":
+    def __sub__(self, other):
         return self + other.scale(-1)
 
-    def __neg__(self) -> "SymState":
+    def __neg__(self):
         return self.scale(-1)
 
-    def scale(self, s) -> "SymState":
+    def scale(self, s):
         if not s:
-            return SymState()
-        return SymState({mon: coeff * s for mon, coeff in self.terms.items()})
+            return self._like({})
+        return self._like({key: c * s for key, c in self.terms.items()})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -67,9 +78,19 @@ class SymState:
         return bool(self.terms)
 
     def __eq__(self, other):
-        if not isinstance(other, SymState):
+        if type(other) is not type(self):
             return NotImplemented
         return self.terms == other.terms
+
+
+class SymState(LinComb):
+    """Linear combination of symmetric monomials in basis atoms."""
+
+    __slots__ = ()
+
+    # an entry of its own: bench/tracer.py counts SymState constructions by
+    # patching SymState.__dict__["__init__"]
+    __init__ = LinComb.__init__
 
     def __repr__(self):
         if not self.terms:
@@ -98,22 +119,24 @@ class SymState:
         """Symmetric product with a single atom, scaled."""
         out = {}
         for mon, c in self.terms.items():
-            new = _sorted_monomial(mon + (atom,))
-            acc = out.get(new)
-            val = c * coeff
-            acc = val if acc is None else acc + val
-            if acc:
-                out[new] = acc
-            elif new in out:
-                del out[new]
+            add_term(out, _sorted_monomial(mon + (atom,)), c * coeff)
         return SymState(out)
 
     def multiply_expansion(self, expansion: dict) -> "SymState":
         """Symmetric product with sum(expansion[atom] * atom)."""
-        out = SymState()
+        out = {}
         for atom, coeff in expansion.items():
-            out = out + self.multiply_atom(atom, coeff)
-        return out
+            for mon, c in self.terms.items():
+                add_term(out, _sorted_monomial(mon + (atom,)), c * coeff)
+        return SymState(out)
+
+    def multiply(self, other: "SymState") -> "SymState":
+        """Symmetric product with another state."""
+        out = {}
+        for mon, c in self.terms.items():
+            for omon, oc in other.terms.items():
+                add_term(out, _sorted_monomial(mon + omon), c * oc)
+        return SymState(out)
 
     def contract(self, value_of_atom) -> "SymState":
         """Apply the derivation sending each atom to the scalar value_of_atom(atom).
@@ -131,28 +154,22 @@ class SymState:
                     mult += 1
                 val = value_of_atom(atom)
                 if val:
-                    rest = mon[:k] + mon[k + 1:]  # drop one occurrence
-                    add = c * val * mult
-                    acc = out.get(rest)
-                    acc = add if acc is None else acc + add
-                    if acc:
-                        out[rest] = acc
-                    elif rest in out:
-                        del out[rest]
+                    # drop one occurrence
+                    add_term(out, mon[:k] + mon[k + 1:], c * val * mult)
                 k += mult
         return SymState(out)
 
     def map_monomials(self, fn) -> "SymState":
         """Relabel monomials; fn(mon) -> (new_mon_atoms, scalar factor)."""
-        out = SymState()
+        out = {}
         for mon, c in self.terms.items():
             new_atoms, factor = fn(mon)
-            out = out + SymState({_sorted_monomial(new_atoms): c * factor})
-        return out
+            add_term(out, _sorted_monomial(new_atoms), c * factor)
+        return SymState(out)
 
     def map_atoms_linear(self, fn) -> "SymState":
         """Apply an atom-wise linear substitution atom -> {atom: coeff} factorwise."""
-        out = SymState()
+        out = {}
         for mon, c in self.terms.items():
             pieces = [fn(a) for a in mon]
             expanded = [((), c)]
@@ -163,12 +180,12 @@ class SymState:
                         nxt.append((atoms + (atom,), coeff * w))
                 expanded = nxt
             for atoms, coeff in expanded:
-                out = out + SymState({_sorted_monomial(atoms): coeff})
-        return out
+                add_term(out, _sorted_monomial(atoms), coeff)
+        return SymState(out)
 
     def derive_atoms(self, fn) -> "SymState":
         """Extend an atom-wise linear map atom -> {atom: coeff} as a derivation."""
-        out = SymState()
+        out = {}
         for mon, c in self.terms.items():
             k = 0
             while k < len(mon):
@@ -178,11 +195,9 @@ class SymState:
                     mult += 1
                 rest = mon[:k] + mon[k + 1:]
                 for new_atom, w in fn(atom).items():
-                    out = out + SymState(
-                        {_sorted_monomial(rest + (new_atom,)): c * w * mult}
-                    )
+                    add_term(out, _sorted_monomial(rest + (new_atom,)), c * w * mult)
                 k += mult
-        return out
+        return SymState(out)
 
     def map_coefficients(self, fn) -> "SymState":
         return SymState({mon: fn(c) for mon, c in self.terms.items()})

@@ -13,12 +13,12 @@ import itertools
 from fractions import Fraction
 
 from .exactnum import (
-    GaussRational,
     INFINITY,
     Point,
     QI_ONE,
     QI_ZERO,
     RatFunc,
+    coerce_scalar,
     gauss_rational_roots,
     partial_fractions,
     residue_at,
@@ -32,7 +32,7 @@ from .geometry import (
     lie_derivative_bidiff,
     omega_bifunction,
 )
-from .states import DomainError, SymState, monomial_state, vacuum
+from .states import DomainError, SymState, add_term, monomial_state, vacuum
 
 __all__ = [
     "HeisenbergOp",
@@ -52,12 +52,6 @@ __all__ = [
 ]
 
 
-def _scalar(z):
-    if isinstance(z, (GaussRational, RatFunc)):
-        return z
-    return GaussRational.coerce(z)
-
-
 # ---------------------------------------------------------------------------
 # Heisenberg operators
 # ---------------------------------------------------------------------------
@@ -70,7 +64,8 @@ class HeisenbergOp:
 
     def __init__(self, testfn: RatFunc, site=INFINITY, insertions=None):
         object.__setattr__(self, "testfn", testfn)
-        object.__setattr__(self, "site", site if isinstance(site, Point) else Point(_scalar(site)))
+        site = site if isinstance(site, Point) else Point(coerce_scalar(site))
+        object.__setattr__(self, "site", site)
         object.__setattr__(self, "insertions", tuple(insertions) if insertions else None)
 
     def __setattr__(self, name, value):  # pragma: no cover
@@ -132,7 +127,7 @@ def heis_commutator_check(phi: RatFunc, psi: RatFunc, site=INFINITY):
     expected value is -Res_site(phi dpsi) at a finite site and
     +Res_site(phi dpsi) at infinity.
     """
-    site = site if isinstance(site, Point) else Point(_scalar(site))
+    site = site if isinstance(site, Point) else Point(coerce_scalar(site))
     op1 = HeisenbergOp(phi, site)
     op2 = HeisenbergOp(psi, site)
     measured = None
@@ -154,8 +149,8 @@ def heis_commutator_check(phi: RatFunc, psi: RatFunc, site=INFINITY):
 
 def spanning_states(site_point=QI_ZERO, extra_pole=None):
     """A small spanning family used by the measured-bracket checks."""
-    o = _scalar(site_point)
-    c = _scalar(extra_pole) if extra_pole is not None else o + 3
+    o = coerce_scalar(site_point)
+    c = coerce_scalar(extra_pole) if extra_pole is not None else o + 3
     out = [vacuum()]
     out.append(monomial_state([("pole", o, 2)]))
     out.append(monomial_state([("pole", o, 3)]))
@@ -170,7 +165,7 @@ def mode_b(l: int, state: SymState, site_point=QI_ZERO) -> SymState:
     """The l-th oscillator mode at the origin-like site (l nonzero)."""
     if l == 0:
         raise ValueError("the oscillator family has no zero mode here")
-    o = _scalar(site_point)
+    o = coerce_scalar(site_point)
     u = RatFunc.variable(QI_ONE)
     phi = (u - o) ** l
     return heis_apply(HeisenbergOp(phi, Point(o)), state)
@@ -186,7 +181,8 @@ class VirasoroOp:
 
     def __init__(self, X: VectorField, site=INFINITY):
         object.__setattr__(self, "X", X if isinstance(X, VectorField) else VectorField(X))
-        object.__setattr__(self, "site", site if isinstance(site, Point) else Point(_scalar(site)))
+        site = site if isinstance(site, Point) else Point(coerce_scalar(site))
+        object.__setattr__(self, "site", site)
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("VirasoroOp is immutable")
@@ -255,9 +251,7 @@ def vir_apply(op: VirasoroOp, state: SymState) -> SymState:
     sing = _xi_split(xi, site)
     creation = _creation_state(sing)
     if creation:
-        for mon, c in state.terms.items():
-            for cmon, cc in creation.terms.items():
-                out = out + monomial_state(mon + cmon, c * cc)
+        out = out + state.multiply(creation)
     return out
 
 
@@ -279,7 +273,7 @@ _VIR_LIE_CACHE: dict = {}
 
 def _vir_pairs(xi: RatFunc, site: Point, state: SymState) -> SymState:
     sign = 1 if site.is_infinity else -1
-    out = SymState()
+    out = {}
     for mon, c in state.terms.items():
         for i in range(len(mon)):
             for j in range(i + 1, len(mon)):
@@ -291,9 +285,8 @@ def _vir_pairs(xi: RatFunc, site: Point, state: SymState) -> SymState:
                     )
                     _VIR_PAIR_CACHE[key] = val
                 if val:
-                    rest = mon[:i] + mon[i + 1: j] + mon[j + 1:]
-                    out = out + monomial_state(rest, c * val * sign)
-    return out
+                    add_term(out, mon[:i] + mon[i + 1: j] + mon[j + 1:], c * val * sign)
+    return SymState(out)
 
 
 def _vir_lie(xi: RatFunc, site: Point, state: SymState) -> SymState:
@@ -348,7 +341,7 @@ def L_mode(n: int, state: SymState, site_point=QI_ZERO) -> SymState:
     Raises DomainError, as ``vir_apply`` does, when the state has a pole
     away from the site or a pole at infinity.
     """
-    o = _scalar(site_point)
+    o = coerce_scalar(site_point)
     _check_vir_domain(state, Point(o))
     m = -n
     creation = [(a, m + 2 - a) for a in range(2, m + 1)]
@@ -419,7 +412,7 @@ def primary_check(state: SymState, weight) -> bool:
     The sign convention follows the scaling grading: the weight is the
     eigenvalue of the rotation generator L_0.
     """
-    weight = _scalar(weight)
+    weight = coerce_scalar(weight)
     u = RatFunc.variable(QI_ONE)
     for xi in (u, u * u, u * u * (u - 1)):
         xi_prime_0 = xi.derivative().num.evaluate(QI_ZERO) / xi.derivative().den.evaluate(QI_ZERO)
@@ -492,7 +485,8 @@ def heis_insertion_apply(op: HeisenbergOp, state: SymState) -> SymState:
 
 def heis_P_with_insertions(phi: RatFunc, insertions, state: SymState) -> SymState:
     """The site-at-infinity operator on function states with insertions."""
-    weights = [( _scalar(p if not isinstance(p, Point) else p.value), lam) for p, lam in insertions]
+    weights = [(coerce_scalar(p.value if isinstance(p, Point) else p), lam)
+               for p, lam in insertions]
 
     def value(atom):
         a = atom_ratfunc(atom)
@@ -514,13 +508,13 @@ def heis_P_with_insertions(phi: RatFunc, insertions, state: SymState) -> SymStat
         out = out + state.multiply_atom(("pole", c, order), coeff)
     total_weight = QI_ZERO
     for _, lam in weights:
-        total_weight = total_weight + _scalar(lam)
+        total_weight = total_weight + coerce_scalar(lam)
     scalar_part = scalar_part + const * total_weight
     # polynomial (singular at infinity) part: sum_j lambda_j poly(z_j)
     poly = RatFunc(Poly_shift_const_removed(dec.polynomial))
     if poly:
         for zj, lam in weights:
-            scalar_part = scalar_part + _scalar(lam) * (
+            scalar_part = scalar_part + coerce_scalar(lam) * (
                 poly.num.evaluate(zj) / poly.den.evaluate(zj)
             )
     if scalar_part:
@@ -541,8 +535,8 @@ def insertion_suite(points, lambdas, rng) -> dict:
     """Verify the four insertion-operator identities on random data."""
     from .sampling import rand_ratfunc, rand_scalar
 
-    pts = [_scalar(p) for p in points]
-    lams = [_scalar(l) for l in lambdas]
+    pts = [coerce_scalar(p) for p in points]
+    lams = [coerce_scalar(l) for l in lambdas]
     ins = list(zip(pts, lams))
     report = {}
 

@@ -29,8 +29,9 @@ from .exactnum import (
     local_expansion,
 )
 from .geometry import VectorField
+from .jets import coerce_scalar_or_jet
 from .sampling import rand_scalar
-from .states import DomainError, SymState, monomial_state, vacuum
+from .states import DomainError, SymState, add_term, monomial_state, vacuum
 
 __all__ = [
     "translate",
@@ -53,17 +54,9 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def _scalar(z):
-    from .jets import Jet
-
-    if isinstance(z, (GaussRational, RatFunc, Jet)):
-        return z
-    return GaussRational.coerce(z)
-
-
 def translate(amount, state: SymState) -> SymState:
     """Shift every basis pole by the translation amount."""
-    amount = _scalar(amount)
+    amount = coerce_scalar_or_jet(amount)
 
     def fn(mon):
         atoms = []
@@ -79,7 +72,7 @@ def translate(amount, state: SymState) -> SymState:
 
 def rotate(lam, state: SymState) -> SymState:
     """Pullback along z -> lam^{-1} z; scales a k-th order pole by lam^(k-1)."""
-    lam = _scalar(lam)
+    lam = coerce_scalar_or_jet(lam)
     if not lam:
         raise DomainError("rotation scale must be nonzero")
 
@@ -133,11 +126,7 @@ def Y_comm(state: SymState, amount, target: SymState) -> SymState:
     """The multiplication structure: symmetric product with the translate."""
     moved = translate(amount, state)
     _check_no_collision(sing_support(moved), target)
-    out = SymState()
-    for mon, c in moved.terms.items():
-        for tmon, tc in target.terms.items():
-            out = out + monomial_state(mon + tmon, c * tc)
-    return out
+    return moved.multiply(target)
 
 
 def _group_field(parts):
@@ -215,7 +204,7 @@ def b_basis_coordinates(state: SymState) -> dict:
 
 def Y_prime(state: SymState, amount, target: SymState) -> SymState:
     """The normal-ordered structure: fields at the translated points."""
-    amount = _scalar(amount)
+    amount = coerce_scalar_or_jet(amount)
     _check_no_collision({p + amount for p in sing_support(state)}, target)
     coords = b_basis_coordinates(state)
     out = SymState()
@@ -302,7 +291,7 @@ def structure_derivative(Y, state: SymState, amount, target: SymState) -> SymSta
     """
     from .jets import jet_point
 
-    h = jet_point(_scalar(amount), 2)
+    h = jet_point(coerce_scalar_or_jet(amount), 2)
     shifted = Y(state, h, target)
     buckets = jet_parameter_expansion(shifted, 1)
     return buckets.get(1, SymState())
@@ -509,9 +498,7 @@ def solve_membership(vectors, target_vec, dim) -> bool:
             if col in r and r[col]:
                 factor = r[col]
                 for k, val in prow.items():
-                    r[k] = r.get(k, QI_ZERO) - factor * val
-                    if not r[k]:
-                        del r[k]
+                    add_term(r, k, -factor * val)
         lead = None
         for k in sorted(r):
             if r[k]:
@@ -525,9 +512,7 @@ def solve_membership(vectors, target_vec, dim) -> bool:
         if col in target and target[col]:
             factor = target[col]
             for k, val in prow.items():
-                target[k] = target.get(k, QI_ZERO) - factor * val
-                if not target[k]:
-                    del target[k]
+                add_term(target, k, -factor * val)
     return not any(target.values())
 
 
@@ -538,7 +523,7 @@ def generation_check(structure_name: str, points, degree_bound: int, target: Sym
     the report says whether the target was reached within them.
     """
     Y = structure(structure_name)
-    pts = [_scalar(p) for p in points]
+    pts = [coerce_scalar_or_jet(p) for p in points]
     singles = []
     for k in range(2, max_order + 1):
         singles.append(monomial_state([("pole", QI_ZERO, k)]))

@@ -1,0 +1,53 @@
+"""What the benchmark's tracer (bench/tracer.py) needs of the program.
+
+The tracer patches the program from outside: it counts the constructor in
+``SymState.__dict__``, swaps the module caches it names for counting dicts
+and wraps public functions and methods.  A refactor that removes one of
+these hooks fails here, not only in a traced benchmark run.
+"""
+
+import sys
+from pathlib import Path
+
+from chiralis import current, states
+from chiralis.current import pbw_normalize, sl2_algebra
+from chiralis.exactnum import qi
+from chiralis.states import LinComb, SymState, vacuum
+
+BENCH = str(Path(__file__).resolve().parents[1] / "bench")
+
+
+def _tracer_module():
+    sys.path.insert(0, BENCH)
+    try:
+        import tracer
+    finally:
+        sys.path.remove(BENCH)
+    return tracer
+
+
+def test_tracer_installs_counts_and_uninstalls():
+    tracing = _tracer_module()
+    caches = {(m, c): getattr(tracing.importlib.import_module(f"chiralis.{m}"), c)
+              for m, c in tracing.CACHES}
+    add_term = states.add_term
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        assert vacuum() + vacuum() == SymState({(): qi(2)})
+        pbw_normalize(sl2_algebra(), ((2, qi(1), 1), (0, qi(0), 1)))
+        tracer.mark("cold")
+        tracer.mark("warm")
+    finally:
+        tracer.uninstall()
+    report = tracer.report()
+    assert report["states.symstate_new"] >= 3
+    assert report["cache.current._PBW_CACHE.lookups"] >= 1
+    names = {name for name, _, _ in tracing.metric_names()} - {"trace.cold_s"}
+    assert names <= set(report)
+    # everything patched is back
+    assert SymState.__dict__["__init__"] is LinComb.__init__
+    assert states.add_term is add_term and current.add_term is add_term
+    for (m, c), before in caches.items():
+        restored = getattr(tracing.importlib.import_module(f"chiralis.{m}"), c)
+        assert type(restored) is dict and restored.keys() >= before.keys()

@@ -474,3 +474,33 @@ class TestCurrentOpe:
             if br:
                 expected2 = expected2 + j_apply(SL2, br, z2, s).scale(1 / (z1 - z2))
             assert lhs2 == expected2
+
+
+class TestCachesKeyOnStructure:
+    """An algebra that shares sl2's name but not its brackets gets its own
+    straightening, contractions and modes, whichever runs first."""
+
+    def test_abelian_impostor_then_sl2(self):
+        fake = LieAlgebra("sl2", ("e", "f", "h"), {}, {(0, 1): 5, (2, 2): 1})
+        word = ((0, qi(1), 1), (1, qi(0), 1))
+        one_gen = ((1, qi(0), 1),)
+        fake_pbw = pbw_normalize(fake, word)
+        fake_iota = iota_apply(fake, {0: QI_ONE}, qi(2), pbw_normalize(fake, one_gen))
+        fake_mode = mode_j(fake, {0: QI_ONE}, 1, pbw_normalize(fake, one_gen))
+        # abelian: the word only sorts; e meets f through the form alone
+        assert fake_pbw == CurrentState({((word[1], word[0]), ()): QI_ONE})
+        assert fake_iota == current_vacuum().scale(qi(Fraction(5, 4)))
+        assert fake_mode == current_vacuum().scale(qi(5))
+
+        real = sl2_algebra()
+        real_pbw = pbw_normalize(real, word)
+        assert len(real_pbw.terms) > 1  # [e, h] = -2e adds a straightening term
+        assert real_pbw != fake_pbw
+        # in sl2 index 1 is h: (e, h) = 0 and [e, h] = -2e
+        assert mode_j(real, {0: QI_ONE}, 1, pbw_normalize(real, one_gen)).is_zero()
+        real_iota = iota_apply(real, {0: QI_ONE}, qi(2), pbw_normalize(real, one_gen))
+        assert real_iota.vacuum_coefficient() == 0 and not real_iota.is_zero()
+
+        assert pbw_normalize(fake, word) == fake_pbw
+        assert LieAlgebra("other", ("e", "f", "h"), {}, {(0, 1): 5, (2, 2): 1}).key == fake.key
+        assert fake.key != real.key

@@ -228,3 +228,38 @@ class TestHeisAdjointness:
         rng = random.Random(101)
         for _ in range(4):
             assert heis_adjointness_check(rand_ratfunc(rng, max_poles=2))
+
+
+def _cofactor_det(rows):
+    """Determinant over Fraction by cofactor expansion along the first row."""
+    if not rows:
+        return Fraction(1)
+    total = Fraction(0)
+    for j, a in enumerate(rows[0]):
+        if a:
+            minor = [row[:j] + row[j + 1:] for row in rows[1:]]
+            total += (-1) ** j * a * _cofactor_det(minor)
+    return total
+
+
+class TestLeadingMinorsPastAZeroPivot:
+    def test_swap_matrix(self):
+        assert leading_minors([[qi(0), qi(1)], [qi(1), qi(0)]]) == [qi(0), qi(-1)]
+
+    def test_seeded_forced_zero_pivot(self):
+        rng = random.Random(131)
+        for trial in range(40):
+            n = rng.randint(2, 5)
+            rows = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
+                    for _ in range(n)]
+            # make the leading k-block singular, so that pivot k is zero
+            k = rng.randrange(n)
+            if k == 0:
+                rows[0][0] = Fraction(0)
+            else:
+                t = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                rows[k][:k + 1] = [t * a for a in rows[k - 1][:k + 1]]
+            minors = leading_minors([[GaussRational(a) for a in row] for row in rows])
+            expected = [_cofactor_det([row[:m] for row in rows[:m]]) for m in range(1, n + 1)]
+            assert expected[k] == 0
+            assert minors == [GaussRational(d) for d in expected], (trial, rows)

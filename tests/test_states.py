@@ -1,0 +1,187 @@
+"""Seeded property tests of the linear structure shared by every state type."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from chiralis.current import CurrentState, InsertionContext, sl2_algebra, sl2_fundamental
+from chiralis.exactnum import RatFunc, qi
+from chiralis.fermion import BCState, ExtState
+from chiralis.lattice import LatticeScalar, LatticeState, SectionClass
+from chiralis.sampling import rand_scalar
+from chiralis.states import LinComb, SymState, add_term
+
+SEEDS = range(8)
+
+
+def _atoms(rng, count):
+    return tuple(sorted({("pole", qi(rng.randint(0, 3)), rng.randint(1, 3)) for _ in range(count)},
+                        key=lambda a: (a[1].sort_key(), a[2])))
+
+
+def sym_key(rng):
+    return _atoms(rng, rng.randint(0, 3))
+
+
+def bc_key(rng):
+    return (_atoms(rng, rng.randint(0, 2)), _atoms(rng, rng.randint(0, 2)))
+
+
+def current_key(rng):
+    word = tuple((rng.randint(0, 2), qi(rng.randint(0, 2)), rng.randint(1, 3))
+                 for _ in range(rng.randint(0, 2)))
+    return (word, (rng.randint(0, 1),))
+
+
+def lattice_key(rng):
+    return (_atoms(rng, rng.randint(0, 2)), SectionClass([(qi(rng.randint(1, 3)), 1)]),
+            rng.randint(0, 4))
+
+
+# kind -> (build a state from terms, draw a key, draw a nonzero coefficient)
+KINDS = {
+    "sym": (SymState, sym_key, rand_scalar),
+    "ext": (ExtState, sym_key, rand_scalar),
+    "bc": (BCState, bc_key, rand_scalar),
+    "current": (CurrentState, current_key, rand_scalar),
+    "lattice": (lambda terms=None: LatticeState(2, terms), lattice_key,
+                lambda rng: LatticeScalar(2, rand_scalar(rng), rand_scalar(rng))),
+}
+
+
+def _terms(rng, kind, count=5):
+    _, key, coeff = KINDS[kind]
+    out = {}
+    while len(out) < count:
+        c = coeff(rng)
+        if c:
+            out[key(rng)] = c
+    return out
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+class TestLinearStructure:
+    def test_init_drops_zero_coefficients(self, kind):
+        make = KINDS[kind][0]
+        for seed in SEEDS:
+            rng = random.Random(seed)
+            terms = _terms(rng, kind)
+            zeros = {key: c * 0 for key, c in _terms(rng, kind).items() if key not in terms}
+            state = make({**terms, **zeros})
+            assert state.terms == terms
+            assert all(state.terms.values())
+            assert make(zeros).is_zero()
+
+    def test_sum_drops_cancelled_terms(self, kind):
+        make = KINDS[kind][0]
+        for seed in SEEDS:
+            rng = random.Random(100 + seed)
+            a, b = _terms(rng, kind), _terms(rng, kind)
+            gone = next(iter(a))
+            b[gone] = -a[gone]
+            total = make(a) + make(b)
+            assert gone not in total.terms
+            assert all(total.terms.values())
+            assert total == make(b) + make(a)
+
+    def test_difference_with_itself_is_zero(self, kind):
+        make = KINDS[kind][0]
+        for seed in SEEDS:
+            state = make(_terms(random.Random(200 + seed), kind))
+            diff = state - state
+            assert diff.is_zero() and not diff and diff.terms == {}
+            assert type(diff) is type(state)
+            assert (state + (-state)).is_zero()
+
+    def test_scale(self, kind):
+        make = KINDS[kind][0]
+        for seed in SEEDS:
+            state = make(_terms(random.Random(300 + seed), kind))
+            zero = state.scale(0)
+            assert zero.is_zero() and type(zero) is type(state)
+            for s in (3, Fraction(-2, 7), qi(1, -2)):
+                scaled = state.scale(s)
+                assert all(scaled.terms.values())
+                assert scaled.terms == {k: c * s for k, c in state.terms.items()}
+            assert state.scale(-1) == -state
+            assert state.scale(2) - state == state
+
+    def test_equality_is_not_implemented_across_types(self, kind):
+        make = KINDS[kind][0]
+        state = make(_terms(random.Random(400), kind))
+        for other_kind, (other_make, _, _) in KINDS.items():
+            if other_kind == kind:
+                continue
+            other = other_make({})
+            assert LinComb.__eq__(state, other) is NotImplemented
+            assert state != other
+        assert make({}) != LinComb({})
+        assert LinComb.__eq__(make({}), LinComb({})) is NotImplemented
+
+
+def test_scale_accepts_ratfunc():
+    u = RatFunc.variable(qi(1))
+    for kind in ("sym", "ext", "bc", "current"):
+        make = KINDS[kind][0]
+        state = make(_terms(random.Random(500), kind))
+        scaled = state.scale(u)
+        assert scaled.terms == {k: c * u for k, c in state.terms.items()}
+        assert state.scale(u - u).is_zero()
+
+
+def test_current_state_keeps_ctx():
+    algebra = sl2_algebra()
+    ctx = InsertionContext(algebra, [(qi(0), sl2_fundamental())])
+    for seed in SEEDS:
+        rng = random.Random(600 + seed)
+        with_ctx = CurrentState(_terms(rng, "current"), ctx)
+        plain = CurrentState(_terms(rng, "current"))
+        assert (with_ctx + plain).ctx is ctx
+        assert (plain + with_ctx).ctx is ctx
+        assert (plain - with_ctx).ctx is ctx
+        assert (with_ctx - with_ctx).ctx is ctx
+        assert (-with_ctx).ctx is ctx
+        assert with_ctx.scale(rand_scalar(rng)).ctx is ctx
+        assert with_ctx.scale(0).ctx is ctx
+        assert (plain + plain).ctx is None
+        # equality reads the terms only
+        assert CurrentState(with_ctx.terms) == with_ctx
+
+
+def test_lattice_state_keeps_its_parameter():
+    for seed in SEEDS:
+        rng = random.Random(700 + seed)
+        one, two = LatticeState(1, {}), LatticeState(2, _terms(rng, "lattice"))
+        with pytest.raises(ValueError):
+            one + two
+        with pytest.raises(ValueError):
+            two - one
+        assert one != LatticeState(2, {})
+        assert (two - two).N == 2 and (two + two).N == 2 and two.scale(0).N == 2
+        scaled = two.scale(rand_scalar(rng) or 1)
+        assert scaled.N == 2
+        assert all(isinstance(c, LatticeScalar) and c.N == 2 for c in scaled.terms.values())
+
+
+def test_add_term():
+    rng = random.Random(800)
+    for _ in range(50):
+        out, ref = {}, {}
+        for _ in range(12):
+            key, val = rng.randint(0, 3), rand_scalar(rng, span=2)
+            add_term(out, key, val)
+            ref[key] = ref.get(key, 0) + val
+            add_term(out, key, val * 0)
+        assert out == {k: v for k, v in ref.items() if v}
+        assert all(out.values())
+
+
+def test_state_classes_inherit_the_linear_structure():
+    """Only the ctx rule of CurrentState and the N rule of LatticeState add
+    their own versions of the linear operations."""
+    own = {"__add__", "__sub__", "__neg__", "scale", "is_zero", "__bool__", "__eq__"}
+    allowed = {CurrentState: {"__add__"}, LatticeState: {"__add__", "scale", "__eq__"}}
+    for cls in (SymState, ExtState, BCState, CurrentState, LatticeState):
+        assert issubclass(cls, LinComb)
+        assert own & set(vars(cls)) == allowed.get(cls, set())
