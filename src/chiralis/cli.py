@@ -18,7 +18,7 @@ import random
 import sys
 from fractions import Fraction
 
-from .exactnum import GaussRational, RatFunc, QI_ONE
+from .exactnum import GaussRational, RatFunc, QI_ONE, UnsupportedDenominatorError
 from .sampling import rand_distinct_scalars, rand_scalar
 from .serialize import (
     current_state_to_json,
@@ -509,30 +509,35 @@ def cmd_replay(args) -> int:
 
     with open(args.script) as fh:
         script = json.load(fh)
-    if "state" in script:
-        state = state_from_json(script["state"], SymState)
-    else:
-        state = vacuum()
-    applied = []
-    for step in script.get("ops", []):
-        op = step["op"]
-        if op in ("e", "i", "b", "T"):
-            z = scalar_from_str(step["z"])
-            state = {"e": e_apply, "i": i_apply, "b": b_apply, "T": T_apply}[op](z, state)
-        elif op == "mode":
-            state = mode_b(int(step["l"]), state)
-        elif op == "energy-mode":
-            state = L_mode(int(step["n"]), state)
-        elif op == "testfn":
-            phi = ratfunc_from_json(step["phi"])
-            site = INFINITY if step.get("site") == "inf" else Point(scalar_from_str(step.get("site", "0")))
-            state = heis_apply(HeisenbergOp(phi, site), state)
-        else:
-            raise ConfigError(f"unknown replay op {op!r}")
-        applied.append(op)
+    steps = []
+    try:
+        state = state_from_json(script["state"], SymState) if "state" in script else vacuum()
+        for step in script.get("ops", []):
+            op = step["op"]
+            if op in ("e", "i", "b", "T"):
+                arg = scalar_from_str(step["z"])
+            elif op == "mode":
+                arg = int(step["l"])
+                if not arg:
+                    raise ConfigError("oscillator modes are nonzero integers")
+            elif op == "energy-mode":
+                arg = int(step["n"])
+            elif op == "testfn":
+                site = step.get("site", "0")
+                site = INFINITY if site == "inf" else Point(scalar_from_str(site))
+                arg = HeisenbergOp(ratfunc_from_json(step["phi"]), site)
+            else:
+                raise ConfigError(f"unknown replay op {op!r}")
+            steps.append((op, arg))
+    except (ArithmeticError, AttributeError, KeyError, TypeError, ValueError) as err:
+        raise ConfigError(f"malformed replay script: {err}") from err
+    apply = {"e": e_apply, "i": i_apply, "b": b_apply, "T": T_apply,
+             "mode": mode_b, "energy-mode": L_mode, "testfn": heis_apply}
+    for op, arg in steps:
+        state = apply[op](arg, state)
     payload = {
         "command": "replay",
-        "ops": applied,
+        "ops": [op for op, _ in steps],
         "state": state_to_json(state),
     }
     return _emit(args, payload, True)
@@ -631,10 +636,8 @@ def run(argv=None) -> int:
             return 2
     try:
         return args.fn(args)
-    except (ConfigError, FileNotFoundError, json.JSONDecodeError) as err:
-        print(f"configuration error: {err}", file=sys.stderr)
-        return 2
-    except DomainError as err:
+    except (ConfigError, DomainError, FileNotFoundError, json.JSONDecodeError,
+            UnsupportedDenominatorError) as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return 2
 

@@ -56,8 +56,12 @@ def atom_from_str(text: str):
     head, _, rest = text.partition(":")
     if head == "pole":
         c, _, order = rest.rpartition(":")
+        if int(order) < 1:
+            raise ValueError(f"pole order must be positive in {text!r}")
         return ("pole", scalar_from_str(c), int(order))
     if head == "poly":
+        if int(rest) < 0:
+            raise ValueError(f"negative power in {text!r}")
         return ("poly", int(rest))
     raise ValueError(f"unknown atom encoding {text!r}")
 

@@ -84,26 +84,86 @@ def _phi_pole_parts(phi: RatFunc):
     return dec
 
 
+def _binom(x: int, r: int) -> int:
+    """C(x, r) for any integer x and r >= 0."""
+    out = 1
+    for t in range(r):
+        out = out * (x - t) // (t + 1)
+    return out
+
+
+def _pair_residue(x, y, o):
+    """Res_{u=o} x(u) y(u) du for two atoms: one binomial times one power."""
+    if x[0] == "poly" or (y[0] == "pole" and y[1] == o):
+        x, y = y, x
+    if x[0] == "poly" or x[1] != o:
+        return 0  # no factor has a pole at o
+    k = x[2]
+    if y[0] == "poly":
+        m = y[1]
+        return _binom(m, k - 1) * o ** (m - k + 1) if m >= k - 1 else 0
+    if y[1] == o:
+        return 0
+    return _binom(-y[2], k - 1) * (o - y[1]) ** (1 - k - y[2])
+
+
+def _atom_residue(dec, atom, o):
+    """Res_o phi(u) atom(u) du from phi's pole parts dec; o None is infinity."""
+    if o is None:
+        poles = {a for a, _, _ in dec.terms} | ({atom[1]} if atom[0] == "pole" else set())
+        return -sum((_atom_residue(dec, atom, p) for p in poles), QI_ZERO)
+    out = QI_ZERO
+    for factor, g in itertools.chain(
+        ((("poly", n), p) for n, p in enumerate(dec.polynomial.coeffs)),
+        ((("pole", a, j), g) for a, j, g in dec.terms),
+    ):
+        r = _pair_residue(factor, atom, o)
+        if r and g:
+            out = out + g * r
+    return out
+
+
+def _atom_derivative_residue(dec, atom, o):
+    """Res_o phi(u) atom'(u) du: d(u-c)^-k = -k (u-c)^-(k+1), du^m = m u^(m-1)."""
+    if atom[0] == "pole":
+        return -atom[2] * _atom_residue(dec, ("pole", atom[1], atom[2] + 1), o)
+    m = atom[1]
+    return m * _atom_residue(dec, ("poly", m - 1), o) if m else QI_ZERO
+
+
 def heis_apply(op: HeisenbergOp, state: SymState) -> SymState:
-    """Residue-contraction plus creation action on form states."""
+    """Residue-contraction plus creation action on form states.
+
+    Each basis atom pairs against phi by -Res_o(phi atom) at a finite site
+    o and by +Res_inf(phi atom) at infinity.  The residues are binomial
+    sums on the known poles of phi = sum p_n u^n + sum g (u-a)^(-j) (its
+    cached partial fractions), with no rational-function arithmetic:
+
+    * ("pole", o, k): sum p_n C(n, k-1) o^(n-k+1)
+      + sum_{a != o} g C(-j, k-1) (o-a)^(1-j-k);
+    * ("pole", c, k) with c != o: sum_{a = o} g C(-k, j-1) (o-c)^(1-j-k);
+    * ("poly", m): sum_{a = o} g C(m, j-1) o^(m-j+1).
+
+    Res_inf is minus the sum of these finite residues over the poles of
+    phi and of the atom.
+    """
     if op.insertions is not None:
         return heis_insertion_apply(op, state)
     phi = op.testfn
     site = op.site
-    # contraction: each basis form pairs against phi by the residue at the site
+    dec = _phi_pole_parts(phi)
     sign = 1 if site.is_infinity else -1
 
     def value(atom):
         key = (phi, site.value, atom)
         cached = _HEIS_VALUE_CACHE.get(key)
         if cached is None:
-            cached = residue_at(phi * atom_ratfunc(atom), site) * sign
+            cached = _atom_residue(dec, atom, site.value) * sign
             _HEIS_VALUE_CACHE[key] = cached
         return cached
 
     out = state.contract(value)
     # creation: d of the part of phi singular only at the site's complement rule
-    dec = _phi_pole_parts(phi)
     creation = {}
     if site.is_infinity:
         # test functions regular at infinity create; their derivative is a form
@@ -443,41 +503,24 @@ def heis_insertion_apply(op: HeisenbergOp, state: SymState) -> SymState:
     if zl not in weights:
         raise DomainError("site is not an insertion point")
 
+    dec = _phi_pole_parts(phi)
+
     def value(atom):
-        a = atom_ratfunc(atom)
-        return -residue_at(phi * a.derivative(), zl)
+        return -_atom_derivative_residue(dec, atom, zl)
 
     out = state.contract(value)
-    # creation / scalar part per the regular/singular split of phi at the site
-    dec = partial_fractions(phi)
-    scalar_part = QI_ZERO
-    sing = RatFunc.const(QI_ZERO)
-    u = RatFunc.variable(QI_ONE)
-    reg = RatFunc.const(QI_ZERO)
+    # phi = phi_reg + phi_s, phi_s its pole part at the site: phi_reg acts by
+    # lambda_site phi_reg(z_site); phi_s, which vanishes at infinity, by
+    # multiplication and by -sum_{j != site} lambda_j phi_s(z_j)
+    scalar_part = weights[zl] * dec.polynomial.evaluate(zl)
     for c, order, coeff in dec.terms:
-        if c == zl:
-            sing = sing + coeff / (u - c) ** order
-        else:
-            reg = reg + coeff / (u - c) ** order
-    poly = RatFunc(dec.polynomial)
-    reg = reg + poly
-    # regular-at-site part acts by lambda_site * phi_reg(z_site)
-    if reg:
-        scalar_part = scalar_part + weights[zl] * (
-            reg.num.evaluate(zl) / reg.den.evaluate(zl)
-        )
-    # singular part: (sum lambda_j) phi_s(infinity) - sum_{j != site} lambda_j phi_s(z_j)
-    # plus multiplication by phi_s itself; phi_s vanishes at infinity
-    if sing:
+        if c != zl:
+            scalar_part = scalar_part + weights[zl] * coeff / (zl - c) ** order
+            continue
+        out = out + state.multiply_atom(("pole", c, order), coeff)
         for zj, lam in weights.items():
-            if zj == zl:
-                continue
-            scalar_part = scalar_part - lam * (
-                sing.num.evaluate(zj) / sing.den.evaluate(zj)
-            )
-        for c, order, coeff in dec.terms:
-            if c == zl:
-                out = out + state.multiply_atom(("pole", c, order), coeff)
+            if zj != zl:
+                scalar_part = scalar_part - lam * coeff / (zj - c) ** order
     if scalar_part:
         out = out + state.scale(scalar_part)
     return out
@@ -487,48 +530,23 @@ def heis_P_with_insertions(phi: RatFunc, insertions, state: SymState) -> SymStat
     """The site-at-infinity operator on function states with insertions."""
     weights = [(coerce_scalar(p.value if isinstance(p, Point) else p), lam)
                for p, lam in insertions]
+    dec = _phi_pole_parts(phi)
 
     def value(atom):
-        a = atom_ratfunc(atom)
-        return residue_at(phi * a.derivative(), INFINITY)
+        return _atom_derivative_residue(dec, atom, None)
 
     out = state.contract(value)
-    dec = partial_fractions(phi)
-    u = RatFunc.variable(QI_ONE)
-    reg = RatFunc.const(QI_ZERO)
-    for c, order, coeff in dec.terms:
-        reg = reg + coeff / (u - c) ** order
-    const = QI_ZERO
-    if dec.polynomial.coeffs:
-        const = dec.polynomial.coeffs[0]
-    scalar_part = QI_ZERO
-    # regular-at-infinity part: multiply by (phi_reg - phi_reg(inf)) and act
-    # by phi_reg(inf) * sum of weights; phi_reg(inf) = const
+    # the pole parts of phi (regular at infinity) act by multiplication; the
+    # polynomial part p by p(inf) = p_0 times the total weight plus
+    # sum_j lambda_j (p(z_j) - p_0), that is by sum_j lambda_j p(z_j)
     for c, order, coeff in dec.terms:
         out = out + state.multiply_atom(("pole", c, order), coeff)
-    total_weight = QI_ZERO
-    for _, lam in weights:
-        total_weight = total_weight + coerce_scalar(lam)
-    scalar_part = scalar_part + const * total_weight
-    # polynomial (singular at infinity) part: sum_j lambda_j poly(z_j)
-    poly = RatFunc(Poly_shift_const_removed(dec.polynomial))
-    if poly:
-        for zj, lam in weights:
-            scalar_part = scalar_part + coerce_scalar(lam) * (
-                poly.num.evaluate(zj) / poly.den.evaluate(zj)
-            )
+    scalar_part = QI_ZERO
+    for zj, lam in weights:
+        scalar_part = scalar_part + coerce_scalar(lam) * dec.polynomial.evaluate(zj)
     if scalar_part:
         out = out + state.scale(scalar_part)
     return out
-
-
-def Poly_shift_const_removed(p):
-    from .exactnum import Poly
-
-    coeffs = list(p.coeffs)
-    if coeffs:
-        coeffs[0] = QI_ZERO
-    return Poly(coeffs)
 
 
 def insertion_suite(points, lambdas, rng) -> dict:

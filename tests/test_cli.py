@@ -2,6 +2,7 @@ import json
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from chiralis.cli import run
 from chiralis.exactnum import qi
@@ -159,6 +160,66 @@ class TestConfigErrors:
 
     def test_missing_components(self, capsys):
         assert run(["npoint", "--theory", "current", "--points", "0,1"]) == 2
+
+
+def _replay_scripts(scalars, orders, junk):
+    """Replay scripts whose leaves come from ``scalars``/``orders``, any node
+    possibly replaced by ``junk``."""
+    atoms = st.one_of(st.builds("pole:{}:{}".format, scalars, orders),
+                      st.builds("poly:{}".format, orders.map(lambda k: k - 1)), junk)
+    ints = st.one_of(st.integers(-3, 3), junk)
+    entry = st.fixed_dictionaries({"monomial": st.lists(atoms, max_size=2), "coeff": scalars})
+    phi = st.fixed_dictionaries({"num": st.lists(scalars, min_size=1, max_size=3)},
+                                optional={"den": st.lists(scalars, min_size=1, max_size=3)})
+    step = st.one_of(
+        st.fixed_dictionaries({"op": st.sampled_from(["e", "i", "b", "T"]), "z": scalars}),
+        st.fixed_dictionaries({"op": st.just("mode"), "l": ints}),
+        st.fixed_dictionaries({"op": st.just("energy-mode"), "n": ints}),
+        st.fixed_dictionaries({"op": st.just("testfn"), "phi": st.one_of(phi, junk)},
+                              optional={"site": st.one_of(st.just("inf"), scalars)}),
+        junk,
+    )
+    return st.one_of(
+        st.fixed_dictionaries({}, optional={"state": st.one_of(st.lists(entry, max_size=2), junk),
+                                            "ops": st.lists(step, max_size=3)}),
+        junk,
+    )
+
+
+VALID_SCALARS = ["0", "1", "-1/2", "1/2+1/3*i", "i", "3"]
+JUNK = st.one_of(
+    st.none(), st.integers(-3, 3), st.sampled_from(["x", "", "pole:1", "poly:x", "zeta:1"]),
+    st.lists(st.integers(0, 2), max_size=2),
+    st.sampled_from([{"terms": []}, {"op": "b"}, {"op": "zeta"}, {"num": []},
+                     {"num": ["1"], "den": ["0"]}, {"num": ["1"], "den": ["-2", "0", "1"]}]),
+)
+WELL_FORMED = _replay_scripts(st.sampled_from(VALID_SCALARS), st.integers(1, 3), st.nothing())
+MALFORMED = _replay_scripts(st.sampled_from(VALID_SCALARS + ["x", "1/0", "", "1/2+"]),
+                            st.integers(-1, 3), JUNK)
+
+
+class TestReplayExitCodes:
+    @pytest.mark.parametrize("script", [
+        {"ops": [{"op": "b"}]},
+        {"state": {"terms": []}},
+        {"state": [{"monomial": ["pole:0:0"], "coeff": "1"}]},
+        {"ops": [{"op": "testfn", "phi": {"num": ["1"], "den": ["-2", "0", "1"]}}]},
+        {"ops": [{"op": "testfn", "phi": {"num": ["1"], "den": ["-2", "0", "1"]}, "site": "inf"}]},
+    ])
+    def test_malformed_input_is_a_configuration_error(self, tmp_path, capsys, script):
+        path = tmp_path / "replay.json"
+        path.write_text(json.dumps(script))
+        assert run(["replay", "--script", str(path)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(script=st.one_of(WELL_FORMED, MALFORMED))
+    def test_fuzzed_scripts_exit_0_or_2(self, tmp_path, capsys, script):
+        path = tmp_path / "replay.json"
+        path.write_text(json.dumps(script))
+        assert run(["replay", "--script", str(path)]) in (0, 2)
+        capsys.readouterr()
 
 
 class TestDeterminism:

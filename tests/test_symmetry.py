@@ -3,12 +3,24 @@ from fractions import Fraction
 
 import pytest
 
-from chiralis.exactnum import INFINITY, GaussRational, Point, RatFunc, qi, residue_at
-from chiralis.geometry import VectorField
+from chiralis import symmetry
+from chiralis.exactnum import (
+    INFINITY,
+    GaussRational,
+    PartialFractions,
+    Point,
+    Poly,
+    RatFunc,
+    qi,
+    residue_at,
+)
+from chiralis.geometry import VectorField, atom_ratfunc
 from chiralis.sampling import rand_ratfunc, rand_scalar
 from chiralis.states import DomainError, SymState, monomial_state, vacuum
 from chiralis.symmetry import (
     HeisenbergOp,
+    _atom_derivative_residue,
+    _atom_residue,
     _creation_state,
     L_mode,
     bracket_L_b,
@@ -102,6 +114,117 @@ class TestHeisenberg:
                     continue
                 lhs = lie_action(X, heis_apply(op, v)) - heis_apply(op, lie_action(X, v))
                 assert lhs == heis_apply(op2, v)
+
+
+ORACLE_SITES = [Point(qi(0)), Point(GaussRational(1, Fraction(1, 2))), INFINITY]
+
+
+def _closed_form_draw(rng, site, case):
+    """A test function (polynomial part, pole parts of orders 1-3) and an atom.
+
+    case 0 puts a pole of phi at the site, case 1 the atom's pole at the
+    site and case 2 the atom's pole at a pole of phi away from the site;
+    at infinity cases 0 and 1 take a polynomial atom, whose pole is there.
+    """
+    o = site.value
+    poles = [rand_scalar(rng) for _ in range(rng.randint(1, 2))]
+    if case == 0 and o is not None:
+        poles[0] = o
+    poles = [a for a in dict.fromkeys(poles) if case != 2 or a != o] or [o + 2]
+    poly = [rand_scalar(rng) for _ in range(rng.randint(1, 4))]
+    parts = [(a, j, rand_scalar(rng) or qi(1))
+             for a in poles for j in range(1, rng.randint(1, 3) + 1)]
+    if case == 1 and o is not None:
+        atom = ("pole", o, rng.randint(1, 4))
+    elif case == 2:
+        atom = ("pole", rng.choice(poles), rng.randint(1, 3))
+    elif rng.random() < 0.5 or (case < 2 and o is None):
+        atom = ("poly", rng.randint(0, 4))
+    else:
+        atom = ("pole", rand_scalar(rng) + 7, rng.randint(1, 3))
+    return poly, parts, atom
+
+
+def _ratfunc_of(poly, parts):
+    """sum p_n u^n + sum g (u-a)^-j over one common denominator."""
+    orders = {}
+    for a, j, _ in parts:
+        orders[a] = max(j, orders.get(a, 0))
+    den = Poly([qi(1)])
+    for a, j in orders.items():
+        den = den * Poly([-a, qi(1)]) ** j
+    num = Poly(poly) * den
+    for a, j, g in parts:
+        num = num + Poly([g]) * den.divmod(Poly([-a, qi(1)]) ** j)[0]
+    return RatFunc(num, den)
+
+
+class TestClosedFormResidues:
+    def draws(self, count=204):
+        rng = random.Random(7)
+        for i in range(count):
+            site = ORACLE_SITES[i % 3]
+            yield site, _closed_form_draw(rng, site, (i // 3) % 4)
+
+    def test_matches_residue_at(self):
+        for site, (poly, parts, atom) in self.draws():
+            phi = _ratfunc_of(poly, parts)
+            dec = PartialFractions(Poly(poly), parts)
+            a = atom_ratfunc(atom)
+            assert _atom_residue(dec, atom, site.value) == residue_at(phi * a, site), (site, atom)
+            assert _atom_derivative_residue(dec, atom, site.value) == residue_at(
+                phi * a.derivative(), site
+            ), (site, atom)
+
+    def test_coincident_cases_are_drawn(self):
+        seen = set()
+        for site, (poly, parts, atom) in self.draws():
+            o, phi_poles = site.value, {a for a, _, _ in parts}
+            if o is not None and o in phi_poles:
+                seen.add("phi pole at site")
+            if atom[0] == "pole" and atom[1] == o:
+                seen.add("atom pole at site")
+            if atom[0] == "pole" and atom[1] in phi_poles and atom[1] != o:
+                seen.add("atom pole at a phi pole")
+        assert len(seen) == 3
+
+    def test_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        u, t = sympy.symbols("u t")
+
+        def sym(z):
+            return sympy.Rational(z.re) + sympy.I * sympy.Rational(z.im)
+
+        for site, (poly, parts, atom) in list(self.draws(12)):
+            phi = sum(sym(p) * u ** n for n, p in enumerate(poly))
+            phi += sum(sym(g) / (u - sym(a)) ** j for a, j, g in parts)
+            f = phi * (1 / (u - sym(atom[1])) ** atom[2] if atom[0] == "pole" else u ** atom[1])
+            if site.is_infinity:
+                expected = -sympy.residue(f.subs(u, 1 / t) / t ** 2, t, 0)
+            else:
+                expected = sympy.residue(f, u, sym(site.value))
+            got = _atom_residue(PartialFractions(Poly(poly), parts), atom, site.value)
+            assert sympy.simplify(sym(got) - expected) == 0, (site, atom)
+
+    @pytest.mark.parametrize("site", [qi(0), INFINITY])
+    def test_commutator_check_calls_residue_at_once(self, monkeypatch, site):
+        # the contraction values come from the closed form: the one residue
+        # left is the check's own expected value
+        calls = []
+
+        def counting(f, z):
+            calls.append(z)
+            return residue_at(f, z)
+
+        monkeypatch.setattr(symmetry, "residue_at", counting)
+        monkeypatch.setattr(symmetry, "_HEIS_VALUE_CACHE", {})
+        rng = random.Random(61)
+        for _ in range(3):
+            phi = rand_ratfunc(rng, max_poles=2)
+            psi = rand_ratfunc(rng, max_poles=2)
+            calls.clear()
+            heis_commutator_check(phi, psi, site)
+            assert len(calls) == 1
 
 
 class TestVirasoro:
