@@ -13,14 +13,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .exactnum import GaussRational, QI_ONE, QI_ZERO, RatFunc
-from .geometry import (
-    atom_deriv_eval,
-    atom_eval,
-    atom_ratfunc,
-    form_to_atoms,
-    gauss_rational_roots,
-)
+from .exactnum import GaussRational, QI_ONE, QI_ZERO, RatFunc, partial_fractions
+from .geometry import atom_deriv_eval, atom_eval, lie_atom
 from .jets import coerce_scalar_or_jet
 from .states import DomainError, SymState, monomial_state, vacuum
 
@@ -379,17 +373,8 @@ def ope_extract(A, B, z, state: SymState, order: int) -> OpeExpansion:
 def lie_action(X, state: SymState) -> SymState:
     """The derivation extending the Lie derivative along X to states."""
     xi = X.xi if hasattr(X, "xi") else X
-    xi_poles = gauss_rational_roots(xi.den)
-
-    def on_atom(atom):
-        a = atom_ratfunc(atom)
-        out = xi * a.derivative() + xi.derivative() * a
-        poles = list(xi_poles)
-        if atom[0] == "pole":
-            poles.append(atom[1])
-        return form_to_atoms(out, poles=poles)
-
-    return state.derive_atoms(on_atom)
+    dec = partial_fractions(xi)
+    return state.derive_atoms(lambda atom: lie_atom(dec, atom))
 
 
 def field_lie_derivative(field, X, z, state: SymState) -> SymState:

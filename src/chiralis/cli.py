@@ -401,21 +401,23 @@ def cmd_lattice(args) -> int:
     th = LatticeTheory(args.N)
     with open(args.script) as fh:
         script = json.load(fh)
-    roots = [(scalar_from_str(c), int(m)) for c, m in script.get("section", [])]
-    section = SectionClass(roots)
-    state = th.vacuum(section)
+    steps = []
+    try:
+        roots = [(scalar_from_str(c), int(m)) for c, m in script.get("section", [])]
+        for step in script.get("ops", []):
+            op = step["op"]
+            if op not in ("epsilon", "iota", "j", "flat_plus", "flat_minus", "vertex"):
+                raise ConfigError(f"unknown lattice op {op!r}")
+            lam = int(step["lam"]) if op in ("flat_plus", "flat_minus", "vertex") else None
+            steps.append((op, scalar_from_str(step["z"]), lam))
+    except (ArithmeticError, AttributeError, KeyError, TypeError, ValueError) as err:
+        raise ConfigError(f"malformed lattice script: {err}") from err
+    state = th.vacuum(SectionClass(roots))
     ledger_ok = True
-    for step in script.get("ops", []):
-        op = step["op"]
-        z = scalar_from_str(step["z"])
-        if op == "epsilon":
-            state = th.epsilon(z, state)
-        elif op == "iota":
-            state = th.iota(z, state)
-        elif op == "j":
-            state = th.j(z, state)
-        elif op in ("flat_plus", "flat_minus", "vertex"):
-            lam = int(step["lam"])
+    for op, z, lam in steps:
+        if op in ("epsilon", "iota", "j"):
+            state = getattr(th, op)(z, state)
+        else:
             grades_before = {key[1].grade: key[2] for key in state.terms}
             state = getattr(th, op)(lam, z, state)
             if op in ("flat_plus", "vertex"):
@@ -429,8 +431,6 @@ def cmd_lattice(args) -> int:
                             expected += args.N * lam
                         if key[2] != expected:
                             ledger_ok = False
-        else:
-            raise ConfigError(f"unknown lattice op {op!r}")
     rng = random.Random(args.seed)
     sign_table = []
     signs_ok = True
@@ -461,14 +461,21 @@ def cmd_lattice(args) -> int:
 
 
 def cmd_pair(args) -> int:
+    from .serialize import current_state_from_json, state_from_json
+
     with open(args.file) as fh:
         data = json.load(fh)
+    parse = {"boson": lambda obj: state_from_json(obj, SymState),
+             "current": current_state_from_json}.get(args.theory)
+    if parse is None:
+        raise ConfigError(f"unknown pairing theory {args.theory!r}")
+    try:
+        dual, state = parse(data["dual"]), parse(data["state"])
+    except (ArithmeticError, AttributeError, KeyError, TypeError, ValueError) as err:
+        raise ConfigError(f"malformed pair file: {err}") from err
     if args.theory == "boson":
         from .pairing import pair_P
-        from .serialize import state_from_json
 
-        dual = state_from_json(data["dual"], SymState)
-        state = state_from_json(data["state"], SymState)
         value = pair_P(dual, state)
         check = pair_P(dual, state, peel_last=True) == value
         payload = {
@@ -478,14 +485,10 @@ def cmd_pair(args) -> int:
             "identity": "peeling-order-independence",
             "passed": check,
         }
-    elif args.theory == "current":
+    else:
         from .current import current_pair, lie_algebra_by_name
-        from .serialize import current_state_from_json
 
-        algebra = lie_algebra_by_name(args.algebra)
-        dual = current_state_from_json(data["dual"])
-        state = current_state_from_json(data["state"])
-        value = current_pair(algebra, dual, state)
+        value = current_pair(lie_algebra_by_name(args.algebra), dual, state)
         payload = {
             "command": "pair",
             "theory": "current",
@@ -493,8 +496,6 @@ def cmd_pair(args) -> int:
             "value": scalar_to_str(value),
             "passed": True,
         }
-    else:
-        raise ConfigError(f"unknown pairing theory {args.theory!r}")
     if args.decimal:
         payload["decimal"] = _decimal(scalar_from_str(payload["value"]), args.decimal)
     return _emit(args, payload, payload["passed"])

@@ -26,6 +26,7 @@ from .exactnum import (
     residue_at,
 )
 from .boson import eps_tilde_offset
+from .geometry import _loop_product
 from .states import DomainError, LinComb, add_term
 
 __all__ = [
@@ -286,6 +287,19 @@ class CurrentState(LinComb):
         return "CurrentState(" + (" + ".join(bits) or "0") + ")"
 
 
+def _sum_terms(state: CurrentState, term_of) -> CurrentState:
+    """The sum of coeff * term_of(word, ins) over the terms (word, ins) -> coeff of state.
+
+    Accumulates into one dict, so a term costs its own size, not the size
+    of the sum so far; the result keeps state.ctx.
+    """
+    out: dict = {}
+    for (word, ins), coeff in state.terms.items():
+        for key, c in term_of(word, ins).terms.items():
+            add_term(out, key, c * coeff)
+    return CurrentState(out, state.ctx)
+
+
 def current_vacuum(ctx: InsertionContext | None = None, ins=None) -> CurrentState:
     if ctx is None:
         return CurrentState({((), ()): QI_ONE})
@@ -297,33 +311,6 @@ def current_vacuum(ctx: InsertionContext | None = None, ins=None) -> CurrentStat
 # ---------------------------------------------------------------------------
 # Straightening
 # ---------------------------------------------------------------------------
-
-def _loop_product(c1, l1, c2, l2):
-    """(u-c1)^-l1 (u-c2)^-l2 expanded in the simple-pole basis.
-
-    Returns [(pole, order, coeff)].  For c1 != c2 this is the binomial
-    closed form of the partial fractions: expanding (u-c2)^-l2 around c1,
-    the coefficient of (u-c1)^-(l1-j) is C(-l2, j) (c1-c2)^(-l2-j) for
-    0 <= j < l1, and symmetrically at c2.  The poles may be scalars of any
-    field, such as the symbolic point 1/t of Q(i)(t).
-    """
-    if c1 == c2:
-        return [(c1, l1 + l2, QI_ONE)]
-    return _pole_part_of_product(c1, l1, c2, l2) + _pole_part_of_product(c2, l2, c1, l1)
-
-
-def _pole_part_of_product(a, la, b, lb):
-    """Pole part at a of (u-a)^-la (u-b)^-lb, highest order first."""
-    inv = 1 / (a - b)
-    power = inv ** lb
-    binom = 1  # C(-lb, j)
-    out = []
-    for j in range(la):
-        out.append((a, la - j, binom * power))
-        binom = binom * -(lb + j) // (j + 1)
-        power = power * inv
-    return out
-
 
 _PBW_CACHE: dict = {}
 
@@ -407,10 +394,8 @@ def iota_apply(algebra, v, z, state: CurrentState) -> CurrentState:
     """Contraction field at z via the commutation recursion."""
     v = _as_elem(algebra, v)
     z = coerce_scalar(z)
-    out = CurrentState({}, state.ctx)
-    for (word, ins), coeff in state.terms.items():
-        out = out + _iota_term_cached(algebra, v, z, word, ins, state.ctx).scale(coeff)
-    return out
+    ctx = state.ctx
+    return _sum_terms(state, lambda word, ins: _iota_term_cached(algebra, v, z, word, ins, ctx))
 
 
 def _iota_term_cached(algebra, v, z, word, ins, ctx) -> CurrentState:
@@ -572,10 +557,7 @@ def mode_j(algebra, v, l: int, state: CurrentState) -> CurrentState:
     if l <= -1:
         combos = [((a, QI_ZERO, -l), coeff) for a, coeff in v.items()]
         return _left_multiply(algebra, combos, state)
-    out = CurrentState({}, state.ctx)
-    for (word, ins), coeff in state.terms.items():
-        out = out + _mode_term(algebra, v, l, word, ins, state.ctx).scale(coeff)
-    return out
+    return _sum_terms(state, lambda word, ins: _mode_term(algebra, v, l, word, ins, state.ctx))
 
 
 def _mode_term(algebra, v, l, word, ins, ctx) -> CurrentState:
@@ -718,10 +700,7 @@ def _nu_split(nu_comps):
 def J_P_apply(algebra, nu, state: CurrentState) -> CurrentState:
     """Operator attached to nu at the base point at infinity."""
     nu_comps = _nu_components(algebra, nu)
-    out = CurrentState({}, state.ctx)
-    for (word, ins), coeff in state.terms.items():
-        out = out + _J_P_term(algebra, nu_comps, word, ins, state.ctx).scale(coeff)
-    return out
+    return _sum_terms(state, lambda word, ins: _J_P_term(algebra, nu_comps, word, ins, state.ctx))
 
 
 def _J_P_term(algebra, nu_comps, word, ins, ctx) -> CurrentState:
@@ -786,12 +765,9 @@ def J_site_apply(algebra, nu, site_index: int, state: CurrentState) -> CurrentSt
     if state.ctx is None:
         raise DomainError("site operators need an insertion context")
     nu_comps = _nu_components(algebra, nu)
-    out = CurrentState({}, state.ctx)
-    for (word, ins), coeff in state.terms.items():
-        out = out + _J_site_term(
-            algebra, nu_comps, site_index, word, ins, state.ctx
-        ).scale(coeff)
-    return out
+    return _sum_terms(
+        state, lambda word, ins: _J_site_term(algebra, nu_comps, site_index, word, ins, state.ctx)
+    )
 
 
 def _J_site_term(algebra, nu_comps, site, word, ins, ctx) -> CurrentState:

@@ -18,6 +18,8 @@ are rational functions in the inner variable u2.
 
 from __future__ import annotations
 
+from math import comb
+
 from .exactnum import (
     GaussRational,
     Poly,
@@ -36,6 +38,10 @@ __all__ = [
     "atom_sort_key",
     "atom_ratfunc",
     "atom_eval",
+    "atom_product",
+    "atom_derivative",
+    "dec_atoms",
+    "lie_atom",
     "form_to_atoms",
     "Form",
     "VectorField",
@@ -111,6 +117,78 @@ def atom_deriv_eval(atom, z, k: int):
     for j in range(k):
         falling *= m - j
     return falling * z ** (m - k)
+
+
+def _loop_product(c1, l1, c2, l2):
+    """(u-c1)^-l1 (u-c2)^-l2 expanded in the simple-pole basis.
+
+    Returns [(pole, order, coeff)].  For c1 != c2 this is the binomial
+    closed form of the partial fractions: expanding (u-c2)^-l2 around c1,
+    the coefficient of (u-c1)^-(l1-j) is C(-l2, j) (c1-c2)^(-l2-j) for
+    0 <= j < l1, and symmetrically at c2.  The poles may be scalars of any
+    field, such as the symbolic point 1/t of Q(i)(t).
+    """
+    if c1 == c2:
+        return [(c1, l1 + l2, QI_ONE)]
+    return _pole_part_of_product(c1, l1, c2, l2) + _pole_part_of_product(c2, l2, c1, l1)
+
+
+def _pole_part_of_product(a, la, b, lb):
+    """Pole part at a of (u-a)^-la (u-b)^-lb, highest order first."""
+    inv = 1 / (a - b)
+    power = inv ** lb
+    binom = 1  # C(-lb, j)
+    out = []
+    for j in range(la):
+        out.append((a, la - j, binom * power))
+        binom = binom * -(lb + j) // (j + 1)
+        power = power * inv
+    return out
+
+
+def atom_product(x, y) -> list:
+    """The product of two function atoms, ("pole", c, k >= 1) or ("poly", m >= 0).
+
+    Returns [(atom, coeff)] in the same basis.  Binomial closed forms:
+    u^m (u-c)^-k has the pole part sum_{i<k} C(m, i) c^(m-i) (u-c)^(i-k),
+    from u = (u-c) + c, and the polynomial part
+    sum_t C(k+t-1, t) c^t u^(m-k-t), from its expansion at infinity.
+    """
+    if x[0] == "poly" and y[0] == "poly":
+        return [(("poly", x[1] + y[1]), QI_ONE)]
+    if x[0] == "poly":
+        x, y = y, x
+    _, c, k = x
+    if y[0] == "pole":
+        return [(("pole", p, l), co) for p, l, co in _loop_product(c, k, y[1], y[2])]
+    m = y[1]
+    out = [(("pole", c, k - i), comb(m, i) * c ** (m - i)) for i in range(min(k, m + 1))]
+    out += [(("poly", m - k - t), comb(k + t - 1, t) * c ** t) for t in range(m - k + 1)]
+    return out
+
+
+def atom_derivative(atom):
+    """(atom', w) with d atom = w atom': d(u-c)^-k = -k (u-c)^-(k+1), d u^m = m u^(m-1)."""
+    if atom[0] == "pole":
+        return ("pole", atom[1], atom[2] + 1), -atom[2]
+    return ("poly", atom[1] - 1), atom[1]
+
+
+def dec_atoms(dec) -> list:
+    """Partial fractions sum p_n u^n + sum g (u-a)^-j as [(function atom, coeff)]."""
+    out = [(("poly", n), p) for n, p in enumerate(dec.polynomial.coeffs) if p]
+    return out + [(("pole", a, j), g) for a, j, g in dec.terms]
+
+
+def lie_atom(dec, atom) -> dict:
+    """L_xi(atom du) = d(xi atom) in form atoms, from xi's partial fractions dec."""
+    out: dict = {}
+    for factor, g in dec_atoms(dec):
+        for f, co in atom_product(factor, atom):
+            df, w = atom_derivative(f)
+            if w and co:
+                out[df] = out.get(df, QI_ZERO) + g * co * w
+    return {df: c for df, c in out.items() if c}
 
 
 def form_to_atoms(f: RatFunc, poles=None) -> dict:

@@ -19,19 +19,10 @@ from .exactnum import (
     QI_ZERO,
     RatFunc,
     coerce_scalar,
-    gauss_rational_roots,
     partial_fractions,
     residue_at,
 )
-from .geometry import (
-    VectorField,
-    atom_ratfunc,
-    atom_sort_key,
-    bifunction_atom_matrix,
-    form_to_atoms,
-    lie_derivative_bidiff,
-    omega_bifunction,
-)
+from .geometry import VectorField, atom_derivative, atom_product, dec_atoms, lie_atom
 from .states import DomainError, SymState, add_term, monomial_state, vacuum
 
 __all__ = [
@@ -113,22 +104,22 @@ def _atom_residue(dec, atom, o):
         poles = {a for a, _, _ in dec.terms} | ({atom[1]} if atom[0] == "pole" else set())
         return -sum((_atom_residue(dec, atom, p) for p in poles), QI_ZERO)
     out = QI_ZERO
-    for factor, g in itertools.chain(
-        ((("poly", n), p) for n, p in enumerate(dec.polynomial.coeffs)),
-        ((("pole", a, j), g) for a, j, g in dec.terms),
-    ):
+    for factor, g in dec_atoms(dec):
         r = _pair_residue(factor, atom, o)
         if r and g:
             out = out + g * r
     return out
 
 
+def _singular_parts(dec, o):
+    """The pole parts (c, j, g) that create at o: those at o, every one at infinity (None)."""
+    return [(c, j, g) for c, j, g in dec.terms if o is None or c == o]
+
+
 def _atom_derivative_residue(dec, atom, o):
-    """Res_o phi(u) atom'(u) du: d(u-c)^-k = -k (u-c)^-(k+1), du^m = m u^(m-1)."""
-    if atom[0] == "pole":
-        return -atom[2] * _atom_residue(dec, ("pole", atom[1], atom[2] + 1), o)
-    m = atom[1]
-    return m * _atom_residue(dec, ("poly", m - 1), o) if m else QI_ZERO
+    """Res_o phi(u) atom'(u) du, with atom' from ``geometry.atom_derivative``."""
+    d, w = atom_derivative(atom)
+    return w * _atom_residue(dec, d, o) if w else QI_ZERO
 
 
 def heis_apply(op: HeisenbergOp, state: SymState) -> SymState:
@@ -163,20 +154,12 @@ def heis_apply(op: HeisenbergOp, state: SymState) -> SymState:
         return cached
 
     out = state.contract(value)
-    # creation: d of the part of phi singular only at the site's complement rule
+    # creation: the derivative, a form, of each singular pole part of phi
     creation = {}
-    if site.is_infinity:
-        # test functions regular at infinity create; their derivative is a form
-        for c, order, coeff in dec.terms:
-            creation[("pole", c, order + 1)] = -order * coeff
-    else:
-        o = site.value
-        for c, order, coeff in dec.terms:
-            if c == o:
-                creation[("pole", c, order + 1)] = -order * coeff
-    for atom, coeff in creation.items():
-        if coeff:
-            out = out + state.multiply_atom(atom, coeff)
+    for c, j, g in _singular_parts(dec, site.value):
+        add_term(creation, ("pole", c, j + 1), -j * g)
+    if creation:
+        out = out + state.multiply_expansion(creation)
     return out
 
 
@@ -248,68 +231,73 @@ class VirasoroOp:
         raise AttributeError("VirasoroOp is immutable")
 
 
+def _sugawara_pairs(j: int):
+    """[(p, q, w)]: the creation state of (u-c)^(-j) d/du is
+    sum w ("pole", c, p) ("pole", c, q) over ordered p + q = j + 3, p, q >= 2."""
+    return [(p, j + 3 - p, Fraction(-(p - 1) * (j + 2 - p), 2)) for p in range(2, j + 2)]
+
+
 _OMEGA_CACHE: dict = {}
-
-
-def _creation_state(xi_part: RatFunc) -> SymState:
-    """Degree-2 creation state for the singular vector-field part.
-
-    Realized as the symmetric state of the Lie derivative of the invariant
-    bidifferential along the doubled field; this normalization is the one
-    under which the measured bracket reproduces (l^3-l)/12.  For the energy
-    mode L_{-m} (xi_part = -(u-o)^(1-m), m >= 2) it is the Sugawara state
-    1/2 sum_{a+b=m+2, a,b>=2} (a-1)(b-1) ("pole",o,a) ("pole",o,b), the
-    closed form that ``L_mode`` uses.
-    """
-    key = xi_part
-    cached = _OMEGA_CACHE.get(key)
-    if cached is not None:
-        return cached
-    if xi_part.is_zero():
-        out = SymState()
-    else:
-        F = lie_derivative_bidiff(VectorField(xi_part), omega_bifunction())
-        matrix = bifunction_atom_matrix(F)
-        terms: dict = {}
-        half = Fraction(1, 2)
-        for (a1, a2), coeff in matrix.items():
-            mon = tuple(sorted((a1, a2), key=atom_sort_key))
-            acc = terms.get(mon, QI_ZERO) + coeff * half
-            terms[mon] = acc
-        out = SymState(terms)
-    _OMEGA_CACHE[key] = out
-    return out
-
-
-def _xi_split(xi: RatFunc, site: Point):
-    """Split a vector-field coefficient for the site's case analysis.
-
-    Returns (singular_part, everywhere_regular_part, rest): the singular
-    part drives creation, the rest never does.
-    """
-    dec = _phi_pole_parts(xi)
-    u = RatFunc.variable(QI_ONE)
-    sing = RatFunc.const(QI_ZERO)
-    if site.is_infinity:
-        for c, order, coeff in dec.terms:
-            sing = sing + coeff / (u - c) ** order
-    else:
-        o = site.value
-        for c, order, coeff in dec.terms:
-            if c == o:
-                sing = sing + coeff / (u - o) ** order
-    return sing
+_VIR_PAIR_CACHE: dict = {}
+_VIR_LIE_CACHE: dict = {}
 
 
 def vir_apply(op: VirasoroOp, state: SymState) -> SymState:
-    """Three-part action: pair contraction, projected Lie term, creation."""
-    X, site = op.X, op.site
-    xi = X.xi
+    """Three-part action: pair contraction, projected Lie term, creation.
+
+    With xi = sum p_n u^n + sum g (u-c)^(-j) (its cached partial fractions)
+    every part is a closed form on basis atoms:
+
+    * pairs: each unordered pair of occurrences a_i, a_j is removed with
+      coefficient -Res_o(xi a_i a_j), a binomial sum over the atoms of the
+      product a_i a_j (``_atom_residue``);
+    * Lie term: each occurrence a becomes L_xi(a du) = d(xi a)
+      (``geometry.lie_atom``), keeping only the pole atoms at o;
+    * creation: multiplication by
+      g (-1/2) sum_{p+q=j+3, p,q>=2} (p-1)(q-1) ("pole",c,p) ("pole",c,q)
+      for each pole part g (u-c)^(-j) with c = o, the Sugawara state of
+      that part translated to c.
+
+    At infinity the pair coefficient is +Res_inf, every pole atom of the
+    Lie term is kept, and every finite pole part of xi creates.
+    """
+    xi, site = op.X.xi, op.site
+    o = site.value
     _check_vir_domain(state, site)
-    out = _vir_pairs(xi, site, state)
-    out = out + _vir_lie(xi, site, state)
-    sing = _xi_split(xi, site)
-    creation = _creation_state(sing)
+    dec = _phi_pole_parts(xi)
+    sign = 1 if site.is_infinity else -1
+
+    def pair(x, y):
+        key = (xi, o, x, y)
+        val = _VIR_PAIR_CACHE.get(key)
+        if val is None:
+            val = sign * sum((co * _atom_residue(dec, p, o) for p, co in atom_product(x, y)), QI_ZERO)
+            _VIR_PAIR_CACHE[key] = val
+        return val
+
+    def lie(atom):
+        key = (xi, o, atom)
+        kept = _VIR_LIE_CACHE.get(key)
+        if kept is None:
+            kept = {a: w for a, w in lie_atom(dec, atom).items()
+                    if a[0] == "pole" and (o is None or a[1] == o)}
+            _VIR_LIE_CACHE[key] = kept
+        return kept
+
+    pairs = {}
+    for mon, c in state.terms.items():
+        for i, j in itertools.combinations(range(len(mon)), 2):
+            val = pair(mon[i], mon[j])
+            if val:
+                add_term(pairs, mon[:i] + mon[i + 1: j] + mon[j + 1:], c * val)
+    out = SymState(pairs) + state.derive_atoms(lie)
+    creation = _OMEGA_CACHE.get((xi, o))
+    if creation is None:
+        terms = {}
+        for c, j, g in _singular_parts(dec, o):
+            for p, q, w in _sugawara_pairs(j):
+                add_term(terms, (("pole", c, min(p, q)), ("pole", c, max(p, q))), g * w)
+        creation = _OMEGA_CACHE[(xi, o)] = SymState(terms)
     if creation:
         out = out + state.multiply(creation)
     return out
@@ -327,59 +315,6 @@ def _check_vir_domain(state: SymState, site: Point):
                 raise DomainError("state has poles away from the site")
 
 
-_VIR_PAIR_CACHE: dict = {}
-_VIR_LIE_CACHE: dict = {}
-
-
-def _vir_pairs(xi: RatFunc, site: Point, state: SymState) -> SymState:
-    sign = 1 if site.is_infinity else -1
-    out = {}
-    for mon, c in state.terms.items():
-        for i in range(len(mon)):
-            for j in range(i + 1, len(mon)):
-                key = (xi, site.value, mon[i], mon[j])
-                val = _VIR_PAIR_CACHE.get(key)
-                if val is None:
-                    val = residue_at(
-                        xi * atom_ratfunc(mon[i]) * atom_ratfunc(mon[j]), site
-                    )
-                    _VIR_PAIR_CACHE[key] = val
-                if val:
-                    add_term(out, mon[:i] + mon[i + 1: j] + mon[j + 1:], c * val * sign)
-    return SymState(out)
-
-
-def _vir_lie(xi: RatFunc, site: Point, state: SymState) -> SymState:
-    xi_poles = None
-
-    def on_atom(atom):
-        nonlocal xi_poles
-        key = (xi, site.value, atom)
-        cached = _VIR_LIE_CACHE.get(key)
-        if cached is not None:
-            return cached
-        if xi_poles is None:
-            xi_poles = gauss_rational_roots(xi.den)
-        a = atom_ratfunc(atom)
-        image = xi * a.derivative() + xi.derivative() * a
-        poles = list(xi_poles)
-        if atom[0] == "pole":
-            poles.append(atom[1])
-        atoms = form_to_atoms(image, poles=poles)
-        kept = {}
-        for at, coeff in atoms.items():
-            if site.is_infinity:
-                if at[0] == "pole":
-                    kept[at] = coeff
-            else:
-                if at[0] == "pole" and at[1] == site.value:
-                    kept[at] = coeff
-        _VIR_LIE_CACHE[key] = kept
-        return kept
-
-    return state.derive_atoms(on_atom)
-
-
 def L_mode(n: int, state: SymState, site_point=QI_ZERO) -> SymState:
     """The n-th energy mode: the vector field -(u-o)^(n+1) d/du at the site o.
 
@@ -394,8 +329,9 @@ def L_mode(n: int, state: SymState, site_point=QI_ZERO) -> SymState:
       L_xi (u-o)^(-k) = (k-n-1) (u-o)^(n-k); lower orders are regular at
       o and project away;
     * creation (n = -m <= -2): multiplication by
-      1/2 sum_{a+b=m+2, a,b>=2} (a-1)(b-1) ("pole",o,a) ("pole",o,b),
-      the Sugawara sum 1/2 sum_{i+j=m} b_{-i} b_{-j}|0>, because
+      1/2 sum_{a+b=m+2, a,b>=2} (a-1)(b-1) ("pole",o,a) ("pole",o,b)
+      (``_sugawara_pairs(m - 1)`` with g = -1), the Sugawara sum
+      1/2 sum_{i+j=m} b_{-i} b_{-j}|0>, because
       mode_b(-k, vacuum()) = -k ("pole",o,k+1).
 
     Raises DomainError, as ``vir_apply`` does, when the state has a pole
@@ -403,26 +339,18 @@ def L_mode(n: int, state: SymState, site_point=QI_ZERO) -> SymState:
     """
     o = coerce_scalar(site_point)
     _check_vir_domain(state, Point(o))
-    m = -n
-    creation = [(a, m + 2 - a) for a in range(2, m + 1)]
-    half = Fraction(1, 2)
+    creation = _sugawara_pairs(-n - 1)  # xi = -(u-o)^(n+1): one pole part, g = -1
     terms: dict = {}
-
-    def add(orders, coeff):
-        key = tuple(sorted(orders))
-        acc = terms.get(key)
-        terms[key] = coeff if acc is None else acc + coeff
-
     for mon, c in state.terms.items():
         ks = [atom[2] for atom in mon]
         for i, j in itertools.combinations(range(len(ks)), 2):
             if ks[i] + ks[j] == n + 2:
-                add(ks[:i] + ks[i + 1: j] + ks[j + 1:], c)
+                add_term(terms, tuple(ks[:i] + ks[i + 1: j] + ks[j + 1:]), c)
         for i, k in enumerate(ks):
             if k - n >= 2:
-                add(ks[:i] + [k - n] + ks[i + 1:], c * (k - n - 1))
-        for a, b in creation:
-            add(ks + [a, b], c * half * ((a - 1) * (b - 1)))
+                add_term(terms, tuple(sorted(ks[:i] + [k - n] + ks[i + 1:])), c * (k - n - 1))
+        for p, q, w in creation:
+            add_term(terms, tuple(sorted(ks + [p, q])), c * -w)
     return SymState(
         {tuple(("pole", o, k) for k in key): coeff for key, coeff in terms.items()}
     )

@@ -222,6 +222,36 @@ class TestReplayExitCodes:
         capsys.readouterr()
 
 
+class TestPairLatticeExitCodes:
+    @pytest.mark.parametrize("theory, data", [
+        ("boson", {"dual": [], "stat": []}),
+        ("boson", {"dual": [{"monomial": ["pole:0:0"], "coeff": "1"}], "state": []}),
+        ("boson", [1, 2]),
+        ("current", {"dual": []}),
+        ("current", {"dual": [{"word": "x"}], "state": []}),
+    ])
+    def test_malformed_pair_file(self, tmp_path, capsys, theory, data):
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps(data))
+        assert run(["pair", "--theory", theory, "--file", str(path)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("script", [
+        {"ops": [{"op": "epsilon"}]},
+        {"ops": [{"op": "vertex", "z": "1"}]},
+        {"ops": [{"op": "flat_plus", "z": "1", "lam": "one"}]},
+        {"ops": [{"z": "0"}]},
+        {"section": [["x", 1]]},
+        {"section": [["1"]]},
+        [],
+    ])
+    def test_malformed_lattice_script(self, tmp_path, capsys, script):
+        path = tmp_path / "ops.json"
+        path.write_text(json.dumps(script))
+        assert run(["lattice", "--N", "1", "--script", str(path)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+
+
 class TestDeterminism:
     def test_reports_byte_stable(self, capsys):
         argv = ["axioms", "--structure", "comm", "--seed", "13", "--samples", "3"]

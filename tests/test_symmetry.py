@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from chiralis import symmetry
+from chiralis import boson, exactnum, geometry, symmetry
 from chiralis.exactnum import (
     INFINITY,
     GaussRational,
@@ -21,7 +21,6 @@ from chiralis.symmetry import (
     HeisenbergOp,
     _atom_derivative_residue,
     _atom_residue,
-    _creation_state,
     L_mode,
     bracket_L_b,
     heis_apply,
@@ -35,6 +34,7 @@ from chiralis.symmetry import (
     virasoro_bracket_check,
 )
 from chiralis.boson import lie_action
+from vir_oracle import _creation_state, lie_action as oracle_lie_action, vir_apply_oracle
 
 U = RatFunc.variable(GaussRational(1))
 
@@ -272,11 +272,10 @@ class TestVirasoro:
             L_mode(0, v)
 
     def test_L_mode_matches_vir_apply(self):
-        # the exponent closed forms against the generic three-part action;
-        # the generic creation state costs seconds per (n, site), so the
-        # translated sites stop at n = -2 and the origin covers n = -3, -4
+        # the exponent closed forms against the atom closed forms of the
+        # three-part action, at the origin and at two translated sites
         rng = random.Random(61)
-        for o, lowest in ((qi(0), -4), (qi(1), -2), (qi(0, Fraction(1, 2)), -2)):
+        for o, lowest in ((qi(0), -4), (qi(1), -4), (qi(0, Fraction(1, 2)), -4)):
             states = [vacuum()]
             for _ in range(3):
                 s = SymState()
@@ -308,6 +307,106 @@ class TestVirasoro:
             for i in range(1, m):
                 sugawara = sugawara + mode_b(-i, mode_b(-(m - i), vacuum()))
             assert lhs == sugawara.scale(Fraction(1, 2))
+
+
+HALF_I = GaussRational(1, Fraction(1, 2))
+
+
+def _pole_part(rng, c, order):
+    parts = (rand_scalar(rng) / (U - c) ** j for j in range(1, order + 1))
+    return sum(parts, RatFunc.const(qi(0)))
+
+
+def _vir_cases():
+    """(site, xi, states, split): one-pole xi at 0, at 1+i/2 and at infinity,
+    and a two-pole xi at infinity, whose oracle creation is summed per pole.
+
+    The three pole parts are drawn once and reused: the generic creation of
+    a part costs seconds, and the oracle keeps it per part.
+    """
+    rng = random.Random(71)
+    c = rand_scalar(rng) + 3
+    p0, p1, p2 = (_pole_part(rng, a, 2) for a in (qi(0), HALF_I, c))
+
+    def poly():
+        return sum((rand_scalar(rng) * U ** n for n in range(rng.randint(1, 3))),
+                   RatFunc.const(qi(0)))
+
+    def states(points):
+        out = [vacuum()]
+        for _ in range(3):
+            atoms = [("pole", rng.choice(points), rng.randint(2, 4))
+                     for _ in range(rng.randint(1, 3))]
+            out.append(monomial_state(atoms, rand_scalar(rng)))
+        return out
+
+    return [
+        (Point(qi(0)), poly() + p0 + p2, states([qi(0)]), False),
+        (Point(HALF_I), poly() + p1 + p0, states([HALF_I]), False),
+        (INFINITY, poly() + p2, states([c, qi(0), qi(5)]), False),
+        (INFINITY, poly() + p0 + p1, states([qi(0), HALF_I, c]), True),
+    ]
+
+
+def _rand_field(rng):
+    """A polynomial part of degree <= 3 and up to two poles of orders 1-3."""
+    xi = sum((rand_scalar(rng) * U ** n for n in range(rng.randint(1, 4))), RatFunc.const(qi(0)))
+    poles = [rand_scalar(rng) for _ in range(rng.randint(0, 2))]
+    for a in poles:
+        xi = xi + _pole_part(rng, a, rng.randint(1, 3))
+    return xi, poles
+
+
+class TestVirasoroClosedForms:
+    @pytest.mark.parametrize("case", range(4))
+    def test_vir_apply_matches_oracle(self, case):
+        site, xi, states, split = _vir_cases()[case]
+        op = VirasoroOp(VectorField(xi), site)
+        for s in states:
+            assert vir_apply(op, s) == vir_apply_oracle(op, s, split=split), (site, s)
+
+    def test_two_pole_field_at_infinity(self):
+        # the bidifferential route's pole search gives up on this field
+        a, b = qi(4, -4), qi(5, Fraction(-1, 4))
+        xi = qi(Fraction(-5, 4), 4) + qi(1, 1) * U
+        xi = xi + qi(0, 1) / (U - a) ** 2 + qi(2, 3) / (U - b) ** 2
+        op = VirasoroOp(VectorField(xi), INFINITY)
+        for atoms in ([], [("pole", a, 2)], [("pole", qi(0), 3), ("pole", b, 2)]):
+            s = monomial_state(atoms)
+            assert vir_apply(op, s) == vir_apply_oracle(op, s, split=True), atoms
+
+    def test_lie_action_matches_oracle(self):
+        rng = random.Random(73)
+        for _ in range(12):
+            xi, poles = _rand_field(rng)
+            X = VectorField(xi)
+            atoms = [("poly", rng.randint(0, 2)), ("pole", rand_scalar(rng) + 7, rng.randint(2, 3))]
+            atoms += [("pole", a, rng.randint(2, 4)) for a in poles]
+            s = monomial_state([("poly", rng.randint(3, 5))] + rng.sample(atoms, 1), rand_scalar(rng))
+            s = s + monomial_state(rng.sample(atoms, 2))
+            assert lie_action(X, s) == oracle_lie_action(X, s), (xi, s)
+
+    def test_no_generic_path(self, monkeypatch):
+        # beyond the one decomposition of each distinct xi, no residue,
+        # root search or rational-function expansion runs
+        calls = []
+        for name in ("residue_at", "form_to_atoms", "bifunction_atom_matrix", "gauss_rational_roots"):
+            for module in (exactnum, geometry, boson, symmetry):
+                fn = getattr(module, name, None)
+                if fn is not None:
+                    def counting(*args, _fn=fn, _name=name, **kwargs):
+                        calls.append(_name)
+                        return _fn(*args, **kwargs)
+                    monkeypatch.setattr(module, name, counting)
+        for cache in ("_PF_CACHE", "_OMEGA_CACHE", "_VIR_PAIR_CACHE", "_VIR_LIE_CACHE"):
+            monkeypatch.setattr(symmetry, cache, {})
+        rng = random.Random(79)
+        fields = [_rand_field(rng)[0] for _ in range(4)]
+        for xi in fields + fields:
+            for site in (Point(qi(0)), INFINITY):
+                v = monomial_state([("pole", qi(0), 2), ("pole", qi(0), 3)])
+                vir_apply(VirasoroOp(VectorField(xi), site), v)
+        assert calls == ["gauss_rational_roots"] * len(set(fields))
 
 
 class TestPrimary:
