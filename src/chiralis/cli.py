@@ -12,6 +12,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import random
@@ -34,6 +35,17 @@ __all__ = ["main", "run"]
 
 class ConfigError(ValueError):
     pass
+
+
+@contextlib.contextmanager
+def _parsing(what: str):
+    """Report what malformed JSON input raises as a ConfigError about `what`."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (ArithmeticError, AttributeError, KeyError, TypeError, ValueError) as err:
+        raise ConfigError(f"malformed {what}: {err}") from err
 
 
 def _parse_points(text: str):
@@ -402,7 +414,7 @@ def cmd_lattice(args) -> int:
     with open(args.script) as fh:
         script = json.load(fh)
     steps = []
-    try:
+    with _parsing("lattice script"):
         roots = [(scalar_from_str(c), int(m)) for c, m in script.get("section", [])]
         for step in script.get("ops", []):
             op = step["op"]
@@ -410,8 +422,6 @@ def cmd_lattice(args) -> int:
                 raise ConfigError(f"unknown lattice op {op!r}")
             lam = int(step["lam"]) if op in ("flat_plus", "flat_minus", "vertex") else None
             steps.append((op, scalar_from_str(step["z"]), lam))
-    except (ArithmeticError, AttributeError, KeyError, TypeError, ValueError) as err:
-        raise ConfigError(f"malformed lattice script: {err}") from err
     state = th.vacuum(SectionClass(roots))
     ledger_ok = True
     for op, z, lam in steps:
@@ -469,10 +479,8 @@ def cmd_pair(args) -> int:
              "current": current_state_from_json}.get(args.theory)
     if parse is None:
         raise ConfigError(f"unknown pairing theory {args.theory!r}")
-    try:
+    with _parsing("pair file"):
         dual, state = parse(data["dual"]), parse(data["state"])
-    except (ArithmeticError, AttributeError, KeyError, TypeError, ValueError) as err:
-        raise ConfigError(f"malformed pair file: {err}") from err
     if args.theory == "boson":
         from .pairing import pair_P
 
@@ -511,7 +519,7 @@ def cmd_replay(args) -> int:
     with open(args.script) as fh:
         script = json.load(fh)
     steps = []
-    try:
+    with _parsing("replay script"):
         state = state_from_json(script["state"], SymState) if "state" in script else vacuum()
         for step in script.get("ops", []):
             op = step["op"]
@@ -530,8 +538,6 @@ def cmd_replay(args) -> int:
             else:
                 raise ConfigError(f"unknown replay op {op!r}")
             steps.append((op, arg))
-    except (ArithmeticError, AttributeError, KeyError, TypeError, ValueError) as err:
-        raise ConfigError(f"malformed replay script: {err}") from err
     apply = {"e": e_apply, "i": i_apply, "b": b_apply, "T": T_apply,
              "mode": mode_b, "energy-mode": L_mode, "testfn": heis_apply}
     for op, arg in steps:

@@ -251,6 +251,19 @@ class TestPairLatticeExitCodes:
         assert run(["lattice", "--N", "1", "--script", str(path)]) == 2
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, script, message", [
+        ("lattice", {"ops": [{"op": "nope", "z": "1"}]}, "unknown lattice op 'nope'"),
+        ("replay", {"ops": [{"op": "nope"}]}, "unknown replay op 'nope'"),
+        ("replay", {"ops": [{"op": "mode", "l": 0}]}, "oscillator modes are nonzero"),
+    ])
+    def test_own_errors_pass_through_unwrapped(self, tmp_path, capsys, command, script, message):
+        path = tmp_path / "ops.json"
+        path.write_text(json.dumps(script))
+        argv = [command, "--script", str(path)] + (["--N", "1"] if command == "lattice" else [])
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert message in err and "malformed" not in err
+
 
 class TestDeterminism:
     def test_reports_byte_stable(self, capsys):
