@@ -20,7 +20,6 @@ from .exactnum import (
     QI_ZERO,
     RatFunc,
     coerce_scalar,
-    gauss_rational_roots,
     local_expansion,
     partial_fractions,
     residue_at,
@@ -978,10 +977,12 @@ def residue_pair_degree_one(algebra, dual_gen, gen):
     fprime = dual_gen_function(dual_gen)
     alpha = (1 / (u - c) ** m).derivative()
     prod = fprime * alpha
+    # the poles are known: c, from alpha, and 1/ctil, from fprime when ctil != 0
+    poles = {c, 1 / ctil} if ctil else {c}
     total = QI_ZERO
-    for root in gauss_rational_roots(prod.den):
-        if in_unit_disc(root):
-            total = total + residue_at(prod, root)
+    for pole in poles:
+        if in_unit_disc(pole):
+            total = total + residue_at(prod, pole)
     return -g * total
 
 

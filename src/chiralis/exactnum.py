@@ -33,6 +33,7 @@ __all__ = [
     "PoleError",
     "UnsupportedDenominatorError",
     "GaussRational",
+    "is_rational_scalar",
     "QI_ZERO",
     "QI_ONE",
     "QI_I",
@@ -76,22 +77,49 @@ class UnsupportedDenominatorError(ExactnumError):
 # ---------------------------------------------------------------------------
 
 
-def _fraction_str(x: Fraction) -> str:
-    return str(x)
+_RATIONAL_TYPES = (int, Fraction, type(RATIONAL(0)))
+
+
+def is_rational_scalar(x) -> bool:
+    """True for an int or an exact rational (``Fraction`` or the backend's)."""
+    return isinstance(x, _RATIONAL_TYPES)
 
 
 class GaussRational:
-    """a + b*i with exact rational a, b; immutable and hashable."""
+    """a + b*i with exact rational a, b; immutable and hashable.
 
-    __slots__ = ("re", "im", "_hash")
+    Stored as three ints: the value is (a + b*i)/d with ``d > 0`` and
+    ``gcd(a, b, d) == 1``, so equal values have equal triples and every
+    operation costs a few integer products and one gcd.  ``re`` and ``im``
+    are read back as rationals of the ``RATIONAL`` backend.
+    """
 
-    def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", RATIONAL(re))
-        object.__setattr__(self, "im", RATIONAL(im))
-        object.__setattr__(self, "_hash", None)
+    __slots__ = ("a", "b", "d", "_hash")
+
+    def __init__(self, re=0, im=0, *, _den=0):
+        # _den > 0 marks (re, im, _den) as an already reduced integer triple
+        if not _den:
+            if type(re) is int and type(im) is int:
+                _den = 1
+            else:
+                re, im = RATIONAL(re), RATIONAL(im)
+                q, s = re.denominator, im.denominator
+                _den = q * s // math.gcd(q, s)
+                re, im = re.numerator * (_den // q), im.numerator * (_den // s)
+        _SET_A(self, re)
+        _SET_B(self, im)
+        _SET_D(self, _den)
 
     def __setattr__(self, name, value):  # pragma: no cover - safety net
         raise AttributeError("GaussRational is immutable")
+
+    @property
+    def re(self):
+        return RATIONAL(self.a, self.d)
+
+    @property
+    def im(self):
+        return RATIONAL(self.b, self.d)
 
     # -- coercion helpers ---------------------------------------------------
 
@@ -99,7 +127,7 @@ class GaussRational:
     def coerce(value) -> "GaussRational":
         if isinstance(value, GaussRational):
             return value
-        if isinstance(value, (int, Fraction)) or type(value) is type(RATIONAL(0)):
+        if isinstance(value, _RATIONAL_TYPES):
             return GaussRational(value)
         raise TypeError(f"cannot coerce {value!r} to GaussRational")
 
@@ -109,7 +137,10 @@ class GaussRational:
         other = _as_gauss(other)
         if other is NotImplemented:
             return NotImplemented
-        return GaussRational(self.re + other.re, self.im + other.im)
+        d, d2 = self.d, other.d
+        if d == d2:
+            return _from_triple(self.a + other.a, self.b + other.b, d)
+        return _from_triple(self.a * d2 + other.a * d, self.b * d2 + other.b * d, d * d2)
 
     __radd__ = __add__
 
@@ -117,7 +148,10 @@ class GaussRational:
         other = _as_gauss(other)
         if other is NotImplemented:
             return NotImplemented
-        return GaussRational(self.re - other.re, self.im - other.im)
+        d, d2 = self.d, other.d
+        if d == d2:
+            return _from_triple(self.a - other.a, self.b - other.b, d)
+        return _from_triple(self.a * d2 - other.a * d, self.b * d2 - other.b * d, d * d2)
 
     def __rsub__(self, other):
         other = _as_gauss(other)
@@ -129,10 +163,8 @@ class GaussRational:
         other = _as_gauss(other)
         if other is NotImplemented:
             return NotImplemented
-        return GaussRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b, a2, b2 = self.a, self.b, other.a, other.b
+        return _from_triple(a * a2 - b * b2, a * b2 + b * a2, self.d * other.d)
 
     __rmul__ = __mul__
 
@@ -140,13 +172,12 @@ class GaussRational:
         other = _as_gauss(other)
         if other is NotImplemented:
             return NotImplemented
-        n = other.re * other.re + other.im * other.im
-        if n == 0:
+        # (a + bi)/d / ((a2 + b2 i)/d2) = (a + bi)(a2 - b2 i) d2 / (d (a2^2 + b2^2))
+        a, b, a2, b2, d2 = self.a, self.b, other.a, other.b, other.d
+        n = a2 * a2 + b2 * b2
+        if not n:
             raise ZeroDivisionError("division by zero GaussRational")
-        return GaussRational(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
+        return _from_triple((a * a2 + b * b2) * d2, (b * a2 - a * b2) * d2, self.d * n)
 
     def __rtruediv__(self, other):
         other = _as_gauss(other)
@@ -155,7 +186,7 @@ class GaussRational:
         return other / self
 
     def __neg__(self):
-        return GaussRational(-self.re, -self.im)
+        return GaussRational(-self.a, -self.b, _den=self.d)
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
@@ -172,48 +203,49 @@ class GaussRational:
         return out
 
     def conjugate(self) -> "GaussRational":
-        return GaussRational(self.re, -self.im)
+        return GaussRational(self.a, -self.b, _den=self.d)
 
     def inverse(self) -> "GaussRational":
         return GaussRational(1) / self
 
     def norm(self):
         """|z|^2 as an exact rational."""
-        return self.re * self.re + self.im * self.im
+        return RATIONAL(self.a * self.a + self.b * self.b, self.d * self.d)
 
     # -- structure ----------------------------------------------------------
 
     def __bool__(self):
-        return bool(self.re or self.im)
+        return bool(self.a or self.b)
 
     def __eq__(self, other):
         other = _as_gauss(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self):
         # consistent with hash(int)/hash(Fraction) when the value is real,
         # so mixed-coefficient polynomials hash compatibly with equality
-        h = self._hash
-        if h is None:
-            h = hash(self.re) if self.im == 0 else hash((self.re, self.im))
-            object.__setattr__(self, "_hash", h)
-        return h
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.re, self.im) if self.b else self.re)
+            _SET_HASH(self, h)
+            return h
 
     def sort_key(self):
         return ("q", self.re, self.im)
 
     def is_rational(self) -> bool:
-        return self.im == 0
+        return not self.b
 
     # -- text format --------------------------------------------------------
 
     def __str__(self):
-        if self.im == 0:
-            return _fraction_str(self.re)
-        sign = "+" if self.im > 0 else "-"
-        return f"{_fraction_str(self.re)}{sign}{_fraction_str(abs(self.im))}*i"
+        if not self.b:
+            return str(self.re)
+        sign = "+" if self.b > 0 else "-"
+        return f"{self.re}{sign}{abs(self.im)}*i"
 
     def __repr__(self):
         return f"GaussRational('{self}')"
@@ -246,10 +278,19 @@ def _parse_rat(text: str):
     return RATIONAL(Fraction(text))
 
 
+_SET_A, _SET_B, _SET_D, _SET_HASH = (getattr(GaussRational, n).__set__ for n in GaussRational.__slots__)
+
+
+def _from_triple(a: int, b: int, d: int) -> GaussRational:
+    """(a + b*i)/d for ints a, b and d > 0, reduced by one gcd."""
+    g = math.gcd(a, b, d)
+    return GaussRational(a // g, b // g, _den=d // g)
+
+
 def _as_gauss(value):
     if isinstance(value, GaussRational):
         return value
-    if isinstance(value, (int, Fraction)) or type(value) is type(RATIONAL(0)):
+    if isinstance(value, _RATIONAL_TYPES):
         return GaussRational(value)
     return NotImplemented
 
@@ -282,7 +323,7 @@ def sqrt_gauss_rational(s: GaussRational):
             cand = GaussRational(a, b)
             if cand * cand == s:
                 return cand
-    if s.im == 0 and s.re < 0:
+    if not s.b and s.a < 0:
         b = _fraction_sqrt(-s.re)
         if b is not None:
             return GaussRational(0, b)
@@ -652,7 +693,7 @@ class RatFunc:
                 a = RatFunc(Poly([a]))
                 sl += 1
             return a, b
-        if isinstance(other, (int, Fraction, GaussRational)) or type(other) is type(RATIONAL(0)):
+        if isinstance(other, GaussRational) or is_rational_scalar(other):
             base = _one_like(self.den)
             return self, RatFunc(Poly([base * other]))
         return self, NotImplemented
@@ -1049,17 +1090,13 @@ def _find_one_root(p: Poly):
         if root is None:
             return None
         return (-b + root) / (2 * a)
-    # clear Fraction denominators -> Z[i] coefficients
-    denoms = []
-    for co in coeffs:
-        denoms.append(int(co.re.denominator))
-        denoms.append(int(co.im.denominator))
-    scale = math.lcm(*denoms)
-    zi = [(co.re * scale, co.im * scale) for co in coeffs]
+    # clear denominators -> Z[i] coefficients
+    scale = math.lcm(*(co.d for co in coeffs))
+    zi = [(co.a * (scale // co.d), co.b * (scale // co.d)) for co in coeffs]
     lead = zi[-1]
     const = zi[0]
-    n_const = int(const[0] * const[0] + const[1] * const[1])
-    n_lead = int(lead[0] * lead[0] + lead[1] * lead[1])
+    n_const = const[0] * const[0] + const[1] * const[1]
+    n_lead = lead[0] * lead[0] + lead[1] * lead[1]
     if n_const > _CANDIDATE_NORM_LIMIT or n_lead > _CANDIDATE_NORM_LIMIT:
         raise UnsupportedDenominatorError(
             "coefficient size beyond the supported input class"
@@ -1073,10 +1110,9 @@ def _find_one_root(p: Poly):
             continue
         for alpha in tops:
             cand = alpha / beta
-            key = (cand.re, cand.im)
-            if key in seen:
+            if cand in seen:
                 continue
-            seen.add(key)
+            seen.add(cand)
             if not p.evaluate(cand):
                 return cand
     return None
@@ -1103,7 +1139,4 @@ def _gaussian_integers_of_dividing_norm(n: int) -> list:
                         out.append(GaussRational(sx, sy))
                         out.append(GaussRational(sy, sx))
             x += 1
-    uniq = {}
-    for g in out:
-        uniq[(g.re, g.im)] = g
-    return list(uniq.values())
+    return list(dict.fromkeys(out))

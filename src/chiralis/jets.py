@@ -16,9 +16,7 @@ generic coordinate.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .exactnum import GaussRational, RATIONAL, RatFunc, coerce_scalar
+from .exactnum import GaussRational, RatFunc, coerce_scalar, is_rational_scalar
 
 __all__ = ["Jet", "JetPrecisionError", "jet_point", "coerce_scalar_or_jet"]
 
@@ -32,10 +30,7 @@ EXACT = 1 << 60
 
 
 def _plain_scalar(x):
-    return (
-        isinstance(x, (int, Fraction, GaussRational, RatFunc))
-        or type(x) is type(RATIONAL(0))
-    )
+    return isinstance(x, (GaussRational, RatFunc)) or is_rational_scalar(x)
 
 
 class Jet:

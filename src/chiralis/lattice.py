@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 
-from .exactnum import GaussRational, QI_ONE, QI_ZERO, RatFunc
+from .exactnum import GaussRational, QI_ONE, QI_ZERO, RatFunc, is_rational_scalar
 from .geometry import atom_ratfunc, atom_sort_key
 from .states import DomainError, LinComb, add_term
 
@@ -52,13 +52,7 @@ class LatticeScalar:
             if other.N != self.N:
                 raise ValueError("mixed lattice parameters")
             return other
-        from fractions import Fraction
-
-        from .exactnum import RATIONAL
-
-        if isinstance(other, (int, Fraction, GaussRational)) or type(other) is type(
-            RATIONAL(0)
-        ):
+        if isinstance(other, GaussRational) or is_rational_scalar(other):
             return LatticeScalar(self.N, GaussRational.coerce(other))
         return NotImplemented
 

@@ -7,6 +7,7 @@ these hooks fails here, not only in a traced benchmark run.
 """
 
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from chiralis import current, states
@@ -51,3 +52,32 @@ def test_tracer_installs_counts_and_uninstalls():
     for (m, c), before in caches.items():
         restored = getattr(tracing.importlib.import_module(f"chiralis.{m}"), c)
         assert type(restored) is dict and restored.keys() >= before.keys()
+
+
+def test_every_gauss_rational_result_is_counted():
+    """Each scalar result passes through ``GaussRational.__init__``, which the
+    tracer counts as ``exactnum.gauss_new``: one count per result, and one
+    more for an int operand, which is coerced to a GaussRational first.  A
+    constructor that bypassed ``__init__`` would shrink the counter."""
+    tracing = _tracer_module()
+    x, y = qi(Fraction(1, 2), 3), qi(-2, Fraction(1, 7))
+    cases = {
+        "x * y": (lambda: x * y, 1),
+        "x + y": (lambda: x + y, 1),
+        "x + x": (lambda: x + x, 1),
+        "x - y": (lambda: x - y, 1),
+        "x / y": (lambda: x / y, 1),
+        "-x": (lambda: -x, 1),
+        "x.conjugate()": (lambda: x.conjugate(), 1),
+        "x * 2": (lambda: x * 2, 2),
+        "3 - x": (lambda: 3 - x, 2),
+    }
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        for name, (case, expected) in cases.items():
+            before = tracer.counts["exactnum.gauss_new"]
+            case()
+            assert tracer.counts["exactnum.gauss_new"] - before == expected, name
+    finally:
+        tracer.uninstall()

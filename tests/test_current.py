@@ -388,6 +388,33 @@ class TestPairing:
                     algebra, (a, ctil, l), (b, c, m)
                 )
 
+    def test_degree_one_regression_pair(self):
+        # the Q(i) root search on the product's denominator gave up on this pair
+        dual = (0, qi(Fraction(3, 7), Fraction(-1, 3)), 2)
+        gen = (2, qi(Fraction(1, 6), Fraction(1, 2)), 2)
+        expected = GaussRational.parse("4397949909171/1043729299208+1845138070755/260932324802*i")
+        assert residue_pair_degree_one(SL2, dual, gen) == expected
+        assert current_pair(SL2, pbw_normalize(SL2, (dual,)), pbw_normalize(SL2, (gen,))) == expected
+
+    def test_degree_one_matches_pairing_on_disc_points(self):
+        rng = random.Random(1401)
+
+        def disc_point():
+            while True:
+                z = qi(
+                    Fraction(rng.randint(-6, 6), rng.randint(1, 9)),
+                    Fraction(rng.randint(-6, 6), rng.randint(1, 9)),
+                )
+                if z.norm() < 1:
+                    return z
+
+        for k in range(200):
+            algebra = (SL2, AB)[k % 2]
+            dual = (rng.randrange(algebra.dim), disc_point(), rng.randint(1, 3))
+            gen = (rng.randrange(algebra.dim), disc_point(), rng.randint(1, 3))
+            paired = current_pair(algebra, pbw_normalize(algebra, (dual,)), pbw_normalize(algebra, (gen,)))
+            assert residue_pair_degree_one(algebra, dual, gen) == paired, (dual, gen)
+
     def test_spec_anchor_value(self):
         # the double pole of e/u against the region-adjusted dual of f/(u-2)
         dual = pbw_normalize(SL2, ((2, qi(Fraction(1, 2)), 1),))

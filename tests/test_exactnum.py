@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -74,6 +75,187 @@ class TestGaussRational:
         assert sqrt_gauss_rational(qi(0, 2)) in (qi(1, 1), qi(-1, -1))
         assert sqrt_gauss_rational(qi(-1)) in (qi(0, 1), qi(0, -1))
         assert sqrt_gauss_rational(qi(2)) is None
+
+
+# -- the reduced integer triple against a reference pair of Fractions ---------
+
+
+def _pair(x):
+    """The reference value of an int, Fraction or GaussRational: (re, im)."""
+    if isinstance(x, GaussRational):
+        return Fraction(x.a, x.d), Fraction(x.b, x.d)
+    return Fraction(x), Fraction(0)
+
+
+def _ref_mul(x, y):
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _ref_div(x, y):
+    n = y[0] * y[0] + y[1] * y[1]
+    return (x[0] * y[0] + x[1] * y[1]) / n, (x[1] * y[0] - x[0] * y[1]) / n
+
+
+def _ref_pow(x, n):
+    if n < 0:
+        return _ref_pow(_ref_div((Fraction(1), Fraction(0)), x), -n)
+    out = (Fraction(1), Fraction(0))
+    for _ in range(n):
+        out = _ref_mul(out, x)
+    return out
+
+
+_REF_OPS = {
+    "+": lambda x, y: (x[0] + y[0], x[1] + y[1]),
+    "-": lambda x, y: (x[0] - y[0], x[1] - y[1]),
+    "*": _ref_mul,
+    "/": _ref_div,
+}
+_OPS = {
+    "+": lambda x, y: x + y,
+    "-": lambda x, y: x - y,
+    "*": lambda x, y: x * y,
+    "/": lambda x, y: x / y,
+}
+
+
+def _assert_reduced(z, expected):
+    assert type(z) is GaussRational
+    assert type(z.a) is int and type(z.b) is int and type(z.d) is int
+    assert z.d > 0 and math.gcd(z.a, z.b, z.d) == 1
+    assert (z.re, z.im) == expected == _pair(z)
+
+
+def _check_against_pairs(x, y):
+    px, py = _pair(x), _pair(y)
+    for name, op in _OPS.items():
+        if name == "/" and not any(py):
+            with pytest.raises(ZeroDivisionError):
+                op(x, y)
+            continue
+        _assert_reduced(op(x, y), _REF_OPS[name](px, py))
+    assert (x == y) == (px == py)
+    assert (x != y) == (px != py)
+
+
+def _rand_operand(rng):
+    def frac():
+        return Fraction(rng.randint(-12, 12), rng.choice((1, 1, 2, 3, 4, 6, 9, 35)))
+
+    kind = rng.randrange(4)
+    if kind == 0:
+        return rng.randint(-12, 12)
+    if kind == 1:
+        return frac()
+    return GaussRational(frac(), frac() if kind == 3 else 0)
+
+
+operands = st.one_of(
+    st.integers(-20, 20), small_fractions, gauss_rationals(), st.builds(GaussRational, small_fractions)
+)
+
+
+class TestGaussTriple:
+    def test_operators_match_fraction_pairs_seeded(self):
+        rng = random.Random(1969)
+        for _ in range(400):
+            x, y = _rand_operand(rng), _rand_operand(rng)
+            if not isinstance(x, GaussRational) and not isinstance(y, GaussRational):
+                x = GaussRational(x)
+            _check_against_pairs(x, y)
+
+    @given(gauss_rationals(), operands)
+    def test_operators_match_fraction_pairs(self, x, y):
+        _check_against_pairs(x, y)
+        _check_against_pairs(y, x)
+
+    @given(operands)
+    def test_unary_operations(self, x):
+        z = GaussRational.coerce(x)
+        re, im = _pair(x)
+        _assert_reduced(z, (re, im))
+        _assert_reduced(-z, (-re, -im))
+        _assert_reduced(z.conjugate(), (re, -im))
+        assert z.norm() == re * re + im * im
+        assert z.is_rational() == (im == 0)
+        assert bool(z) == bool(re or im)
+        for n in (0, 1, 2, 3, 5):
+            _assert_reduced(z**n, _ref_pow((re, im), n))
+        if z:
+            _assert_reduced(z.inverse(), _ref_div((Fraction(1), Fraction(0)), (re, im)))
+            for n in (-1, -2, -3):
+                _assert_reduced(z**n, _ref_pow((re, im), n))
+
+    @given(operands)
+    def test_hash_sort_key_and_text(self, x):
+        z = GaussRational.coerce(x)
+        re, im = _pair(x)
+        assert hash(z) == (hash(re) if im == 0 else hash((re, im)))
+        if not isinstance(x, GaussRational):
+            assert hash(z) == hash(x) and z == x and x == z
+        assert z.sort_key() == ("q", re, im)
+        assert GaussRational.parse(str(z)) == z
+
+    def test_construction_reduces_and_zero_is_unique(self):
+        _assert_reduced(qi(Fraction(2, 4), Fraction(-3, 9)), (Fraction(1, 2), Fraction(-1, 3)))
+        _assert_reduced(qi(Fraction(1, 6), Fraction(1, 6)) * 3, (Fraction(1, 2), Fraction(1, 2)))
+        _assert_reduced(qi(Fraction(1, 2), 1) - qi(Fraction(1, 2), 1), (0, 0))
+        assert (qi(0).a, qi(0).b, qi(0).d) == (0, 0, 1)
+
+    def test_division_by_zero_raises(self):
+        for zero in (0, Fraction(0), qi(0)):
+            with pytest.raises(ZeroDivisionError):
+                qi(1, 2) / zero
+        with pytest.raises(ZeroDivisionError):
+            1 / qi(0)
+        with pytest.raises(ZeroDivisionError):
+            qi(0).inverse()
+        with pytest.raises(ZeroDivisionError):
+            qi(0) ** -2
+
+    # values computed with the two-Fraction representation; the order of the
+    # roots is the order gauss_rational_roots found them in
+    SQRT = [
+        ("9/4", "3/2"),
+        ("1/9", "1/3"),
+        ("-35/36-1/3*i", "1/6-1*i"),
+        ("11/225-4/15*i", "2/5-1/3*i"),
+        ("91/225+4/15*i", "2/3+1/5*i"),
+        ("2/9+1/6*i", "1/2+1/6*i"),
+        ("2", None),
+        ("-3/4", None),
+        ("1+i", None),
+        ("5/9-1/3*i", None),
+        ("-7", None),
+        ("0", "0"),
+    ]
+    ROOTS = [
+        (["3/4-17/8*i", "1+3/2*i"], ["3/4+1*i"]),
+        (["-3/4-3/2*i", "3/2-9/4*i", "3/2"], ["0+1*i", "-1+1/2*i"]),
+        (["-5/16-5/8*i", "1/4-11/8*i", "3/2-2*i"], ["0+1/2*i", "-1/2-1/4*i"]),
+        (
+            ["-5+15/4*i", "-25/24-245/24*i", "61/12+17/12*i", "-1/3+1*i"],
+            ["1+1*i", "3/4+1*i", "-3/2+3*i"],
+        ),
+        (
+            ["-1/27+11/54*i", "-1/3+83/108*i", "-23/36+49/36*i", "-1/3+1*i"],
+            ["-1/2-1/2*i", "-2/3", "-1/4+1/3*i"],
+        ),
+        (
+            ["45/32+225/32*i", "9+3/16*i", "39/8+39/4*i", "-3/2+3/4*i", "-3+3/2*i"],
+            ["-3/2-3/2*i", "0-1/2*i", "-1/2+1*i", "3/2+1*i"],
+        ),
+    ]
+
+    def test_sqrt_matches_recorded_values(self):
+        for text, expected in self.SQRT:
+            root = sqrt_gauss_rational(GaussRational.parse(text))
+            assert (None if root is None else str(root)) == expected
+
+    def test_roots_match_recorded_values(self):
+        for coeffs, expected in self.ROOTS:
+            poly = Poly([GaussRational.parse(c) for c in coeffs])
+            assert [str(r) for r in gauss_rational_roots(poly)] == expected
 
 
 class TestFieldOps:
