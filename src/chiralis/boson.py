@@ -13,10 +13,11 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .exactnum import GaussRational, QI_ONE, QI_ZERO, RatFunc, partial_fractions
+from .exactnum import GaussRational, QI_ONE, QI_ZERO, RatFunc
 from .geometry import atom_deriv_eval, atom_eval, lie_atom
 from .jets import coerce_scalar_or_jet
 from .states import DomainError, SymState, monomial_state, vacuum
+from .symmetry import _phi_pole_parts
 
 __all__ = [
     "BosonState",
@@ -372,8 +373,7 @@ def ope_extract(A, B, z, state: SymState, order: int) -> OpeExpansion:
 
 def lie_action(X, state: SymState) -> SymState:
     """The derivation extending the Lie derivative along X to states."""
-    xi = X.xi if hasattr(X, "xi") else X
-    dec = partial_fractions(xi)
+    dec = _phi_pole_parts(X.xi if hasattr(X, "xi") else X)
     return state.derive_atoms(lambda atom: lie_atom(dec, atom))
 
 

@@ -234,7 +234,8 @@ class GaussRational:
             return h
 
     def sort_key(self):
-        return ("q", self.re, self.im)
+        # ints order, compare and hash as the equal rationals do
+        return ("q", self.a, self.b) if self.d == 1 else ("q", self.re, self.im)
 
     def is_rational(self) -> bool:
         return not self.b
@@ -629,13 +630,6 @@ class RatFunc:
     def variable(one=1) -> "RatFunc":
         """The coordinate function u (coefficients 0, 1 scaled by ``one``)."""
         return RatFunc(Poly([0 * one, one]))
-
-    @staticmethod
-    def from_roots(roots, one=1) -> "RatFunc":
-        p = Poly([one])
-        for r in roots:
-            p = p * Poly([-r, one])
-        return RatFunc(p)
 
     # -- field protocol --------------------------------------------------------
 

@@ -253,9 +253,6 @@ class VectorField:
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("VectorField is immutable")
 
-    def is_regular_everywhere(self) -> bool:
-        return self.xi.den.degree == 0 and self.xi.num.degree <= 2
-
     def __eq__(self, other):
         if not isinstance(other, VectorField):
             return NotImplemented

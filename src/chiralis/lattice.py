@@ -247,9 +247,6 @@ class LatticeState(LinComb):
             return False
         return LinComb.__eq__(self, other)
 
-    def du_powers(self) -> set:
-        return {key[2] for key in self.terms}
-
     def grades(self) -> set:
         return {key[1].grade for key in self.terms}
 

@@ -199,12 +199,6 @@ class SymState(LinComb):
                 k += mult
         return SymState(out)
 
-    def map_coefficients(self, fn) -> "SymState":
-        return SymState({mon: fn(c) for mon, c in self.terms.items()})
-
-    def truncate_degree(self, max_degree: int) -> "SymState":
-        return SymState({m: c for m, c in self.terms.items() if len(m) <= max_degree})
-
 
 def vacuum() -> SymState:
     return SymState({(): QI_ONE})

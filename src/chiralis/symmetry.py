@@ -14,7 +14,10 @@ from fractions import Fraction
 
 from .exactnum import (
     INFINITY,
+    GaussRational,
+    PartialFractions,
     Point,
+    Poly,
     QI_ONE,
     QI_ZERO,
     RatFunc,
@@ -153,10 +156,15 @@ def heis_apply(op: HeisenbergOp, state: SymState) -> SymState:
             _HEIS_VALUE_CACHE[key] = cached
         return cached
 
+    return _contract_and_create(dec, site.value, state, value)
+
+
+def _contract_and_create(dec, o, state: SymState, value) -> SymState:
+    """The contraction by value(atom) plus the creation term: the derivative,
+    a form, of each pole part of phi (partial fractions dec) singular at o."""
     out = state.contract(value)
-    # creation: the derivative, a form, of each singular pole part of phi
     creation = {}
-    for c, j, g in _singular_parts(dec, site.value):
+    for c, j, g in _singular_parts(dec, o):
         add_term(creation, ("pole", c, j + 1), -j * g)
     if creation:
         out = out + state.multiply_expansion(creation)
@@ -205,13 +213,18 @@ def spanning_states(site_point=QI_ZERO, extra_pole=None):
 
 
 def mode_b(l: int, state: SymState, site_point=QI_ZERO) -> SymState:
-    """The l-th oscillator mode at the origin-like site (l nonzero)."""
+    """The l-th oscillator mode at the site o (l nonzero): ``heis_apply`` of
+    phi = (u-o)^l at o, with phi's partial fractions written down, not
+    found by a root search: one pole part for l < 0, the binomial
+    expansion sum C(l, n) (-o)^(l-n) u^n for l > 0."""
     if l == 0:
         raise ValueError("the oscillator family has no zero mode here")
     o = coerce_scalar(site_point)
-    u = RatFunc.variable(QI_ONE)
-    phi = (u - o) ** l
-    return heis_apply(HeisenbergOp(phi, Point(o)), state)
+    if l < 0:
+        dec = PartialFractions(Poly([]), [(o, -l, QI_ONE)])
+    else:
+        dec = PartialFractions(Poly([_binom(l, n) * (-o) ** (l - n) for n in range(l + 1)]), [])
+    return _contract_and_create(dec, o, state, lambda atom: -_atom_residue(dec, atom, o))
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +246,10 @@ class VirasoroOp:
 
 def _sugawara_pairs(j: int):
     """[(p, q, w)]: the creation state of (u-c)^(-j) d/du is
-    sum w ("pole", c, p) ("pole", c, q) over ordered p + q = j + 3, p, q >= 2."""
-    return [(p, j + 3 - p, Fraction(-(p - 1) * (j + 2 - p), 2)) for p in range(2, j + 2)]
+    sum w ("pole", c, p) ("pole", c, q) over p <= q, p + q = j + 3, p >= 2,
+    where w = -(p-1)(q-1)/2 summed over the ordered pairs (p, q) and (q, p)."""
+    return [(p, j + 3 - p, -(p - 1) * (j + 2 - p) if 2 * p < j + 3 else Fraction(-(p - 1) ** 2, 2))
+            for p in range(2, (j + 3) // 2 + 1)]
 
 
 # unused: bench/tracer.py reads these names until the benchmark next changes
@@ -280,7 +295,7 @@ def vir_apply(op: VirasoroOp, state: SymState) -> SymState:
     creation = {}
     for c, j, g in _singular_parts(dec, o):
         for p, q, w in _sugawara_pairs(j):
-            add_term(creation, (("pole", c, min(p, q)), ("pole", c, max(p, q))), g * w)
+            add_term(creation, (("pole", c, p), ("pole", c, q)), g * w)
     out = SymState(pairs) + state.derive_atoms(lie)
     return out + state.multiply(SymState(creation)) if creation else out
 
@@ -297,12 +312,32 @@ def _check_vir_domain(state: SymState, site: Point):
                 raise DomainError("state has poles away from the site")
 
 
+def _L_exponents(n: int, terms: dict, sign=1, out=None) -> dict:
+    """Accumulate sign * L_n(terms) into out (a new dict when None); return out.
+    terms maps sorted tuples of orders k of the atoms ("pole", o, k) to
+    coefficients; the three parts are the closed forms stated in ``L_mode``."""
+    out = {} if out is None else out
+    creation = _sugawara_pairs(-n - 1)  # xi = -(u-o)^(n+1): one pole part, g = -1
+    for ks, c in terms.items():
+        if sign != 1:
+            c = c * sign
+        for i, j in itertools.combinations(range(len(ks)), 2):
+            if ks[i] + ks[j] == n + 2:
+                add_term(out, ks[:i] + ks[i + 1: j] + ks[j + 1:], c)
+        for i, k in enumerate(ks):
+            if k - n >= 2:
+                add_term(out, tuple(sorted(ks[:i] + (k - n,) + ks[i + 1:])), c * (k - n - 1))
+        for p, q, w in creation:
+            add_term(out, tuple(sorted(ks + (p, q))), c * -w)
+    return out
+
+
 def L_mode(n: int, state: SymState, site_point=QI_ZERO) -> SymState:
     """The n-th energy mode: the vector field -(u-o)^(n+1) d/du at the site o.
 
     This is ``vir_apply`` for xi = -(u-o)^(n+1), computed on atom
-    exponents alone.  On the site's domain every atom is ("pole", o, k),
-    and the three parts of the action have closed forms:
+    exponents alone (``_L_exponents``).  On the site's domain every atom is
+    ("pole", o, k), and the three parts of the action have closed forms:
 
     * pairs: each unordered pair of occurrences with k_i + k_j = n + 2 is
       removed, with coefficient +1 (the residue -Res_o xi (u-o)^(-k_i-k_j));
@@ -312,64 +347,42 @@ def L_mode(n: int, state: SymState, site_point=QI_ZERO) -> SymState:
       o and project away;
     * creation (n = -m <= -2): multiplication by
       1/2 sum_{a+b=m+2, a,b>=2} (a-1)(b-1) ("pole",o,a) ("pole",o,b)
-      (``_sugawara_pairs(m - 1)`` with g = -1), the Sugawara sum
-      1/2 sum_{i+j=m} b_{-i} b_{-j}|0>, because
+      (``_sugawara_pairs(m - 1)`` with g = -1, which sums the ordered
+      pairs), the Sugawara sum 1/2 sum_{i+j=m} b_{-i} b_{-j}|0>, because
       mode_b(-k, vacuum()) = -k ("pole",o,k+1).
 
     Raises DomainError, as ``vir_apply`` does, when the state has a pole
-    away from the site or a pole at infinity.  A call of ``vir_apply`` in
-    its place, with xi built once per (n, o), makes the Virasoro bracket
-    table about five times slower.
+    away from the site or a pole at infinity.
     """
     o = coerce_scalar(site_point)
     _check_vir_domain(state, Point(o))
-    creation = _sugawara_pairs(-n - 1)  # xi = -(u-o)^(n+1): one pole part, g = -1
-    terms: dict = {}
-    for mon, c in state.terms.items():
-        ks = [atom[2] for atom in mon]
-        for i, j in itertools.combinations(range(len(ks)), 2):
-            if ks[i] + ks[j] == n + 2:
-                add_term(terms, tuple(ks[:i] + ks[i + 1: j] + ks[j + 1:]), c)
-        for i, k in enumerate(ks):
-            if k - n >= 2:
-                add_term(terms, tuple(sorted(ks[:i] + [k - n] + ks[i + 1:])), c * (k - n - 1))
-        for p, q, w in creation:
-            add_term(terms, tuple(sorted(ks + [p, q])), c * -w)
-    return SymState(
-        {tuple(("pole", o, k) for k in key): coeff for key, coeff in terms.items()}
-    )
+    terms = _L_exponents(n, {tuple(atom[2] for atom in mon): c for mon, c in state.terms.items()})
+    return SymState({tuple(("pole", o, k) for k in ks): c for ks, c in terms.items()})
 
 
 def virasoro_bracket_check(l: int, m: int, max_degree: int = 4):
     """Measure [L_l, L_m] - (l-m) L_{l+m} on spanning origin states.
 
-    Returns the measured central scalar (and checks it is central).
+    Returns the measured central scalar (and checks it is central).  The
+    states are tuples of pole orders at the origin, and ``_L_exponents``
+    accumulates each bracket in one dict of int and Fraction coefficients.
     """
-    states = [vacuum()]
-    orders = [2, 3, 4, 5]
-    for a in orders:
-        states.append(monomial_state([("pole", QI_ZERO, a)]))
-    for a in orders[:3]:
-        for b in orders[:3]:
-            if a <= b:
-                states.append(monomial_state([("pole", QI_ZERO, a), ("pole", QI_ZERO, b)]))
-    states.append(
-        monomial_state([("pole", QI_ZERO, 2)] * min(3, max_degree))
-    )
 
-    def bracket(v):
-        lhs = L_mode(l, L_mode(m, v)) - L_mode(m, L_mode(l, v))
-        return lhs - L_mode(l + m, v).scale(l - m)
+    def bracket(ks):
+        v = {ks: 1}
+        out = _L_exponents(l, _L_exponents(m, v))
+        _L_exponents(m, _L_exponents(l, v), -1, out)
+        return _L_exponents(l + m, v, m - l, out)
 
-    measured = bracket(vacuum()).vacuum_coefficient()
-    for v in states:
-        if v.degree() > max_degree:
-            continue
-        if bracket(v) != v.scale(measured):
+    measured = bracket(()).get((), 0)
+    states = [(), (2,), (3,), (4,), (5,), (2, 2), (2, 3), (2, 4), (3, 3), (3, 4), (4, 4),
+              (2,) * min(3, max_degree)]
+    for ks in states:
+        if len(ks) <= max_degree and bracket(ks) != ({ks: measured} if measured else {}):
             raise AssertionError(
                 f"[L_{l}, L_{m}] - ({l - m}) L_{l + m} is not central"
             )
-    return measured
+    return GaussRational(measured)
 
 
 def bracket_L_b(m: int, n: int, state: SymState) -> SymState:

@@ -81,3 +81,32 @@ def test_every_gauss_rational_result_is_counted():
             assert tracer.counts["exactnum.gauss_new"] - before == expected, name
     finally:
         tracer.uninstall()
+
+
+def test_every_named_span_is_installed():
+    """Each span the tracer reports by name (``NAMED_SPANS``) is made of
+    public functions of its module (several under one name through
+    ``ALIASES``), or is the ``RatFunc`` class for ``exactnum.ratfunc``, and
+    the tracer wraps it.  A renamed or inlined function would otherwise
+    report 0 calls."""
+    import importlib
+    import inspect
+
+    tracing = _tracer_module()
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        installed = set(tracer.spans)
+    finally:
+        tracer.uninstall()
+    for name, _ in tracing.NAMED_SPANS:
+        assert name in installed, name
+        if name == "exactnum.ratfunc":
+            assert inspect.isclass(importlib.import_module("chiralis.exactnum").RatFunc)
+            continue
+        for source in [a for a, n in tracing.ALIASES.items() if n == name] or [name]:
+            layer, attr = source.split(".")
+            module = importlib.import_module(f"chiralis.{layer}")
+            target = getattr(module, attr, None)
+            assert inspect.isfunction(target), source
+            assert not attr.startswith("_") and target.__module__ == module.__name__, source

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from chiralis import boson, exactnum, geometry, symmetry
 from chiralis.boson import (
     DerivedField,
     RenormProduct,
@@ -207,6 +208,30 @@ class TestCovariance:
     def test_cubic_fails(self):
         X = VectorField(U * U * U)
         assert not covariance_check(X, "e", qi(2), vacuum())
+
+    def test_one_root_search_per_field(self, monkeypatch):
+        # lie_action takes xi's pole parts from the cache that heis_apply and
+        # vir_apply share, so repeated checks search xi's poles once
+        calls = []
+        for module in (exactnum, geometry, boson, symmetry):
+            fn = getattr(module, "gauss_rational_roots", None)
+            if fn is not None:
+                def counting(*args, _fn=fn, **kwargs):
+                    calls.append(args)
+                    return _fn(*args, **kwargs)
+                monkeypatch.setattr(module, "gauss_rational_roots", counting)
+        monkeypatch.setattr(symmetry, "_PF_CACHE", {})
+        rng = random.Random(89)
+        fields = []
+        for _ in range(2):
+            a, b = rand_distinct_scalars(rng, 2)
+            xi = rand_scalar(rng) * U * U + rand_scalar(rng) / (U - a) ** 2 + rand_scalar(rng) / (U - b)
+            fields.append(VectorField(xi))
+        s = rand_form_state(rng, [qi(4)], max_degree=2)
+        for X in fields + fields:
+            for name in ("b", "e"):
+                covariance_check(X, name, qi(2), s)
+        assert len(calls) <= len(fields)
 
 
 class TestAvatar:

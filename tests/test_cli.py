@@ -72,6 +72,20 @@ class TestCommands:
         assert payload["operator"] == "4*L_0"
         assert payload["central"] == "1/2"
 
+    @pytest.mark.parametrize("l, m, central, operator", [
+        (2, -2, "1/2", "4*L_0"), (5, -5, "10", "10*L_0"), (-4, 4, "-5", "-8*L_0"),
+        (2, 3, "0", "-1*L_5"), (-5, 1, "0", "-6*L_-4"), (0, 0, "0", "0*L_0"),
+    ])
+    def test_modes_virasoro_output_is_pinned(self, capsys, l, m, central, operator):
+        # the exact bytes printed before the bracket table moved to exponent tuples
+        assert run(["modes", "--algebra", "virasoro", f"--bracket={l},{m}"]) == 0
+        assert capsys.readouterr().out == (
+            '{\n  "algebra": "virasoro",\n  "bracket": [\n'
+            f'    {l},\n    {m}\n  ],\n  "central": "{central}",\n'
+            '  "command": "modes",\n  "identity": "virasoro-bracket-central",\n'
+            f'  "operator": "{operator}"\n}}\n'
+        )
+
     def test_modes_heisenberg(self, capsys):
         code, payload = run_json(capsys, ["modes", "--algebra", "heisenberg", "--bracket", "1,-1"])
         assert code == 0

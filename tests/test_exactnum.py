@@ -196,6 +196,28 @@ class TestGaussTriple:
         assert z.sort_key() == ("q", re, im)
         assert GaussRational.parse(str(z)) == z
 
+    def test_sort_key_orders_as_the_rational_pair(self):
+        # an integer value keys on ints, any other on rationals: the order
+        # and the key equalities are those of ("q", re, im)
+        rng = random.Random(97)
+        values = []
+        for _ in range(300):
+            den = rng.choice((1, 1, 2, 3, 6))
+            values.append(qi(Fraction(rng.randint(-9, 9), den), Fraction(rng.randint(-9, 9), rng.choice((1, den)))))
+        values += [qi(0), qi(Fraction(4, 2)), qi(2), qi(0, -1), qi(Fraction(-3, 3), 1)]
+
+        def old_key(z):
+            return ("q", z.re, z.im)
+
+        assert any(z.d == 1 for z in values) and any(z.d > 1 for z in values)
+        assert sorted(values, key=GaussRational.sort_key) == sorted(values, key=old_key)
+        for x in values[:60]:
+            for y in values:
+                assert (x.sort_key() == y.sort_key()) == (old_key(x) == old_key(y))
+                assert (x.sort_key() < y.sort_key()) == (old_key(x) < old_key(y))
+                if x.sort_key() == y.sort_key():
+                    assert hash(x.sort_key()) == hash(y.sort_key())
+
     def test_construction_reduces_and_zero_is_unique(self):
         _assert_reduced(qi(Fraction(2, 4), Fraction(-3, 9)), (Fraction(1, 2), Fraction(-1, 3)))
         _assert_reduced(qi(Fraction(1, 6), Fraction(1, 6)) * 3, (Fraction(1, 2), Fraction(1, 2)))

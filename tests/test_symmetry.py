@@ -309,6 +309,95 @@ class TestVirasoro:
             assert lhs == sugawara.scale(Fraction(1, 2))
 
 
+I_HALF = qi(0, Fraction(1, 2))
+
+
+def _bracket_check_on_states(l, m, max_degree):
+    """The bracket table composed of ``L_mode`` calls on SymStates: the oracle
+    for ``virasoro_bracket_check``, which runs on exponent tuples."""
+    states = [vacuum()]
+    orders = [2, 3, 4, 5]
+    for a in orders:
+        states.append(monomial_state([("pole", qi(0), a)]))
+    for a in orders[:3]:
+        for b in orders[:3]:
+            if a <= b:
+                states.append(monomial_state([("pole", qi(0), a), ("pole", qi(0), b)]))
+    states.append(monomial_state([("pole", qi(0), 2)] * min(3, max_degree)))
+
+    def bracket(v):
+        lhs = L_mode(l, L_mode(m, v)) - L_mode(m, L_mode(l, v))
+        return lhs - L_mode(l + m, v).scale(l - m)
+
+    measured = bracket(vacuum()).vacuum_coefficient()
+    for v in states:
+        if v.degree() <= max_degree and bracket(v) != v.scale(measured):
+            raise AssertionError("not central")
+    return measured
+
+
+class TestExponentKernel:
+    def test_bracket_check_matches_state_oracle(self):
+        for max_degree in (2, 3, 4):
+            for l in range(-5, 6):
+                for m in range(-5, 6):
+                    got = virasoro_bracket_check(l, m, max_degree)
+                    assert isinstance(got, GaussRational)
+                    assert got == _bracket_check_on_states(l, m, max_degree), (l, m, max_degree)
+
+    def test_wrong_sugawara_weights_raise(self, monkeypatch):
+        right = symmetry._sugawara_pairs
+        for wrong in (lambda j: [(p, q, w * 2) for p, q, w in right(j)],
+                      lambda j: [(p, q, w + (p == q)) for p, q, w in right(j)]):
+            monkeypatch.setattr(symmetry, "_sugawara_pairs", wrong)
+            for l, m in ((2, -2), (4, -4)):
+                with pytest.raises(AssertionError, match="is not central"):
+                    virasoro_bracket_check(l, m)
+
+    @pytest.mark.parametrize("o", [qi(0), qi(1), I_HALF])
+    def test_mode_b_matches_heis_apply(self, o):
+        rng = random.Random(83)
+        away = [o + 2, o - qi(1, 1)]
+        states = [vacuum()]
+        for _ in range(6):
+            s = SymState()
+            for _ in range(rng.randint(1, 2)):
+                atoms = []
+                for _ in range(rng.randint(1, 3)):
+                    kind = rng.randrange(3)
+                    if kind == 0:
+                        atoms.append(("pole", o, rng.randint(1, 6)))
+                    elif kind == 1:
+                        atoms.append(("pole", rng.choice(away), rng.randint(1, 3)))
+                    else:
+                        atoms.append(("poly", rng.randint(0, 4)))
+                s = s + monomial_state(atoms, rand_scalar(rng))
+            states.append(s)
+        for l in [k for k in range(-5, 6) if k]:
+            op = HeisenbergOp((U - o) ** l, Point(o))
+            for v in states:
+                assert mode_b(l, v, o) == heis_apply(op, v), (o, l, v)
+
+    def test_no_root_search(self, monkeypatch):
+        calls = []
+        for name in ("partial_fractions", "gauss_rational_roots"):
+            for module in (exactnum, symmetry):
+                fn = getattr(module, name, None)
+                if fn is not None:
+                    def counting(*args, _fn=fn, _name=name, **kwargs):
+                        calls.append(_name)
+                        return _fn(*args, **kwargs)
+                    monkeypatch.setattr(module, name, counting)
+        monkeypatch.setattr(symmetry, "_PF_CACHE", {})
+        v = monomial_state([("pole", qi(0), 2), ("pole", qi(0), 3), ("poly", 1)])
+        for o in (qi(0), I_HALF):
+            for l in (-3, -1, 1, 4):
+                mode_b(l, v, o)
+        for l, m in ((2, -2), (3, -1), (-4, 4)):
+            virasoro_bracket_check(l, m)
+        assert calls == []
+
+
 HALF_I = GaussRational(1, Fraction(1, 2))
 
 
