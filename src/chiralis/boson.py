@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .exactnum import GaussRational, QI_ONE, QI_ZERO, RatFunc
 from .geometry import atom_deriv_eval, atom_eval, lie_atom
-from .jets import coerce_scalar_or_jet
+from .jets import SLACK, coerce_scalar_or_jet, jet_point, moved_expansion, with_jet_retry
 from .states import DomainError, SymState, monomial_state, vacuum
 from .symmetry import _phi_pole_parts
 
@@ -284,10 +284,6 @@ class OpeExpansion:
         return self.coefficient(0)
 
 
-_JET_SLACK = 6
-_JET_PREC_CEILING = 512
-
-
 def expand_at_generic_point(
     field: Field, z, state: SymState, order: int, _prec: int | None = None
 ) -> OpeExpansion:
@@ -297,61 +293,22 @@ def expand_at_generic_point(
     precision bound; if an extraction would need orders beyond the bound,
     the expansion retries with a deeper window, so results are exact.
     """
-    from .jets import JetPrecisionError
-
     z = coerce_scalar_or_jet(z)
-    prec = _prec if _prec is not None else order + _JET_SLACK
-    try:
-        return _expand_with_jets(field, z, state, order, prec)
-    except JetPrecisionError:
-        if prec > _JET_PREC_CEILING:
-            raise
-        return expand_at_generic_point(field, z, state, order, _prec=prec * 2)
+    prec = _prec if _prec is not None else order + SLACK
+    return with_jet_retry(lambda p: _expand_with_jets(field, z, state, order, p), prec)
 
 
 def _expand_with_jets(field, z, state, order, prec) -> OpeExpansion:
-    from .jets import Jet, JetPrecisionError, jet_point
-
     w = jet_point(z, prec)
     w_level = w._level()
     applied = field.apply(w, state)
     buckets: dict[int, SymState] = {}
     for mon, coeff in applied.terms.items():
-        moving = [a for a in mon if a[0] == "pole" and a[1] is w]
-        fixed = tuple(a for a in mon if not (a[0] == "pole" and a[1] is w))
-        if isinstance(coeff, Jet) and coeff._level() == w_level:
-            if coeff.prec <= order:
-                raise JetPrecisionError("coefficient window too shallow")
-            gammas = [
-                (j, coeff.coefficient(j))
-                for j in range(coeff.val, min(coeff.prec, order + 1))
-            ]
-        else:
-            gammas = [(0, coeff)]
-        moved_options = []
-        for atom in moving:
-            opts = []
-            l = atom[2]
-            binom = 1
-            for k in range(order - min(0, min(j for j, _ in gammas)) + 1):
-                if k > 0:
-                    binom = binom * (l + k - 1) // k
-                opts.append((k, ("pole", z, l + k), Fraction(binom)))
-            moved_options.append(opts)
-        for j, gamma in gammas:
-            if not gamma:
-                continue
-            for combo in itertools.product(*moved_options):
-                total_order = j + sum(c[0] for c in combo)
-                if total_order > order:
-                    continue
-                factor = gamma
-                atoms = list(fixed)
-                for k, atom, binom in combo:
-                    factor = factor * binom
-                    atoms.append(atom)
-                add = monomial_state(atoms, factor)
-                buckets[total_order] = buckets.get(total_order, SymState()) + add
+        moving = [a[2] for a in mon if a[0] == "pole" and a[1] is w]
+        fixed = [a for a in mon if not (a[0] == "pole" and a[1] is w)]
+        for k, factor, orders in moved_expansion(coeff, [(1, l) for l in moving], order, w_level):
+            add = monomial_state(fixed + [("pole", z, o) for o in orders], factor)
+            buckets[k] = buckets.get(k, SymState()) + add
     return OpeExpansion(z, order, buckets)
 
 

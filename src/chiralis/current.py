@@ -10,22 +10,19 @@ residues.  Everything is measured on states, never assumed.
 
 from __future__ import annotations
 
-import itertools
-
 from .exactnum import (
     GaussRational,
     INFINITY,
-    Poly,
     QI_ONE,
     QI_ZERO,
     RatFunc,
     coerce_scalar,
-    local_expansion,
     partial_fractions,
     residue_at,
 )
 from .boson import eps_tilde_offset
 from .geometry import _loop_product
+from .jets import SLACK, Jet, coerce_scalar_or_jet, jet_point, moved_expansion, with_jet_retry
 from .states import DomainError, LinComb, add_term
 
 __all__ = [
@@ -381,7 +378,7 @@ def _as_elem(algebra, v):
 def epsilon_apply(algebra, v, z, state: CurrentState) -> CurrentState:
     """Left multiplication by the simple-pole loop element at z."""
     v = _as_elem(algebra, v)
-    z = coerce_scalar(z)
+    z = coerce_scalar_or_jet(z)
     combos = [((a, z, 1), coeff) for a, coeff in v.items()]
     return _left_multiply(algebra, combos, state)
 
@@ -392,7 +389,7 @@ _IOTA_CACHE: dict = {}
 def iota_apply(algebra, v, z, state: CurrentState) -> CurrentState:
     """Contraction field at z via the commutation recursion."""
     v = _as_elem(algebra, v)
-    z = coerce_scalar(z)
+    z = coerce_scalar_or_jet(z)
     ctx = state.ctx
     return _sum_terms(state, lambda word, ins: _iota_term_cached(algebra, v, z, word, ins, ctx))
 
@@ -930,40 +927,31 @@ def current_pair(algebra, dual: CurrentState, state: CurrentState):
             raise DomainError(f"dual pole {c} is outside its region")
     total = QI_ZERO
     for (word, ins), coeff in dual.terms.items():
-        total = total + coeff * _pair_word(algebra, word, state)
+        value = with_jet_retry(lambda slack: _pair_word(algebra, word, state, slack, QI_ONE), SLACK)
+        total = total + coeff * value
     return total
 
 
-def _pair_word(algebra, word, state: CurrentState):
+def _pair_word(algebra, word, state: CurrentState, slack: int, one):
+    """Pairing of one reciprocal-chart word against a state with scalars over ``one``.
+
+    The first letter v_a (u_t - c~)^(-l) pairs through the order-(l-1)
+    Taylor coefficient at t = c~ of t^-2 <rest | iota_a(1/t) state>.  The
+    point t is a jet at c~ kept ``slack`` orders beyond l - 1; the rest of
+    the word pairs with the moved state, whose scalars are jets in t, at a
+    point nested over them.
+    """
     if not word:
         return state.vacuum_coefficient()
     a, ctil, l = word[0]
-    rest = word[1:]
-    one = _one_of_state(state)
-    t = RatFunc.variable(one)
-    zu = 1 / t
-    lifted = CurrentState(
-        {key: c for key, c in state.terms.items()}, state.ctx
-    )
-    moved = iota_apply(algebra, algebra.basis_element(a) if isinstance(a, int) else a, zu, lifted)
-    moved = moved.scale(1 / (t * t))
-    value = _pair_word(algebra, rest, moved)
-    value_rf = value if isinstance(value, RatFunc) else RatFunc(Poly([value]))
-    for _ in range(l - 1):
-        value_rf = value_rf.derivative()
-    fact = 1
-    for j in range(1, l):
-        fact *= j
-    ctil_l = ctil if isinstance(ctil, RatFunc) and isinstance(one, RatFunc) else ctil
-    num = value_rf.num.evaluate(ctil_l)
-    den = value_rf.den.evaluate(ctil_l)
-    return (num / den) / fact
-
-
-def _one_of_state(state: CurrentState):
-    for coeff in state.terms.values():
-        return coeff * 0 + 1
-    return QI_ONE
+    t = jet_point(ctil * one, l + slack)
+    moved = iota_apply(algebra, a, 1 / t, state).scale(1 / (t * t))
+    value = _pair_word(algebra, word[1:], moved, slack, t * 0 + 1)
+    if isinstance(value, Jet) and value._level() == t._level():
+        if value.val < 0:
+            raise DomainError(f"the pairing has a pole at the dual point {ctil}")
+        return value.coefficient(l - 1)
+    return value if l == 1 else value * 0
 
 
 def residue_pair_degree_one(algebra, dual_gen, gen):
@@ -1008,54 +996,32 @@ def current_expand_at_generic_point(
 ) -> dict:
     """Expand the chosen field at a generic point, exactly, around z.
 
-    Returns {order: CurrentState}; negative orders are the singular data,
-    order 0 the regular value.
+    The field is applied at the jet point z + t and the orders are read
+    off the jets (retried at doubled precision when a window is too
+    shallow).  Returns {order: CurrentState}; negative orders are the
+    singular data, order 0 the regular value.
     """
-    z = coerce_scalar(z)
-    one = z * 0 + 1 if isinstance(z, RatFunc) else QI_ONE
-    w = RatFunc.variable(one)
+    z = coerce_scalar_or_jet(z)
     apply_fn = {"j": j_apply, "iota": iota_apply, "epsilon": epsilon_apply}[field]
-    applied = apply_fn(algebra, _as_elem(algebra, v), w, state)
+    v = _as_elem(algebra, v)
+    return with_jet_retry(
+        lambda prec: _expand_current(algebra, apply_fn, v, z, state, order, prec),
+        order + SLACK,
+    )
+
+
+def _expand_current(algebra, apply_fn, v, z, state, order, prec) -> dict:
+    w = jet_point(z, prec)
+    level = w._level()
     buckets: dict = {}
-    for (word, ins), coeff in applied.terms.items():
-        moving_pos = [
-            i
-            for i, gen in enumerate(word)
-            if isinstance(gen[1], RatFunc) and gen[1] == w
-        ]
-        coeff_rf = coeff if isinstance(coeff, RatFunc) else RatFunc(Poly([coeff]))
-        while isinstance(coeff_rf, RatFunc) and coeff_rf._level() < w._level():
-            coeff_rf = RatFunc(Poly([coeff_rf]))
-        m, series = local_expansion(coeff_rf, z, order)
-        depth = order + m
-        moved_options = []
-        for i in moving_pos:
-            a, _, l = word[i]
-            opts = []
-            binom = 1
-            for k in range(depth + 1):
-                if k > 0:
-                    binom = binom * (l + k - 1) // k
-                opts.append((k, (a, z, l + k), GaussRational(binom)))
-            moved_options.append(opts)
-        for jdx, gamma in enumerate(series):
-            if not gamma:
-                continue
-            base_order = jdx - m
-            for combo in itertools.product(*moved_options):
-                k_total = sum(cb[0] for cb in combo)
-                total = base_order + k_total
-                if total > order:
-                    continue
-                factor = gamma
-                # substitute the expanded generators at their word positions
-                # (the product is ordered, so positions matter)
-                new_word = list(word)
-                for pos, (k, gen, binom) in zip(moving_pos, combo):
-                    factor = factor * binom
-                    new_word[pos] = gen
-                addition = pbw_normalize(
-                    algebra, tuple(new_word), ins, factor, state.ctx
-                )
-                buckets[total] = buckets.get(total, CurrentState({}, state.ctx)) + addition
+    for (word, ins), coeff in apply_fn(algebra, v, w, state).terms.items():
+        moving = [i for i, gen in enumerate(word) if gen[1] == w]
+        moved = [(1, word[i][2]) for i in moving]
+        for k, factor, orders in moved_expansion(coeff, moved, order, level):
+            # the product is ordered: each expanded generator keeps its position
+            new_word = list(word)
+            for i, o in zip(moving, orders):
+                new_word[i] = (word[i][0], z, o)
+            addition = pbw_normalize(algebra, tuple(new_word), ins, factor, state.ctx)
+            buckets[k] = buckets[k] + addition if k in buckets else addition
     return {k: s for k, s in buckets.items() if s}

@@ -11,9 +11,9 @@ The same tuples with l >= 1 / m >= 1 serve as the basis of functions
 vanishing at infinity (resp. of functions modulo constants) in the modules
 that need function-valued states.
 
-Bivariate objects (the invariant bidifferential and its Lie derivatives)
-are realized as rational functions in an outer variable u1 whose scalars
-are rational functions in the inner variable u2.
+The two-point kernels (the invariant bidifferential and the Szego
+kernel) are realized as rational functions in an outer variable u1 whose
+scalars are rational functions in the inner variable u2.
 """
 
 from __future__ import annotations
@@ -51,9 +51,6 @@ __all__ = [
     "interior_product",
     "mobius_pushforward",
     "omega_bifunction",
-    "omega_x_bifunction",
-    "lie_derivative_bidiff",
-    "bifunction_atom_matrix",
     "Kernel",
     "bergman_genus0",
     "szego_genus0",
@@ -126,7 +123,7 @@ def _loop_product(c1, l1, c2, l2):
     closed form of the partial fractions: expanding (u-c2)^-l2 around c1,
     the coefficient of (u-c1)^-(l1-j) is C(-l2, j) (c1-c2)^(-l2-j) for
     0 <= j < l1, and symmetrically at c2.  The poles may be scalars of any
-    field, such as the symbolic point 1/t of Q(i)(t).
+    field, such as the jet point 1/t of the current pairing.
     """
     if c1 == c2:
         return [(c1, l1 + l2, QI_ONE)]
@@ -348,42 +345,6 @@ def omega_bifunction() -> RatFunc:
     return 1 / ((x - w) * (x - w))
 
 
-def omega_x_bifunction(X: VectorField) -> RatFunc:
-    """Closed form {2(xi(u1)-xi(u2)) - (xi'(u1)+xi'(u2))(u1-u2)} / (2(u1-u2)^3)."""
-    x = outer_variable()
-    w = inner_variable()
-    xi = X.xi
-    xip = xi.derivative()
-    xi1, xi2 = subst(xi, x), subst(xi, w)
-    xi1p, xi2p = subst(xip, x), subst(xip, w)
-    return (2 * (xi1 - xi2) - (xi1p + xi2p) * (x - w)) / (2 * (x - w) ** 3)
-
-
-def inner_derivative(F: RatFunc) -> RatFunc:
-    """d/du2 of a bivariate function (derivative of the inner scalars)."""
-
-    def dpoly(p: Poly) -> Poly:
-        return Poly([c.derivative() for c in p.coeffs])
-
-    n, d = F.num, F.den
-    return RatFunc(dpoly(n) * d - n * dpoly(d), d * d)
-
-
-def lie_derivative_bidiff(X: VectorField, F: RatFunc) -> RatFunc:
-    """L_{X1+X2} of the bidifferential F(u1,u2) du1 du2 (hatted result)."""
-    x = outer_variable()
-    w = inner_variable()
-    xi1 = subst(X.xi, x)
-    xi2 = subst(X.xi, w)
-    xi1p = subst(X.xi.derivative(), x)
-    xi2p = subst(X.xi.derivative(), w)
-    return (
-        xi1 * F.derivative()
-        + xi2 * inner_derivative(F)
-        + (xi1p + xi2p) * F
-    )
-
-
 def swap_bifunction(F: RatFunc) -> RatFunc:
     """Exchange u1 and u2 in a bivariate rational function."""
     pm, qm = _nested_to_bivar(F)
@@ -437,68 +398,6 @@ def _bivar_to_nested(pm, qm) -> RatFunc:
         return Poly([RatFunc(Poly(row)) for row in rows])
 
     return RatFunc(build(pm), build(qm))
-
-
-def bifunction_atom_matrix(F: RatFunc, poles=None) -> dict:
-    """Expand F(u1,u2) as sum c[(a1,a2)] * a1(u1) * a2(u2) over form atoms.
-
-    Requires F to have constant (u2-independent) pole locations in u1;
-    ``poles`` may supply them, otherwise they are found from the inner
-    content of the denominator.
-    """
-    if poles is None:
-        poles = _constant_outer_poles(F)
-    one_inner = RatFunc.const(QI_ONE)
-    lifted_poles = [RatFunc.const(p) if not isinstance(p, RatFunc) else p for p in poles]
-    dec = partial_fractions_known(F, lifted_poles)
-    out = {}
-
-    def base_scalar(v):
-        if isinstance(v, GaussRational):
-            return v
-        return GaussRational.coerce(v)
-
-    def add_inner(atom1, inner_coeff: RatFunc):
-        inner_dec = partial_fractions(inner_coeff)
-        for c2, order2, co2 in inner_dec.terms:
-            if order2 == 1:
-                raise GeometryError("bidifferential has a residue in u2")
-            out[(atom1, ("pole", base_scalar(c2), order2))] = base_scalar(co2)
-        for m2, co2 in enumerate(inner_dec.polynomial.coeffs):
-            if co2:
-                out[(atom1, ("poly", m2))] = base_scalar(co2)
-
-    for c, order, coeff in dec.terms:
-        if order == 1:
-            raise GeometryError("bidifferential has a residue in u1")
-        c_const = c.constant_value() if isinstance(c, RatFunc) else c
-        add_inner(("pole", base_scalar(c_const), order), _as_inner(coeff))
-    for m, coeff in enumerate(dec.polynomial.coeffs):
-        if _as_inner(coeff):
-            add_inner(("poly", m), _as_inner(coeff))
-    return out
-
-
-def _constant_outer_poles(F: RatFunc):
-    # inner-content-free part of the outer denominator factors through
-    # constant pole locations; find them over Q(i)
-    consts = []
-    den = F.den
-    # collect candidate constants from each coefficient's numerator roots
-    # the reliable generic route: the outer denominator of the bivariate
-    # fraction, with inner scalars cleared, factors over Q(i)(u2); the
-    # constant roots are roots of the content's gcd across specializations.
-    # Desk-scale shortcut: specialize u2 at two generic rational values and
-    # intersect the root sets.
-    from fractions import Fraction
-
-    for probe in (GaussRational(Fraction(7, 13)), GaussRational(Fraction(19, 11))):
-        specialized = Poly([_spec_inner(c, probe) for c in den.coeffs])
-        roots = set()
-        for r in gauss_rational_roots(specialized):
-            roots.add(r)
-        consts.append(roots)
-    return sorted(consts[0] & consts[1], key=lambda s: s.sort_key())
 
 
 def _spec_inner(c, value):

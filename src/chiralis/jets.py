@@ -8,17 +8,30 @@ in any scalar ring with the usual protocol, including jets themselves:
 two independent formal directions nest with level-aware coercion, just
 like nested rational functions, but with cheap bounded arithmetic.
 
-These are the workhorse scalars of the operator-product engine: a field
-applied "at z + t" has jet-valued matrix entries, and expansion orders
-are read off directly instead of canonicalizing rational functions of a
-generic coordinate.
+Jets are the one series engine of the package: every expansion around a
+moving point (operator products of the boson and of the currents, the
+translation parameter of the vertex structures, the Taylor coefficients
+of the current pairing) applies a field "at z + t", gets jet-valued
+matrix entries and reads the orders off directly, instead of
+canonicalizing rational functions of a generic coordinate.
+``moved_expansion`` is the shared step that expands the poles sitting at
+the moving point.
 """
 
 from __future__ import annotations
 
+import itertools
+
 from .exactnum import GaussRational, RatFunc, coerce_scalar, is_rational_scalar
 
-__all__ = ["Jet", "JetPrecisionError", "jet_point", "coerce_scalar_or_jet"]
+__all__ = [
+    "Jet",
+    "JetPrecisionError",
+    "jet_point",
+    "coerce_scalar_or_jet",
+    "moved_expansion",
+    "with_jet_retry",
+]
 
 
 class JetPrecisionError(ArithmeticError):
@@ -27,6 +40,11 @@ class JetPrecisionError(ArithmeticError):
 
 #: precision sentinel for exact scalars (known to all orders)
 EXACT = 1 << 60
+
+#: orders kept beyond the deepest one an expansion reads, on the first try
+SLACK = 6
+#: a retry doubles the precision until it passes this bound
+PREC_CEILING = 512
 
 
 def _plain_scalar(x):
@@ -199,18 +217,17 @@ class Jet:
         return any(bool(c) for c in self.coeffs)
 
     def __eq__(self, other):
-        a, b = self._align(other)
-        if b is NotImplemented:
-            return NotImplemented
-        prec = min(a.prec, b.prec)
-        lo = min(a.val, b.val)
-        zero = a.one * 0
-        for k in range(lo, prec):
-            x = a.coeffs[k - a.val] if 0 <= k - a.val < len(a.coeffs) else zero
-            y = b.coeffs[k - b.val] if 0 <= k - b.val < len(b.coeffs) else zero
-            if bool(x) != bool(y) or (x and x != y):
-                return False
-        return True
+        """Exact equality of level, order, coefficients and precision bound,
+        so that equal jets hash alike and no cache hands out a jet of another
+        precision; a jet never equals a plain scalar."""
+        if not isinstance(other, Jet):
+            return False if _plain_scalar(other) else NotImplemented
+        mine, theirs = (self.val, self.prec, self._level()), (other.val, other.prec, other._level())
+        return mine == theirs and self.coeffs == other.coeffs
+
+    def agrees_with(self, other) -> bool:
+        """Truncated comparison: equal in every order below both precision bounds."""
+        return not (self - other)
 
     def __hash__(self):
         h = self._hash
@@ -248,3 +265,57 @@ def jet_point(z, prec: int) -> Jet:
 def coerce_scalar_or_jet(z):
     """``coerce_scalar``, with a jet (a moving point) passed through too."""
     return z if isinstance(z, Jet) else coerce_scalar(z)
+
+
+def moved_expansion(coeff, moved, order: int, level: int):
+    """Expand coeff * prod_i (u - p_i - s_i t)^(-l_i) in t through t^order.
+
+    ``coeff`` is a jet in t at nesting ``level`` (anything else is constant
+    in t) and ``moved`` lists (s_i, l_i), one per pole at a moving point
+    p_i + s_i t.  Each pole expands as
+    (u - p - s t)^(-l) = sum_k C(l+k-1, k) s^k t^k (u - p)^(-(l+k)),
+    so this yields (order k, scalar factor, new pole orders l_i + k_i) for
+    every combination of total order k <= ``order``.  Raises
+    JetPrecisionError when the coefficient is not known through ``order``.
+    """
+    if isinstance(coeff, Jet) and coeff._level() == level:
+        if coeff.prec <= order:
+            raise JetPrecisionError("coefficient window too shallow")
+        gammas = [(j, coeff.coefficient(j)) for j in range(coeff.val, order + 1)]
+    else:
+        gammas = [(0, coeff)]
+    depth = order - min(0, gammas[0][0]) if gammas else 0
+    options = []
+    for slope, l in moved:
+        opts = []
+        weight = 1
+        for k in range(depth + 1):
+            if k > 0:
+                weight = weight * (l + k - 1) // k
+            opts.append((k, l + k, weight * slope ** k))
+        options.append(opts)
+    for j, gamma in gammas:
+        if not gamma:
+            continue
+        for combo in itertools.product(*options):
+            total = j + sum(k for k, _, _ in combo)
+            if total > order:
+                continue
+            factor = gamma
+            for _, _, w in combo:
+                factor = factor * w
+            yield total, factor, [o for _, o, _ in combo]
+
+
+def with_jet_retry(compute, prec: int):
+    """compute(prec), retried with prec doubled on JetPrecisionError.
+
+    Gives up (re-raising) once prec has passed ``PREC_CEILING``.
+    """
+    while True:
+        try:
+            return compute(prec)
+        except JetPrecisionError:
+            if prec > PREC_CEILING:
+                raise
+            prec = max(2 * prec, 1)

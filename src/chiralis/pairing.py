@@ -14,6 +14,7 @@ vacuum normalization:
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb, factorial, perm
 
 from .exactnum import (
     GaussRational,
@@ -24,7 +25,7 @@ from .exactnum import (
     gauss_rational_roots,
     residue_at,
 )
-from .geometry import antiderivative, atom_ratfunc, inner_variable, outer_variable, subst
+from .geometry import antiderivative, atom_ratfunc
 from .states import DomainError, SymState, monomial_state, vacuum
 from .symmetry import HeisenbergOp, heis_apply
 
@@ -203,6 +204,7 @@ def in_open_disc(point) -> bool:
     return p.norm() < 1
 
 
+# (k, l) -> [(coeff, px, py, pw)], the terms of the closed form below
 _KERNEL_DERIV_CACHE: dict = {}
 _KERNEL_VALUE_CACHE: dict = {}
 
@@ -213,32 +215,31 @@ def reflection_kernel_value(a, k: int, b, l: int):
     A pole of order k is the (k-2)-th coordinate derivative of the basic
     double pole (up to the factorial below), so the value is the mixed
     (k-2, l-2) derivative of the reflection kernel (1 - y x)^-2 at
-    x = conj(a), y = b, divided by (k-1)! (l-1)!.
+    x = conj(a), y = b, divided by (k-1)! (l-1)!.  The y-derivatives give
+    (l-1)! x^(l-2) (1 - xy)^-l, and Leibniz in x turns the whole into
+    sum_{i <= min(k-2, l-2)} coeff x^(l-2-i) y^(k-2-i) (1 - xy)^-(k+l-2-i)
+    with coeff = C(k-2, i) (l-2)!/(l-2-i)! (k+l-3-i)! / ((k-1)! (l-1)!).
     """
+    if k < 2 or l < 2:
+        raise DomainError("disc atoms are poles of order at least 2")
     key = (a, k, b, l)
     cached = _KERNEL_VALUE_CACHE.get(key)
     if cached is not None:
         return cached
-    dkey = (k, l)
-    g = _KERNEL_DERIV_CACHE.get(dkey)
-    if g is None:
-        x = outer_variable()
-        y = inner_variable()
-        g = 1 / ((1 - y * x) * (1 - y * x))
-        for _ in range(k - 2):
-            g = g.derivative()  # in x
-        from .geometry import inner_derivative
-
-        for _ in range(l - 2):
-            g = inner_derivative(g)  # in y
-        _KERNEL_DERIV_CACHE[dkey] = g
-    fact = 1
-    for j in range(1, k):
-        fact *= j
-    for j in range(1, l):
-        fact *= j
-    xval = subst(g, RatFunc.const(a.conjugate()))  # still rational in y
-    val = subst(xval, b) / fact
+    terms = _KERNEL_DERIV_CACHE.get((k, l))
+    if terms is None:
+        n, m = k - 2, l - 2
+        denom = factorial(k - 1) * factorial(l - 1)
+        terms = []
+        for i in range(min(n, m) + 1):
+            coeff = Fraction(comb(n, i) * perm(m, i) * factorial(k + l - 3 - i), denom)
+            terms.append((coeff, m - i, n - i, k + l - 2 - i))
+        _KERNEL_DERIV_CACHE[(k, l)] = terms
+    x, y = a.conjugate(), b
+    w = 1 - x * y
+    val = QI_ZERO
+    for coeff, px, py, pw in terms:
+        val = val + coeff * x ** px * y ** py / w ** pw
     _KERNEL_VALUE_CACHE[key] = val
     return val
 

@@ -9,7 +9,6 @@ exactly on seeded random data and reports witnesses on failure.
 
 from __future__ import annotations
 
-import itertools
 import random
 from fractions import Fraction
 
@@ -20,16 +19,9 @@ from .boson import (
     field_by_name,
     lie_action,
 )
-from .exactnum import (
-    GaussRational,
-    Poly,
-    QI_ONE,
-    QI_ZERO,
-    RatFunc,
-    local_expansion,
-)
+from .exactnum import GaussRational, QI_ONE, QI_ZERO, RatFunc
 from .geometry import VectorField
-from .jets import coerce_scalar_or_jet
+from .jets import Jet, coerce_scalar_or_jet, jet_point, moved_expansion
 from .sampling import rand_scalar
 from .states import DomainError, SymState, add_term, monomial_state, vacuum
 
@@ -42,7 +34,6 @@ __all__ = [
     "Y_prime",
     "b_basis_coordinates",
     "b_basis_vector",
-    "parameter_expansion",
     "structure_derivative",
     "axiom_suite",
     "generation_check",
@@ -229,68 +220,12 @@ def structure(name: str):
 # ---------------------------------------------------------------------------
 
 
-def parameter_expansion(state: SymState, order: int) -> dict:
-    """Expand a state whose scalars/pole keys depend on one rational
-    parameter around parameter = 0; returns {order: state}."""
-    buckets: dict = {}
-    for mon, coeff in state.terms.items():
-        moving = []
-        fixed = []
-        for atom in mon:
-            if atom[0] == "pole" and isinstance(atom[1], RatFunc) and not atom[1].is_constant():
-                moving.append(atom)
-            elif atom[0] == "pole" and isinstance(atom[1], RatFunc):
-                fixed.append(("pole", atom[1].constant_value(), atom[2]))
-            else:
-                fixed.append(atom)
-        coeff_rf = coeff if isinstance(coeff, RatFunc) else RatFunc(Poly([coeff]))
-        m, series = local_expansion(coeff_rf, QI_ZERO, order)
-        depth = order + m
-        moved_options = []
-        for atom in moving:
-            p = atom[1]
-            if p.den.degree != 0 or p.num.degree != 1:
-                raise DomainError("pole location is not affine in the parameter")
-            p0 = p.num.coeffs[0] / p.den.coeffs[0]
-            slope = p.num.coeffs[1] / p.den.coeffs[0]
-            l = atom[2]
-            opts = []
-            binom = 1
-            spow = QI_ONE
-            for k in range(depth + 1):
-                if k > 0:
-                    binom = binom * (l + k - 1) // k
-                    spow = spow * slope
-                opts.append((k, ("pole", p0, l + k), spow * binom))
-            moved_options.append(opts)
-        for j, gamma in enumerate(series):
-            if not gamma:
-                continue
-            base_order = j - m
-            for combo in itertools.product(*moved_options):
-                k_total = sum(c[0] for c in combo)
-                total = base_order + k_total
-                if total > order:
-                    continue
-                factor = gamma
-                atoms = list(fixed)
-                for k, atom, w in combo:
-                    factor = factor * w
-                    atoms.append(atom)
-                buckets[total] = buckets.get(total, SymState()) + monomial_state(
-                    atoms, factor
-                )
-    return {k: v for k, v in buckets.items() if v}
-
-
 def structure_derivative(Y, state: SymState, amount, target: SymState) -> SymState:
     """Exact derivative of amount -> Y(state, amount) target.
 
     The amount is moved along a first-order jet; the moved-atom and
     coefficient contributions at order one are collected exactly.
     """
-    from .jets import jet_point
-
     h = jet_point(coerce_scalar_or_jet(amount), 2)
     shifted = Y(state, h, target)
     buckets = jet_parameter_expansion(shifted, 1)
@@ -298,55 +233,30 @@ def structure_derivative(Y, state: SymState, amount, target: SymState) -> SymSta
 
 
 def jet_parameter_expansion(state: SymState, order: int) -> dict:
-    """Expand a state whose scalars/pole keys are first-level jets."""
-    from .jets import Jet
+    """Expand a state whose scalars and pole locations are jets in a parameter t.
 
+    t is the outermost jet variable in the state; a pole location in t
+    must be affine, p0 + s t.  Returns {order: state} through ``order``.
+    """
+    jets = [c for c in state.terms.values() if isinstance(c, Jet)]
+    jets += [a[1] for a in state.atoms() if a[0] == "pole" and isinstance(a[1], Jet)]
+    level = max((j._level() for j in jets), default=0)
     buckets: dict = {}
     for mon, coeff in state.terms.items():
         moving = []
         fixed = []
         for atom in mon:
-            if atom[0] == "pole" and isinstance(atom[1], Jet):
+            p = atom[1]
+            if atom[0] == "pole" and isinstance(p, Jet) and p._level() == level:
+                if any(c for k, c in enumerate(p.coeffs, p.val) if k not in (0, 1)):
+                    raise DomainError("pole location is not affine in the parameter")
                 moving.append(atom)
             else:
                 fixed.append(atom)
-        if isinstance(coeff, Jet):
-            gammas = [
-                (j, coeff.coefficient(j))
-                for j in range(coeff.val, min(coeff.prec, order + 1))
-            ]
-        else:
-            gammas = [(0, coeff)]
-        moved_options = []
-        for atom in moving:
-            p = atom[1]
-            p0 = p.coefficient(0)
-            slope = p.coefficient(1)
-            l = atom[2]
-            opts = []
-            binom = 1
-            spow = QI_ONE
-            for k in range(order + 1):
-                if k > 0:
-                    binom = binom * (l + k - 1) // k
-                    spow = spow * slope
-                opts.append((k, ("pole", p0, l + k), spow * binom))
-            moved_options.append(opts)
-        for j, gamma in gammas:
-            if not gamma:
-                continue
-            for combo in itertools.product(*moved_options):
-                total = j + sum(c[0] for c in combo)
-                if total > order:
-                    continue
-                factor = gamma
-                atoms = list(fixed)
-                for k, atom, wgt in combo:
-                    factor = factor * wgt
-                    atoms.append(atom)
-                buckets[total] = buckets.get(total, SymState()) + monomial_state(
-                    atoms, factor
-                )
+        moved = [(p.coefficient(1), l) for _, p, l in moving]
+        for k, factor, orders in moved_expansion(coeff, moved, order, level):
+            atoms = fixed + [("pole", p.coefficient(0), o) for (_, p, _), o in zip(moving, orders)]
+            buckets[k] = buckets.get(k, SymState()) + monomial_state(atoms, factor)
     return {k: v for k, v in buckets.items() if v}
 
 

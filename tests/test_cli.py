@@ -149,6 +149,35 @@ class TestCommands:
         assert code == 0
         assert payload["value"] == "-1"
 
+    @pytest.mark.parametrize("dual, state, value", [
+        # degree one
+        ([("0-1/2*i", [(1, "1/2", 1)]), ("2", [(2, "1/3-1/5*i", 2)])],
+         [("3/4", [(0, "1/4+1/2*i", 2)]), ("1", [(1, "-1/3", 1)])],
+         "9981792/1500625+1135908/214375*i"),
+        # c~ = 0
+        ([("1/3", [(1, "0", 1)]), ("1", [(2, "0", 2)])],
+         [("5", []), ("1", [(0, "1/3", 1)]), ("2-1*i", [(1, "0+1/2*i", 3)])],
+         "2/3"),
+        # degree two
+        ([("-36/13+24/13*i", [(0, "0-1/3*i", 1)]), ("1", [(0, "0-1/3*i", 1), (1, "1/2", 1)]),
+          ("36/13-24/13*i", [(0, "1/2", 1)])],
+         [("1/2", [(0, "0+1/5*i", 1)]), ("1", [(1, "0", 2), (2, "1/4", 1)]), ("-32", [(2, "0", 1)]),
+          ("-8", [(2, "0", 2)]), ("32", [(2, "1/4", 1)])],
+         "1260368/147175+515376/147175*i"),
+    ])
+    def test_pair_current_output_is_pinned(self, tmp_path, capsys, dual, state, value):
+        # the exact bytes printed while the pairing still differentiated over Q(i)(t)
+        def terms(entries):
+            return [{"word": [list(g) for g in word], "coeff": c} for c, word in entries]
+
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps({"dual": terms(dual), "state": terms(state)}))
+        assert run(["pair", "--theory", "current", "--algebra", "sl2", "--file", str(path)]) == 0
+        assert capsys.readouterr().out == (
+            '{\n  "algebra": "sl2",\n  "command": "pair",\n  "passed": true,\n'
+            f'  "theory": "current",\n  "value": "{value}"\n}}\n'
+        )
+
     def test_replay(self, tmp_path, capsys):
         script = tmp_path / "replay.json"
         script.write_text(

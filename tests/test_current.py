@@ -43,6 +43,8 @@ from chiralis.exactnum import (
 from chiralis.sampling import rand_distinct_scalars, rand_scalar
 from chiralis.states import DomainError
 
+from tower_oracle import current_expand_tower, current_pair_tower
+
 SL2 = sl2_algebra()
 AB = abelian_algebra()
 U = RatFunc.variable(GaussRational(1))
@@ -368,6 +370,27 @@ class TestBasePoint:
             assert epsilon_base_point_offset(z) == RatFunc.const(1 / z)
 
 
+def _assert_pair_matches_tower(algebra, dual, state):
+    """The jet pairing equals the tower's, or both fail on a pole at the dual point."""
+    try:
+        expected = current_pair_tower(algebra, dual, state)
+    except ZeroDivisionError:
+        with pytest.raises(DomainError):
+            current_pair(algebra, dual, state)
+        return
+    assert current_pair(algebra, dual, state) == expected, (dual, state)
+
+
+def _disc_point(rng):
+    while True:
+        z = qi(
+            Fraction(rng.randint(-3, 3), rng.randint(1, 4)),
+            Fraction(rng.randint(-3, 3), rng.randint(1, 4)),
+        )
+        if z.norm() < 1:
+            return z
+
+
 class TestPairing:
     def test_vacuum_normalization(self):
         assert current_pair(SL2, current_vacuum(), current_vacuum()) == qi(1)
@@ -443,6 +466,66 @@ class TestPairing:
         rhs = zu * zu * current_pair(SL2, dual, iota_apply(SL2, "e", zu, state))
         assert lhs == rhs
 
+    def test_jet_pair_matches_tower_degree_one(self):
+        rng = random.Random(1203)
+        for k in range(60):
+            algebra = (SL2, AB)[k % 2]
+            ctil = qi(0) if k % 5 == 0 else _disc_point(rng)
+            dual = (rng.randrange(algebra.dim), ctil, rng.randint(1, 3))
+            gen = (rng.randrange(algebra.dim), _disc_point(rng), rng.randint(1, 3))
+            dual_state = pbw_normalize(algebra, (dual,), (), rand_scalar(rng))
+            state = pbw_normalize(algebra, (gen,)) + current_vacuum().scale(rand_scalar(rng))
+            _assert_pair_matches_tower(algebra, dual_state, state)
+
+    def test_jet_pair_matches_tower_degree_two(self):
+        # degree-two duals and states on which the tower takes under 1 s
+        rng = random.Random(1207)
+        for _ in range(4):
+            word = tuple(
+                (0, qi(0) if rng.random() < 0.3 else _disc_point(rng), rng.randint(1, 2)) for _ in range(2)
+            )
+            sword = tuple((0, _disc_point(rng), 1) for _ in range(2))
+            _assert_pair_matches_tower(AB, pbw_normalize(AB, word), pbw_normalize(AB, sword))
+        h = 1  # the basis index of h in sl2
+        for word, sword in (
+            (((h, "-1/4+1/2*i", 1), (h, "1/4-2/3*i", 1)), ((h, "0+3/4*i", 1), (h, "-3/4-1/4*i", 1))),
+            (((h, "-1/2-1/2*i", 2), (h, "3/4+1/4*i", 1)), ((h, "0-1/3*i", 1), (h, "0-1/3*i", 1))),
+            (((h, "-1/3-1/2*i", 2), (h, "-1/4+2/3*i", 1)), ((h, "1/2+1/2*i", 1), (h, "1/3", 1))),
+        ):
+            dual = pbw_normalize(SL2, tuple((a, GaussRational.parse(c), l) for a, c, l in word))
+            state = pbw_normalize(SL2, tuple((a, GaussRational.parse(c), l) for a, c, l in sword))
+            _assert_pair_matches_tower(SL2, dual, state)
+
+    def test_jet_pair_matches_tower_with_insertions(self):
+        rng = random.Random(1213)
+        for _ in range(8):
+            ctx = InsertionContext(SL2, [(_disc_point(rng), sl2_fundamental())])
+            gen = (rng.randrange(3), _disc_point(rng), rng.randint(1, 2))
+            state = pbw_normalize(SL2, (gen,), (rng.randrange(2),), QI_ONE, ctx)
+            ctil = qi(0) if rng.random() < 0.3 else _disc_point(rng)
+            dual = pbw_normalize(SL2, ((rng.randrange(3), ctil, rng.randint(1, 3)),))
+            _assert_pair_matches_tower(SL2, dual, state)
+
+    def test_pole_at_the_dual_point(self):
+        # the first letter is h at c~ = 0, and t^-2 <e(i/3)| iota_h(1/t) state> has a
+        # simple pole at t = 0: the tower divides by zero there (after about 3 s)
+        dual = pbw_normalize(SL2, ((1, qi(0), 1), (0, qi(0, Fraction(1, 3)), 1)))
+        state = pbw_normalize(
+            SL2, ((2, GaussRational.parse("-1/2-1/3*i"), 1), (1, GaussRational.parse("2/3+1/4*i"), 1))
+        )
+        with pytest.raises(DomainError):
+            current_pair(SL2, dual, state)
+
+    def test_degree_two_regression_pair(self):
+        # the tower over Q(i)(t) took about 151 s on this pair; the value is the tower's
+        word = ((2, GaussRational.parse("-3/4-1/3*i"), 1), (1, GaussRational.parse("1/3-5/7*i"), 1))
+        sword = ((0, GaussRational.parse("4/9+2/5*i"), 1), (1, GaussRational.parse("-1/2+2/3*i"), 2))
+        expected = GaussRational.parse(
+            "1536576382220254571797955492778198720/236564440845116065828675623713499413"
+            "+844381992642851812842168685165152000/236564440845116065828675623713499413*i"
+        )
+        assert current_pair(SL2, pbw_normalize(SL2, word), pbw_normalize(SL2, sword)) == expected
+
     def test_region_violation(self):
         dual = pbw_normalize(SL2, ((2, qi(Fraction(1, 2)), 1),))
         bad = pbw_normalize(SL2, ((0, qi(3), 1),))
@@ -473,6 +556,23 @@ class TestCurrentOpe:
                 SL2, br, z1, s, 1, field="iota"
             ).get(1, zero)
             assert buckets.get(0, zero) == i2i1 + e2e1 + e2i1 + e1i2 + diota
+
+    def test_jet_expansion_matches_tower(self):
+        rng = random.Random(1217)
+        states = [
+            current_vacuum(),
+            pbw_normalize(SL2, ((1, qi(0), 1),)),
+            pbw_normalize(SL2, ((0, qi(2), 1), (2, qi(0), 2))),
+        ]
+        for field in ("j", "iota", "epsilon"):
+            for s in states:
+                z1 = rand_scalar(rng) + 5
+                inner = j_apply(SL2, rng.choice("ehf"), z1, s)
+                v = rng.choice("ehf")
+                for order in (0, 1):
+                    assert current_expand_at_generic_point(SL2, v, z1, inner, order, field) == (
+                        current_expand_tower(SL2, v, z1, inner, order, field)
+                    ), (field, s, order)
 
     def test_iota_commutators(self):
         # the two-contraction and contraction-current relations

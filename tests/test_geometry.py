@@ -11,17 +11,14 @@ from chiralis.geometry import (
     antiderivative,
     atom_ratfunc,
     bergman_genus0,
-    bifunction_atom_matrix,
     form_to_atoms,
     inner_variable,
     interior_product,
     is_second_kind,
     kernel_by_name,
     lie_derivative,
-    lie_derivative_bidiff,
     mobius_pushforward,
     omega_bifunction,
-    omega_x_bifunction,
     outer_variable,
     subst,
     swap_bifunction,
@@ -29,6 +26,8 @@ from chiralis.geometry import (
 )
 from chiralis.exactnum import local_expansion
 from chiralis.sampling import rand_ratfunc, rand_scalar
+
+from vir_oracle import bifunction_atom_matrix, lie_derivative_bidiff, omega_x_bifunction
 
 U = RatFunc.variable(GaussRational(1))
 

@@ -1,0 +1,87 @@
+import random
+from fractions import Fraction
+from math import comb
+
+import pytest
+
+from chiralis.exactnum import qi
+from chiralis.jets import JetPrecisionError, jet_point, moved_expansion, with_jet_retry
+from chiralis.sampling import rand_scalar
+
+
+class TestEquality:
+    def test_precision_is_part_of_equality(self):
+        low, high = jet_point(2, 2), jet_point(2, 3)
+        assert low != high
+        assert low.agrees_with(high) and high.agrees_with(low)
+        assert len({low, high}) == 2
+        cache = {low: "prec 2"}
+        assert high not in cache
+        cache[high] = "prec 3"
+        assert cache[jet_point(2, 2)] == "prec 2"
+        assert cache[jet_point(2, 3)] == "prec 3"
+
+    def test_equal_jets_are_one_key(self):
+        rng = random.Random(5)
+        for _ in range(20):
+            z, prec = rand_scalar(rng), rng.randint(1, 6)
+            a = 1 / (jet_point(z, prec) - 7)
+            b = 1 / (jet_point(z, prec) - 7)
+            assert a is not b and a == b and hash(a) == hash(b)
+            assert len({a, b}) == 1
+
+    def test_never_equal_to_a_scalar(self):
+        assert jet_point(0, 3) * 0 + 2 != 2
+        assert jet_point(0, 3) * 0 + 2 != qi(2)
+        assert jet_point(qi(2), 1).agrees_with(qi(2))
+
+    def test_truncated_comparison(self):
+        t = jet_point(0, 4)
+        assert (1 / (1 - t)).agrees_with(1 + t + t * t + t ** 3)
+        assert not (1 / (1 - t)).agrees_with(1 + t + t * t)
+        nested = jet_point(jet_point(qi(1), 3), 2)
+        assert nested.agrees_with(jet_point(jet_point(qi(1), 5), 2))
+        assert nested != jet_point(jet_point(qi(1), 5), 2)
+
+
+class TestMovedExpansion:
+    def test_single_pole_is_the_binomial_series(self):
+        # (u - p - s t)^-l = sum_k C(l+k-1, k) s^k t^k (u - p)^-(l+k)
+        s = qi(Fraction(2, 3), -1)
+        for l in range(1, 5):
+            got = {k: (f, o) for k, f, o in moved_expansion(qi(1), [(s, l)], 4, 0)}
+            assert got == {k: (comb(l + k - 1, k) * s ** k, [l + k]) for k in range(5)}
+
+    def test_coefficient_series_and_negative_orders(self):
+        t = jet_point(0, 6)
+        coeff = 3 / (t * t) + 5
+        terms = list(moved_expansion(coeff, [(1, 2)], 0, 0))
+        # t^-2 (3 + 5 t^2) times 1 + 2 t (u-p)^-3 + 3 t^2 (u-p)^-4 + ...
+        assert sorted(terms, key=lambda x: (x[0], x[2])) == [
+            (-2, qi(3), [2]),
+            (-1, qi(6), [3]),
+            (0, qi(5), [2]),
+            (0, qi(9), [4]),
+        ]
+
+    def test_shallow_coefficient_raises(self):
+        with pytest.raises(JetPrecisionError):
+            list(moved_expansion(jet_point(1, 2) ** 2, [], 2, 0))
+
+    def test_retry_doubles_until_the_ceiling(self):
+        seen = []
+
+        def compute(prec):
+            seen.append(prec)
+            if prec < 40:
+                raise JetPrecisionError("shallow")
+            return prec
+
+        assert with_jet_retry(compute, 5) == 40
+        assert seen == [5, 10, 20, 40]
+        seen.clear()
+        assert with_jet_retry(compute, -3) == 64
+        assert seen == [-3, 1, 2, 4, 8, 16, 32, 64]
+        with pytest.raises(JetPrecisionError):
+            with_jet_retry(lambda prec: (_ for _ in ()).throw(JetPrecisionError("never")), 5)
+

@@ -15,12 +15,15 @@ from chiralis.pairing import (
     leading_minors,
     pair_P,
     positivity_check,
+    reflection_kernel_value,
     single_form_residue_pairing,
 )
 from chiralis.pairing import _e_state
 from chiralis.sampling import rand_disc_point, rand_ratfunc, rand_scalar
 from chiralis.states import DomainError, SymState, monomial_state, vacuum
 from chiralis.symmetry import mode_b
+
+from tower_oracle import reflection_kernel_symbolic
 
 U = RatFunc.variable(GaussRational(1))
 
@@ -155,6 +158,24 @@ class TestHermitianO:
                 rand_scalar(rng),
             )
             assert hermitian_inner_O(chi, psi) == hermitian_inner_disc(chi, psi)
+
+
+class TestReflectionKernel:
+    def test_closed_form_matches_symbolic_derivative(self):
+        # the symbolic derivative costs 0.03 s at (2, 2) and 1.6 s at (6, 6)
+        rng = random.Random(89)
+        orders = [(rng.randint(2, 4), rng.randint(2, 4)) for _ in range(30)] + [(2, 6), (6, 3)]
+        for k, l in orders:
+            a, b = rand_disc_point(rng), rand_disc_point(rng)
+            assert reflection_kernel_value(a, k, b, l) == reflection_kernel_symbolic(a, k, b, l), (a, k, b, l)
+
+    def test_double_poles_give_the_kernel(self):
+        a, b = qi(Fraction(1, 2), Fraction(1, 3)), qi(Fraction(-1, 4))
+        assert reflection_kernel_value(a, 2, b, 2) == 1 / (1 - a.conjugate() * b) ** 2
+
+    def test_simple_pole_rejected(self):
+        with pytest.raises(DomainError):
+            reflection_kernel_value(qi(0), 1, qi(0), 2)
 
 
 class TestGram:

@@ -40,6 +40,14 @@ class TestGroupActions:
         lhs = rotate(lam, translate(a, rotate(1 / lam, s)))
         assert lhs == translate(lam * a, s)
 
+    def test_jet_expansion_needs_affine_poles(self):
+        from chiralis.jets import jet_point
+        from chiralis.vertexalg import jet_parameter_expansion
+
+        t = jet_point(qi(0), 3)
+        with pytest.raises(DomainError):
+            jet_parameter_expansion(monomial_state([("pole", t * t + 1, 2)]), 1)
+
     def test_sing_support(self):
         v = e_apply(qi(0), e_apply(qi(1), vacuum()))
         assert sing_support(v) == {qi(0), qi(1)}
@@ -49,20 +57,25 @@ class TestGroupActions:
         s = monomial_state([("pole", qi(0), 2)])
         amount = qi(3)
         moved = translate(amount, s)
-        from chiralis.vertexalg import parameter_expansion
         from chiralis.exactnum import RatFunc, QI_ONE
+        from chiralis.jets import jet_point
+        from chiralis.vertexalg import jet_parameter_expansion
+        from tower_oracle import parameter_expansion
 
         h = RatFunc.variable(QI_ONE)
         shifted = translate(amount + h, s)
         buckets = parameter_expansion(shifted, 4)
+        jet_buckets = jet_parameter_expansion(translate(jet_point(amount, 5), s), 4)
         gen = s
         fact = 1
         for k in range(5):
             coeff = buckets.get(k, SymState())
             expected = translate(amount, gen).scale(Fraction(1, fact))
             assert coeff == expected
+            assert jet_buckets.get(k, SymState()) == expected
             gen = translation_generator(gen)
             fact *= k + 1
+        assert set(jet_buckets) == set(buckets)
 
 
 class TestYComm:

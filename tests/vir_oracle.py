@@ -14,6 +14,11 @@ way, on rational functions:
 The generic creation costs seconds per call, and on a singular part with
 two poles its pole search can fail, so ``vir_apply_oracle(..., split=True)``
 sums the creation over the pole parts one pole at a time.
+
+The bivariate calculus behind the creation (the closed form omega_X,
+d/du2 of a bivariate function, the Lie derivative of a bidifferential and
+its expansion in pairs of form atoms) lives here too: the closed forms
+in ``chiralis`` no longer need it.
 """
 
 from __future__ import annotations
@@ -21,23 +26,139 @@ from __future__ import annotations
 from fractions import Fraction
 
 from chiralis.exactnum import (
+    GaussRational,
+    Poly,
     QI_ONE,
     QI_ZERO,
     RatFunc,
     gauss_rational_roots,
     partial_fractions,
+    partial_fractions_known,
     residue_at,
 )
 from chiralis.geometry import (
+    GeometryError,
     VectorField,
+    _as_inner,
+    _spec_inner,
     atom_ratfunc,
     atom_sort_key,
-    bifunction_atom_matrix,
     form_to_atoms,
-    lie_derivative_bidiff,
+    inner_variable,
     omega_bifunction,
+    outer_variable,
+    subst,
 )
 from chiralis.states import SymState, add_term
+
+
+# ---------------------------------------------------------------------------
+# Bivariate calculus (rational functions of u1 over rational functions of u2)
+# ---------------------------------------------------------------------------
+
+
+def omega_x_bifunction(X: VectorField) -> RatFunc:
+    """Closed form {2(xi(u1)-xi(u2)) - (xi'(u1)+xi'(u2))(u1-u2)} / (2(u1-u2)^3)."""
+    x = outer_variable()
+    w = inner_variable()
+    xi = X.xi
+    xip = xi.derivative()
+    xi1, xi2 = subst(xi, x), subst(xi, w)
+    xi1p, xi2p = subst(xip, x), subst(xip, w)
+    return (2 * (xi1 - xi2) - (xi1p + xi2p) * (x - w)) / (2 * (x - w) ** 3)
+
+
+def inner_derivative(F: RatFunc) -> RatFunc:
+    """d/du2 of a bivariate function (derivative of the inner scalars)."""
+
+    def dpoly(p: Poly) -> Poly:
+        return Poly([c.derivative() for c in p.coeffs])
+
+    n, d = F.num, F.den
+    return RatFunc(dpoly(n) * d - n * dpoly(d), d * d)
+
+
+def lie_derivative_bidiff(X: VectorField, F: RatFunc) -> RatFunc:
+    """L_{X1+X2} of the bidifferential F(u1,u2) du1 du2 (hatted result)."""
+    x = outer_variable()
+    w = inner_variable()
+    xi1 = subst(X.xi, x)
+    xi2 = subst(X.xi, w)
+    xi1p = subst(X.xi.derivative(), x)
+    xi2p = subst(X.xi.derivative(), w)
+    return (
+        xi1 * F.derivative()
+        + xi2 * inner_derivative(F)
+        + (xi1p + xi2p) * F
+    )
+
+
+
+
+def bifunction_atom_matrix(F: RatFunc, poles=None) -> dict:
+    """Expand F(u1,u2) as sum c[(a1,a2)] * a1(u1) * a2(u2) over form atoms.
+
+    Requires F to have constant (u2-independent) pole locations in u1;
+    ``poles`` may supply them, otherwise they are found from the inner
+    content of the denominator.
+    """
+    if poles is None:
+        poles = _constant_outer_poles(F)
+    one_inner = RatFunc.const(QI_ONE)
+    lifted_poles = [RatFunc.const(p) if not isinstance(p, RatFunc) else p for p in poles]
+    dec = partial_fractions_known(F, lifted_poles)
+    out = {}
+
+    def base_scalar(v):
+        if isinstance(v, GaussRational):
+            return v
+        return GaussRational.coerce(v)
+
+    def add_inner(atom1, inner_coeff: RatFunc):
+        inner_dec = partial_fractions(inner_coeff)
+        for c2, order2, co2 in inner_dec.terms:
+            if order2 == 1:
+                raise GeometryError("bidifferential has a residue in u2")
+            out[(atom1, ("pole", base_scalar(c2), order2))] = base_scalar(co2)
+        for m2, co2 in enumerate(inner_dec.polynomial.coeffs):
+            if co2:
+                out[(atom1, ("poly", m2))] = base_scalar(co2)
+
+    for c, order, coeff in dec.terms:
+        if order == 1:
+            raise GeometryError("bidifferential has a residue in u1")
+        c_const = c.constant_value() if isinstance(c, RatFunc) else c
+        add_inner(("pole", base_scalar(c_const), order), _as_inner(coeff))
+    for m, coeff in enumerate(dec.polynomial.coeffs):
+        if _as_inner(coeff):
+            add_inner(("poly", m), _as_inner(coeff))
+    return out
+
+
+def _constant_outer_poles(F: RatFunc):
+    # inner-content-free part of the outer denominator factors through
+    # constant pole locations; find them over Q(i)
+    consts = []
+    den = F.den
+    # collect candidate constants from each coefficient's numerator roots
+    # the reliable generic route: the outer denominator of the bivariate
+    # fraction, with inner scalars cleared, factors over Q(i)(u2); the
+    # constant roots are roots of the content's gcd across specializations.
+    # Desk-scale shortcut: specialize u2 at two generic rational values and
+    # intersect the root sets.
+    for probe in (GaussRational(Fraction(7, 13)), GaussRational(Fraction(19, 11))):
+        specialized = Poly([_spec_inner(c, probe) for c in den.coeffs])
+        roots = set()
+        for r in gauss_rational_roots(specialized):
+            roots.add(r)
+        consts.append(roots)
+    return sorted(consts[0] & consts[1], key=lambda s: s.sort_key())
+
+
+# ---------------------------------------------------------------------------
+# The generic action
+# ---------------------------------------------------------------------------
+
 
 _CREATION: dict = {}
 
