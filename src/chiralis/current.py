@@ -4,26 +4,27 @@ States are spanned by ordered products of loop generators v_a (u-c)^(-l)
 (straightened into a fixed normal form on construction), optionally
 tensored with marked finite-dimensional representation vectors.  The
 fields act by exact left multiplication and by the commutation-driven
-contraction recursion; operators attached to test functions act through
-residues.  Everything is measured on states, never assumed.
+contraction recursion; operators attached to Lie-valued functions act
+through residues on the functions' known poles.  Everything is measured
+on states, never assumed.
 """
 
 from __future__ import annotations
 
+from math import comb
+
 from .exactnum import (
     GaussRational,
-    INFINITY,
     QI_ONE,
     QI_ZERO,
     RatFunc,
     coerce_scalar,
-    partial_fractions,
-    residue_at,
 )
 from .boson import eps_tilde_offset
-from .geometry import _loop_product
+from .geometry import _atom_residue, _loop_product, atom_eval, atom_product, dec_atoms
 from .jets import SLACK, Jet, coerce_scalar_or_jet, jet_point, moved_expansion, with_jet_retry
 from .states import DomainError, LinComb, add_term
+from .symmetry import _phi_pole_parts
 
 __all__ = [
     "LieAlgebra",
@@ -638,59 +639,49 @@ def _origin_spanning(algebra):
 
 
 def _nu_components(algebra, nu):
-    """Normalize a Lie-valued function to {basis index: RatFunc}."""
-    out = {}
+    """Normalize a Lie-valued function to {basis index: {function atom: coeff}}.
+
+    Each ``RatFunc`` component is decomposed once, through the cached
+    partial fractions of ``symmetry._phi_pole_parts``; a scalar is the
+    constant atom ("poly", 0).  Every later step reads these known poles.
+    """
+    out: dict = {}
     for key, f in (nu.items() if isinstance(nu, dict) else nu):
         idx = algebra.labels.index(key) if isinstance(key, str) else key
-        if not isinstance(f, RatFunc):
-            f = RatFunc.const(GaussRational.coerce(f))
-        if f:
-            out[idx] = out.get(idx, RatFunc.const(QI_ZERO)) + f
+        if isinstance(f, RatFunc):
+            atoms = dec_atoms(_phi_pole_parts(f))
+        else:
+            atoms = [(("poly", 0), GaussRational.coerce(f))]
+        comp = out.setdefault(idx, {})
+        for atom, g in atoms:
+            add_term(comp, atom, g)
     return {k: v for k, v in out.items() if v}
 
 
 def _nu_bracket_gen(algebra, nu_comps, gen):
-    """[nu, v_b (u-c)^-l] as a Lie-valued rational function."""
+    """[nu, v_b (u-c)^-l] in function atoms, by ``geometry.atom_product``."""
     b, c, l = gen
-    u = RatFunc.variable(QI_ONE)
-    base = 1 / (u - c) ** l
-    out = {}
-    for a, f in nu_comps.items():
+    x = ("pole", c, l)
+    out: dict = {}
+    for a, atoms in nu_comps.items():
         for k, bc in algebra.bracket_basis(a, b).items():
-            out[k] = out.get(k, RatFunc.const(QI_ZERO)) + f * base * bc
+            comp = out.setdefault(k, {})
+            for atom, g in atoms.items():
+                for p, w in atom_product(atom, x):
+                    add_term(comp, p, g * w * bc)
     return {k: v for k, v in out.items() if v}
 
 
 def _nu_pair_d_gen(algebra, nu_comps, gen, site):
-    """Res_site (nu, d[v_b (u-c)^-l])."""
+    """Res_site (nu, d[v_b (u-c)^-l]), with d(u-c)^-l = -l (u-c)^-(l+1); site None is infinity."""
     b, c, l = gen
-    u = RatFunc.variable(QI_ONE)
-    dfn = (1 / (u - c) ** l).derivative()
+    d = ("pole", c, l + 1)
     total = QI_ZERO
-    for a, f in nu_comps.items():
+    for a, atoms in nu_comps.items():
         g = algebra.form.get((a, b))
         if g:
-            total = total + g * residue_at(f * dfn, site)
-    return total
-
-
-def _nu_split(nu_comps):
-    """Partial-fraction split: (pole atoms by location, constant, polynomial)."""
-    atoms = {}
-    const = {}
-    polys = {}
-    for a, f in nu_comps.items():
-        dec = partial_fractions(f)
-        for c, order, coeff in dec.terms:
-            atoms.setdefault(c, []).append((a, order, coeff))
-        for m, coeff in enumerate(dec.polynomial.coeffs):
-            if not coeff:
-                continue
-            if m == 0:
-                const[a] = const.get(a, QI_ZERO) + coeff
-            else:
-                polys.setdefault(a, {})[m] = coeff
-    return atoms, {k: v for k, v in const.items() if v}, polys
+            total = total + g * _atom_residue(atoms.items(), d, site)
+    return total * -l
 
 
 def J_P_apply(algebra, nu, state: CurrentState) -> CurrentState:
@@ -711,49 +702,32 @@ def _J_P_term(algebra, nu_comps, word, ins, ctx) -> CurrentState:
     bracket_nu = _nu_bracket_gen(algebra, nu_comps, x)
     if bracket_nu:
         out = out + _J_P_term(algebra, bracket_nu, rest, ins, ctx)
-    res = _nu_pair_d_gen(algebra, nu_comps, x, INFINITY)
+    res = _nu_pair_d_gen(algebra, nu_comps, x, None)
     if res:
         out = out - rest_state.scale(res)
     return out
 
 
 def _J_P_base(algebra, nu_comps, ins, ctx) -> CurrentState:
-    atoms, const, polys = _nu_split(nu_comps)
-    out = CurrentState({}, ctx)
+    """The pole atoms multiply; the polynomial atoms, constants included,
+    act on each insertion slot by their value at its point."""
     vac = CurrentState({((), tuple(ins)): QI_ONE}, ctx)
-    combos = []
-    for c, entries in atoms.items():
-        for a, order, coeff in entries:
-            combos.append(((a, c, order), coeff))
-    if combos:
-        out = out + _left_multiply(algebra, combos, vac)
+    combos = [((a, atom[1], atom[2]), g) for a, atoms in nu_comps.items()
+              for atom, g in atoms.items() if atom[0] == "pole"]
+    acts: dict = {}
     if ctx is not None:
-        acts: dict = {}
         for j, zj in enumerate(ctx.points):
-            # constant part acts diagonally; polynomial part by its value
-            _act_on_slot(ctx, j, ins, const.items(), acts)
-            _act_on_slot(ctx, j, ins, _poly_values(polys, zj), acts)
-        out = out + CurrentState(acts, ctx)
-    return out
+            for a, atoms in nu_comps.items():
+                for atom, g in atoms.items():
+                    if atom[0] == "poly":
+                        _act_on_slot(ctx, j, ins, a, g * atom_eval(atom, zj), acts)
+    return _left_multiply(algebra, combos, vac) + CurrentState(acts, ctx)
 
 
-def _poly_values(polys, z):
-    """[(a, p_a(z))] for polynomial parts {a: {power: coeff}}."""
-    out = []
-    for a, powers in polys.items():
-        val = QI_ZERO
-        for m, coeff in powers.items():
-            val = val + coeff * z ** m
-        out.append((a, val))
-    return out
-
-
-def _act_on_slot(ctx, j, ins, values, out: dict):
-    """Accumulate the action of sum(val * v_a) on insertion slot j into out."""
-    for a, val in values:
-        if val:
-            for idx, mc in ctx.act(j, a, ins[j]).items():
-                add_term(out, ((), ins[:j] + (idx,) + ins[j + 1:]), val * mc)
+def _act_on_slot(ctx, j, ins, a, val, out: dict):
+    """Accumulate the action of val * v_a on insertion slot j into out."""
+    for idx, mc in ctx.act(j, a, ins[j]).items():
+        add_term(out, ((), ins[:j] + (idx,) + ins[j + 1:]), val * mc)
 
 
 def J_site_apply(algebra, nu, site_index: int, state: CurrentState) -> CurrentState:
@@ -785,28 +759,22 @@ def _J_site_term(algebra, nu_comps, site, word, ins, ctx) -> CurrentState:
 
 
 def _J_site_base(algebra, nu_comps, site, ins, ctx) -> CurrentState:
+    """The atoms singular at the site multiply, minus their values at the
+    other sites; every other atom acts on the site's slot by its value there."""
     zl = ctx.points[site]
-    atoms, const, polys = _nu_split(nu_comps)
-    out = CurrentState({}, ctx)
     vac = CurrentState({((), tuple(ins)): QI_ONE}, ctx)
+    combos = []
     acts: dict = {}
-    # singular-at-the-site part: multiply, minus its values at other sites
-    sing = [entry for c, entries in atoms.items() if c == zl for entry in entries]
-    if sing:
-        combos = [((a, zl, order), coeff) for a, order, coeff in sing]
-        out = out + _left_multiply(algebra, combos, vac)
-        for j, zj in enumerate(ctx.points):
-            if j != site:
-                values = [(a, -coeff / (zj - zl) ** order) for a, order, coeff in sing]
-                _act_on_slot(ctx, j, ins, values, acts)
-    # regular-at-the-site part: value at the site acting there
-    _act_on_slot(ctx, site, ins, const.items(), acts)
-    for c, entries in atoms.items():
-        if c != zl:
-            values = [(a, coeff / (zl - c) ** order) for a, order, coeff in entries]
-            _act_on_slot(ctx, site, ins, values, acts)
-    _act_on_slot(ctx, site, ins, _poly_values(polys, zl), acts)
-    return out + CurrentState(acts, ctx)
+    for a, atoms in nu_comps.items():
+        for atom, g in atoms.items():
+            if atom[0] == "pole" and atom[1] == zl:
+                combos.append(((a, zl, atom[2]), g))
+                for j, zj in enumerate(ctx.points):
+                    if j != site:
+                        _act_on_slot(ctx, j, ins, a, -g * atom_eval(atom, zj), acts)
+            else:
+                _act_on_slot(ctx, site, ins, a, g * atom_eval(atom, zl), acts)
+    return _left_multiply(algebra, combos, vac) + CurrentState(acts, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -837,30 +805,36 @@ def constant_adjoint(algebra, elem: dict, state: CurrentState) -> CurrentState:
     return out + CurrentState(acts, state.ctx)
 
 
+def _dual_gen_atoms(ctil, l) -> list:
+    """The u-chart function (u/(1 - c~ u))^l of a reciprocal-chart generator, in function atoms.
+
+    With p = 1/c~, u/(1 - c~ u) = -1/c~ - c~^-2 (u - p)^-1, so the binomial
+    theorem gives sum_k C(l, k) (-1/c~)^(l-k) (-c~^-2)^k (u - p)^-k, the
+    k = 0 term a constant.  For c~ = 0 the function is u^l.
+    """
+    if not ctil:
+        return [(("poly", l), QI_ONE)]
+    a, b = -1 / ctil, -1 / (ctil * ctil)
+    return [(("poly", 0), a ** l)] + [
+        (("pole", 1 / ctil, k), comb(l, k) * a ** (l - k) * b ** k) for k in range(1, l + 1)
+    ]
+
+
 def _convert_reciprocal_word_to_origin(algebra, word, coeff):
     """Rewrite a reciprocal-chart word as an origin-chart state.
 
     A reciprocal-chart generator v_a (u_t - c)^(-l) (u_t = 1/u) is, in the
-    u-chart, a function regular at infinity: loop atoms plus a constant.
-    The atoms multiply; the constant acts adjointly (it annihilates only
-    the vacuum slot).
+    u-chart, a function regular at infinity: loop atoms plus a constant
+    (``_dual_gen_atoms``).  The atoms multiply; the constant acts
+    adjointly (it annihilates only the vacuum slot).
     """
-    u = RatFunc.variable(QI_ONE)
     state = CurrentState({((), ()): coeff})
     for (a, c, l) in reversed(word):
-        f = (1 / (1 / u - c)) ** l
-        dec = partial_fractions(f)
-        if dec.polynomial.degree > 0:
+        if not c:
             raise DomainError("reciprocal generator has a pole at the origin")
-        combos = [((a, cc, order), co) for cc, order, co in dec.terms]
-        new_state = _left_multiply(algebra, combos, state)
-        if dec.polynomial.coeffs:
-            const = dec.polynomial.coeffs[0]
-            if const:
-                new_state = new_state + constant_adjoint(
-                    algebra, {a: const}, state
-                )
-        state = new_state
+        (_, const), *poles = _dual_gen_atoms(c, l)
+        combos = [((a, p[1], p[2]), co) for p, co in poles]
+        state = _left_multiply(algebra, combos, state) + constant_adjoint(algebra, {a: const}, state)
     return state
 
 
@@ -961,17 +935,14 @@ def residue_pair_degree_one(algebra, dual_gen, gen):
     g = algebra.form.get((a, b), QI_ZERO)
     if not g:
         return QI_ZERO
-    u = RatFunc.variable(QI_ONE)
-    fprime = dual_gen_function(dual_gen)
-    alpha = (1 / (u - c) ** m).derivative()
-    prod = fprime * alpha
-    # the poles are known: c, from alpha, and 1/ctil, from fprime when ctil != 0
+    # d(u-c)^-m = -m (u-c)^-(m+1); the poles are known: c, and 1/ctil when ctil != 0
+    atoms = _dual_gen_atoms(ctil, l)
     poles = {c, 1 / ctil} if ctil else {c}
     total = QI_ZERO
     for pole in poles:
         if in_unit_disc(pole):
-            total = total + residue_at(prod, pole)
-    return -g * total
+            total = total + _atom_residue(atoms, ("pole", c, m + 1), pole)
+    return g * m * total
 
 
 def separation_check(algebra, z1, z2, gens1, gens2) -> bool:

@@ -4,8 +4,9 @@ Fermionic states are exterior monomials over half-form coefficient atoms
 (the same pole/monomial tuples as everywhere else, read against the
 square-root trivialization); signs are normalized by sorted insertion.
 The two-sector system carries one exterior factor per twist, with the
-crossing sign between sectors tracked explicitly.  All kernels are exact
-closed-form rational bidifferentials.
+crossing sign between sectors tracked explicitly.  The kernels are the
+genus-0 family (u1-u2)^-k: the odd k = 1 behind the fermion fields, the
+symmetric k = 2 behind the kernel-driven bosons.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exactnum import GaussRational, QI_ONE, QI_ZERO, coerce_scalar
-from .geometry import Kernel, atom_eval, atom_sort_key, form_to_atoms
+from .geometry import Kernel, atom_eval, atom_sort_key
 from .states import DomainError, LinComb, SymState, add_term
 
 __all__ = [
@@ -273,11 +274,11 @@ def composite_two_point(z1, z2) -> GaussRational:
 
 
 class KernelBoson:
-    """Boson fields built from a symmetric double-pole kernel.
+    """Boson fields built from the symmetric double-pole kernel (u1-u2)^-2.
 
-    With the rational-line kernel this reproduces the standard boson
-    operator for operator; other symmetric residue-one kernels plug in
-    the same way.
+    This reproduces the standard boson operator for operator: the
+    creation at z multiplies by minus the kernel's section, the form atom
+    ("pole", z, 2).
     """
 
     def __init__(self, kernel: Kernel):
@@ -286,8 +287,7 @@ class KernelBoson:
         self.kernel = kernel
 
     def creation_expansion(self, z) -> dict:
-        sec = self.kernel.section_at(coerce_scalar(z))
-        return {atom: -coeff for atom, coeff in form_to_atoms(sec).items()}
+        return {("pole", coerce_scalar(z), 2): -QI_ONE}
 
     def e_apply(self, z, state: SymState) -> SymState:
         return state.multiply_expansion(self.creation_expansion(z))

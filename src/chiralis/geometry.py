@@ -11,9 +11,9 @@ The same tuples with l >= 1 / m >= 1 serve as the basis of functions
 vanishing at infinity (resp. of functions modulo constants) in the modules
 that need function-valued states.
 
-The two-point kernels (the invariant bidifferential and the Szego
-kernel) are realized as rational functions in an outer variable u1 whose
-scalars are rational functions in the inner variable u2.
+The two-point kernels are the genus-0 family (u1-u2)^-k: k = 2 is the
+invariant bidifferential, k = 1 the Szego kernel.  A kernel is its order;
+its sections and values are those of the atom ("pole", u2, k).
 """
 
 from __future__ import annotations
@@ -22,14 +22,11 @@ from math import comb
 
 from .exactnum import (
     GaussRational,
-    Poly,
     QI_ONE,
     QI_ZERO,
     RatFunc,
     gauss_rational_roots,
-    local_expansion,
     partial_fractions,
-    partial_fractions_known,
     residue_at,
 )
 
@@ -50,7 +47,6 @@ __all__ = [
     "lie_derivative",
     "interior_product",
     "mobius_pushforward",
-    "omega_bifunction",
     "Kernel",
     "bergman_genus0",
     "szego_genus0",
@@ -164,6 +160,46 @@ def atom_product(x, y) -> list:
     return out
 
 
+def _binom(x: int, r: int) -> int:
+    """C(x, r) for any integer x and r >= 0."""
+    out = 1
+    for t in range(r):
+        out = out * (x - t) // (t + 1)
+    return out
+
+
+def _pair_residue(x, y, o):
+    """Res_{u=o} x(u) y(u) du for two atoms: one binomial times one power."""
+    if x[0] == "poly" or (y[0] == "pole" and y[1] == o):
+        x, y = y, x
+    if x[0] == "poly" or x[1] != o:
+        return 0  # no factor has a pole at o
+    k = x[2]
+    if y[0] == "poly":
+        m = y[1]
+        return _binom(m, k - 1) * o ** (m - k + 1) if m >= k - 1 else 0
+    if y[1] == o:
+        return 0
+    return _binom(-y[2], k - 1) * (o - y[1]) ** (1 - k - y[2])
+
+
+def _atom_residue(atoms, atom, o):
+    """Res_o f(u) atom(u) du for f = sum g a over the (a, g) in atoms; o None is infinity.
+
+    At infinity this is minus the sum of the finite residues, over the
+    poles of f and of the atom.
+    """
+    if o is None:
+        poles = {a[1] for a, _ in atoms if a[0] == "pole"} | ({atom[1]} if atom[0] == "pole" else set())
+        return -sum((_atom_residue(atoms, atom, p) for p in poles), QI_ZERO)
+    out = QI_ZERO
+    for factor, g in atoms:
+        r = _pair_residue(factor, atom, o)
+        if r and g:
+            out = out + g * r
+    return out
+
+
 def atom_derivative(atom):
     """(atom', w) with d atom = w atom': d(u-c)^-k = -k (u-c)^-(k+1), d u^m = m u^(m-1)."""
     if atom[0] == "pole":
@@ -188,16 +224,12 @@ def lie_atom(dec, atom) -> dict:
     return {df: c for df, c in out.items() if c}
 
 
-def form_to_atoms(f: RatFunc, poles=None) -> dict:
+def form_to_atoms(f: RatFunc) -> dict:
     """Expand a second-kind coefficient function into form atoms.
 
-    ``poles``: optional known pole locations (skips root finding).
     Raises GeometryError when a simple pole (nonzero residue) appears.
     """
-    if poles is None:
-        dec = partial_fractions(f)
-    else:
-        dec = partial_fractions_known(f, poles)
+    dec = partial_fractions(f)
     out = {}
     for c, order, coeff in dec.terms:
         if order == 1:
@@ -319,150 +351,43 @@ def mobius_pushforward(matrix, form: Form) -> Form:
 
 
 # ---------------------------------------------------------------------------
-# Bivariate machinery
-# ---------------------------------------------------------------------------
-
-
-def outer_variable() -> RatFunc:
-    return RatFunc.variable(RatFunc.const(QI_ONE))
-
-
-def inner_variable() -> RatFunc:
-    return RatFunc.variable(QI_ONE)
-
-
-def subst(f: RatFunc, value):
-    """f evaluated at an arbitrary scalar-like value (exact substitution)."""
-    top = f.num.evaluate(value)
-    bot = f.den.evaluate(value)
-    return top / bot
-
-
-def omega_bifunction() -> RatFunc:
-    """The invariant bidifferential 1/(u1-u2)^2 (hatted)."""
-    x = outer_variable()
-    w = inner_variable()
-    return 1 / ((x - w) * (x - w))
-
-
-def swap_bifunction(F: RatFunc) -> RatFunc:
-    """Exchange u1 and u2 in a bivariate rational function."""
-    pm, qm = _nested_to_bivar(F)
-    return _bivar_to_nested(_transpose(pm), _transpose(qm))
-
-
-def _nested_to_bivar(F: RatFunc):
-    def clear(p: Poly):
-        dens = Poly([QI_ONE])
-        for c in p.coeffs:
-            c = _as_inner(c)
-            g = dens.gcd(c.den)
-            dens = dens * (c.den // g)
-        rows = []
-        for c in p.coeffs:
-            c = _as_inner(c)
-            scaled = c.num * (dens // c.den)
-            rows.append(list(scaled.coeffs))
-        return rows, dens
-
-    pn, dn = clear(F.num)
-    pd, dd = clear(F.den)
-    # F = (pn/dn) / (pd/dd) = (pn*dd) / (pd*dn) as bivariate polynomials
-    return _mat_scale_poly(pn, dd), _mat_scale_poly(pd, dn)
-
-
-def _as_inner(c) -> RatFunc:
-    if isinstance(c, RatFunc):
-        return c
-    return RatFunc(Poly([c]))
-
-
-def _mat_scale_poly(rows, inner_poly: Poly):
-    out = []
-    for row in rows:
-        out.append(list((Poly(row) * inner_poly).coeffs))
-    return out
-
-
-def _transpose(rows):
-    width = max((len(r) for r in rows), default=0)
-    out = [[QI_ZERO] * len(rows) for _ in range(width)]
-    for i, row in enumerate(rows):
-        for j, c in enumerate(row):
-            out[j][i] = c
-    return out
-
-
-def _bivar_to_nested(pm, qm) -> RatFunc:
-    def build(rows) -> Poly:
-        return Poly([RatFunc(Poly(row)) for row in rows])
-
-    return RatFunc(build(pm), build(qm))
-
-
-def _spec_inner(c, value):
-    if isinstance(c, RatFunc):
-        return subst(c, value)
-    return c
-
-
-# ---------------------------------------------------------------------------
 # Correlation kernels
 # ---------------------------------------------------------------------------
 
 
 class Kernel:
-    """A two-point kernel given as a closed-form bivariate rational function.
+    """The genus-0 two-point kernel (u1-u2)^-k of diagonal order k >= 1.
 
-    ``parity`` is +1 for symmetric (boson-type) kernels and -1 for odd
-    (fermion-type) kernels; ``diagonal_order`` is the diagonal pole order
-    whose top coefficient must be 1.
+    ``parity`` (-1)^k is +1 for the symmetric (boson-type) kernels and -1
+    for the odd (fermion-type) ones; the top diagonal coefficient is 1.
     """
 
-    __slots__ = ("name", "bifunction", "parity", "diagonal_order")
+    __slots__ = ("name", "parity", "diagonal_order")
 
-    def __init__(self, name, bifunction: RatFunc, parity: int, diagonal_order: int):
+    def __init__(self, name, order: int):
+        if order < 1:
+            raise GeometryError(f"kernel {name!r} needs a diagonal pole of order at least 1")
         object.__setattr__(self, "name", name)
-        object.__setattr__(self, "bifunction", bifunction)
-        object.__setattr__(self, "parity", parity)
-        object.__setattr__(self, "diagonal_order", diagonal_order)
-        self.validate()
+        object.__setattr__(self, "parity", -1 if order % 2 else 1)
+        object.__setattr__(self, "diagonal_order", order)
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("Kernel is immutable")
 
-    def validate(self):
-        swapped = swap_bifunction(self.bifunction)
-        expected = self.bifunction if self.parity > 0 else -self.bifunction
-        if swapped != expected:
-            raise GeometryError(f"kernel {self.name!r} fails its exchange symmetry")
-        w = inner_variable()
-        m, coeffs = local_expansion(self.bifunction, RatFunc(Poly([QI_ZERO, QI_ONE])), 0)
-        # expansion of F(u1, u2) at u1 = u2: leading coefficient must be 1
-        if m != self.diagonal_order or coeffs[0] != RatFunc.const(QI_ONE):
-            raise GeometryError(
-                f"kernel {self.name!r} has wrong diagonal behaviour"
-            )
-
     def section_at(self, z) -> RatFunc:
-        """K(u, z) as a rational function of u (exact substitution of u2=z)."""
-        def specialize(p: Poly) -> Poly:
-            return Poly([_spec_inner(c, z) for c in p.coeffs])
-
-        return RatFunc(specialize(self.bifunction.num), specialize(self.bifunction.den))
+        """K(u, z) = (u-z)^-k as a rational function of u."""
+        return atom_ratfunc(("pole", z, self.diagonal_order))
 
     def value(self, z1, z2):
-        return subst(self.section_at(z2), z1)
+        return atom_eval(("pole", z2, self.diagonal_order), z1)
 
 
 def bergman_genus0() -> Kernel:
-    return Kernel("bergman_genus0", omega_bifunction(), +1, 2)
+    return Kernel("bergman_genus0", 2)
 
 
 def szego_genus0() -> Kernel:
-    x = outer_variable()
-    w = inner_variable()
-    return Kernel("szego_genus0", 1 / (x - w), -1, 1)
+    return Kernel("szego_genus0", 1)
 
 
 def kernel_by_name(name: str) -> Kernel:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 
 from .exactnum import GaussRational, QI_ONE, QI_ZERO, RatFunc, is_rational_scalar
-from .geometry import atom_ratfunc, atom_sort_key
+from .geometry import atom_deriv_eval, atom_eval, atom_sort_key
 from .states import DomainError, LinComb, add_term
 
 __all__ = [
@@ -300,13 +300,13 @@ class LatticeTheory:
         for (mon, section, tdu), coeff in state.terms.items():
             if section.multiplicity(z):
                 raise DomainError("field point sits on a section root")
+            _require_regular(mon, z)
             # derivation over the function factors: alpha -> -d alpha(z)
             for i in range(len(mon)):
                 if i > 0 and mon[i] == mon[i - 1]:
                     continue
                 mult = sum(1 for a in mon if a == mon[i])
-                f = atom_ratfunc(mon[i]).derivative()
-                val = -(f.num.evaluate(z) / f.den.evaluate(z))
+                val = -atom_deriv_eval(mon[i], z, 1)
                 rest = mon[:i] + mon[i + 1:]
                 add_term(out, (rest, section, tdu + 2), coeff * val * mult)
             # vacuum-sector response: -sqrt(N) (log f)'(z)
@@ -348,6 +348,7 @@ class LatticeTheory:
         for (mon, section, tdu), coeff in state.terms.items():
             if section.multiplicity(z):
                 raise DomainError("evaluation point sits on a section root")
+            _require_regular(mon, z)
             value = section.value_at(z) ** (self.N * lam_check)
             if scale is not None:
                 value = value * _lat(self.N, scale) ** (self.N * lam_check)
@@ -356,7 +357,7 @@ class LatticeTheory:
             # value times -lambda
             pieces = [((), LatticeScalar(self.N, QI_ONE))]
             for atom in mon:
-                val = atom_eval_scalar(atom, z)
+                val = atom_eval(atom, z)
                 nxt = []
                 for atoms, w in pieces:
                     nxt.append((atoms + (atom,), w))
@@ -433,9 +434,7 @@ def _lat(N, s):
     return LatticeScalar(N, s)
 
 
-def atom_eval_scalar(atom, z):
-    f = atom_ratfunc(atom)
-    den = f.den.evaluate(z)
-    if not den:
-        raise DomainError(f"function factor {atom} singular at {z}")
-    return f.num.evaluate(z) / den
+def _require_regular(mon, z):
+    for atom in mon:
+        if atom[0] == "pole" and not (z - atom[1]):
+            raise DomainError(f"function factor {atom} singular at {z}")

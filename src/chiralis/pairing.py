@@ -16,18 +16,10 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial, perm
 
-from .exactnum import (
-    GaussRational,
-    INFINITY,
-    QI_ONE,
-    QI_ZERO,
-    RatFunc,
-    gauss_rational_roots,
-    residue_at,
-)
-from .geometry import antiderivative, atom_ratfunc
+from .exactnum import GaussRational, INFINITY, QI_ONE, QI_ZERO, RatFunc
+from .geometry import GeometryError, _atom_residue, atom_product, dec_atoms
 from .states import DomainError, SymState, monomial_state, vacuum
-from .symmetry import HeisenbergOp, heis_apply
+from .symmetry import HeisenbergOp, _phi_pole_parts, heis_apply
 
 __all__ = [
     "pair_P",
@@ -94,24 +86,13 @@ def heis_P_local_apply(phi: RatFunc, dual: SymState) -> SymState:
     infinity-site operator holds with a plus sign.
     """
     _check_dual(dual)
-
-    def value(atom):
-        return residue_at(phi * atom_ratfunc(atom), INFINITY)
-
-    out = dual.contract(value)
+    dec = _phi_pole_parts(phi)
+    atoms = dec_atoms(dec)
+    out = dual.contract(lambda atom: _atom_residue(atoms, atom, None))
     # creation: from the part of phi singular only at infinity (polynomials)
-    num, den = phi.num, phi.den
-    if den.degree == 0:
-        for m, coeff in enumerate(num.coeffs):
-            if m >= 1 and coeff:
-                out = out + dual.multiply_atom(("poly", m - 1), -coeff * m / den.coeffs[0])
-    else:
-        from .exactnum import partial_fractions
-
-        dec = partial_fractions(phi)
-        for m, coeff in enumerate(dec.polynomial.coeffs):
-            if m >= 1 and coeff:
-                out = out + dual.multiply_atom(("poly", m - 1), -coeff * m)
+    for m, coeff in enumerate(dec.polynomial.coeffs):
+        if m >= 1 and coeff:
+            out = out + dual.multiply_atom(("poly", m - 1), -coeff * m)
     return out
 
 
@@ -150,9 +131,19 @@ def heis_adjointness_check(phi: RatFunc, max_degree: int = 3) -> bool:
     return True
 
 
+def _atom_antiderivative(atom):
+    """(F, w): w F is the antiderivative of the form atom, (u-c)^(1-l)/(1-l) or u^(m+1)/(m+1)."""
+    if atom[0] == "poly":
+        return ("poly", atom[1] + 1), Fraction(1, atom[1] + 1)
+    if atom[2] == 1:
+        raise GeometryError("not a second-kind form: simple pole present")
+    return ("pole", atom[1], atom[2] - 1), Fraction(1, 1 - atom[2])
+
+
 def single_form_residue_pairing(dual_form: SymState, form: SymState):
     """Contour realization of the degree-1 pairing: sum of finite residues
-    of (antiderivative of the dual form) times the form."""
+    of (antiderivative of the dual form) times the form.  The residues are
+    the simple-pole coefficients of the atom product (``atom_product``)."""
     total = QI_ZERO
     for dmon, dc in dual_form.terms.items():
         if len(dmon) != 1:
@@ -160,11 +151,10 @@ def single_form_residue_pairing(dual_form: SymState, form: SymState):
         for mon, c in form.terms.items():
             if len(mon) != 1:
                 raise DomainError("single-form pairing needs degree-1 inputs")
-            fprime = antiderivative(atom_ratfunc(dmon[0]))
-            alpha = atom_ratfunc(mon[0])
-            prod = fprime * alpha
-            for root in gauss_rational_roots(prod.den):
-                total = total + dc * c * residue_at(prod, root)
+            F, w = _atom_antiderivative(dmon[0])
+            for p, co in atom_product(F, mon[0]):
+                if p[0] == "pole" and p[2] == 1:
+                    total = total + dc * c * w * co
     return total
 
 

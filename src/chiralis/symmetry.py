@@ -25,7 +25,15 @@ from .exactnum import (
     partial_fractions,
     residue_at,
 )
-from .geometry import VectorField, atom_derivative, atom_product, dec_atoms, lie_atom
+from .geometry import (
+    VectorField,
+    _atom_residue,
+    _binom,
+    atom_derivative,
+    atom_product,
+    dec_atoms,
+    lie_atom,
+)
 from .states import DomainError, SymState, add_term, monomial_state, vacuum
 
 __all__ = [
@@ -78,51 +86,15 @@ def _phi_pole_parts(phi: RatFunc):
     return dec
 
 
-def _binom(x: int, r: int) -> int:
-    """C(x, r) for any integer x and r >= 0."""
-    out = 1
-    for t in range(r):
-        out = out * (x - t) // (t + 1)
-    return out
-
-
-def _pair_residue(x, y, o):
-    """Res_{u=o} x(u) y(u) du for two atoms: one binomial times one power."""
-    if x[0] == "poly" or (y[0] == "pole" and y[1] == o):
-        x, y = y, x
-    if x[0] == "poly" or x[1] != o:
-        return 0  # no factor has a pole at o
-    k = x[2]
-    if y[0] == "poly":
-        m = y[1]
-        return _binom(m, k - 1) * o ** (m - k + 1) if m >= k - 1 else 0
-    if y[1] == o:
-        return 0
-    return _binom(-y[2], k - 1) * (o - y[1]) ** (1 - k - y[2])
-
-
-def _atom_residue(dec, atom, o):
-    """Res_o phi(u) atom(u) du from phi's pole parts dec; o None is infinity."""
-    if o is None:
-        poles = {a for a, _, _ in dec.terms} | ({atom[1]} if atom[0] == "pole" else set())
-        return -sum((_atom_residue(dec, atom, p) for p in poles), QI_ZERO)
-    out = QI_ZERO
-    for factor, g in dec_atoms(dec):
-        r = _pair_residue(factor, atom, o)
-        if r and g:
-            out = out + g * r
-    return out
-
-
 def _singular_parts(dec, o):
     """The pole parts (c, j, g) that create at o: those at o, every one at infinity (None)."""
     return [(c, j, g) for c, j, g in dec.terms if o is None or c == o]
 
 
-def _atom_derivative_residue(dec, atom, o):
+def _atom_derivative_residue(atoms, atom, o):
     """Res_o phi(u) atom'(u) du, with atom' from ``geometry.atom_derivative``."""
     d, w = atom_derivative(atom)
-    return w * _atom_residue(dec, d, o) if w else QI_ZERO
+    return w * _atom_residue(atoms, d, o) if w else QI_ZERO
 
 
 def heis_apply(op: HeisenbergOp, state: SymState) -> SymState:
@@ -146,13 +118,14 @@ def heis_apply(op: HeisenbergOp, state: SymState) -> SymState:
     phi = op.testfn
     site = op.site
     dec = _phi_pole_parts(phi)
+    atoms = dec_atoms(dec)
     sign = 1 if site.is_infinity else -1
 
     def value(atom):
         key = (phi, site.value, atom)
         cached = _HEIS_VALUE_CACHE.get(key)
         if cached is None:
-            cached = _atom_residue(dec, atom, site.value) * sign
+            cached = _atom_residue(atoms, atom, site.value) * sign
             _HEIS_VALUE_CACHE[key] = cached
         return cached
 
@@ -224,7 +197,8 @@ def mode_b(l: int, state: SymState, site_point=QI_ZERO) -> SymState:
         dec = PartialFractions(Poly([]), [(o, -l, QI_ONE)])
     else:
         dec = PartialFractions(Poly([_binom(l, n) * (-o) ** (l - n) for n in range(l + 1)]), [])
-    return _contract_and_create(dec, o, state, lambda atom: -_atom_residue(dec, atom, o))
+    atoms = dec_atoms(dec)
+    return _contract_and_create(dec, o, state, lambda atom: -_atom_residue(atoms, atom, o))
 
 
 # ---------------------------------------------------------------------------
@@ -280,11 +254,12 @@ def vir_apply(op: VirasoroOp, state: SymState) -> SymState:
     o = op.site.value
     _check_vir_domain(state, op.site)
     dec = _phi_pole_parts(op.X.xi)
+    atoms = dec_atoms(dec)
     sign = 1 if op.site.is_infinity else -1
     pairs = {}
     for mon, c in state.terms.items():
         for i, j in itertools.combinations(range(len(mon)), 2):
-            val = sum((w * _atom_residue(dec, p, o) for p, w in atom_product(mon[i], mon[j])), QI_ZERO)
+            val = sum((w * _atom_residue(atoms, p, o) for p, w in atom_product(mon[i], mon[j])), QI_ZERO)
             if val:
                 add_term(pairs, mon[:i] + mon[i + 1: j] + mon[j + 1:], c * sign * val)
 
@@ -429,9 +404,10 @@ def heis_insertion_apply(op: HeisenbergOp, state: SymState) -> SymState:
         raise DomainError("site is not an insertion point")
 
     dec = _phi_pole_parts(phi)
+    atoms = dec_atoms(dec)
 
     def value(atom):
-        return -_atom_derivative_residue(dec, atom, zl)
+        return -_atom_derivative_residue(atoms, atom, zl)
 
     out = state.contract(value)
     # phi = phi_reg + phi_s, phi_s its pole part at the site: phi_reg acts by
@@ -456,9 +432,10 @@ def heis_P_with_insertions(phi: RatFunc, insertions, state: SymState) -> SymStat
     weights = [(coerce_scalar(p.value if isinstance(p, Point) else p), lam)
                for p, lam in insertions]
     dec = _phi_pole_parts(phi)
+    atoms = dec_atoms(dec)
 
     def value(atom):
-        return _atom_derivative_residue(dec, atom, None)
+        return _atom_derivative_residue(atoms, atom, None)
 
     out = state.contract(value)
     # the pole parts of phi (regular at infinity) act by multiplication; the

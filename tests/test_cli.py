@@ -287,6 +287,9 @@ class TestPairLatticeExitCodes:
         {"section": [["x", 1]]},
         {"section": [["1"]]},
         [],
+        # a contraction at a pole of a function factor is outside the domain
+        {"section": [], "ops": [{"op": "epsilon", "z": "3"}, {"op": "iota", "z": "3"}]},
+        {"section": [], "ops": [{"op": "epsilon", "z": "3"}, {"op": "j", "z": "3"}]},
     ])
     def test_malformed_lattice_script(self, tmp_path, capsys, script):
         path = tmp_path / "ops.json"

@@ -31,18 +31,32 @@ from chiralis.current import (
     three_point_closed_form,
     trivial_rep,
 )
-from chiralis.current import _left_multiply, _loop_product
+from chiralis import current, exactnum, fermion, geometry, pairing, symmetry
+from chiralis.current import (
+    _convert_reciprocal_word_to_origin,
+    _dual_gen_atoms,
+    _left_multiply,
+    _loop_product,
+)
 from chiralis.exactnum import (
     GaussRational,
     QI_ONE,
     RatFunc,
+    partial_fractions,
     partial_fractions_known,
     qi,
     residue_at,
 )
+from chiralis.geometry import bergman_genus0, dec_atoms
 from chiralis.sampling import rand_distinct_scalars, rand_scalar
-from chiralis.states import DomainError
+from chiralis.states import DomainError, monomial_state
 
+from current_oracle import (
+    J_P_apply_oracle,
+    J_site_apply_oracle,
+    convert_reciprocal_word_oracle,
+    residue_pair_degree_one_oracle,
+)
 from tower_oracle import current_expand_tower, current_pair_tower
 
 SL2 = sl2_algebra()
@@ -631,3 +645,140 @@ class TestCachesKeyOnStructure:
         assert pbw_normalize(fake, word) == fake_pbw
         assert LieAlgebra("other", ("e", "f", "h"), {}, {(0, 1): 5, (2, 2): 1}).key == fake.key
         assert fake.key != real.key
+
+
+def _rand_nu(rng, sites, off_sites):
+    """A Lie-valued function with poles on and off the sites, polynomial and constant parts."""
+    nu = {}
+    for label in rng.sample(("e", "h", "f"), rng.randint(1, 3)):
+        f = RatFunc.const(rand_scalar(rng)) if rng.random() < 0.5 else RatFunc.const(qi(0))
+        for c in rng.sample(sites + off_sites, rng.randint(1, 2)):
+            f = f + rand_scalar(rng) / (U - c) ** rng.randint(1, 3)
+        if rng.random() < 0.5:
+            f = f + rand_scalar(rng) * U ** rng.randint(1, 2)
+        nu[label] = f
+    if rng.random() < 0.3:
+        nu["h"] = rand_scalar(rng)  # a bare scalar component
+    return nu
+
+
+class TestKnownPoles:
+    """The atom closed forms against the RatFunc oracles they replace, and a
+    pin that the site check runs the generic machinery only on its inputs."""
+
+    SITES = [qi(0), qi(1)]
+    OFF_SITES = [qi(-2), qi(1, 1), qi(Fraction(1, 2), -1)]
+
+    def ctx(self):
+        return InsertionContext(SL2, [(z, sl2_fundamental()) for z in self.SITES])
+
+    def test_site_operators_match_oracle(self):
+        rng = random.Random(1301)
+        ctx = self.ctx()
+        for k in range(24):
+            length = 1 + k % 2
+            word = tuple((rng.randrange(3), rng.choice(self.SITES + self.OFF_SITES), rng.randint(1, 2))
+                         for _ in range(length))
+            s = pbw_normalize(SL2, word, (rng.randint(0, 1), rng.randint(0, 1)), rand_scalar(rng), ctx)
+            nu = _rand_nu(rng, self.SITES, self.OFF_SITES)
+            for site in (0, 1):
+                assert J_site_apply(SL2, nu, site, s) == J_site_apply_oracle(SL2, nu, site, s), (nu, s)
+            assert J_P_apply(SL2, nu, s) == J_P_apply_oracle(SL2, nu, s), (nu, s)
+            bare = CurrentState(s.terms)  # no insertions: J_P only multiplies and contracts
+            assert J_P_apply(SL2, nu, bare) == J_P_apply_oracle(SL2, nu, bare), (nu, s)
+
+    @pytest.mark.parametrize("ctil", [qi(Fraction(1, 2)), qi(-3), qi(1, -1), qi(Fraction(1, 3), Fraction(-2, 5))])
+    def test_reciprocal_atoms_match_partial_fractions(self, ctil):
+        for l in range(1, 5):
+            f = (1 / (1 / U - ctil)) ** l
+            # the root search gives up on 1/c~ for the last c~; its pole is known
+            dec = partial_fractions(f) if ctil.norm() != Fraction(61, 225) else partial_fractions_known(f, [1 / ctil])
+            assert sorted(_dual_gen_atoms(ctil, l), key=repr) == sorted(dec_atoms(dec), key=repr)
+        assert _dual_gen_atoms(qi(0), 3) == [(("poly", 3), QI_ONE)]
+
+    def test_reciprocal_conversion_matches_oracle(self):
+        rng = random.Random(1303)
+        points = [qi(Fraction(1, 2)), qi(Fraction(-2, 3)), qi(0, Fraction(3, 4)), qi(Fraction(1, 2), Fraction(1, 2))]
+        for l in range(1, 5):
+            for ctil in points:
+                word = ((rng.randrange(3), ctil, l),)
+                assert _convert_reciprocal_word_to_origin(SL2, word, qi(2)) == convert_reciprocal_word_oracle(
+                    SL2, word, qi(2)
+                )
+                word = word + ((rng.randrange(3), rng.choice(points), rng.randint(1, 4)),)
+                assert _convert_reciprocal_word_to_origin(SL2, word, qi(-1)) == convert_reciprocal_word_oracle(
+                    SL2, word, qi(-1)
+                )
+        with pytest.raises(DomainError):
+            _convert_reciprocal_word_to_origin(SL2, ((0, qi(0), 2),), QI_ONE)
+
+    def test_base_point_past_the_root_search(self):
+        # the root search on (u/(1 - c~u))^4 gave up on the pole 1/c~
+        assert base_point_independence_check(SL2, "e", qi(3), ((0, qi(Fraction(1, 3), Fraction(-1, 2)), 4),))
+
+    def test_degree_one_matches_oracle_on_disc_points(self):
+        # the 200 seeded disc-point pairs of the degree-one pairing test
+        rng = random.Random(1401)
+
+        def disc_point():
+            while True:
+                z = qi(
+                    Fraction(rng.randint(-6, 6), rng.randint(1, 9)),
+                    Fraction(rng.randint(-6, 6), rng.randint(1, 9)),
+                )
+                if z.norm() < 1:
+                    return z
+
+        for k in range(200):
+            algebra = (SL2, AB)[k % 2]
+            dual = (rng.randrange(algebra.dim), disc_point(), rng.randint(1, 3))
+            gen = (rng.randrange(algebra.dim), disc_point(), rng.randint(1, 3))
+            expected = residue_pair_degree_one_oracle(algebra, dual, gen)
+            assert residue_pair_degree_one(algebra, dual, gen) == expected, (dual, gen)
+        # a dual point outside the disc puts 1/c~ inside, and c~ = 0 is u^l
+        for dual in ((0, qi(2, 1), 2), (0, qi(0), 3)):
+            for gen in ((2, qi(Fraction(1, 3)), 1), (2, qi(Fraction(1, 2), Fraction(1, 5)), 2)):
+                expected = residue_pair_degree_one_oracle(SL2, dual, gen)
+                assert residue_pair_degree_one(SL2, dual, gen) == expected, (dual, gen)
+
+    def test_no_generic_path(self, monkeypatch):
+        # the site check decomposes each distinct nu component once (its one
+        # root search and partial fractions) and finds no pole again; the
+        # other operators below know their poles from the start
+        calls = []
+        names = ("residue_at", "partial_fractions", "form_to_atoms", "gauss_rational_roots")
+        for module in (exactnum, geometry, symmetry, current, pairing, fermion):
+            for name in names:
+                fn = getattr(module, name, None)
+                if fn is not None:
+                    def counting(*args, _fn=fn, _name=name, **kwargs):
+                        calls.append(_name)
+                        return _fn(*args, **kwargs)
+                    monkeypatch.setattr(module, name, counting)
+        monkeypatch.setattr(symmetry, "_PF_CACHE", {})
+        ctx = self.ctx()
+        nu1 = {"e": 1 / U ** 2, "h": RatFunc.const(qi(3, 1))}
+        nu2 = {"f": 1 / (U - 1) ** 2}
+        nu = {"e": 1 / U + U * qi(2, -1), "f": 1 / (U - 1) ** 2}
+        distinct = len({f for n in (nu1, nu2, nu) for f in n.values()})
+        states = [
+            current_vacuum(ctx, (0, 1)),
+            pbw_normalize(SL2, ((0, qi(0), 1),), (0, 1), qi(2), ctx),
+            pbw_normalize(SL2, ((0, qi(0), 1), (2, qi(1), 2)), (1, 0), qi(2), ctx),
+        ]
+        for s in states:
+            lhs = J_site_apply(SL2, nu1, 0, J_site_apply(SL2, nu2, 1, s))
+            assert lhs == J_site_apply(SL2, nu2, 1, J_site_apply(SL2, nu1, 0, s))
+            total = J_site_apply(SL2, nu, 0, s) + J_site_apply(SL2, nu, 1, s)
+            assert total == J_P_apply(SL2, nu, s)
+        assert calls.count("gauss_rational_roots") <= distinct
+        assert calls.count("partial_fractions") <= distinct
+        assert set(calls) <= {"gauss_rational_roots", "partial_fractions"}
+
+        calls.clear()
+        assert base_point_independence_check(SL2, "h", qi(5), ((0, qi(Fraction(1, 2)), 1), (2, qi(0, -1), 3)))
+        residue_pair_degree_one(SL2, (0, qi(Fraction(1, 3), 1), 4), (2, qi(Fraction(1, 2)), 2))
+        fermion.KernelBoson(bergman_genus0()).b_apply(qi(3), monomial_state([("pole", qi(0), 2)]))
+        dual = monomial_state([("pole", qi(2), 3)])
+        pairing.single_form_residue_pairing(dual, monomial_state([("pole", qi(0, 1), 2)]))
+        assert calls == []

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -12,22 +13,27 @@ from chiralis.geometry import (
     atom_ratfunc,
     bergman_genus0,
     form_to_atoms,
-    inner_variable,
     interior_product,
     is_second_kind,
     kernel_by_name,
     lie_derivative,
     mobius_pushforward,
-    omega_bifunction,
-    outer_variable,
-    subst,
-    swap_bifunction,
     szego_genus0,
 )
 from chiralis.exactnum import local_expansion
 from chiralis.sampling import rand_ratfunc, rand_scalar
 
-from vir_oracle import bifunction_atom_matrix, lie_derivative_bidiff, omega_x_bifunction
+from vir_oracle import (
+    _spec_inner,
+    bifunction_atom_matrix,
+    inner_variable,
+    lie_derivative_bidiff,
+    omega_bifunction,
+    omega_x_bifunction,
+    outer_variable,
+    subst,
+    swap_bifunction,
+)
 
 U = RatFunc.variable(GaussRational(1))
 
@@ -178,11 +184,24 @@ class TestKernels:
         assert k.value(qi(0), qi(1)) == qi(-1)
         assert k.value(qi(1), qi(0)) == qi(1)
 
-    def test_asymmetric_kernel_rejected(self):
+    def test_order_below_one_rejected(self):
+        for order in (0, -2):
+            with pytest.raises(GeometryError):
+                Kernel("regular", order)
+
+    def test_matches_bivariate_tower(self):
+        # the closed form against the tower it replaces: parity is the
+        # exchange symmetry, and section and value substitute u2 and u1
         x, w = outer_variable(), inner_variable()
-        bad = 1 / ((x - w) * (x - w)) + x
-        with pytest.raises(GeometryError):
-            Kernel("perturbed", bad, +1, 2)
+        for k in (1, 2, 3, 4):
+            tower = 1 / (x - w) ** k
+            kernel = Kernel("order", k)
+            assert kernel.diagonal_order == k
+            assert swap_bifunction(tower) == kernel.parity * tower
+            for z1, z2 in ((qi(0), qi(1)), (qi(2, -1), qi(Fraction(1, 3), 2))):
+                section = RatFunc(*(Poly([_spec_inner(c, z2) for c in p.coeffs]) for p in (tower.num, tower.den)))
+                assert kernel.section_at(z2) == section
+                assert kernel.value(z1, z2) == subst(section, z1)
 
 
 class TestAtoms:

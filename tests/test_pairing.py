@@ -4,10 +4,20 @@ from fractions import Fraction
 import pytest
 
 from chiralis.boson import e_apply, i_apply
-from chiralis.exactnum import GaussRational, RatFunc, qi
+from chiralis.exactnum import (
+    INFINITY,
+    GaussRational,
+    RatFunc,
+    gauss_rational_roots,
+    partial_fractions,
+    qi,
+    residue_at,
+)
+from chiralis.geometry import GeometryError, antiderivative, atom_ratfunc
 from chiralis.pairing import (
     gram_entry_closed_form,
     gram_matrix,
+    heis_P_local_apply,
     heis_adjointness_check,
     hermitian_inner_O,
     hermitian_inner_disc,
@@ -249,6 +259,55 @@ class TestHeisAdjointness:
         rng = random.Random(101)
         for _ in range(4):
             assert heis_adjointness_check(rand_ratfunc(rng, max_poles=2))
+
+
+def heis_P_local_oracle(phi, dual):
+    """The P-local operator through residue_at and a fresh partial-fraction split."""
+    out = dual.contract(lambda atom: residue_at(phi * atom_ratfunc(atom), INFINITY))
+    for m, coeff in enumerate(partial_fractions(phi).polynomial.coeffs):
+        if m >= 1 and coeff:
+            out = out + dual.multiply_atom(("poly", m - 1), -coeff * m)
+    return out
+
+
+def single_form_oracle(dual_form, form):
+    """The single-form pairing through antiderivative, a root search and residue_at."""
+    total = qi(0)
+    for (datom,), dc in dual_form.terms.items():
+        for (atom,), c in form.terms.items():
+            prod = antiderivative(atom_ratfunc(datom)) * atom_ratfunc(atom)
+            for root in gauss_rational_roots(prod.den):
+                total = total + dc * c * residue_at(prod, root)
+    return total
+
+
+class TestKnownPolePairings:
+    def test_P_local_matches_oracle(self):
+        rng = random.Random(1307)
+        duals = [vacuum(), dual_mono(0), dual_mono(1, 3), dual_mono(0, 0, 2)]
+        for _ in range(12):
+            phi = rand_ratfunc(rng, max_poles=2)
+            if rng.random() < 0.5:
+                phi = phi + rand_scalar(rng) * U ** rng.randint(1, 3)
+            for d in duals:
+                d = d.scale(rand_scalar(rng))
+                assert heis_P_local_apply(phi, d) == heis_P_local_oracle(phi, d), (phi, d)
+
+    def test_single_form_matches_oracle(self):
+        rng = random.Random(1309)
+        pool = [qi(0), qi(2), qi(1, -1), qi(Fraction(1, 2), 1)]
+        for _ in range(40):
+            atoms = []
+            for _ in range(2):
+                if rng.random() < 0.3:
+                    atoms.append(("poly", rng.randint(0, 3)))
+                else:
+                    atoms.append(("pole", rng.choice(pool), rng.randint(2, 4)))
+            dual = monomial_state([atoms[0]], rand_scalar(rng))
+            form = monomial_state([atoms[1]], rand_scalar(rng))
+            assert single_form_residue_pairing(dual, form) == single_form_oracle(dual, form), atoms
+        with pytest.raises(GeometryError):
+            single_form_residue_pairing(monomial_state([("pole", qi(1), 1)]), monomial_state([("poly", 0)]))
 
 
 def _cofactor_det(rows):

@@ -14,13 +14,12 @@ from chiralis.exactnum import (
     qi,
     residue_at,
 )
-from chiralis.geometry import VectorField, atom_ratfunc
+from chiralis.geometry import VectorField, _atom_residue, atom_ratfunc, dec_atoms
 from chiralis.sampling import rand_ratfunc, rand_scalar
 from chiralis.states import DomainError, SymState, monomial_state, vacuum
 from chiralis.symmetry import (
     HeisenbergOp,
     _atom_derivative_residue,
-    _atom_residue,
     L_mode,
     bracket_L_b,
     heis_apply,
@@ -169,10 +168,10 @@ class TestClosedFormResidues:
     def test_matches_residue_at(self):
         for site, (poly, parts, atom) in self.draws():
             phi = _ratfunc_of(poly, parts)
-            dec = PartialFractions(Poly(poly), parts)
+            atoms = dec_atoms(PartialFractions(Poly(poly), parts))
             a = atom_ratfunc(atom)
-            assert _atom_residue(dec, atom, site.value) == residue_at(phi * a, site), (site, atom)
-            assert _atom_derivative_residue(dec, atom, site.value) == residue_at(
+            assert _atom_residue(atoms, atom, site.value) == residue_at(phi * a, site), (site, atom)
+            assert _atom_derivative_residue(atoms, atom, site.value) == residue_at(
                 phi * a.derivative(), site
             ), (site, atom)
 
@@ -203,7 +202,7 @@ class TestClosedFormResidues:
                 expected = -sympy.residue(f.subs(u, 1 / t) / t ** 2, t, 0)
             else:
                 expected = sympy.residue(f, u, sym(site.value))
-            got = _atom_residue(PartialFractions(Poly(poly), parts), atom, site.value)
+            got = _atom_residue(dec_atoms(PartialFractions(Poly(poly), parts)), atom, site.value)
             assert sympy.simplify(sym(got) - expected) == 0, (site, atom)
 
     @pytest.mark.parametrize("site", [qi(0), INFINITY])

@@ -31,10 +31,9 @@ from chiralis.current import (
     pbw_normalize,
 )
 from chiralis.exactnum import GaussRational, Poly, QI_ONE, QI_ZERO, RatFunc, coerce_scalar, local_expansion
-from chiralis.geometry import inner_variable, outer_variable, subst
 from chiralis.states import DomainError, SymState, monomial_state
 
-from vir_oracle import inner_derivative
+from vir_oracle import inner_derivative, inner_variable, outer_variable, subst
 
 
 def _one_of_state(state: CurrentState):

@@ -5,8 +5,8 @@ binomial closed forms.  This module computes the same action the generic
 way, on rational functions:
 
 * pairs: ``residue_at`` of xi a_i a_j at the site;
-* Lie term: ``form_to_atoms`` of (xi a)', with xi's poles found by root
-  search, projected to the site;
+* Lie term: the partial fractions of (xi a)', with xi's poles found by
+  root search, projected to the site;
 * creation: the symmetric state of the Lie derivative of the invariant
   bidifferential omega = du1 du2/(u1-u2)^2 along the doubled singular part
   of xi (``lie_derivative_bidiff`` -> ``bifunction_atom_matrix``).
@@ -15,10 +15,12 @@ The generic creation costs seconds per call, and on a singular part with
 two poles its pole search can fail, so ``vir_apply_oracle(..., split=True)``
 sums the creation over the pole parts one pole at a time.
 
-The bivariate calculus behind the creation (the closed form omega_X,
-d/du2 of a bivariate function, the Lie derivative of a bidifferential and
-its expansion in pairs of form atoms) lives here too: the closed forms
-in ``chiralis`` no longer need it.
+The bivariate calculus behind the creation (rational functions of u1
+over rational functions of u2, the invariant bidifferential, the exchange
+u1 <-> u2, the closed form omega_X, d/du2 of a bivariate function, the
+Lie derivative of a bidifferential and its expansion in pairs of form
+atoms) lives here too: the closed forms in ``chiralis``, the genus-0
+kernels (u1-u2)^-k among them, no longer need it.
 """
 
 from __future__ import annotations
@@ -39,15 +41,9 @@ from chiralis.exactnum import (
 from chiralis.geometry import (
     GeometryError,
     VectorField,
-    _as_inner,
-    _spec_inner,
     atom_ratfunc,
     atom_sort_key,
-    form_to_atoms,
-    inner_variable,
-    omega_bifunction,
-    outer_variable,
-    subst,
+    dec_atoms,
 )
 from chiralis.states import SymState, add_term
 
@@ -55,6 +51,84 @@ from chiralis.states import SymState, add_term
 # ---------------------------------------------------------------------------
 # Bivariate calculus (rational functions of u1 over rational functions of u2)
 # ---------------------------------------------------------------------------
+
+
+def outer_variable() -> RatFunc:
+    return RatFunc.variable(RatFunc.const(QI_ONE))
+
+
+def inner_variable() -> RatFunc:
+    return RatFunc.variable(QI_ONE)
+
+
+def subst(f: RatFunc, value):
+    """f evaluated at an arbitrary scalar-like value (exact substitution)."""
+    return f.num.evaluate(value) / f.den.evaluate(value)
+
+
+def omega_bifunction() -> RatFunc:
+    """The invariant bidifferential 1/(u1-u2)^2 (hatted)."""
+    x = outer_variable()
+    w = inner_variable()
+    return 1 / ((x - w) * (x - w))
+
+
+def swap_bifunction(F: RatFunc) -> RatFunc:
+    """Exchange u1 and u2 in a bivariate rational function."""
+    pm, qm = _nested_to_bivar(F)
+    return _bivar_to_nested(_transpose(pm), _transpose(qm))
+
+
+def _nested_to_bivar(F: RatFunc):
+    def clear(p: Poly):
+        dens = Poly([QI_ONE])
+        for c in p.coeffs:
+            c = _as_inner(c)
+            g = dens.gcd(c.den)
+            dens = dens * (c.den // g)
+        rows = []
+        for c in p.coeffs:
+            c = _as_inner(c)
+            scaled = c.num * (dens // c.den)
+            rows.append(list(scaled.coeffs))
+        return rows, dens
+
+    pn, dn = clear(F.num)
+    pd, dd = clear(F.den)
+    # F = (pn/dn) / (pd/dd) = (pn*dd) / (pd*dn) as bivariate polynomials
+    return _mat_scale_poly(pn, dd), _mat_scale_poly(pd, dn)
+
+
+def _as_inner(c) -> RatFunc:
+    if isinstance(c, RatFunc):
+        return c
+    return RatFunc(Poly([c]))
+
+
+def _mat_scale_poly(rows, inner_poly: Poly):
+    return [list((Poly(row) * inner_poly).coeffs) for row in rows]
+
+
+def _transpose(rows):
+    width = max((len(r) for r in rows), default=0)
+    out = [[QI_ZERO] * len(rows) for _ in range(width)]
+    for i, row in enumerate(rows):
+        for j, c in enumerate(row):
+            out[j][i] = c
+    return out
+
+
+def _bivar_to_nested(pm, qm) -> RatFunc:
+    def build(rows) -> Poly:
+        return Poly([RatFunc(Poly(row)) for row in rows])
+
+    return RatFunc(build(pm), build(qm))
+
+
+def _spec_inner(c, value):
+    if isinstance(c, RatFunc):
+        return subst(c, value)
+    return c
 
 
 def omega_x_bifunction(X: VectorField) -> RatFunc:
@@ -193,7 +267,10 @@ def lie_image(xi: RatFunc, atom) -> dict:
     poles = list(gauss_rational_roots(xi.den))
     if atom[0] == "pole":
         poles.append(atom[1])
-    return form_to_atoms(xi * a.derivative() + xi.derivative() * a, poles=poles)
+    dec = partial_fractions_known(xi * a.derivative() + xi.derivative() * a, poles)
+    if any(order == 1 for _, order, _ in dec.terms):
+        raise GeometryError("form has a nonzero residue (not second kind)")
+    return dict(dec_atoms(dec))
 
 
 def lie_action(X, state: SymState) -> SymState:
