@@ -10,13 +10,14 @@ become exact truncated Laurent series) and reading off the orders.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
+from math import factorial
 
-from .exactnum import GaussRational, QI_ONE, QI_ZERO, RatFunc
-from .geometry import atom_deriv_eval, atom_eval, lie_atom
+from .exactnum import GaussRational, QI_ONE, RatFunc
+from .geometry import atom_deriv_eval, atom_eval, bergman_genus0, lie_atom
 from .jets import SLACK, coerce_scalar_or_jet, jet_point, moved_expansion, with_jet_retry
-from .states import DomainError, SymState, monomial_state, vacuum
+from .states import (DomainError, SymState, drop_above_degree, monomial_state, require_distinct,
+                     require_regular, vacuum)
 from .symmetry import _phi_pole_parts
 
 __all__ = [
@@ -53,12 +54,6 @@ BosonState = SymState
 FuncState = SymState
 
 
-def _check_form_domain(state: SymState, z):
-    for atom in state.atoms():
-        if atom[0] == "pole" and not (z - atom[1]):
-            raise DomainError(f"state has a basis pole at the field point {z}")
-
-
 # ---------------------------------------------------------------------------
 # The four basic fields (hatted)
 # ---------------------------------------------------------------------------
@@ -77,23 +72,20 @@ def e_deriv_apply(z, order: int, state: SymState) -> SymState:
     -(l+1)!/(u-z)^(l+2).
     """
     z = coerce_scalar_or_jet(z)
-    fact = 1
-    for k in range(2, order + 2):
-        fact *= k
-    return state.multiply_atom(("pole", z, order + 2), -fact * QI_ONE)
+    return state.multiply_atom(("pole", z, order + 2), -factorial(order + 1) * QI_ONE)
 
 
 def i_apply(z, state: SymState) -> SymState:
     """The evaluation derivation at z: each basis form goes to -(its value at z)."""
     z = coerce_scalar_or_jet(z)
-    _check_form_domain(state, z)
+    require_regular(state.terms, z)
     return state.contract(lambda atom: -atom_eval(atom, z))
 
 
 def i_deriv_apply(z, order: int, state: SymState) -> SymState:
     """order-th coordinate derivative of the evaluation field."""
     z = coerce_scalar_or_jet(z)
-    _check_form_domain(state, z)
+    require_regular(state.terms, z)
     return state.contract(lambda atom: -atom_deriv_eval(atom, z, order))
 
 
@@ -108,10 +100,8 @@ def b_deriv_apply(z, order: int, state: SymState) -> SymState:
 def T_apply(z, state: SymState) -> SymState:
     """Energy field: half the normal-ordered square of b at z."""
     z = coerce_scalar_or_jet(z)
-    ii = i_apply(z, i_apply(z, state))
-    ee = e_apply(z, e_apply(z, state))
-    ei = e_apply(z, i_apply(z, state))
-    return (ii + ee + ei.scale(2)).scale(Fraction(1, 2))
+    iv = i_apply(z, state)
+    return (i_apply(z, iv) + e_apply(z, e_apply(z, state))).scale(Fraction(1, 2)) + e_apply(z, iv)
 
 
 def commutator_ie(z1, z2, state: SymState | None = None):
@@ -136,46 +126,26 @@ def commutator_ie(z1, z2, state: SymState | None = None):
 # ---------------------------------------------------------------------------
 
 
-def _pair_partitions(indices):
-    if not indices:
-        yield []
-        return
-    first, rest = indices[0], indices[1:]
-    for k, second in enumerate(rest):
-        for tail in _pair_partitions(rest[:k] + rest[k + 1:]):
-            yield [(first, second)] + tail
-
-
 def npoint_wick(points) -> GaussRational:
     """Pair-partition sum of products of 1/(z_a - z_b)^2."""
     pts = [coerce_scalar_or_jet(p) for p in points]
-    _require_distinct(pts)
-    n = len(pts)
-    if n % 2:
-        return QI_ZERO
-    total = QI_ZERO
-    for pairing in _pair_partitions(list(range(n))):
-        term = QI_ONE
-        for a, b in pairing:
-            term = term / (pts[a] - pts[b]) ** 2
-        total = total + term
-    return total
+    require_distinct(pts)
+    return bergman_genus0().matching_sum(pts)
 
 
 def npoint_operator(points) -> GaussRational:
-    """Vacuum component of the composed field product at the given points."""
+    """Vacuum component of the composed field product at the given points.
+
+    Each field moves a term's degree by one, so with ``left`` fields still
+    to apply a term of degree above ``left`` cannot reach the vacuum: such
+    terms are dropped after every field, and the value is unchanged.
+    """
     pts = [coerce_scalar_or_jet(p) for p in points]
-    _require_distinct(pts)
+    require_distinct(pts)
     state = vacuum()
-    for z in reversed(pts):
-        state = b_apply(z, state)
+    for left in range(len(pts) - 1, -1, -1):
+        state = drop_above_degree(b_apply(pts[left], state), left)
     return state.vacuum_coefficient()
-
-
-def _require_distinct(pts):
-    for a, b in itertools.combinations(range(len(pts)), 2):
-        if not (pts[a] - pts[b]):
-            raise DomainError("points must be pairwise distinct")
 
 
 # ---------------------------------------------------------------------------
@@ -238,10 +208,7 @@ class DerivedField(Field):
         if isinstance(self.base, _BField):
             return b_deriv_apply(z, self.order, state)
         expansion = expand_at_generic_point(self.base, z, state, self.order)
-        fact = 1
-        for k in range(1, self.order + 1):
-            fact *= k
-        return expansion.coefficient(self.order).scale(fact)
+        return expansion.coefficient(self.order).scale(factorial(self.order))
 
 
 class RenormProduct(Field):
@@ -376,7 +343,7 @@ def eps_apply(z, state: SymState) -> SymState:
 def iota_apply(z, state: SymState) -> SymState:
     """Derivation sending each basis function to minus its derivative's value."""
     z = coerce_scalar_or_jet(z)
-    _check_form_domain(state, z)
+    require_regular(state.terms, z)
     return state.contract(lambda atom: -atom_deriv_eval(atom, z, 1))
 
 

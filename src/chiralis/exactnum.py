@@ -1071,6 +1071,22 @@ def gauss_rational_roots(p: Poly) -> list:
 
 
 def _find_one_root(p: Poly):
+    """One root of p in Q(i), or None.  Where the candidate search gives up,
+    it searches the square-free part p / gcd(p, p') instead: the same roots,
+    with smaller coefficients."""
+    try:
+        root, failure = _search_one_root(p), None
+    except UnsupportedDenominatorError as exc:
+        root, failure = None, exc
+    reduced = p.divmod(p.gcd(p.derivative()))[0] if root is None else p
+    if reduced.degree < p.degree:
+        return _find_one_root(reduced)
+    if failure is not None:
+        raise failure
+    return root
+
+
+def _search_one_root(p: Poly):
     coeffs = list(p.coeffs)
     # strip u | p
     if not coeffs[0]:

@@ -14,8 +14,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exactnum import GaussRational, QI_ONE, QI_ZERO, coerce_scalar
-from .geometry import Kernel, atom_eval, atom_sort_key
-from .states import DomainError, LinComb, SymState, add_term
+from .geometry import Kernel, atom_eval, atom_sort_key, szego_genus0
+from .states import (AtomValues, DomainError, LinComb, SymState, add_term, drop_above_degree,
+                     require_distinct, require_regular)
 
 __all__ = [
     "ExtState",
@@ -69,19 +70,24 @@ class ExtState(LinComb):
             if hit is None:
                 continue
             sign, new = hit
-            add_term(out, new, c * coeff * sign)
+            term = c * coeff
+            add_term(out, new, term if sign > 0 else -term)
         return ExtState(out)
 
     def contract(self, value_of_atom):
-        """Signed contraction: sum_j (-1)^(j-1) value(atom_j) drop_j."""
+        """Signed contraction: sum_j (-1)^(j-1) value(atom_j) drop_j.
+
+        value_of_atom depends only on the atom, and is evaluated once per
+        distinct atom per call (``AtomValues``).
+        """
+        values = AtomValues(value_of_atom)
         out = {}
         for mon, c in self.terms.items():
             for j, atom in enumerate(mon):
-                val = value_of_atom(atom)
-                if not val:
-                    continue
-                sign = -1 if j % 2 else 1
-                add_term(out, mon[:j] + mon[j + 1:], c * val * sign)
+                val = values[atom]
+                if val:
+                    term = c * val
+                    add_term(out, mon[:j] + mon[j + 1:], -term if j % 2 else term)
         return ExtState(out)
 
     def __repr__(self):
@@ -105,10 +111,7 @@ def psi_e_apply(z, state: ExtState) -> ExtState:
 
 def psi_i_apply(z, state: ExtState) -> ExtState:
     z = coerce_scalar(z)
-    for mon in state.terms:
-        for atom in mon:
-            if atom[0] == "pole" and not (z - atom[1]):
-                raise DomainError("state has a section pole at the field point")
+    require_regular(state.terms, z)
     return state.contract(lambda atom: atom_eval(atom, z))
 
 
@@ -119,39 +122,19 @@ def psi_apply(z, state: ExtState) -> ExtState:
 def fermion_npoint(points) -> GaussRational:
     """Signed pair-partition sum of the odd kernel 1/(z_a - z_b)."""
     pts = [coerce_scalar(p) for p in points]
-    _distinct(pts)
-    return _pfaffian_sum(pts)
-
-
-def _pfaffian_sum(pts):
-    n = len(pts)
-    if n % 2:
-        return QI_ZERO
-    if n == 0:
-        return QI_ONE
-    total = QI_ZERO
-    first = pts[0]
-    for j in range(1, n):
-        sign = -1 if (j - 1) % 2 else 1
-        rest = pts[1:j] + pts[j + 1:]
-        total = total + sign / (first - pts[j]) * _pfaffian_sum(rest)
-    return total
+    require_distinct(pts)
+    return szego_genus0().matching_sum(pts)
 
 
 def fermion_npoint_operator(points) -> GaussRational:
+    """Vacuum component of the composed field product, degree-bounded as in
+    ``boson.npoint_operator``."""
     pts = [coerce_scalar(p) for p in points]
-    _distinct(pts)
+    require_distinct(pts)
     state = fermion_vacuum()
-    for z in reversed(pts):
-        state = psi_apply(z, state)
+    for left in range(len(pts) - 1, -1, -1):
+        state = drop_above_degree(psi_apply(pts[left], state), left)
     return state.vacuum_coefficient()
-
-
-def _distinct(pts):
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if not (pts[i] - pts[j]):
-                raise DomainError("points must be pairwise distinct")
 
 
 def mode_psi(l, state: ExtState) -> ExtState:
@@ -196,13 +179,6 @@ def bc_vacuum() -> BCState:
     return BCState({((), ()): QI_ONE})
 
 
-def _bc_domain_check(state: BCState, z, sector: int):
-    for key in state.terms:
-        for atom in key[sector]:
-            if atom[0] == "pole" and not (z - atom[1]):
-                raise DomainError("state has a section pole at the field point")
-
-
 def bc_apply(field: str, z, state: BCState) -> BCState:
     """Apply one of the sector fields; Koszul signs cross the first sector."""
     z = coerce_scalar(z)
@@ -213,7 +189,7 @@ def bc_apply(field: str, z, state: BCState) -> BCState:
             if hit is None:
                 continue
             sign, nb = hit
-            add_term(out, (nb, c), coeff * sign)
+            add_term(out, (nb, c), coeff if sign > 0 else -coeff)
     elif field == "c_e":
         # the twist-sector section reads the kernel in its second slot,
         # which is minus the pole atom: 1/(z - u)
@@ -222,27 +198,22 @@ def bc_apply(field: str, z, state: BCState) -> BCState:
             if hit is None:
                 continue
             sign, nc = hit
-            cross = -1 if len(b) % 2 else 1
-            add_term(out, (b, nc), -coeff * sign * cross)
-    elif field == "b_i":
-        _bc_domain_check(state, z, 1)
-        for (b, c), coeff in state.terms.items():
-            cross = -1 if len(b) % 2 else 1
-            for j, atom in enumerate(c):
-                val = atom_eval(atom, z)
-                if not val:
-                    continue
-                sign = -1 if j % 2 else 1
-                add_term(out, (b, c[:j] + c[j + 1:]), coeff * val * sign * cross)
-    elif field == "c_i":
-        _bc_domain_check(state, z, 0)
-        for (b, c), coeff in state.terms.items():
-            for j, atom in enumerate(b):
-                val = atom_eval(atom, z)
-                if not val:
-                    continue
-                sign = -1 if j % 2 else 1
-                add_term(out, (b[:j] + b[j + 1:], c), -coeff * val * sign)
+            odd = (sign < 0) + len(b) + 1  # the minus, the wedge sign, the crossing
+            add_term(out, (b, nc), -coeff if odd % 2 else coeff)
+    elif field in ("b_i", "c_i"):
+        # b_i contracts the twist sector, crossing the first; c_i the first
+        # sector, with a minus sign
+        sector = 1 if field == "b_i" else 0
+        require_regular((key[sector] for key in state.terms), z)
+        values = AtomValues(lambda atom: atom_eval(atom, z))
+        for key, coeff in state.terms.items():
+            mon, flip = key[sector], len(key[0]) if sector else 1
+            for j, atom in enumerate(mon):
+                val = values[atom]
+                if val:
+                    term, rest = coeff * val, mon[:j] + mon[j + 1:]
+                    add_term(out, (key[0], rest) if sector else (rest, key[1]),
+                             -term if (flip + j) % 2 else term)
     elif field == "b":
         return bc_apply("b_i", z, state) + bc_apply("b_e", z, state)
     elif field == "c":

@@ -18,7 +18,8 @@ its sections and values are those of the atom ("pole", u2, k).
 
 from __future__ import annotations
 
-from math import comb
+from itertools import combinations
+from math import comb, perm
 
 from .exactnum import (
     GaussRational,
@@ -83,7 +84,7 @@ def atom_eval(atom, z):
         base = z - atom[1]
         if not base:
             raise GeometryError(f"atom {atom} has a pole at {z}")
-        return 1 / base ** atom[2]
+        return base ** -atom[2]
     return z ** atom[1]
 
 
@@ -98,18 +99,11 @@ def atom_deriv_eval(atom, z, k: int):
         base = z - c
         if not base:
             raise GeometryError(f"atom {atom} has a pole at {z}")
-        rising = 1
-        for j in range(k):
-            rising *= l + j
-        sign = -1 if k % 2 else 1
-        return sign * rising / base ** (l + k)
+        return (-1) ** k * perm(l + k - 1, k) * base ** -(l + k)
     m = atom[1]
     if k > m:
         return z * 0
-    falling = 1
-    for j in range(k):
-        falling *= m - j
-    return falling * z ** (m - k)
+    return perm(m, k) * z ** (m - k)
 
 
 def _loop_product(c1, l1, c2, l2):
@@ -380,6 +374,25 @@ class Kernel:
 
     def value(self, z1, z2):
         return atom_eval(("pole", z2, self.diagonal_order), z1)
+
+    def matching_sum(self, pts):
+        """Sum over the perfect matchings of pts of the products of the pair
+        values K(z_a, z_b), a < b, signed by the matching's parity for an odd
+        kernel: the hafnian or Pfaffian of the pair table, each entry computed once."""
+        n = len(pts)
+        if n % 2:
+            return QI_ZERO
+        table = {(a, b): self.value(pts[a], pts[b]) for a, b in combinations(range(n), 2)}
+
+        def expand(idx):
+            total = QI_ZERO if idx else QI_ONE
+            for j in range(1, len(idx)):
+                rest = idx[1:j] + idx[j + 1:]
+                term = table[idx[0], idx[j]] * expand(rest) if rest else table[idx[0], idx[j]]
+                total = total - term if self.parity < 0 and not j % 2 else total + term
+            return total
+
+        return expand(tuple(range(n)))
 
 
 def bergman_genus0() -> Kernel:

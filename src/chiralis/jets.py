@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 
-from .exactnum import GaussRational, RatFunc, coerce_scalar, is_rational_scalar
+from .exactnum import QI_ONE, GaussRational, RatFunc, coerce_scalar, is_rational_scalar
 
 __all__ = [
     "Jet",
@@ -183,6 +183,9 @@ class Jet:
         return Jet(-self.val, inv, -self.val + width, self.one)
 
     def __truediv__(self, other):
+        if _plain_scalar(other):
+            # an exact scalar's jet would invert to its unbounded precision
+            return self * (QI_ONE / other)
         a, b = self._align(other)
         if b is NotImplemented:
             return NotImplemented
@@ -198,6 +201,10 @@ class Jet:
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
+            # over jet coefficients the series would bound them more loosely
+            # than the inverse does, which exact equality sees
+            if len(self.coeffs) <= 2 and not isinstance(self.one, Jet):
+                return self._affine_power(-n)
             return self.inverse() ** (-n)
         if n == 0:
             return Jet(0, [self.one], self.prec, self.one)
@@ -210,6 +217,20 @@ class Jet:
             if n:
                 base = base * base
         return out
+
+    def _affine_power(self, m: int) -> "Jet":
+        """(t^v (a + s t))^-m, m >= 1, over scalars a, s with one scalar inversion:
+        t^(-mv) sum_k C(m+k-1, k) (-s)^k a^(-m-k) t^k, equal to
+        ``self.inverse() ** m`` in every coefficient and the precision bound."""
+        if not self.coeffs:
+            raise JetPrecisionError("cannot invert a series with no known part")
+        inv = 1 / self.coeffs[0]
+        ratio = -(self.coeffs[1] if len(self.coeffs) == 2 else self.one * 0) * inv
+        term, binom, out = inv ** m, 1, []
+        for k in range(self.prec - self.val):
+            out.append(term * binom if binom != 1 else term)
+            term, binom = term * ratio, binom * (m + k) // (k + 1)
+        return Jet(-m * self.val, out, self.prec - (m + 1) * self.val, self.one)
 
     # -- structure ------------------------------------------------------------------
 

@@ -17,7 +17,7 @@ import math
 
 from .exactnum import GaussRational, QI_ONE, QI_ZERO, RatFunc, is_rational_scalar
 from .geometry import atom_deriv_eval, atom_eval, atom_sort_key
-from .states import DomainError, LinComb, add_term
+from .states import AtomValues, DomainError, LinComb, add_term, atom_runs, require_regular
 
 __all__ = [
     "LatticeScalar",
@@ -296,21 +296,18 @@ class LatticeTheory:
     def iota(self, z, state: LatticeState) -> LatticeState:
         """Contraction plus the section's logarithmic-derivative response."""
         z = GaussRational.coerce(z)
+        require_regular((key[0] for key in state.terms), z)
+        values = AtomValues(lambda atom: -atom_deriv_eval(atom, z, 1))
+        dlogs = AtomValues(lambda section: section.dlog_value(z))
         out = {}
         for (mon, section, tdu), coeff in state.terms.items():
             if section.multiplicity(z):
                 raise DomainError("field point sits on a section root")
-            _require_regular(mon, z)
             # derivation over the function factors: alpha -> -d alpha(z)
-            for i in range(len(mon)):
-                if i > 0 and mon[i] == mon[i - 1]:
-                    continue
-                mult = sum(1 for a in mon if a == mon[i])
-                val = -atom_deriv_eval(mon[i], z, 1)
-                rest = mon[:i] + mon[i + 1:]
-                add_term(out, (rest, section, tdu + 2), coeff * val * mult)
+            for atom, mult, rest in atom_runs(mon):
+                add_term(out, (rest, section, tdu + 2), coeff * values[atom] * mult)
             # vacuum-sector response: -sqrt(N) (log f)'(z)
-            log_val = section.dlog_value(z)
+            log_val = dlogs[section]
             if log_val:
                 add_term(out, (mon, section, tdu + 2), coeff * self.sqrtN * (-log_val))
         return LatticeState(self.N, out)
@@ -343,12 +340,13 @@ class LatticeTheory:
         """Evaluation twist: multiplies by sigma(z)^(N lam) and dresses the
         function factors with -lambda alpha(z) cross-terms."""
         z = GaussRational.coerce(z)
+        require_regular((key[0] for key in state.terms), z)
+        values = AtomValues(lambda atom: atom_eval(atom, z))
         out = {}
         lam = self.sqrtN * lam_check
         for (mon, section, tdu), coeff in state.terms.items():
             if section.multiplicity(z):
                 raise DomainError("evaluation point sits on a section root")
-            _require_regular(mon, z)
             value = section.value_at(z) ** (self.N * lam_check)
             if scale is not None:
                 value = value * _lat(self.N, scale) ** (self.N * lam_check)
@@ -357,11 +355,10 @@ class LatticeTheory:
             # value times -lambda
             pieces = [((), LatticeScalar(self.N, QI_ONE))]
             for atom in mon:
-                val = atom_eval(atom, z)
                 nxt = []
                 for atoms, w in pieces:
                     nxt.append((atoms + (atom,), w))
-                    nxt.append((atoms, w * (-lam) * val))
+                    nxt.append((atoms, w * (-lam) * values[atom]))
                 pieces = nxt
             for atoms, w in pieces:
                 key = (
@@ -432,9 +429,3 @@ def _lat(N, s):
     if isinstance(s, LatticeScalar):
         return s
     return LatticeScalar(N, s)
-
-
-def _require_regular(mon, z):
-    for atom in mon:
-        if atom[0] == "pole" and not (z - atom[1]):
-            raise DomainError(f"function factor {atom} singular at {z}")

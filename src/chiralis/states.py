@@ -13,14 +13,31 @@ term dict.
 
 from __future__ import annotations
 
+import itertools
+
 from .exactnum import QI_ONE, QI_ZERO
 from .geometry import atom_sort_key
 
-__all__ = ["DomainError", "LinComb", "add_term", "SymState", "vacuum", "monomial_state"]
+__all__ = ["DomainError", "require_regular", "require_distinct", "LinComb", "add_term",
+           "AtomValues", "atom_runs", "drop_above_degree", "SymState", "vacuum", "monomial_state"]
 
 
 class DomainError(ValueError):
     """A field was applied outside its domain (pole collision etc.)."""
+
+
+def require_regular(monomials, z) -> None:
+    """Raise DomainError when an atom of the monomials has its pole at the field point z."""
+    for atom in {a for mon in monomials for a in mon}:
+        if atom[0] == "pole" and not (z - atom[1]):
+            raise DomainError(f"atom {atom} has a pole at the field point {z}")
+
+
+def require_distinct(pts) -> None:
+    """Raise DomainError unless the points are pairwise distinct."""
+    for a, b in itertools.combinations(pts, 2):
+        if not (a - b):
+            raise DomainError("points must be pairwise distinct")
 
 
 def _sorted_monomial(atoms) -> tuple:
@@ -35,6 +52,40 @@ def add_term(out: dict, key, val) -> None:
         out[key] = acc
     elif key in out:
         del out[key]
+
+
+class AtomValues(dict):
+    """The per-call memo of every contraction: ``values[atom]`` is fn(atom),
+    computed on the first read only; fn depends on the atom alone (or on a
+    section, for its logarithmic derivative)."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, atom):
+        val = self[atom] = self.fn(atom)
+        return val
+
+
+def atom_runs(mon):
+    """(atom, multiplicity, mon without one occurrence of it) for each
+    distinct atom of a sorted monomial."""
+    k = 0
+    for atom, run in itertools.groupby(mon):
+        mult = sum(1 for _ in run)
+        yield atom, mult, mon[:k] + mon[k + 1:]
+        k += mult
+
+
+def drop_above_degree(state, degree: int):
+    """Delete, in place, the terms of a state the caller has just built whose
+    monomial has more than ``degree`` atoms; returns the state."""
+    for mon in [m for m in state.terms if len(m) > degree]:
+        del state.terms[mon]
+    return state
 
 
 class LinComb:
@@ -143,20 +194,16 @@ class SymState(LinComb):
 
         This is the common shape of every 'evaluation' field: the result is
         the sum over atom occurrences of value * (monomial without it).
+        value_of_atom depends only on the atom, and is evaluated once per
+        distinct atom per call (``AtomValues``).
         """
+        values = AtomValues(value_of_atom)
         out = {}
         for mon, c in self.terms.items():
-            k = 0
-            while k < len(mon):
-                atom = mon[k]
-                mult = 1
-                while k + mult < len(mon) and mon[k + mult] == atom:
-                    mult += 1
-                val = value_of_atom(atom)
+            for atom, mult, rest in atom_runs(mon):
+                val = values[atom]
                 if val:
-                    # drop one occurrence
-                    add_term(out, mon[:k] + mon[k + 1:], c * val * mult)
-                k += mult
+                    add_term(out, rest, c * val * mult if mult > 1 else c * val)
         return SymState(out)
 
     def map_monomials(self, fn) -> "SymState":
@@ -184,19 +231,17 @@ class SymState(LinComb):
         return SymState(out)
 
     def derive_atoms(self, fn) -> "SymState":
-        """Extend an atom-wise linear map atom -> {atom: coeff} as a derivation."""
+        """Extend an atom-wise linear map atom -> {atom: coeff} as a derivation.
+
+        fn depends only on the atom, and is evaluated once per distinct atom
+        per call (``AtomValues``).
+        """
+        images = AtomValues(fn)
         out = {}
         for mon, c in self.terms.items():
-            k = 0
-            while k < len(mon):
-                atom = mon[k]
-                mult = 1
-                while k + mult < len(mon) and mon[k + mult] == atom:
-                    mult += 1
-                rest = mon[:k] + mon[k + 1:]
-                for new_atom, w in fn(atom).items():
+            for atom, mult, rest in atom_runs(mon):
+                for new_atom, w in images[atom].items():
                     add_term(out, _sorted_monomial(rest + (new_atom,)), c * w * mult)
-                k += mult
         return SymState(out)
 
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import contraction_oracle
 from chiralis import boson, exactnum, geometry, symmetry
 from chiralis.boson import (
     DerivedField,
@@ -134,6 +135,60 @@ class TestNPoint:
     def test_repeated_point_rejected(self):
         with pytest.raises(DomainError):
             npoint_wick([1, 1])
+
+    def test_degree_bound_keeps_the_full_composition(self):
+        rng = random.Random(14)
+        for n in range(0, 9):
+            for _ in range(2 if n < 8 else 1):
+                pts = rand_distinct_scalars(rng, n)
+                full = contraction_oracle.boson_npoint_composition(pts)
+                assert npoint_operator(pts) == full, pts
+                assert npoint_wick(pts) == contraction_oracle.wick_sum(pts) == full, pts
+
+    def test_degree_bound_at_jet_points(self):
+        # a moving point among fixed ones: the values are jets
+        from chiralis.jets import jet_point
+
+        pts = [jet_point(qi(1, 1), 4), qi(0), qi(3), qi(-2, 1)]
+        full = contraction_oracle.boson_npoint_composition(pts)
+        assert npoint_operator(pts) == full and npoint_wick(pts).agrees_with(full)
+
+
+class TestAtomValuesOnce:
+    """Count pins: each distinct atom is evaluated once per field application."""
+
+    def test_i_apply_evaluates_each_distinct_atom_once(self, monkeypatch):
+        calls = []
+        atom_eval = geometry.atom_eval
+
+        def counting(atom, z):
+            calls.append(atom)
+            return atom_eval(atom, z)
+
+        monkeypatch.setattr(boson, "atom_eval", counting)
+        a, b, c = ("pole", qi(0), 2), ("pole", qi(1, 1), 3), ("poly", 2)
+        v = (monomial_state([a, a, a, b], qi(2)) + monomial_state([a, b, b, c], qi(0, 1))
+             + monomial_state([c, c], qi(-1)) + monomial_state([a]))
+        out = i_apply(qi(5), v)
+        assert sorted(calls, key=repr) == sorted([a, b, c], key=repr)
+        assert out == contraction_oracle.sym_contract(v, lambda x: -atom_eval(x, qi(5)))
+
+    def test_T_apply_contracts_twice(self, monkeypatch):
+        calls = []
+        contract = SymState.contract
+
+        def counting(self, value_of_atom):
+            calls.append(1)
+            return contract(self, value_of_atom)
+
+        rng = random.Random(15)
+        v, z = rand_form_state(rng, [qi(1), qi(0, 2)]), qi(-3)
+        iv = i_apply(z, v)
+        ii, ee, ei = i_apply(z, iv), e_apply(z, e_apply(z, v)), e_apply(z, iv)
+        want = (ii + ee + ei.scale(2)).scale(Fraction(1, 2))
+        monkeypatch.setattr(SymState, "contract", counting)
+        assert T_apply(z, v) == want
+        assert len(calls) == 2
 
 
 class TestOpe:

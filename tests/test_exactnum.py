@@ -384,6 +384,52 @@ class TestPartialFractions:
         with pytest.raises(UnsupportedDenominatorError):
             partial_fractions(rf([1]) / (U * U * U - 2))
 
+    # (u/(1 - c u))^k has the one pole 1/c of order k; the candidate search
+    # gives up on the expanded denominator, whose square-free part is linear
+    SQUARE_FREE = [
+        (qi(Fraction(1, 3), Fraction(-2, 5)), 3, qi(Fraction(75, 61), Fraction(90, 61))),
+        (qi(Fraction(1, 3), Fraction(-1, 2)), 4, qi(Fraction(12, 13), Fraction(18, 13))),
+    ]
+
+    def test_repeated_pole_beyond_the_candidate_search(self):
+        from chiralis.geometry import atom_ratfunc, form_to_atoms
+        from chiralis.states import monomial_state
+        from chiralis.symmetry import HeisenbergOp, heis_apply
+
+        for c, k, pole in self.SQUARE_FREE:
+            f = (U / (1 - c * U)) ** k
+            assert gauss_rational_roots(f.den) == [pole]
+            dec = partial_fractions(f)
+            assert {p for p, _, _ in dec.terms} == {pole}
+            assert sorted(order for _, order, _ in dec.terms) == list(range(1, k + 1))
+            assert dec.recompose() == f
+            # user functions on public paths: a second-kind form, a test function
+            form = f.derivative()
+            atoms = form_to_atoms(form)
+            recomposed = sum((atom_ratfunc(a) * w for a, w in atoms.items()), RatFunc.const(qi(0)))
+            assert recomposed == form
+            v = monomial_state([("pole", qi(0), 2), ("pole", qi(0), 2), ("poly", 3)], qi(2, 1))
+            want = v.contract(lambda a: -residue_at(f * atom_ratfunc(a), qi(0)))
+            assert heis_apply(HeisenbergOp(f, qi(0)), v) == want
+
+    def test_square_free_retry_only_where_the_search_gives_up(self, monkeypatch):
+        c, k, pole = self.SQUARE_FREE[0]
+        den = ((U / (1 - c * U)) ** k).den
+        calls = []
+        gcd = Poly.gcd
+
+        def counting(self, other):
+            calls.append(1)
+            return gcd(self, other)
+
+        monkeypatch.setattr(Poly, "gcd", counting)
+        for coeffs, expected in TestGaussTriple.ROOTS:
+            poly = Poly([GaussRational.parse(c) for c in coeffs])
+            assert [str(r) for r in gauss_rational_roots(poly)] == expected
+        assert calls == []
+        assert gauss_rational_roots(den) == [pole]
+        assert calls == [1]
+
 
 class TestLaurent:
     def test_pure_double_pole(self):

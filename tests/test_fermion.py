@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import contraction_oracle
 from chiralis.boson import b_apply, e_apply, i_apply, npoint_wick, vacuum
 from chiralis.exactnum import GaussRational, qi
 from chiralis.fermion import (
@@ -114,6 +115,15 @@ class TestFermionNPoint:
     def test_repeated_points_rejected(self):
         with pytest.raises(DomainError):
             fermion_npoint([1, 1])
+
+    def test_degree_bound_keeps_the_full_composition(self):
+        rng = random.Random(16)
+        for n in range(0, 9):
+            for _ in range(2 if n < 8 else 1):
+                pts = rand_distinct_scalars(rng, n, span=8)
+                full = contraction_oracle.fermion_npoint_composition(pts)
+                assert fermion_npoint_operator(pts) == full, pts
+                assert fermion_npoint(pts) == contraction_oracle.pfaffian_sum(pts) == full, pts
 
 
 def _perm_sign(perm):

@@ -4,8 +4,8 @@ from math import comb
 
 import pytest
 
-from chiralis.exactnum import qi
-from chiralis.jets import JetPrecisionError, jet_point, moved_expansion, with_jet_retry
+from chiralis.exactnum import GaussRational, qi
+from chiralis.jets import Jet, JetPrecisionError, jet_point, moved_expansion, with_jet_retry
 from chiralis.sampling import rand_scalar
 
 
@@ -85,3 +85,72 @@ class TestMovedExpansion:
         with pytest.raises(JetPrecisionError):
             with_jet_retry(lambda prec: (_ for _ in ()).throw(JetPrecisionError("never")), 5)
 
+
+
+def _two_term_jets(rng, prec, level):
+    """The jets a negative power meets: moving points z + t minus a pole,
+    the moving point on the pole (t alone), and t^v (a + s t) with v > 0."""
+    if level == 0:
+        w, zero = jet_point(rand_scalar(rng), prec), qi(0)
+    else:
+        inner = jet_point(rand_scalar(rng) + 9, rng.randint(1, 6))
+        w, zero = jet_point(inner, prec), inner * 0
+    t = w - w.coefficient(0)
+    one = w.one
+    shifted = Jet(2, [one * (rand_scalar(rng) + 5), one * rand_scalar(rng)], prec, one)
+    return [w - (rand_scalar(rng) + 20), t, t * (rand_scalar(rng) or qi(3)), shifted, w - 20 + zero]
+
+
+class TestAffinePower:
+    @pytest.mark.parametrize("level", [0, 1])
+    def test_matches_inverse_power(self, level):
+        rng = random.Random(31 + level)
+        for m in range(1, 7):
+            for prec in range(1, 13):
+                for base in _two_term_jets(rng, prec, level):
+                    assert len(base.coeffs) <= 2
+                    try:
+                        want = base.inverse() ** m
+                    except JetPrecisionError:
+                        with pytest.raises(JetPrecisionError):
+                            base ** -m
+                        continue
+                    got = base ** -m
+                    assert got == want, (m, prec, base)
+                    assert got.prec == want.prec and got.coeffs == want.coeffs
+
+    def test_scalar_jets_skip_the_inverse(self, monkeypatch):
+        def no_inverse(self):
+            raise AssertionError("inverse() called")
+
+        w = jet_point(qi(2, 1), 8)
+        want = {m: w.inverse() ** m for m in range(1, 5)}
+        monkeypatch.setattr(Jet, "inverse", no_inverse)
+        for m in range(1, 5):
+            assert w ** -m == want[m]
+
+    def test_series_coefficients(self):
+        # (a + t)^-3 = sum_k C(k+2, 2) (-1)^k a^(-3-k) t^k
+        a = qi(Fraction(1, 2), 2)
+        got = (jet_point(a, 6) ** -3).coeffs
+        assert got == tuple(comb(k + 2, 2) * (-1) ** k * a ** (-3 - k) for k in range(6))
+
+
+class TestScalarDivision:
+    @pytest.mark.parametrize("divisor", [2, Fraction(2, 3), qi(2), qi(1, -1)])
+    def test_level_zero(self, divisor):
+        w, inv = jet_point(1, 3), 1 / GaussRational.coerce(divisor)
+        got = w / divisor
+        assert got == w * inv and got.prec == 3 and got.coeffs == (inv, inv)
+
+    @pytest.mark.parametrize("divisor", [2, qi(2), qi(0, 3)])
+    def test_level_one(self, divisor):
+        w, inv = jet_point(jet_point(1, 3), 2), 1 / GaussRational.coerce(divisor)
+        got = w / divisor
+        assert got == w * inv and got.prec == 2
+        assert got.coefficient(0).agrees_with(jet_point(1, 3) * inv)
+        assert got.coefficient(1).agrees_with(w.one * inv)
+
+    def test_zero_divisor(self):
+        with pytest.raises(ZeroDivisionError):
+            jet_point(1, 3) / 0

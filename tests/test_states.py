@@ -5,12 +5,14 @@ from fractions import Fraction
 
 import pytest
 
+import contraction_oracle
 from chiralis.current import CurrentState, InsertionContext, sl2_algebra, sl2_fundamental
 from chiralis.exactnum import RatFunc, qi
-from chiralis.fermion import BCState, ExtState
-from chiralis.lattice import LatticeScalar, LatticeState, SectionClass
+from chiralis.fermion import BCState, ExtState, bc_apply
+from chiralis.geometry import atom_eval, atom_sort_key
+from chiralis.lattice import LatticeScalar, LatticeState, LatticeTheory, SectionClass
 from chiralis.sampling import rand_scalar
-from chiralis.states import LinComb, SymState, add_term
+from chiralis.states import LinComb, SymState, add_term, monomial_state
 
 SEEDS = range(8)
 
@@ -185,3 +187,95 @@ def test_state_classes_inherit_the_linear_structure():
     for cls in (SymState, ExtState, BCState, CurrentState, LatticeState):
         assert issubclass(cls, LinComb)
         assert own & set(vars(cls)) == allowed.get(cls, set())
+
+
+class TestAtomMemo:
+    """Every contraction reads its atom values through one per-call memo; the
+    per-occurrence loops of ``contraction_oracle`` give the same states."""
+
+    @staticmethod
+    def _pool(rng):
+        # no pole at 0, where the ("poly", m >= 1) atoms take the value 0
+        pool = [("pole", qi(rng.choice([-2, -1, 1, 2]), rng.randint(0, 1)), rng.randint(1, 3))
+                for _ in range(3)]
+        return pool + [("poly", rng.randint(0, 2))]
+
+    @staticmethod
+    def _counting(fn, seen):
+        def counted(atom):
+            seen.append(atom)
+            return fn(atom)
+        return counted
+
+    def test_sym_contract_and_derive(self):
+        for seed in SEEDS:
+            rng = random.Random(900 + seed)
+            pool = self._pool(rng)
+            state = SymState()
+            for _ in range(4):
+                atoms = [rng.choice(pool) for _ in range(rng.randint(0, 5))]
+                state = state + monomial_state(atoms, rand_scalar(rng) or qi(1))
+            z = rng.choice([qi(0), qi(7, 1), qi(Fraction(5, 2))])
+            seen = []
+            got = state.contract(self._counting(lambda a: atom_eval(a, z), seen))
+            assert got == contraction_oracle.sym_contract(state, lambda a: atom_eval(a, z))
+            assert sorted(seen, key=repr) == sorted(state.atoms(), key=repr)
+
+            def image(atom):
+                if atom[0] == "pole":
+                    return {("pole", atom[1], atom[2] + 1): qi(atom[2]), ("poly", 1): qi(0, 1)}
+                return {("poly", atom[1] + 1): qi(atom[1] + 1)}
+
+            seen = []
+            want = contraction_oracle.sym_derive(state, image)
+            assert state.derive_atoms(self._counting(image, seen)) == want
+            assert sorted(seen, key=repr) == sorted(state.atoms(), key=repr)
+
+    def test_ext_contract(self):
+        for seed in SEEDS:
+            rng = random.Random(950 + seed)
+            pool = self._pool(rng)
+            state = ExtState({})
+            for _ in range(5):
+                atoms = _sorted_atoms(rng.sample(pool, rng.randint(0, 4)))
+                state = state + ExtState({atoms: rand_scalar(rng) or qi(1)})
+            z = qi(5, -1)
+            seen = []
+            got = state.contract(self._counting(lambda a: atom_eval(a, z), seen))
+            assert got == contraction_oracle.ext_contract(state, lambda a: atom_eval(a, z))
+            assert len(seen) == len(set(seen))
+
+    def test_bc_contractions(self):
+        for seed in SEEDS:
+            rng = random.Random(1000 + seed)
+            pool = [("pole", qi(rng.randint(-2, 2), rng.randint(0, 1)), 1) for _ in range(4)]
+            terms = {}
+            for _ in range(5):
+                key = (_sorted_atoms(rng.sample(pool, rng.randint(0, 3))),
+                       _sorted_atoms(rng.sample(pool, rng.randint(0, 3))))
+                terms[key] = rand_scalar(rng) or qi(1)
+            state = BCState(terms)
+            z = qi(4, 1)
+            for field in ("b_i", "c_i"):
+                want = contraction_oracle.bc_contract(field, lambda a: atom_eval(a, z), state)
+                assert bc_apply(field, z, state) == want, field
+
+    def test_lattice_iota(self):
+        for seed in SEEDS:
+            rng = random.Random(1050 + seed)
+            theory = LatticeTheory(rng.choice([1, 2, 3]))
+            pool = [("pole", qi(rng.randint(-2, 2)), rng.randint(1, 2)) for _ in range(2)]
+            pool.append(("poly", 2))
+            sections = [SectionClass([(qi(rng.randint(3, 5)), rng.randint(-2, 2))])
+                        for _ in range(2)]
+            state = LatticeState(theory.N, {})
+            for _ in range(5):
+                atoms = [rng.choice(pool) for _ in range(rng.randint(0, 4))]
+                coeff = rand_scalar(rng) or qi(1)
+                state = state + theory.monomial(atoms, rng.choice(sections), coeff)
+            z = qi(Fraction(1, 2), 1)
+            assert theory.iota(z, state) == contraction_oracle.lattice_iota(theory, z, state)
+
+
+def _sorted_atoms(atoms):
+    return tuple(sorted(atoms, key=atom_sort_key))
