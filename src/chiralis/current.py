@@ -11,6 +11,7 @@ on states, never assumed.
 
 from __future__ import annotations
 
+import itertools
 from math import comb
 
 from .exactnum import (
@@ -23,7 +24,7 @@ from .exactnum import (
 from .boson import eps_tilde_offset
 from .geometry import _atom_residue, _loop_product, atom_eval, atom_product, dec_atoms
 from .jets import SLACK, Jet, coerce_scalar_or_jet, jet_point, moved_expansion, with_jet_retry
-from .states import DomainError, LinComb, add_term
+from .states import DomainError, LinComb, add_term, require_distinct
 from .symmetry import _phi_pole_parts
 
 __all__ = [
@@ -87,6 +88,9 @@ class LieAlgebra:
         for (i, j), val in form.items():
             self.form[(i, j)] = self.form[(j, i)] = GaussRational.coerce(val)
         self.validate()
+        # int/Fraction wherever an entry is rational: the lane of the mode kernel
+        self.q_brackets = {ij: {k: _demote(c) for k, c in comps.items()} for ij, comps in table.items()}
+        self.q_form = {ij: _demote(g) for ij, g in self.form.items()}
         structure = (
             self.labels,
             tuple(sorted((ij, tuple(sorted(comps.items()))) for ij, comps in table.items())),
@@ -120,39 +124,22 @@ class LieAlgebra:
         return {i: QI_ONE}
 
     def validate(self):
-        n = self.dim
-        for i in range(n):
-            for j in range(n):
-                lhs = self.bracket_basis(i, j)
-                rhs = {k: -c for k, c in self.bracket_basis(j, i).items()}
-                if lhs != rhs:
-                    raise ValueError("bracket table is not antisymmetric")
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    # [i,[j,k]] - [[i,j],k] - [j,[i,k]] must vanish
-                    acc: dict = {}
-                    for mid, c in self.bracket_basis(j, k).items():
-                        for m, c2 in self.bracket_basis(i, mid).items():
-                            acc[m] = acc.get(m, QI_ZERO) + c * c2
-                    for mid, c in self.bracket_basis(i, j).items():
-                        for m, c2 in self.bracket_basis(mid, k).items():
-                            acc[m] = acc.get(m, QI_ZERO) - c * c2
-                    for mid, c in self.bracket_basis(i, k).items():
-                        for m, c2 in self.bracket_basis(j, mid).items():
-                            acc[m] = acc.get(m, QI_ZERO) - c * c2
-                    if any(acc.values()):
-                        raise ValueError("structure constants fail the Jacobi identity")
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    total = QI_ZERO
-                    for m, c in self.bracket_basis(i, j).items():
-                        total = total + c * self.form.get((m, k), QI_ZERO)
-                    for m, c in self.bracket_basis(i, k).items():
-                        total = total + c * self.form.get((j, m), QI_ZERO)
-                    if total:
-                        raise ValueError("bilinear form is not invariant")
+        basis = [{i: QI_ONE} for i in range(self.dim)]
+        br = self.bracket
+        for x, y in itertools.product(basis, repeat=2):
+            if br(x, y) != {k: -c for k, c in br(y, x).items()}:
+                raise ValueError("bracket table is not antisymmetric")
+        triples = list(itertools.product(basis, repeat=3))
+        for x, y, z in triples:
+            # [x,[y,z]] - [[x,y],z] - [y,[x,z]] must vanish
+            jacobi = dict(br(x, br(y, z)))
+            for k, c in itertools.chain(br(br(x, y), z).items(), br(y, br(x, z)).items()):
+                add_term(jacobi, k, -c)
+            if jacobi:
+                raise ValueError("structure constants fail the Jacobi identity")
+        for x, y, z in triples:
+            if self.pair(br(x, y), z) + self.pair(y, br(x, z)):
+                raise ValueError("bilinear form is not invariant")
 
     def __repr__(self):
         return f"LieAlgebra({self.name!r}, dim={self.dim})"
@@ -240,6 +227,11 @@ def _gen_key(gen):
     return (c.sort_key(), -l, a)
 
 
+def _demote(c):
+    """A rational GaussRational as an int or backend rational; anything else as it is."""
+    return (c.a if c.d == 1 else c.re) if isinstance(c, GaussRational) and not c.b else c
+
+
 class CurrentState(LinComb):
     """Linear combination of normal-form words, with insertion indices.
 
@@ -313,18 +305,23 @@ _PBW_CACHE: dict = {}
 
 
 def _pbw_word_terms(algebra: LieAlgebra, word) -> dict:
-    """Normal-form expansion {sorted word: coeff} of one input word."""
+    """Normal-form expansion {sorted word: coeff} of one input word: letters
+    (a, c, l) over GaussRational, or origin letters (a, l) on the int lane of
+    ``algebra.q_brackets``, where u^-l u^-m = u^-(l+m)."""
     key = (algebra.key, word)
     cached = _PBW_CACHE.get(key)
     if cached is not None:
         return cached
+    origin = bool(word) and len(word[0]) == 2
+    table = algebra.q_brackets if origin else algebra.brackets
+    sort_key = (lambda gen: (-gen[1], gen[0])) if origin else _gen_key  # (a, l) is (a, 0, l)
     out: dict = {}
-    stack = [(word, QI_ONE)]
+    stack = [(word, 1 if origin else QI_ONE)]
     while stack:
         w, c = stack.pop()
         idx = None
         for i in range(len(w) - 1):
-            if _gen_key(w[i]) > _gen_key(w[i + 1]):
+            if sort_key(w[i]) > sort_key(w[i + 1]):
                 idx = i
                 break
         if idx is None:
@@ -333,12 +330,15 @@ def _pbw_word_terms(algebra: LieAlgebra, word) -> dict:
         x, y = w[idx], w[idx + 1]
         swapped = w[:idx] + (y, x) + w[idx + 2:]
         stack.append((swapped, c))
-        comps = algebra.bracket_basis(x[0], y[0])
+        comps = table.get((x[0], y[0]))
         if comps:
-            for cc, order, pcoeff in _loop_product(x[1], x[2], y[1], y[2]):
+            if origin:
+                products = [((x[1] + y[1],), c)]
+            else:
+                products = [((cc, order), c * p) for cc, order, p in _loop_product(x[1], x[2], y[1], y[2])]
+            for tail, pc in products:
                 for k, bc in comps.items():
-                    neww = w[:idx] + ((k, cc, order),) + w[idx + 2:]
-                    stack.append((neww, c * bc * pcoeff))
+                    stack.append((w[:idx] + ((k,) + tail,) + w[idx + 2:], pc * bc))
     _PBW_CACHE[key] = out
     return out
 
@@ -464,7 +464,7 @@ def npoint_current(algebra, vs, points):
     """Closed recursion for the vacuum expectation of a product of currents."""
     vs = [_as_elem(algebra, v) for v in vs]
     pts = [coerce_scalar(p) for p in points]
-    _require_distinct(pts)
+    require_distinct(pts)
     return _npoint_rec(algebra, vs, pts)
 
 
@@ -494,18 +494,11 @@ def npoint_current_operator(algebra, vs, points):
     """Vacuum component of the composed field product."""
     vs = [_as_elem(algebra, v) for v in vs]
     pts = [coerce_scalar(p) for p in points]
-    _require_distinct(pts)
+    require_distinct(pts)
     state = current_vacuum()
     for v, z in zip(reversed(vs), reversed(pts)):
         state = j_apply(algebra, v, z, state)
     return state.vacuum_coefficient()
-
-
-def _require_distinct(pts):
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if not (pts[i] - pts[j]):
-                raise DomainError("points must be pairwise distinct")
 
 
 def three_point_closed_form(algebra, vs, points):
@@ -549,40 +542,79 @@ _MODE_CACHE: dict = {}
 
 
 def mode_j(algebra, v, l: int, state: CurrentState) -> CurrentState:
-    """Loop modes at the origin; negative modes multiply, others recurse."""
+    """Loop modes at the origin.  A negative mode multiplies on any state;
+    a mode l >= 0 needs a state supported at the origin (else DomainError)
+    and runs on the exponent kernel ``_j_exponents``, its result rewrapped
+    into (a, 0, k) letters over the state's scalars."""
     v = _as_elem(algebra, v)
     if l <= -1:
         combos = [((a, QI_ZERO, -l), coeff) for a, coeff in v.items()]
         return _left_multiply(algebra, combos, state)
-    return _sum_terms(state, lambda word, ins: _mode_term(algebra, v, l, word, ins, state.ctx))
+    out: dict = {}
+    for ins, terms in _origin_sectors(state).items():
+        for w, c in _j_exponents(algebra, _q_elem(v), l, terms).items():
+            out[(tuple((a, QI_ZERO, k) for a, k in w), ins)] = c
+    return CurrentState(out, state.ctx)
 
 
-def _mode_term(algebra, v, l, word, ins, ctx) -> CurrentState:
+def _origin_sectors(state: CurrentState) -> dict:
+    """{insertion indices: {origin word: coeff}}; DomainError for a letter off the origin."""
+    out: dict = {}
+    for (word, ins), c in state.terms.items():
+        if any(gen[1] != QI_ZERO for gen in word):
+            raise DomainError("nonnegative modes act on origin-supported states")
+        out.setdefault(ins, {})[tuple((a, k) for a, _, k in word)] = c
+    return out
+
+
+def _q_elem(v: dict) -> tuple:
+    return tuple(sorted((k, _demote(c)) for k, c in v.items()))
+
+
+def _add_scaled(out: dict, terms: dict, c) -> None:
+    for w, wc in terms.items():
+        add_term(out, w, wc * c)
+
+
+def _j_exponents(algebra, v: tuple, l: int, terms: dict, sign=1, out=None) -> dict:
+    """Accumulate sign * j^v_l(terms) into out (a new dict when None); return out.
+    terms maps origin words, sorted tuples of (basis index, pole order), to
+    coefficients and v is ``_q_elem`` items, so a rational algebra stays on ints
+    and Fractions.  A negative mode puts v u^l in front and straightens; a mode
+    l >= 0 kills the vacuum and passes the first letter x = v_b u^-m by
+    j_l x rest = x j_l rest + l (v, b) delta_{l,m} rest + j^[v,b]_{l-m} rest."""
+    out = {} if out is None else out
+    for word, c in terms.items():
+        _add_scaled(out, _j_word(algebra, v, l, word), c * sign if sign != 1 else c)
+    return out
+
+
+def _j_word(algebra, v: tuple, l: int, word) -> dict:
+    """j^v_l on one origin word (``_j_exponents``); memoized for l >= 0."""
+    out: dict = {}
+    if l <= -1:
+        for a, va in v:
+            _add_scaled(out, _pbw_word_terms(algebra, ((a, -l),) + word), va)
+        return out
     if not word:
-        return CurrentState({}, ctx)
-    key = (algebra.key, tuple(sorted(v.items())), l, word, ins)
+        return out
+    key = (algebra.key, v, l, word)
     cached = _MODE_CACHE.get(key)
     if cached is not None:
         return cached
-    x = word[0]
-    b, c, m = x
-    if c != QI_ZERO:
-        raise DomainError("nonnegative modes act on origin-supported states")
-    rest = word[1:]
-    rest_state = CurrentState({(rest, ins): QI_ONE}, ctx)
-    out = _left_multiply(algebra, [(x, QI_ONE)], _mode_term(algebra, v, l, rest, ins, ctx))
-    vb = {b: QI_ONE}
-    if l == m:
-        g = algebra.pair(v, vb)
-        if g:
-            out = out + rest_state.scale(g * l)
-    br = algebra.bracket(v, vb)
+    x, rest = word[0], word[1:]
+    for w, c in _j_word(algebra, v, l, rest).items():
+        _add_scaled(out, _pbw_word_terms(algebra, (x,) + w), c)
+    b, m = x
+    g = sum(va * algebra.q_form.get((a, b), 0) for a, va in v) if l == m else 0
+    if g:
+        add_term(out, rest, g * l)
+    br: dict = {}
+    for a, va in v:
+        _add_scaled(br, algebra.q_brackets.get((a, b), {}), va)
     if br:
-        if l - m <= -1:
-            combos = [((k, QI_ZERO, m - l), bc) for k, bc in br.items()]
-            out = out + _left_multiply(algebra, combos, rest_state)
-        else:
-            out = out + _mode_term(algebra, br, l - m, rest, ins, ctx)
+        for w, c in _j_word(algebra, tuple(sorted(br.items())), l - m, rest).items():
+            add_term(out, w, c)
     _MODE_CACHE[key] = out
     return out
 
@@ -590,47 +622,45 @@ def _mode_term(algebra, v, l, word, ins, ctx) -> CurrentState:
 def affine_bracket_check(algebra, a, l: int, b, m: int, spanning=None):
     """Measure [j_l, j_m] against the loop bracket plus central term.
 
-    Returns the measured central scalar; raises when the operator part is
-    not the expected mode of the bracket element.
+    On the exponent kernel: per spanning state v (``_origin_spanning``, or
+    the given states split by insertion indices) [j^a_l, j^b_m] v -
+    j^[a,b]_{l+m} v accumulates in one dict, which must be central * v,
+    central measured on the first state of degree 0.  Returns it as a
+    GaussRational; raises AssertionError when the operator part is not
+    central or the central term is not l (a, b) delta_{l+m,0}.
     """
-    va = _as_elem(algebra, a)
-    vb = _as_elem(algebra, b)
+    ea, eb = _as_elem(algebra, a), _as_elem(algebra, b)
+    va, vb, br = _q_elem(ea), _q_elem(eb), _q_elem(algebra.bracket(ea, eb))
+
+    def bracket(v):
+        out = _j_exponents(algebra, va, l, _j_exponents(algebra, vb, m, v))
+        _j_exponents(algebra, vb, m, _j_exponents(algebra, va, l, v), -1, out)
+        return _j_exponents(algebra, br, l + m, v, -1, out) if br else out
+
     if spanning is None:
         spanning = _origin_spanning(algebra)
-    br = algebra.bracket(va, vb)
+    else:
+        spanning = [terms for s in spanning for terms in _origin_sectors(s).values()]
     central = None
-    for state in spanning:
-        lhs = mode_j(algebra, va, l, mode_j(algebra, vb, m, state)) - mode_j(
-            algebra, vb, m, mode_j(algebra, va, l, state)
-        )
-        if br:
-            lhs = lhs - mode_j(algebra, br, l + m, state)
-        if central is None:
-            central = lhs.vacuum_coefficient() if state.degree() == 0 else None
-        expected = state.scale(central if central is not None else QI_ZERO)
-        if lhs != expected:
+    for v in spanning:
+        lhs = bracket(v)
+        if central is None and not any(v):
+            central = lhs.get((), 0)
+        if lhs != ({w: c * central for w, c in v.items()} if central else {}):
             raise AssertionError(f"mode bracket [{a},{l};{b},{m}] is not central")
-    expected_central = (
-        algebra.pair(va, vb) * l if l + m == 0 else QI_ZERO
-    )
-    if central != expected_central:
+    expected_central = algebra.pair(ea, eb) * l if l + m == 0 else QI_ZERO
+    if central is None or central != expected_central:
         raise AssertionError(
             f"central term {central} differs from {expected_central}"
         )
-    return central
+    return GaussRational.coerce(central)
 
 
 def _origin_spanning(algebra):
-    out = [current_vacuum()]
-    for a in range(algebra.dim):
-        out.append(pbw_normalize(algebra, ((a, QI_ZERO, 1),)))
-        out.append(pbw_normalize(algebra, ((a, QI_ZERO, 2),)))
-    for a in range(algebra.dim):
-        for b in range(algebra.dim):
-            out.append(
-                pbw_normalize(algebra, ((a, QI_ZERO, 1), (b, QI_ZERO, 2)))
-            )
-    return out
+    n = range(algebra.dim)
+    return [{(): 1}] + [{((a, k),): 1} for a in n for k in (1, 2)] + [
+        _pbw_word_terms(algebra, ((a, 1), (b, 2))) for a in n for b in n
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -910,15 +940,17 @@ def _pair_word(algebra, word, state: CurrentState, slack: int, one):
     """Pairing of one reciprocal-chart word against a state with scalars over ``one``.
 
     The first letter v_a (u_t - c~)^(-l) pairs through the order-(l-1)
-    Taylor coefficient at t = c~ of t^-2 <rest | iota_a(1/t) state>.  The
-    point t is a jet at c~ kept ``slack`` orders beyond l - 1; the rest of
-    the word pairs with the moved state, whose scalars are jets in t, at a
-    point nested over them.
+    Taylor coefficient at t = c~ of t^-2 <rest | iota_a(1/t) state>, with t
+    a jet at c~ of precision l + ``slack`` - SLACK, l on the first try: every
+    denominator of iota at 1/t is a unit since 1/c~ - c != 0 inside the disc.
+    At c~ = 0, where 1/t has a pole, the precision is l + ``slack``.  The
+    rest of the word pairs with the moved state, whose scalars are jets in
+    t, at a point nested over them; a shortfall raises JetPrecisionError.
     """
     if not word:
         return state.vacuum_coefficient()
     a, ctil, l = word[0]
-    t = jet_point(ctil * one, l + slack)
+    t = jet_point(ctil * one, l + slack - (SLACK if ctil else 0))
     moved = iota_apply(algebra, a, 1 / t, state).scale(1 / (t * t))
     value = _pair_word(algebra, word[1:], moved, slack, t * 0 + 1)
     if isinstance(value, Jet) and value._level() == t._level():

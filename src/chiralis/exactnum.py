@@ -192,21 +192,26 @@ class GaussRational:
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
-            return (GaussRational(1) / self) ** (-n)
-        out = GaussRational(1)
-        base = self
+            return self.inverse() ** -n
+        # the first factor starts the product, and no squaring follows the last bit
+        out, base = None, self
         while n:
             if n & 1:
-                out = out * base
-            base = base * base
+                out = base if out is None else out * base
             n >>= 1
-        return out
+            if n:
+                base = base * base
+        return GaussRational(1) if out is None else out
 
     def conjugate(self) -> "GaussRational":
         return GaussRational(self.a, -self.b, _den=self.d)
 
     def inverse(self) -> "GaussRational":
-        return GaussRational(1) / self
+        # d / (a + bi) = d (a - bi) / (a^2 + b^2)
+        n = self.a * self.a + self.b * self.b
+        if not n:
+            raise ZeroDivisionError("division by zero GaussRational")
+        return _from_triple(self.a * self.d, -self.b * self.d, n)
 
     def norm(self):
         """|z|^2 as an exact rational."""

@@ -64,6 +64,9 @@ class Jet:
             val = prec
         else:
             coeffs = coeffs[: prec - val]
+        # a trailing exact zero reads back as one * 0: dropping it keeps equal jets one key
+        while coeffs and not isinstance(coeffs[-1], Jet) and not coeffs[-1]:
+            coeffs.pop()
         object.__setattr__(self, "val", val)
         object.__setattr__(self, "coeffs", tuple(coeffs))
         object.__setattr__(self, "prec", prec)

@@ -11,18 +11,25 @@ with ν a dict of ``RatFunc`` components:
 * ``convert_reciprocal_word_oracle``: the u-chart function of each
   reciprocal-chart generator split by ``partial_fractions``;
 * ``residue_pair_degree_one_oracle``: the degree-one contour pairing by
-  ``residue_at`` at the known poles inside the unit disc.
+  ``residue_at`` at the known poles inside the unit disc;
+* ``mode_j_oracle`` / ``affine_bracket_check_oracle``: the loop modes at
+  the origin by the commutation recursion on ``CurrentState`` words with
+  GaussRational coefficients, where ``chiralis.current`` runs an exponent
+  kernel on (basis index, pole order) tuples over ints and Fractions.
 """
 
 from __future__ import annotations
 
 from chiralis.current import (
     CurrentState,
+    _as_elem,
     _left_multiply,
     _sum_terms,
     constant_adjoint,
+    current_vacuum,
     dual_gen_function,
     in_unit_disc,
+    pbw_normalize,
 )
 from chiralis.exactnum import (
     INFINITY,
@@ -253,3 +260,65 @@ def residue_pair_degree_one_oracle(algebra, dual_gen, gen):
         if in_unit_disc(pole):
             total = total + residue_at(prod, pole)
     return -g * total
+
+
+def mode_j_oracle(algebra, v, l: int, state: CurrentState) -> CurrentState:
+    """Loop modes at the origin; negative modes multiply, others recurse."""
+    v = _as_elem(algebra, v)
+    if l <= -1:
+        combos = [((a, QI_ZERO, -l), coeff) for a, coeff in v.items()]
+        return _left_multiply(algebra, combos, state)
+    return _sum_terms(state, lambda word, ins: _mode_term(algebra, v, l, word, ins, state.ctx))
+
+
+def _mode_term(algebra, v, l, word, ins, ctx) -> CurrentState:
+    if not word:
+        return CurrentState({}, ctx)
+    x = word[0]
+    b, c, m = x
+    if c != QI_ZERO:
+        raise DomainError("nonnegative modes act on origin-supported states")
+    rest = word[1:]
+    rest_state = CurrentState({(rest, ins): QI_ONE}, ctx)
+    out = _left_multiply(algebra, [(x, QI_ONE)], _mode_term(algebra, v, l, rest, ins, ctx))
+    vb = {b: QI_ONE}
+    if l == m:
+        g = algebra.pair(v, vb)
+        if g:
+            out = out + rest_state.scale(g * l)
+    br = algebra.bracket(v, vb)
+    if br:
+        if l - m <= -1:
+            combos = [((k, QI_ZERO, m - l), bc) for k, bc in br.items()]
+            out = out + _left_multiply(algebra, combos, rest_state)
+        else:
+            out = out + _mode_term(algebra, br, l - m, rest, ins, ctx)
+    return out
+
+
+def affine_bracket_check_oracle(algebra, a, l: int, b, m: int):
+    """[j_l, j_m] - j_{l+m} of the bracket on the origin spanning states, by
+    ``mode_j_oracle``; returns the central scalar or raises AssertionError."""
+    va, vb = _as_elem(algebra, a), _as_elem(algebra, b)
+    spanning = [current_vacuum()]
+    for x in range(algebra.dim):
+        spanning += [pbw_normalize(algebra, ((x, QI_ZERO, k),)) for k in (1, 2)]
+    for x in range(algebra.dim):
+        for y in range(algebra.dim):
+            spanning.append(pbw_normalize(algebra, ((x, QI_ZERO, 1), (y, QI_ZERO, 2))))
+    br = algebra.bracket(va, vb)
+    central = None
+    for state in spanning:
+        lhs = mode_j_oracle(algebra, va, l, mode_j_oracle(algebra, vb, m, state)) - mode_j_oracle(
+            algebra, vb, m, mode_j_oracle(algebra, va, l, state)
+        )
+        if br:
+            lhs = lhs - mode_j_oracle(algebra, br, l + m, state)
+        if central is None:
+            central = lhs.vacuum_coefficient() if state.degree() == 0 else None
+        if lhs != state.scale(central if central is not None else QI_ZERO):
+            raise AssertionError(f"mode bracket [{a},{l};{b},{m}] is not central")
+    expected_central = algebra.pair(va, vb) * l if l + m == 0 else QI_ZERO
+    if central != expected_central:
+        raise AssertionError(f"central term {central} differs from {expected_central}")
+    return central

@@ -11,7 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from chiralis import current, states
-from chiralis.current import pbw_normalize, sl2_algebra
+from chiralis.current import affine_bracket_check, pbw_normalize, sl2_algebra
 from chiralis.exactnum import qi
 from chiralis.states import LinComb, SymState, vacuum
 
@@ -37,6 +37,7 @@ def test_tracer_installs_counts_and_uninstalls():
         tracer.install()
         assert vacuum() + vacuum() == SymState({(): qi(2)})
         pbw_normalize(sl2_algebra(), ((2, qi(1), 1), (0, qi(0), 1)))
+        affine_bracket_check(sl2_algebra(), "e", 1, "f", -1)
         tracer.mark("cold")
         tracer.mark("warm")
     finally:
@@ -44,6 +45,8 @@ def test_tracer_installs_counts_and_uninstalls():
     report = tracer.report()
     assert report["states.symstate_new"] >= 3
     assert report["cache.current._PBW_CACHE.lookups"] >= 1
+    # the mode kernel's memo is the dict the tracer swapped in
+    assert report["cache.current._MODE_CACHE.lookups"] >= 1
     names = {name for name, _, _ in tracing.metric_names()} - {"trace.cold_s"}
     assert names <= set(report)
     # everything patched is back
@@ -71,6 +74,11 @@ def test_every_gauss_rational_result_is_counted():
         "x.conjugate()": (lambda: x.conjugate(), 1),
         "x * 2": (lambda: x * 2, 2),
         "3 - x": (lambda: 3 - x, 2),
+        # powers start from the first factor and skip the last squaring
+        "x ** 2": (lambda: x ** 2, 1),
+        "x ** 3": (lambda: x ** 3, 2),
+        "x ** -2": (lambda: x ** -2, 2),
+        "x.inverse()": (lambda: x.inverse(), 1),
     }
     tracer = tracing.Tracer()
     try:

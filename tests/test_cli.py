@@ -86,6 +86,23 @@ class TestCommands:
             f'  "operator": "{operator}"\n}}\n'
         )
 
+    @pytest.mark.parametrize("comps, l, m, central, operator", [
+        ("e,f", 1, -1, "1", "(1)*j[h]_0"), ("h,h", 2, -2, "4", "0"), ("e,f", 0, 0, "0", "(1)*j[h]_0"),
+        ("e,e", 1, -1, "0", "0"), ("f,e", -2, 2, "-2", "(-1)*j[h]_0"), ("h,e", 1, 0, "0", "(2)*j[e]_1"),
+    ])
+    def test_modes_current_output_is_pinned(self, capsys, comps, l, m, central, operator):
+        # the exact bytes printed before the affine table moved to exponent tuples
+        a, b = comps.split(",")
+        argv = ["modes", "--algebra", "current-sl2", "--components", comps, f"--bracket={l},{m}"]
+        assert run(argv) == 0
+        assert capsys.readouterr().out == (
+            '{\n  "algebra": "current-sl2",\n  "bracket": [\n'
+            f'    {l},\n    {m}\n  ],\n  "central": "{central}",\n'
+            '  "command": "modes",\n  "components": [\n'
+            f'    "{a}",\n    "{b}"\n  ],\n  "identity": "loop-bracket-central",\n'
+            f'  "operator": "{operator}"\n}}\n'
+        )
+
     def test_modes_heisenberg(self, capsys):
         code, payload = run_json(capsys, ["modes", "--algebra", "heisenberg", "--bracket", "1,-1"])
         assert code == 0

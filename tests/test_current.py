@@ -41,6 +41,7 @@ from chiralis.current import (
 from chiralis.exactnum import (
     GaussRational,
     QI_ONE,
+    QI_ZERO,
     RatFunc,
     partial_fractions,
     partial_fractions_known,
@@ -48,13 +49,16 @@ from chiralis.exactnum import (
     residue_at,
 )
 from chiralis.geometry import bergman_genus0, dec_atoms
+from chiralis.jets import SLACK
 from chiralis.sampling import rand_distinct_scalars, rand_scalar
 from chiralis.states import DomainError, monomial_state
 
 from current_oracle import (
     J_P_apply_oracle,
     J_site_apply_oracle,
+    affine_bracket_check_oracle,
     convert_reciprocal_word_oracle,
+    mode_j_oracle,
     residue_pair_degree_one_oracle,
 )
 from tower_oracle import current_expand_tower, current_pair_tower
@@ -288,6 +292,94 @@ class TestModes:
         assert out == s.scale(2)
 
 
+def _impostor():
+    # sl2's labels with an abelian bracket and a form that pairs e with f
+    return LieAlgebra("sl2", ("e", "f", "h"), {}, {(0, 1): 5, (2, 2): 1})
+
+
+def _origin_state(rng, algebra, ctx=None):
+    """A straightened origin state of degree <= 3, generators often repeated."""
+    out = CurrentState({}, ctx)
+    for _ in range(rng.randint(1, 3)):
+        pool = [(rng.randrange(algebra.dim), rng.randint(1, 3)) for _ in range(2)]
+        word = tuple((a, QI_ZERO, k) for a, k in (rng.choice(pool) for _ in range(rng.randint(0, 3))))
+        ins = (rng.randrange(2),) if ctx is not None else ()
+        out = out + pbw_normalize(algebra, word, ins, rand_scalar(rng), ctx)
+    return out
+
+
+def _rand_elem(rng, algebra):
+    return {a: rand_scalar(rng) for a in rng.sample(range(algebra.dim), rng.randint(1, algebra.dim))}
+
+
+class TestModeKernel:
+    """``mode_j`` and ``affine_bracket_check`` run on the exponent kernel over
+    ints and Fractions; the oracle recurses on CurrentStates over Q(i)."""
+
+    @pytest.mark.parametrize("algebra", [SL2, AB, _impostor()], ids=["sl2", "abelian", "impostor"])
+    def test_mode_j_matches_oracle(self, algebra):
+        rng = random.Random(1501 + algebra.dim)
+        for _ in range(12):
+            state = _origin_state(rng, algebra)
+            for v in [rng.randrange(algebra.dim), _rand_elem(rng, algebra)]:
+                for l in range(-3, 4):
+                    got = mode_j(algebra, v, l, state)
+                    assert got == mode_j_oracle(algebra, v, l, state), (v, l, state)
+                    assert all(type(c) is GaussRational for c in got.terms.values())
+
+    def test_mode_j_with_insertions_matches_oracle(self):
+        rng = random.Random(1511)
+        ctx = InsertionContext(SL2, [(qi(Fraction(1, 2)), sl2_fundamental())])
+        for _ in range(8):
+            state = _origin_state(rng, SL2, ctx)
+            for l in range(0, 4):
+                v = _rand_elem(rng, SL2)
+                got = mode_j(SL2, v, l, state)
+                assert got == mode_j_oracle(SL2, v, l, state) and got.ctx is ctx
+
+    @pytest.mark.parametrize("algebra", [SL2, AB, _impostor()], ids=["sl2", "abelian", "impostor"])
+    def test_bracket_check_matches_oracle(self, algebra):
+        for a in range(algebra.dim):
+            for b in range(algebra.dim):
+                for l, m in [(1, -1), (2, -2), (0, 0), (1, 0), (-2, 2), (-1, -2), (3, -1)]:
+                    got = affine_bracket_check(algebra, a, l, b, m)
+                    assert type(got) is GaussRational
+                    assert got == affine_bracket_check_oracle(algebra, a, l, b, m)
+
+    def test_given_spanning_states(self):
+        span = [current_vacuum(), pbw_normalize(SL2, ((0, QI_ZERO, 1), (2, QI_ZERO, 2)))]
+        assert affine_bracket_check(SL2, "e", 1, "f", -1, span) == qi(1)
+        with pytest.raises(DomainError):
+            affine_bracket_check(SL2, "e", 1, "f", -1, [pbw_normalize(SL2, ((0, qi(1, 1), 1),))])
+
+    def test_nonnegative_modes_need_the_origin(self):
+        off = pbw_normalize(SL2, ((0, QI_ZERO, 1), (2, qi(Fraction(1, 2)), 1)))
+        for l in range(0, 3):
+            with pytest.raises(DomainError):
+                mode_j(SL2, "h", l, off)
+        assert mode_j(SL2, "h", -1, off) == mode_j_oracle(SL2, "h", -1, off)
+
+    @pytest.mark.parametrize("wrong", ["form", "bracket"])
+    def test_bracket_check_raises_on_wrong_tables(self, monkeypatch, wrong):
+        # the kernel reads the int tables; a wrong one must not slip through
+        monkeypatch.setattr(current, "_MODE_CACHE", {})
+        monkeypatch.setattr(current, "_PBW_CACHE", {})
+        algebra = sl2_algebra()
+        if wrong == "form":
+            algebra.q_form = {ij: 2 * g for ij, g in algebra.q_form.items()}
+        else:
+            algebra.q_brackets[(0, 2)], algebra.q_brackets[(2, 0)] = {1: 2}, {1: -2}
+        with pytest.raises(AssertionError):
+            affine_bracket_check(algebra, "e", 1, "f", -1)
+
+    def test_public_results_keep_gauss_rational(self):
+        s = mode_j(SL2, "e", -1, mode_j(SL2, "f", -2, current_vacuum()))
+        straightened = pbw_normalize(SL2, ((2, QI_ZERO, 1), (0, QI_ZERO, 2)))
+        for state in (s, mode_j(SL2, "h", 1, s), mode_j(SL2, {0: qi(0, 1)}, 2, s), straightened):
+            assert state and all(type(c) is GaussRational for c in state.terms.values())
+        assert type(affine_bracket_check(SL2, "h", 2, "h", -2)) is GaussRational
+
+
 class TestAffineOperators:
     def test_constant_at_infinity_acts_diagonally(self):
         ctx = InsertionContext(SL2, [(qi(0), sl2_fundamental())])
@@ -458,7 +550,6 @@ class TestPairing:
         state = pbw_normalize(SL2, ((0, qi(0), 1),))
         direct = -residue_at((1 / (U - 2)) * (1 / U).derivative(), qi(0))
         # the dual class of f/(u-2) is -(1/4) of the canonical dual atom
-        assert current_pair(SL2, dual, state).scale if False else True
         assert current_pair(SL2, dual, state) == direct * qi(-4)
 
     def test_abelian_degree_one_matches_boson(self):
@@ -539,6 +630,58 @@ class TestPairing:
             "+844381992642851812842168685165152000/236564440845116065828675623713499413*i"
         )
         assert current_pair(SL2, pbw_normalize(SL2, word), pbw_normalize(SL2, sword)) == expected
+
+    def test_precision_l_matches_tower(self):
+        # degree one over sl2 (c~ = 0 included), with an insertion, and degree
+        # two over the abelian algebra, a repeated dual point included
+        rng = random.Random(1523)
+        for k in range(20):
+            ctil = qi(0) if k % 4 == 0 else _disc_point(rng)
+            dual = pbw_normalize(SL2, ((rng.randrange(3), ctil, rng.randint(1, 3)),), (), rand_scalar(rng))
+            ctx = InsertionContext(SL2, [(_disc_point(rng), sl2_fundamental())]) if k % 3 == 0 else None
+            gen = (rng.randrange(3), _disc_point(rng), rng.randint(1, 2))
+            state = pbw_normalize(SL2, (gen,), (rng.randrange(2),) if ctx else (), QI_ONE, ctx)
+            _assert_pair_matches_tower(SL2, dual, state)
+        for k in range(4):
+            p = _disc_point(rng)
+            word = ((0, p, 1), (0, p if k % 2 else _disc_point(rng), rng.randint(1, 2)))
+            sword = tuple((0, _disc_point(rng), 1) for _ in range(2))
+            _assert_pair_matches_tower(AB, pbw_normalize(AB, word), pbw_normalize(AB, sword))
+
+    @pytest.mark.parametrize("ctil, slack", [(qi(Fraction(1, 3), Fraction(-1, 2)), 0), (qi(0), SLACK)])
+    def test_one_attempt_at_precision_l(self, monkeypatch, ctil, slack):
+        precs = []
+
+        def recording_jet_point(z, prec):
+            precs.append(prec)
+            return jet_point(z, prec)
+
+        jet_point = current.jet_point
+        monkeypatch.setattr(current, "jet_point", recording_jet_point)
+        gen = (0, qi(Fraction(1, 4), Fraction(1, 5)), 2)
+        for l in (1, 2, 3):
+            precs.clear()
+            paired = current_pair(SL2, pbw_normalize(SL2, ((2, ctil, l),)), pbw_normalize(SL2, (gen,)))
+            assert paired == residue_pair_degree_one(SL2, (2, ctil, l), gen)
+            assert precs == [l + slack]  # one attempt, at precision l away from c~ = 0
+
+    def test_repeated_dual_point_needs_no_retry(self, monkeypatch):
+        # 1/t2 - 1/t1 vanishes at t1 = t2 = c~, yet precision l still reads the value
+        attempts = []
+        pair_word = current._pair_word
+
+        def counting(algebra, word, state, slack, one):
+            if one is QI_ONE:
+                attempts.append(slack)
+            return pair_word(algebra, word, state, slack, one)
+
+        monkeypatch.setattr(current, "_pair_word", counting)
+        p = qi(Fraction(1, 3), Fraction(1, 4))
+        dual = pbw_normalize(AB, ((0, p, 2), (0, p, 1)))
+        state = pbw_normalize(AB, ((0, qi(Fraction(-1, 2)), 1), (0, qi(0, Fraction(1, 2)), 2)))
+        value = current_pair(AB, dual, state)
+        assert attempts == [SLACK]
+        assert value == current_pair_tower(AB, dual, state)
 
     def test_region_violation(self):
         dual = pbw_normalize(SL2, ((2, qi(Fraction(1, 2)), 1),))
@@ -622,7 +765,7 @@ class TestCachesKeyOnStructure:
     straightening, contractions and modes, whichever runs first."""
 
     def test_abelian_impostor_then_sl2(self):
-        fake = LieAlgebra("sl2", ("e", "f", "h"), {}, {(0, 1): 5, (2, 2): 1})
+        fake = _impostor()
         word = ((0, qi(1), 1), (1, qi(0), 1))
         one_gen = ((1, qi(0), 1),)
         fake_pbw = pbw_normalize(fake, word)

@@ -224,6 +224,21 @@ class TestGaussTriple:
         _assert_reduced(qi(Fraction(1, 2), 1) - qi(Fraction(1, 2), 1), (0, 0))
         assert (qi(0).a, qi(0).b, qi(0).d) == (0, 0, 1)
 
+    def test_power_matches_repeated_multiplication(self):
+        rng = random.Random(1531)
+        for x in [qi(0), qi(1), qi(0, 1)] + [rand_scalar(rng) for _ in range(40)]:
+            for n in range(-6, 7):
+                if n < 0 and not x:
+                    continue
+                want = qi(1)
+                for _ in range(abs(n)):
+                    want = want * x if n > 0 else want / x
+                got = x ** n
+                assert got == want and (got.a, got.b, got.d) == (want.a, want.b, want.d), (x, n)
+        assert qi(0) ** 0 == 1 and qi(0) ** 3 == 0
+        for x in (qi(Fraction(2, 3), -5), qi(0, Fraction(-1, 7))):
+            assert x.inverse() == 1 / x and x.inverse() * x == 1
+
     def test_division_by_zero_raises(self):
         for zero in (0, Fraction(0), qi(0)):
             with pytest.raises(ZeroDivisionError):

@@ -44,6 +44,31 @@ class TestEquality:
         assert nested != jet_point(jet_point(qi(1), 5), 2)
 
 
+class TestCanonicalCoefficients:
+    def test_trailing_zeros_are_dropped(self):
+        # (1/2, 1/2, 0) and (1/2, 1/2): one value, one precision, one key
+        a = (jet_point(jet_point(1, 3), 2) / 2).coefficient(0)
+        b = jet_point(1, 3) * Fraction(1, 2)
+        assert a == b and hash(a) == hash(b) and a.coeffs == b.coeffs
+        assert len({a, b}) == 1 and {a: "value"}[b] == "value"
+        t = jet_point(0, 5)
+        assert (t * 0 + 1).coeffs == (qi(1),)
+
+    def test_padded_sum_reaches_the_closed_form_power(self, monkeypatch):
+        t = jet_point(0, 6)
+        c = t * 0 + qi(2, 1)  # a constant jet, padded with zeros by the sum
+        x = t * t * c + t ** 3
+        assert x.coeffs == (qi(2, 1), qi(1))
+        want = {m: x.inverse() ** m for m in range(1, 4)}
+
+        def no_inverse(self):
+            raise AssertionError("inverse() called")
+
+        monkeypatch.setattr(Jet, "inverse", no_inverse)
+        for m in range(1, 4):
+            assert x ** -m == want[m]
+
+
 class TestMovedExpansion:
     def test_single_pole_is_the_binomial_series(self):
         # (u - p - s t)^-l = sum_k C(l+k-1, k) s^k t^k (u - p)^-(l+k)
