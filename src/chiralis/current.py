@@ -11,7 +11,6 @@ on states, never assumed.
 
 from __future__ import annotations
 
-import itertools
 from math import comb
 
 from .exactnum import (
@@ -88,7 +87,7 @@ class LieAlgebra:
         for (i, j), val in form.items():
             self.form[(i, j)] = self.form[(j, i)] = GaussRational.coerce(val)
         self.validate()
-        # int/Fraction wherever an entry is rational: the lane of the mode kernel
+        # int/Fraction wherever an entry is rational: the tables straightening and the mode kernel read
         self.q_brackets = {ij: {k: _demote(c) for k, c in comps.items()} for ij, comps in table.items()}
         self.q_form = {ij: _demote(g) for ij, g in self.form.items()}
         structure = (
@@ -124,22 +123,39 @@ class LieAlgebra:
         return {i: QI_ONE}
 
     def validate(self):
-        basis = [{i: QI_ONE} for i in range(self.dim)]
-        br = self.bracket
-        for x, y in itertools.product(basis, repeat=2):
-            if br(x, y) != {k: -c for k, c in br(y, x).items()}:
-                raise ValueError("bracket table is not antisymmetric")
-        triples = list(itertools.product(basis, repeat=3))
-        for x, y, z in triples:
-            # [x,[y,z]] - [[x,y],z] - [y,[x,z]] must vanish
-            jacobi = dict(br(x, br(y, z)))
-            for k, c in itertools.chain(br(br(x, y), z).items(), br(y, br(x, z)).items()):
-                add_term(jacobi, k, -c)
-            if jacobi:
-                raise ValueError("structure constants fail the Jacobi identity")
-        for x, y, z in triples:
-            if self.pair(br(x, y), z) + self.pair(y, br(x, z)):
-                raise ValueError("bilinear form is not invariant")
+        n = self.dim
+        for i in range(n):
+            for j in range(n):
+                lhs = self.bracket_basis(i, j)
+                rhs = {k: -c for k, c in self.bracket_basis(j, i).items()}
+                if lhs != rhs:
+                    raise ValueError("bracket table is not antisymmetric")
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    # [i,[j,k]] - [[i,j],k] - [j,[i,k]] must vanish
+                    acc: dict = {}
+                    for mid, c in self.bracket_basis(j, k).items():
+                        for m, c2 in self.bracket_basis(i, mid).items():
+                            acc[m] = acc.get(m, QI_ZERO) + c * c2
+                    for mid, c in self.bracket_basis(i, j).items():
+                        for m, c2 in self.bracket_basis(mid, k).items():
+                            acc[m] = acc.get(m, QI_ZERO) - c * c2
+                    for mid, c in self.bracket_basis(i, k).items():
+                        for m, c2 in self.bracket_basis(j, mid).items():
+                            acc[m] = acc.get(m, QI_ZERO) - c * c2
+                    if any(acc.values()):
+                        raise ValueError("structure constants fail the Jacobi identity")
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    total = QI_ZERO
+                    for m, c in self.bracket_basis(i, j).items():
+                        total = total + c * self.form.get((m, k), QI_ZERO)
+                    for m, c in self.bracket_basis(i, k).items():
+                        total = total + c * self.form.get((j, m), QI_ZERO)
+                    if total:
+                        raise ValueError("bilinear form is not invariant")
 
     def __repr__(self):
         return f"LieAlgebra({self.name!r}, dim={self.dim})"
@@ -305,15 +321,14 @@ _PBW_CACHE: dict = {}
 
 
 def _pbw_word_terms(algebra: LieAlgebra, word) -> dict:
-    """Normal-form expansion {sorted word: coeff} of one input word: letters
-    (a, c, l) over GaussRational, or origin letters (a, l) on the int lane of
-    ``algebra.q_brackets``, where u^-l u^-m = u^-(l+m)."""
+    """Normal-form expansion {sorted word: coeff} of one input word, bracketing
+    by ``algebra.q_brackets``: letters (a, c, l) over GaussRational, or origin
+    letters (a, l) on an int lane, where u^-l u^-m = u^-(l+m)."""
     key = (algebra.key, word)
     cached = _PBW_CACHE.get(key)
     if cached is not None:
         return cached
     origin = bool(word) and len(word[0]) == 2
-    table = algebra.q_brackets if origin else algebra.brackets
     sort_key = (lambda gen: (-gen[1], gen[0])) if origin else _gen_key  # (a, l) is (a, 0, l)
     out: dict = {}
     stack = [(word, 1 if origin else QI_ONE)]
@@ -330,7 +345,7 @@ def _pbw_word_terms(algebra: LieAlgebra, word) -> dict:
         x, y = w[idx], w[idx + 1]
         swapped = w[:idx] + (y, x) + w[idx + 2:]
         stack.append((swapped, c))
-        comps = table.get((x[0], y[0]))
+        comps = algebra.q_brackets.get((x[0], y[0]))
         if comps:
             if origin:
                 products = [((x[1] + y[1],), c)]
@@ -943,14 +958,17 @@ def _pair_word(algebra, word, state: CurrentState, slack: int, one):
     Taylor coefficient at t = c~ of t^-2 <rest | iota_a(1/t) state>, with t
     a jet at c~ of precision l + ``slack`` - SLACK, l on the first try: every
     denominator of iota at 1/t is a unit since 1/c~ - c != 0 inside the disc.
-    At c~ = 0, where 1/t has a pole, the precision is l + ``slack``.  The
-    rest of the word pairs with the moved state, whose scalars are jets in
-    t, at a point nested over them; a shortfall raises JetPrecisionError.
+    The precision is l + ``slack`` at c~ = 0, where 1/t has a pole, and when
+    a later letter sits at c~ too: iota at its point 1/t' meets letters at
+    1/t, and 1/t' - 1/t vanishes at t' = t.  The rest of the word pairs with
+    the moved state, whose scalars are jets in t, at a point nested over
+    them; a shortfall raises JetPrecisionError.
     """
     if not word:
         return state.vacuum_coefficient()
     a, ctil, l = word[0]
-    t = jet_point(ctil * one, l + slack - (SLACK if ctil else 0))
+    units = ctil and all(c != ctil for _, c, _ in word[1:])
+    t = jet_point(ctil * one, l + slack - (SLACK if units else 0))
     moved = iota_apply(algebra, a, 1 / t, state).scale(1 / (t * t))
     value = _pair_word(algebra, word[1:], moved, slack, t * 0 + 1)
     if isinstance(value, Jet) and value._level() == t._level():

@@ -666,7 +666,7 @@ class TestPairing:
             assert precs == [l + slack]  # one attempt, at precision l away from c~ = 0
 
     def test_repeated_dual_point_needs_no_retry(self, monkeypatch):
-        # 1/t2 - 1/t1 vanishes at t1 = t2 = c~, yet precision l still reads the value
+        # the first letter keeps SLACK at a repeated dual point, and one attempt reads the value
         attempts = []
         pair_word = current._pair_word
 
@@ -682,6 +682,29 @@ class TestPairing:
         value = current_pair(AB, dual, state)
         assert attempts == [SLACK]
         assert value == current_pair_tower(AB, dual, state)
+
+    def test_repeated_dual_point_keeps_slack(self, monkeypatch):
+        # h (or f) at c~ brackets e into a letter at 1/t; iota of a later letter at
+        # c~ meets 1/t' - 1/t, which vanishes at t' = t, so only there the first
+        # letter starts at l + SLACK; away from a repeated point every letter starts at l
+        precs = []
+
+        def recording_jet_point(z, prec):
+            precs.append(prec)
+            return jet_point(z, prec)
+
+        jet_point = current.jet_point
+        monkeypatch.setattr(current, "jet_point", recording_jet_point)
+        p, q = qi(Fraction(1, 3), Fraction(1, 4)), qi(Fraction(-1, 4), Fraction(1, 2))
+        state = pbw_normalize(SL2, ((0, qi(Fraction(-1, 2)), 1),))
+        cases = (((1, 1), (2, 1)), ((2, 1), (1, 1)), ((1, 2), (2, 1)), ((2, 2), (1, 2)), ((1, 1), (2, 2)))
+        for (a1, l1), (a2, l2) in cases:
+            for p2 in (p, q):
+                word = tuple(sorted(((a1, p, l1), (a2, p2, l2)), key=current._gen_key))
+                dual = pbw_normalize(SL2, word)
+                precs.clear()
+                assert current_pair(SL2, dual, state) == current_pair_tower(SL2, dual, state)
+                assert precs == [word[0][2] + (SLACK if p2 == p else 0), word[1][2]]
 
     def test_region_violation(self):
         dual = pbw_normalize(SL2, ((2, qi(Fraction(1, 2)), 1),))
