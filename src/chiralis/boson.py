@@ -21,8 +21,6 @@ from .states import (DomainError, SymState, drop_above_degree, monomial_state, r
 from .symmetry import _phi_pole_parts
 
 __all__ = [
-    "BosonState",
-    "FuncState",
     "vacuum",
     "e_apply",
     "i_apply",
@@ -49,10 +47,6 @@ __all__ = [
     "davatar_check",
     "eps_tilde_offset",
 ]
-
-BosonState = SymState
-FuncState = SymState
-
 
 # ---------------------------------------------------------------------------
 # The four basic fields (hatted)

@@ -223,13 +223,13 @@ def cmd_commute_check(args) -> int:
         for _ in range(args.samples):
             z1, z2 = rand_distinct_scalars(rng, 2, span=7)
             s = psi_apply(rng.choice([z for z in rand_distinct_scalars(rng, 3, span=4) if (z - z1) and (z - z2)]), fermion_vacuum())
-            anti = psi_apply(z1, psi_apply(z2, s)) + psi_apply(z2, psi_apply(z1, s))
+            ok = (psi_apply(z1, psi_apply(z2, s)) + psi_apply(z2, psi_apply(z1, s))).is_zero()
             results.append(
                 {
                     "identity": "fermion-anticommutator",
                     "points": [scalar_to_str(z1), scalar_to_str(z2)],
-                    "passed": anti.is_zero(),
-                    "witness": None,
+                    "passed": ok,
+                    "witness": None if ok else state_to_json(s),
                 }
             )
     elif theory == "lattice":
@@ -243,14 +243,17 @@ def cmd_commute_check(args) -> int:
             if sec.multiplicity(z1) or sec.multiplicity(z2):
                 continue
             s = th.vacuum(sec)
-            lhs = th.j(z1, th.vertex(lam, z2, s))
-            rhs = th.vertex(lam, z2, th.j(z1, s))
+            ok = th.j(z1, th.vertex(lam, z2, s)) == th.vertex(lam, z2, th.j(z1, s))
             results.append(
                 {
                     "identity": "current-vs-vertex-commutator",
                     "points": [scalar_to_str(z1), scalar_to_str(z2)],
-                    "passed": lhs == rhs,
-                    "witness": None,
+                    "passed": ok,
+                    "witness": None if ok else {
+                        "section": [[scalar_to_str(c), int(m)] for c, m in sec.roots],
+                        "lambda": lam,
+                        "vacuum": lattice_state_to_json(s),
+                    },
                 }
             )
     else:

@@ -3,10 +3,11 @@
 States are spanned by ordered products of loop generators v_a (u-c)^(-l)
 (straightened into a fixed normal form on construction), optionally
 tensored with marked finite-dimensional representation vectors.  The
-fields act by exact left multiplication and by the commutation-driven
-contraction recursion; operators attached to Lie-valued functions act
-through residues on the functions' known poles.  Everything is measured
-on states, never assumed.
+creation field acts by exact left multiplication.  The contraction field
+and the operators attached to Lie-valued functions share one commutation
+recursion, which passes a word letter by letter, T(x rest) = x T(rest) +
+[T, x] rest, on term dicts; the functions' brackets and residues are read
+on their known poles.  Everything is measured on states, never assumed.
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ from .exactnum import (
     RatFunc,
     coerce_scalar,
 )
-from .boson import eps_tilde_offset
-from .geometry import _atom_residue, _loop_product, atom_eval, atom_product, dec_atoms
+from .geometry import _atom_residue, _loop_product, _pole_part_of_product, atom_eval, atom_product, dec_atoms
 from .jets import SLACK, Jet, coerce_scalar_or_jet, jet_point, moved_expansion, with_jet_retry
 from .states import DomainError, LinComb, add_term, require_distinct
 from .symmetry import _phi_pole_parts
@@ -50,7 +50,6 @@ __all__ = [
     "base_point_independence_check",
     "current_pair",
     "residue_pair_degree_one",
-    "dual_gen_function",
     "separation_check",
     "current_expand_at_generic_point",
 ]
@@ -292,19 +291,6 @@ class CurrentState(LinComb):
         return "CurrentState(" + (" + ".join(bits) or "0") + ")"
 
 
-def _sum_terms(state: CurrentState, term_of) -> CurrentState:
-    """The sum of coeff * term_of(word, ins) over the terms (word, ins) -> coeff of state.
-
-    Accumulates into one dict, so a term costs its own size, not the size
-    of the sum so far; the result keeps state.ctx.
-    """
-    out: dict = {}
-    for (word, ins), coeff in state.terms.items():
-        for key, c in term_of(word, ins).terms.items():
-            add_term(out, key, c * coeff)
-    return CurrentState(out, state.ctx)
-
-
 def current_vacuum(ctx: InsertionContext | None = None, ins=None) -> CurrentState:
     if ctx is None:
         return CurrentState({((), ()): QI_ONE})
@@ -369,15 +355,66 @@ def pbw_normalize(algebra: LieAlgebra, word, ins=(), coeff=QI_ONE, ctx=None) -> 
     return CurrentState(out, ctx)
 
 
+def _multiply(algebra, gen, word, ins, coeff, out: dict) -> None:
+    """Accumulate coeff * gen . word, straightened, at insertion indices ins into out."""
+    for w, wc in _pbw_word_terms(algebra, (gen,) + word).items():
+        add_term(out, (w, ins), wc * coeff)
+
+
 def _left_multiply(algebra, combos, state: CurrentState) -> CurrentState:
     """Left multiplication by sum(coeff * LoopGen) followed by straightening."""
     out: dict = {}
     for gen, gcoeff in combos:
         for (word, ins), c in state.terms.items():
-            coeff = c * gcoeff
-            for w, wc in _pbw_word_terms(algebra, (gen,) + word).items():
-                add_term(out, (w, ins), wc * coeff)
+            _multiply(algebra, gen, word, ins, c * gcoeff, out)
     return CurrentState(out, state.ctx)
+
+
+def _apply(algebra, op, state: CurrentState) -> CurrentState:
+    """The kernel operator op (``_through_word``) on a state."""
+    out: dict = {}
+    for (word, ins), coeff in state.terms.items():
+        for key, c in _through_word(algebra, op, word, ins).items():
+            add_term(out, key, c * coeff)
+    return CurrentState(out, state.ctx)
+
+
+_IOTA_CACHE: dict = {}
+
+
+def _through_word(algebra, op, word, ins) -> dict:
+    """The one commutation recursion: op on the basis state (word, ins) as a term dict.
+
+    op is (key, base, step): base(ins) is op on the vacuum of ins, and
+    step(x) gives [op, x] as (op', s, combos), so that
+    op(x rest) = x op(rest) + s rest + op'(rest) + combos . rest, op' None
+    when it vanishes.  An op with a key (the contraction field without
+    insertions) is memoized in ``_IOTA_CACHE``, looked up by its global
+    name; the cached dicts are shared, so no caller may mutate them.
+    """
+    key, base, step = op
+    if key is not None:
+        cached = _IOTA_CACHE.get(key + (word,))
+        if cached is not None:
+            return cached
+    if not word:
+        out = base(ins)
+    else:
+        x, rest = word[0], word[1:]
+        bracket, scalar, combos = step(x)
+        out = {}
+        for (w, i), c in _through_word(algebra, op, rest, ins).items():
+            _multiply(algebra, x, w, i, c, out)
+        if scalar:
+            add_term(out, (rest, ins), scalar)
+        if bracket is not None:
+            for term, c in _through_word(algebra, bracket, rest, ins).items():
+                add_term(out, term, c)
+        for gen, gc in combos:
+            _multiply(algebra, gen, rest, ins, gc, out)
+    if key is not None:
+        _IOTA_CACHE[key + (word,)] = out
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -399,71 +436,46 @@ def epsilon_apply(algebra, v, z, state: CurrentState) -> CurrentState:
     return _left_multiply(algebra, combos, state)
 
 
-_IOTA_CACHE: dict = {}
-
-
 def iota_apply(algebra, v, z, state: CurrentState) -> CurrentState:
     """Contraction field at z via the commutation recursion."""
-    v = _as_elem(algebra, v)
-    z = coerce_scalar_or_jet(z)
-    ctx = state.ctx
-    return _sum_terms(state, lambda word, ins: _iota_term_cached(algebra, v, z, word, ins, ctx))
+    op = _iota_op(algebra, _as_elem(algebra, v), coerce_scalar_or_jet(z), state.ctx)
+    return _apply(algebra, op, state)
 
 
-def _iota_term_cached(algebra, v, z, word, ins, ctx) -> CurrentState:
-    if ctx is not None:
-        return _iota_term(algebra, v, z, word, ins, ctx)
-    key = (algebra.key, tuple(sorted(v.items())), z, word)
-    cached = _IOTA_CACHE.get(key)
-    if cached is None:
-        cached = _iota_term(algebra, v, z, word, ins, ctx)
-        _IOTA_CACHE[key] = cached
-    return cached
+def _iota_op(algebra, v, z, ctx):
+    """iota^v(z) as a ``_through_word`` operator: it kills the vacuum slot and
+    acts on each insertion slot by v/(z - z_j)."""
 
-
-def _iota_term(algebra, v, z, word, ins, ctx) -> CurrentState:
-    if not word:
-        if ctx is None:
-            return CurrentState({}, ctx)
+    def base(ins):
         out: dict = {}
-        for j, zj in enumerate(ctx.points):
-            dz = z - zj
-            if not dz:
-                raise DomainError("contraction field applied at an insertion point")
-            for a, va in v.items():
-                for new_idx, mc in ctx.act(j, a, ins[j]).items():
-                    new_ins = ins[:j] + (new_idx,) + ins[j + 1:]
-                    add_term(out, ((), new_ins), va * mc / dz)
-        return CurrentState(out, ctx)
-    x = word[0]
-    rest = word[1:]
-    b, c, l = x
-    if not (z - c):
-        raise DomainError("state has a loop pole at the field point")
-    rest_state = CurrentState({(rest, ins): QI_ONE}, ctx)
-    # x . iota(rest)
-    out = _left_multiply(algebra, [(x, QI_ONE)], _iota_term_cached(algebra, v, z, rest, ins, ctx))
-    # -(v, dx(z)) rest : the function part differentiates to -l (z-c)^-(l+1)
-    vb = {b: QI_ONE}
-    g = algebra.pair(v, vb)
-    if g:
-        out = out + rest_state.scale(g * l / (z - c) ** (l + 1))
-    # bracket element [v, x(z)] and its two field contributions
-    w_elem = algebra.bracket(v, vb)
-    if w_elem:
-        xz = 1 / (z - c) ** l
-        scaled = {k: cv * xz for k, cv in w_elem.items()}
-        out = out + _iota_term_cached(algebra, scaled, z, rest, ins, ctx)
-        out = out + _left_multiply(
-            algebra, [((k, z, 1), cv) for k, cv in scaled.items()], rest_state
-        )
-        # -[eps^v(z), x] as a multiplication operator
-        combos = []
-        for cc, order, pcoeff in _loop_product(z, 1, c, l):
-            for k, bc in w_elem.items():
-                combos.append(((k, cc, order), -bc * pcoeff))
-        out = out + _left_multiply(algebra, combos, rest_state)
-    return out
+        if ctx is not None:
+            for j, zj in enumerate(ctx.points):
+                dz = z - zj
+                if not dz:
+                    raise DomainError("contraction field applied at an insertion point")
+                for a, va in v.items():
+                    _act_on_slot(ctx, j, ins, a, va / dz, out)
+        return out
+
+    def step(x):
+        b, c, l = x
+        d = z - c
+        if not d:
+            raise DomainError("state has a loop pole at the field point")
+        vb = {b: QI_ONE}
+        g, w_elem = algebra.pair(v, vb), algebra.bracket(v, vb)
+        # -(v, dx(z)) rest : the function part differentiates to -l (z-c)^-(l+1)
+        scalar = g * l / d ** (l + 1) if g else 0
+        if not w_elem:
+            return None, scalar, ()
+        # [v, x(z)] contracts through rest; of -[eps^v(z), x] only the pole part
+        # at c multiplies, its part at z cancels the creation half of [v, x(z)]
+        xz = 1 / d ** l
+        combos = [((k, c, order), -bc * p) for _, order, p in _pole_part_of_product(c, l, z, 1)
+                  for k, bc in w_elem.items()]
+        return _iota_op(algebra, {k: cv * xz for k, cv in w_elem.items()}, z, ctx), scalar, combos
+
+    return (algebra.key, tuple(sorted(v.items())), z) if ctx is None else None, base, step
 
 
 def j_apply(algebra, v, z, state: CurrentState) -> CurrentState:
@@ -731,42 +743,51 @@ def _nu_pair_d_gen(algebra, nu_comps, gen, site):
 
 def J_P_apply(algebra, nu, state: CurrentState) -> CurrentState:
     """Operator attached to nu at the base point at infinity."""
-    nu_comps = _nu_components(algebra, nu)
-    return _sum_terms(state, lambda word, ins: _J_P_term(algebra, nu_comps, word, ins, state.ctx))
+    return _apply(algebra, _nu_op(algebra, _nu_components(algebra, nu), None, state.ctx), state)
 
 
-def _J_P_term(algebra, nu_comps, word, ins, ctx) -> CurrentState:
-    if not word:
-        return _J_P_base(algebra, nu_comps, ins, ctx)
-    x = word[0]
-    rest = word[1:]
-    rest_state = CurrentState({(rest, ins): QI_ONE}, ctx)
-    out = _left_multiply(
-        algebra, [(x, QI_ONE)], _J_P_term(algebra, nu_comps, rest, ins, ctx)
-    )
-    bracket_nu = _nu_bracket_gen(algebra, nu_comps, x)
-    if bracket_nu:
-        out = out + _J_P_term(algebra, bracket_nu, rest, ins, ctx)
-    res = _nu_pair_d_gen(algebra, nu_comps, x, None)
-    if res:
-        out = out - rest_state.scale(res)
-    return out
+def J_site_apply(algebra, nu, site_index: int, state: CurrentState) -> CurrentState:
+    """Operator attached to nu, local at the given insertion point."""
+    if state.ctx is None:
+        raise DomainError("site operators need an insertion context")
+    return _apply(algebra, _nu_op(algebra, _nu_components(algebra, nu), site_index, state.ctx), state)
 
 
-def _J_P_base(algebra, nu_comps, ins, ctx) -> CurrentState:
+def _nu_op(algebra, nu_comps, site, ctx):
+    """The operator of nu at insertion site ``site`` (None: at infinity) as a
+    ``_through_word`` operator: [J, x] is J of [nu, x] plus Res_site (nu, dx),
+    or minus Res_infinity (nu, dx) at infinity."""
+    point = None if site is None else ctx.points[site]
+
+    def base(ins):
+        if site is None:
+            return _J_P_base(algebra, nu_comps, ins, ctx)
+        return _J_site_base(algebra, nu_comps, site, ins, ctx)
+
+    def step(x):
+        bracket_nu = _nu_bracket_gen(algebra, nu_comps, x)
+        res = _nu_pair_d_gen(algebra, nu_comps, x, point)
+        bracket = _nu_op(algebra, bracket_nu, site, ctx) if bracket_nu else None
+        return bracket, res if site is not None else -res, ()
+
+    return None, base, step
+
+
+def _J_P_base(algebra, nu_comps, ins, ctx) -> dict:
     """The pole atoms multiply; the polynomial atoms, constants included,
     act on each insertion slot by their value at its point."""
-    vac = CurrentState({((), tuple(ins)): QI_ONE}, ctx)
-    combos = [((a, atom[1], atom[2]), g) for a, atoms in nu_comps.items()
-              for atom, g in atoms.items() if atom[0] == "pole"]
-    acts: dict = {}
+    out: dict = {}
+    for a, atoms in nu_comps.items():
+        for atom, g in atoms.items():
+            if atom[0] == "pole":
+                _multiply(algebra, (a, atom[1], atom[2]), (), ins, g, out)
     if ctx is not None:
         for j, zj in enumerate(ctx.points):
             for a, atoms in nu_comps.items():
                 for atom, g in atoms.items():
                     if atom[0] == "poly":
-                        _act_on_slot(ctx, j, ins, a, g * atom_eval(atom, zj), acts)
-    return _left_multiply(algebra, combos, vac) + CurrentState(acts, ctx)
+                        _act_on_slot(ctx, j, ins, a, g * atom_eval(atom, zj), out)
+    return out
 
 
 def _act_on_slot(ctx, j, ins, a, val, out: dict):
@@ -775,51 +796,21 @@ def _act_on_slot(ctx, j, ins, a, val, out: dict):
         add_term(out, ((), ins[:j] + (idx,) + ins[j + 1:]), val * mc)
 
 
-def J_site_apply(algebra, nu, site_index: int, state: CurrentState) -> CurrentState:
-    """Operator attached to nu, local at the given insertion point."""
-    if state.ctx is None:
-        raise DomainError("site operators need an insertion context")
-    nu_comps = _nu_components(algebra, nu)
-    return _sum_terms(
-        state, lambda word, ins: _J_site_term(algebra, nu_comps, site_index, word, ins, state.ctx)
-    )
-
-
-def _J_site_term(algebra, nu_comps, site, word, ins, ctx) -> CurrentState:
-    if not word:
-        return _J_site_base(algebra, nu_comps, site, ins, ctx)
-    x = word[0]
-    rest = word[1:]
-    rest_state = CurrentState({(rest, ins): QI_ONE}, ctx)
-    out = _left_multiply(
-        algebra, [(x, QI_ONE)], _J_site_term(algebra, nu_comps, site, rest, ins, ctx)
-    )
-    bracket_nu = _nu_bracket_gen(algebra, nu_comps, x)
-    if bracket_nu:
-        out = out + _J_site_term(algebra, bracket_nu, site, rest, ins, ctx)
-    res = _nu_pair_d_gen(algebra, nu_comps, x, ctx.points[site])
-    if res:
-        out = out + rest_state.scale(res)
-    return out
-
-
-def _J_site_base(algebra, nu_comps, site, ins, ctx) -> CurrentState:
+def _J_site_base(algebra, nu_comps, site, ins, ctx) -> dict:
     """The atoms singular at the site multiply, minus their values at the
     other sites; every other atom acts on the site's slot by its value there."""
     zl = ctx.points[site]
-    vac = CurrentState({((), tuple(ins)): QI_ONE}, ctx)
-    combos = []
-    acts: dict = {}
+    out: dict = {}
     for a, atoms in nu_comps.items():
         for atom, g in atoms.items():
             if atom[0] == "pole" and atom[1] == zl:
-                combos.append(((a, zl, atom[2]), g))
+                _multiply(algebra, (a, zl, atom[2]), (), ins, g, out)
                 for j, zj in enumerate(ctx.points):
                     if j != site:
-                        _act_on_slot(ctx, j, ins, a, -g * atom_eval(atom, zj), acts)
+                        _act_on_slot(ctx, j, ins, a, -g * atom_eval(atom, zj), out)
             else:
-                _act_on_slot(ctx, site, ins, a, g * atom_eval(atom, zl), acts)
-    return _left_multiply(algebra, combos, vac) + CurrentState(acts, ctx)
+                _act_on_slot(ctx, site, ins, a, g * atom_eval(atom, zl), out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -911,10 +902,6 @@ def base_point_independence_check(algebra, v, z, recip_word) -> bool:
     return converted == j_u
 
 
-# the origin-based creation multiplier exceeds 1/(u-z) by the constant 1/z
-epsilon_base_point_offset = eps_tilde_offset
-
-
 # ---------------------------------------------------------------------------
 # Pairing
 # ---------------------------------------------------------------------------
@@ -922,13 +909,6 @@ epsilon_base_point_offset = eps_tilde_offset
 
 def in_unit_disc(c) -> bool:
     return c.norm() < 1
-
-
-def dual_gen_function(gen) -> RatFunc:
-    """The u-chart function of a reciprocal-chart generator."""
-    a, c, l = gen
-    u = RatFunc.variable(QI_ONE)
-    return (1 / (1 / u - c)) ** l
 
 
 def current_pair(algebra, dual: CurrentState, state: CurrentState):

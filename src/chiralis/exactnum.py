@@ -43,7 +43,6 @@ __all__ = [
     "Poly",
     "RatFunc",
     "coerce_scalar",
-    "LaurentTail",
     "PartialFractions",
     "partial_fractions",
     "partial_fractions_known",
@@ -51,7 +50,6 @@ __all__ = [
     "pole_part_coeffs",
     "residue_at",
     "evaluate",
-    "laurent_expand",
     "sqrt_gauss_rational",
 ]
 
@@ -892,48 +890,6 @@ def pole_part_coeffs(f: RatFunc, c) -> dict:
         return {}
     _, coeffs = local_expansion(f, c, -1)
     return {m - j: coeffs[j] for j in range(m) if coeffs[j]}
-
-
-class LaurentTail:
-    """Truncated Laurent expansion around a finite point."""
-
-    __slots__ = ("center", "order", "coefficients")
-
-    def __init__(self, center, order: int, coefficients: dict):
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(
-            self, "coefficients", {k: v for k, v in coefficients.items() if v}
-        )
-
-    def __setattr__(self, name, value):  # pragma: no cover
-        raise AttributeError("LaurentTail is immutable")
-
-    def __getitem__(self, k: int):
-        return self.coefficients.get(k, QI_ZERO)
-
-    def __eq__(self, other):
-        if not isinstance(other, LaurentTail):
-            return NotImplemented
-        return (
-            self.center == other.center
-            and self.order == other.order
-            and self.coefficients == other.coefficients
-        )
-
-    def __repr__(self):
-        items = ", ".join(f"{k}: {v}" for k, v in sorted(self.coefficients.items()))
-        return f"LaurentTail(center={self.center}, order={self.order}, {{{items}}})"
-
-
-def laurent_expand(f: RatFunc, z, order: int) -> LaurentTail:
-    """Laurent coefficients of f at the finite point z, up to (u-z)^order."""
-    z = as_point(z)
-    if z.is_infinity:
-        raise ExactnumError("laurent_expand expects a finite point")
-    c = z.value
-    m, coeffs = local_expansion(f, c, order)
-    return LaurentTail(c, order, {j - m: coeffs[j] for j in range(len(coeffs))})
 
 
 def evaluate(f: RatFunc, z) -> GaussRational:

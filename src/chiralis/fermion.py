@@ -183,23 +183,18 @@ def bc_apply(field: str, z, state: BCState) -> BCState:
     """Apply one of the sector fields; Koszul signs cross the first sector."""
     z = coerce_scalar(z)
     out = {}
-    if field == "b_e":
-        for (b, c), coeff in state.terms.items():
-            hit = _wedge(("pole", z, 1), b)
+    if field in ("b_e", "c_e"):
+        # b_e wedges into the first sector; c_e into the twist sector, whose
+        # section reads the kernel in its second slot, minus the pole atom
+        # 1/(z - u), and crosses the first sector
+        sector = 1 if field == "c_e" else 0
+        for key, coeff in state.terms.items():
+            hit = _wedge(("pole", z, 1), key[sector])
             if hit is None:
                 continue
-            sign, nb = hit
-            add_term(out, (nb, c), coeff if sign > 0 else -coeff)
-    elif field == "c_e":
-        # the twist-sector section reads the kernel in its second slot,
-        # which is minus the pole atom: 1/(z - u)
-        for (b, c), coeff in state.terms.items():
-            hit = _wedge(("pole", z, 1), c)
-            if hit is None:
-                continue
-            sign, nc = hit
-            odd = (sign < 0) + len(b) + 1  # the minus, the wedge sign, the crossing
-            add_term(out, (b, nc), -coeff if odd % 2 else coeff)
+            sign, mon = hit
+            odd = (sign < 0) + (len(key[0]) + 1 if sector else 0)  # the wedge sign, the crossing, the minus
+            add_term(out, (key[0], mon) if sector else (mon, key[1]), -coeff if odd % 2 else coeff)
     elif field in ("b_i", "c_i"):
         # b_i contracts the twist sector, crossing the first; c_i the first
         # sector, with a minus sign

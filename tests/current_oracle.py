@@ -5,6 +5,10 @@ once into function atoms and acts on states through closed forms on
 those atoms.  This module computes the same operators the generic way,
 with ν a dict of ``RatFunc`` components:
 
+* ``iota_apply_oracle``: the contraction field by the commutation
+  recursion on ``CurrentState`` words, with no cache, keeping the
+  creation term at the field point and the whole loop product that
+  ``chiralis.current`` drops because they cancel;
 * ``J_P_apply_oracle`` / ``J_site_apply_oracle``: brackets by
   ``RatFunc`` products, residues by ``residue_at``, and the base action
   from a fresh ``partial_fractions`` (a root search) on every call;
@@ -24,10 +28,8 @@ from chiralis.current import (
     CurrentState,
     _as_elem,
     _left_multiply,
-    _sum_terms,
     constant_adjoint,
     current_vacuum,
-    dual_gen_function,
     in_unit_disc,
     pbw_normalize,
 )
@@ -40,7 +42,68 @@ from chiralis.exactnum import (
     partial_fractions,
     residue_at,
 )
+from chiralis.geometry import _loop_product
 from chiralis.states import DomainError, add_term
+
+
+def _sum_terms(state: CurrentState, term_of) -> CurrentState:
+    """The sum of coeff * term_of(word, ins) over the terms (word, ins) -> coeff of state."""
+    out: dict = {}
+    for (word, ins), coeff in state.terms.items():
+        for key, c in term_of(word, ins).terms.items():
+            add_term(out, key, c * coeff)
+    return CurrentState(out, state.ctx)
+
+
+def iota_apply_oracle(algebra, v, z, state: CurrentState) -> CurrentState:
+    """Contraction field at z via the commutation recursion."""
+    v = _as_elem(algebra, v)
+    return _sum_terms(state, lambda word, ins: _iota_term(algebra, v, z, word, ins, state.ctx))
+
+
+def _iota_term(algebra, v, z, word, ins, ctx) -> CurrentState:
+    if not word:
+        if ctx is None:
+            return CurrentState({}, ctx)
+        out: dict = {}
+        for j, zj in enumerate(ctx.points):
+            dz = z - zj
+            if not dz:
+                raise DomainError("contraction field applied at an insertion point")
+            for a, va in v.items():
+                for new_idx, mc in ctx.act(j, a, ins[j]).items():
+                    new_ins = ins[:j] + (new_idx,) + ins[j + 1:]
+                    add_term(out, ((), new_ins), va * mc / dz)
+        return CurrentState(out, ctx)
+    x = word[0]
+    rest = word[1:]
+    b, c, l = x
+    if not (z - c):
+        raise DomainError("state has a loop pole at the field point")
+    rest_state = CurrentState({(rest, ins): QI_ONE}, ctx)
+    # x . iota(rest)
+    out = _left_multiply(algebra, [(x, QI_ONE)], _iota_term(algebra, v, z, rest, ins, ctx))
+    # -(v, dx(z)) rest : the function part differentiates to -l (z-c)^-(l+1)
+    vb = {b: QI_ONE}
+    g = algebra.pair(v, vb)
+    if g:
+        out = out + rest_state.scale(g * l / (z - c) ** (l + 1))
+    # bracket element [v, x(z)] and its two field contributions
+    w_elem = algebra.bracket(v, vb)
+    if w_elem:
+        xz = 1 / (z - c) ** l
+        scaled = {k: cv * xz for k, cv in w_elem.items()}
+        out = out + _iota_term(algebra, scaled, z, rest, ins, ctx)
+        out = out + _left_multiply(
+            algebra, [((k, z, 1), cv) for k, cv in scaled.items()], rest_state
+        )
+        # -[eps^v(z), x] as a multiplication operator
+        combos = []
+        for cc, order, pcoeff in _loop_product(z, 1, c, l):
+            for k, bc in w_elem.items():
+                combos.append(((k, cc, order), -bc * pcoeff))
+        out = out + _left_multiply(algebra, combos, rest_state)
+    return out
 
 
 def _nu_components(algebra, nu):
@@ -240,6 +303,13 @@ def convert_reciprocal_word_oracle(algebra, word, coeff):
                 )
         state = new_state
     return state
+
+
+def dual_gen_function(gen) -> RatFunc:
+    """The u-chart function of a reciprocal-chart generator."""
+    a, c, l = gen
+    u = RatFunc.variable(QI_ONE)
+    return (1 / (1 / u - c)) ** l
 
 
 def residue_pair_degree_one_oracle(algebra, dual_gen, gen):

@@ -11,7 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from chiralis import current, states
-from chiralis.current import affine_bracket_check, pbw_normalize, sl2_algebra
+from chiralis.current import affine_bracket_check, iota_apply, pbw_normalize, sl2_algebra
 from chiralis.exactnum import qi
 from chiralis.states import LinComb, SymState, vacuum
 
@@ -38,6 +38,7 @@ def test_tracer_installs_counts_and_uninstalls():
         assert vacuum() + vacuum() == SymState({(): qi(2)})
         pbw_normalize(sl2_algebra(), ((2, qi(1), 1), (0, qi(0), 1)))
         affine_bracket_check(sl2_algebra(), "e", 1, "f", -1)
+        iota_apply(sl2_algebra(), "e", qi(2), pbw_normalize(sl2_algebra(), ((2, qi(1), 1),)))
         tracer.mark("cold")
         tracer.mark("warm")
     finally:
@@ -47,6 +48,8 @@ def test_tracer_installs_counts_and_uninstalls():
     assert report["cache.current._PBW_CACHE.lookups"] >= 1
     # the mode kernel's memo is the dict the tracer swapped in
     assert report["cache.current._MODE_CACHE.lookups"] >= 1
+    # so is the contraction field's, looked up by its global name at every call
+    assert report["cache.current._IOTA_CACHE.lookups"] >= 1
     names = {name for name, _, _ in tracing.metric_names()} - {"trace.cold_s"}
     assert names <= set(report)
     # everything patched is back

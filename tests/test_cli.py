@@ -127,6 +127,26 @@ class TestCommands:
         assert code == 0
         assert payload["passed"]
 
+    @pytest.mark.parametrize("theory", ["fermion", "lattice"])
+    def test_commute_check_failure_keeps_witness(self, capsys, monkeypatch, theory):
+        from chiralis import fermion, lattice
+
+        if theory == "fermion":
+            psi = fermion.psi_apply
+            monkeypatch.setattr(fermion, "psi_apply", lambda z, s: psi(z, s) + s)
+        else:
+            monkeypatch.setattr(lattice.LatticeState, "__eq__", lambda a, b: False)
+        code, payload = run_json(
+            capsys, ["commute-check", "--theory", theory, "--seed", "3", "--samples", "2"]
+        )
+        assert code == 1 and not payload["passed"]
+        failed = [c for c in payload["checks"] if not c["passed"]]
+        assert failed and all(c["witness"] for c in failed)
+        if theory == "fermion":
+            assert state_from_json(failed[0]["witness"], fermion.ExtState).degree() == 1
+        else:
+            assert set(failed[0]["witness"]) == {"section", "lambda", "vacuum"}
+
     def test_ope_vacuum(self, capsys):
         code, payload = run_json(
             capsys, ["ope", "--fields", "T,T", "--point", "1", "--on-vacuum"]

@@ -16,7 +16,6 @@ from chiralis.current import (
     current_pair,
     current_vacuum,
     epsilon_apply,
-    epsilon_base_point_offset,
     four_point_closed_form,
     iota_apply,
     j_apply,
@@ -32,6 +31,7 @@ from chiralis.current import (
     trivial_rep,
 )
 from chiralis import current, exactnum, fermion, geometry, pairing, symmetry
+from chiralis.boson import eps_tilde_offset
 from chiralis.current import (
     _convert_reciprocal_word_to_origin,
     _dual_gen_atoms,
@@ -49,7 +49,7 @@ from chiralis.exactnum import (
     residue_at,
 )
 from chiralis.geometry import bergman_genus0, dec_atoms
-from chiralis.jets import SLACK
+from chiralis.jets import SLACK, jet_point
 from chiralis.sampling import rand_distinct_scalars, rand_scalar
 from chiralis.states import DomainError, monomial_state
 
@@ -58,6 +58,7 @@ from current_oracle import (
     J_site_apply_oracle,
     affine_bracket_check_oracle,
     convert_reciprocal_word_oracle,
+    iota_apply_oracle,
     mode_j_oracle,
     residue_pair_degree_one_oracle,
 )
@@ -473,7 +474,7 @@ class TestBasePoint:
 
     def test_creation_offset(self):
         for z in (qi(2), qi(-3), qi(0, 1)):
-            assert epsilon_base_point_offset(z) == RatFunc.const(1 / z)
+            assert eps_tilde_offset(z) == RatFunc.const(1 / z)
 
 
 def _assert_pair_matches_tower(algebra, dual, state):
@@ -948,3 +949,56 @@ class TestKnownPoles:
         dual = monomial_state([("pole", qi(2), 3)])
         pairing.single_form_residue_pairing(dual, monomial_state([("pole", qi(0, 1), 2)]))
         assert calls == []
+
+
+class TestOneRecursion:
+    """iota, J_P and J_site on the one commutation recursion against the
+    parent recursions kept in ``current_oracle``: seeded words of degree <= 3
+    with repeated generators, with and without an insertion context."""
+
+    POOL = [qi(0), qi(1), qi(Fraction(1, 2), -1)]
+
+    def states(self, rng, algebra, ctx):
+        for _ in range(6):
+            gens = [(rng.randrange(algebra.dim), rng.choice(self.POOL), rng.randint(1, 2))
+                    for _ in range(rng.randint(1, 2))]
+            word = tuple(rng.choice(gens) for _ in range(rng.randint(1, 3)))
+            ins = (rng.randint(0, 1), rng.randint(0, 1)) if ctx else ()
+            s = pbw_normalize(algebra, word, ins, rand_scalar(rng), ctx)
+            yield s + pbw_normalize(algebra, word[:1], ins, rand_scalar(rng), ctx)
+
+    def context(self, algebra, points):
+        return InsertionContext(algebra, [(z, sl2_fundamental() if algebra is SL2 else {}) for z in points])
+
+    @pytest.mark.parametrize("algebra", [SL2, AB], ids=["sl2", "abelian"])
+    def test_iota_matches_oracle(self, algebra):
+        rng = random.Random(1701)
+        t = jet_point(qi(Fraction(2, 3)), 3)
+        points = [qi(5), qi(-1, 2), jet_point(qi(Fraction(5, 2)), 4), 1 / t]
+        for ctx in (None, self.context(algebra, [qi(-2), qi(3, 1)])):
+            for s in self.states(rng, algebra, ctx):
+                for z in points:
+                    v = {rng.randrange(algebra.dim): rand_scalar(rng)}
+                    assert iota_apply(algebra, v, z, s) == iota_apply_oracle(algebra, v, z, s), (v, z, s)
+
+    def test_iota_leaves_cached_terms_alone(self):
+        rng = random.Random(1702)
+        for z in (qi(5), jet_point(qi(-3), 4)):
+            for s in self.states(rng, SL2, None):
+                first = iota_apply(SL2, "h", z, s)
+                cached = {key: dict(terms) for key, terms in current._IOTA_CACHE.items()}
+                assert iota_apply(SL2, "h", z, s) == first
+                assert {key: dict(terms) for key, terms in current._IOTA_CACHE.items()} == cached
+
+    @pytest.mark.parametrize("algebra", [SL2, AB], ids=["sl2", "abelian"])
+    def test_site_operators_match_oracle(self, algebra):
+        rng = random.Random(1703)
+        ctx = self.context(algebra, self.POOL[:2])
+        for s in self.states(rng, algebra, ctx):
+            nu = {label: rand_scalar(rng) / (U - rng.choice(self.POOL)) ** rng.randint(1, 2)
+                  + rand_scalar(rng) * U for label in algebra.labels}
+            for site in (0, 1):
+                assert J_site_apply(algebra, nu, site, s) == J_site_apply_oracle(algebra, nu, site, s)
+            assert J_P_apply(algebra, nu, s) == J_P_apply_oracle(algebra, nu, s)
+            bare = CurrentState(s.terms)
+            assert J_P_apply(algebra, nu, bare) == J_P_apply_oracle(algebra, nu, bare)
