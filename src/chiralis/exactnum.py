@@ -15,6 +15,11 @@ Everything downstream runs on two nested number systems:
 Canonical forms everywhere: fractions in lowest terms, polynomial
 fractions gcd-reduced with monic denominator, so equality is plain
 representation equality.
+
+Local expansions, residues and partial fractions build no rational
+function: numerator and denominator coefficient lists are Taylor-shifted
+to the point by Horner passes, and each pole part is read from the
+Laurent expansion of the function itself.
 """
 
 from __future__ import annotations
@@ -49,6 +54,7 @@ __all__ = [
     "pole_order",
     "pole_part_coeffs",
     "residue_at",
+    "residue_pairing",
     "evaluate",
     "sqrt_gauss_rational",
 ]
@@ -560,22 +566,6 @@ class Poly:
             return x * 0  # zero of the right field
         return out
 
-    def shift(self, c) -> "Poly":
-        """Compose with u -> u + c (Taylor shift)."""
-        out = Poly([0])
-        for coeff in reversed(self.coeffs):
-            out = out * Poly([c, 1]) + Poly([coeff])
-        return out
-
-    def reversed_padded(self, degree: int) -> "Poly":
-        """Coefficient-reverse as a degree-``degree`` polynomial (u -> 1/u)."""
-        if self.degree > degree:
-            raise ValueError("padding degree too small")
-        out = [0] * (degree + 1)
-        for k, c in enumerate(self.coeffs):
-            out[degree - k] = c
-        return Poly(out)
-
     def sort_key(self):
         return ("poly", len(self.coeffs), tuple(_key_of(c) for c in self.coeffs))
 
@@ -835,17 +825,40 @@ def _conj(c):
 # ---------------------------------------------------------------------------
 
 
+def _taylor_shift(coeffs, c, count: int) -> list:
+    """The first ``count`` coefficients (low to high) of p(u + c): in-place
+    Horner passes on p's coefficients, pass i fixing the one of u^i."""
+    a = list(coeffs)
+    n = len(a) - 1
+    for i in range(min(count, n) if c else 0):
+        for j in range(n - 1, i - 1, -1):
+            if a[j + 1]:
+                a[j] = a[j] + c * a[j + 1]
+    return a[:count]
+
+
+def _shifted_den(den, c):
+    """(m, rest): den shifted to c, its m leading zeros (the pole order) dropped."""
+    d = _taylor_shift(den, c, len(den))
+    m = next(k for k, x in enumerate(d) if x)
+    return m, d[m:]
+
+
+def _chart(f: RatFunc, z):
+    """(num, den, c): f's coefficient lists and centre near the point z; at
+    infinity those of f(1/t) near t = 0."""
+    if isinstance(z, Point):
+        if z.is_infinity:
+            size = max(len(f.num.coeffs), len(f.den.coeffs))
+            num, den = ([0] * (size - len(p.coeffs)) + [*p.coeffs[::-1]] for p in (f.num, f.den))
+            return num, den, 0
+        z = z.value
+    return f.num.coeffs, f.den.coeffs, z
+
+
 def pole_order(f: RatFunc, c) -> int:
     """Multiplicity of u = c as a root of the denominator."""
-    order = 0
-    den = f.den
-    lin = Poly([-c, c * 0 + 1])
-    while True:
-        q, r = den.divmod(lin)
-        if not r.is_zero():
-            return order
-        order += 1
-        den = q
+    return _shifted_den(f.den.coeffs, c)[0]
 
 
 def _series_inverse_mul(num: list, den: list, terms: int) -> list:
@@ -855,41 +868,33 @@ def _series_inverse_mul(num: list, den: list, terms: int) -> list:
     for k in range(terms):
         acc = num[k] if k < len(num) else lead * 0
         for j in range(1, min(k, len(den) - 1) + 1):
-            acc = acc - den[j] * out[k - j]
+            if den[j] and out[k - j]:
+                acc = acc - den[j] * out[k - j]
         out.append(acc / lead)
     return out
+
+
+def _laurent(num, den, c, order: int):
+    m, den = _shifted_den(den, c)
+    terms = max(order + m + 1, 0)
+    return m, _series_inverse_mul(_taylor_shift(num, c, terms), den, terms)
 
 
 def local_expansion(f: RatFunc, c, order: int):
     """Laurent coefficients of f at u = c, from the pole order up to ``order``.
 
-    Returns (pole_order m, coeffs) with coeffs[j] the coefficient of
+    Returns (pole order m, coeffs) with coeffs[j] the coefficient of
     (u-c)^(j-m), j = 0 .. order+m.
     """
     if f.is_zero():
         return 0, []
-    m = pole_order(f, c)
-    lin = Poly([-c, c * 0 + 1])
-    den = f.den
-    for _ in range(m):
-        den = den // lin
-    terms = order + m + 1
-    if terms <= 0:
-        return m, []
-    num_shift = f.num.shift(c)
-    den_shift = den.shift(c)
-    ncs = list(num_shift.coeffs) or [c * 0]
-    dcs = list(den_shift.coeffs)
-    return m, _series_inverse_mul(ncs, dcs, terms)
+    return _laurent(f.num.coeffs, f.den.coeffs, c, order)
 
 
 def pole_part_coeffs(f: RatFunc, c) -> dict:
     """{order l: coefficient of (u-c)^(-l)} of the pole part of f at c."""
-    m = pole_order(f, c)
-    if m == 0:
-        return {}
-    _, coeffs = local_expansion(f, c, -1)
-    return {m - j: coeffs[j] for j in range(m) if coeffs[j]}
+    m, coeffs = local_expansion(f, c, -1)
+    return {m - j: x for j, x in enumerate(coeffs) if x}
 
 
 def evaluate(f: RatFunc, z) -> GaussRational:
@@ -910,31 +915,38 @@ def evaluate(f: RatFunc, z) -> GaussRational:
     return top / bot
 
 
-def at_infinity_substitution(f: RatFunc) -> RatFunc:
-    """f(1/t) as a rational function of t."""
-    deg = max(f.num.degree, f.den.degree, 0)
-    return RatFunc(f.num.reversed_padded(deg), f.den.reversed_padded(deg))
-
-
 def residue_at(f: RatFunc, z) -> GaussRational:
     """Residue of the one-form f(u) du at the point z (infinity allowed).
 
     ``z`` may be a Point, an int/Fraction/GaussRational, or a scalar of
-    whatever field f's coefficients live in (for generic-point work).
+    whatever field f's coefficients live in (for generic-point work).  At
+    infinity u = 1/t, du = -dt/t^2: minus the t^1 coefficient of f(1/t).
     """
-    zero = _one_like(f.den) * 0
-    if isinstance(z, Point):
-        if z.is_infinity:
-            g = at_infinity_substitution(f)
-            t = RatFunc.variable(_one_like(f.den))
-            g = g * (-(t ** -2))
-            parts = pole_part_coeffs(g, zero)
-            return parts.get(1, zero)
-        c = z.value
-    else:
-        c = z
-    parts = pole_part_coeffs(f, c)
-    return parts.get(1, zero)
+    if f.is_zero():
+        return _one_like(f.den) * 0
+    at_infinity = isinstance(z, Point) and z.is_infinity
+    m, coeffs = _laurent(*_chart(f, z), 1 if at_infinity else -1)
+    if at_infinity:
+        return -coeffs[m + 1]
+    return coeffs[m - 1] if m else _one_like(f.den) * 0
+
+
+def residue_pairing(phi: RatFunc, psi: RatFunc, z):
+    """Res_z(phi dpsi), z as in ``residue_at``: sum_k k psi_k phi_(-k) over
+    the Laurent coefficients at z, at infinity those of phi(1/t) and
+    psi(1/t) at t = 0 (a residue does not depend on the coordinate)."""
+    total = _one_like(phi.den) * 0
+    if phi.is_zero() or psi.is_zero():
+        return total
+    (pnum, pden, c), (qnum, qden, _) = _chart(phi, z), _chart(psi, z)
+    (mp, pden), (mq, qden) = _shifted_den(pden, c), _shifted_den(qden, c)
+    terms = mp + mq + 1
+    a = _series_inverse_mul(_taylor_shift(pnum, c, terms), pden, terms)  # a[j] = phi_(j - mp)
+    b = _series_inverse_mul(_taylor_shift(qnum, c, terms), qden, terms)  # b[j] = psi_(j - mq)
+    for k in range(-mq, mp + 1):
+        if k and b[k + mq] and a[mp - k]:
+            total = total + k * b[k + mq] * a[mp - k]
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -968,26 +980,20 @@ class PartialFractions:
 def partial_fractions_known(f: RatFunc, poles) -> PartialFractions:
     """Partial fractions given the (super)set of finite poles; no factoring.
 
-    Raises UnsupportedDenominatorError when pole parts at the listed points
-    do not exhaust the denominator.
+    The pole part at each distinct listed point, highest order first, is
+    read from the Laurent expansion of f.  Raises
+    UnsupportedDenominatorError when the pole orders found do not exhaust
+    the denominator.
     """
-    terms = []
-    remainder = f
-    for c in poles:
-        parts = pole_part_coeffs(remainder, c)
-        if not parts:
-            continue
-        u = RatFunc.variable(_one_like(f.den))
-        for order in sorted(parts, reverse=True):
-            coeff = parts[order]
-            terms.append((c, order, coeff))
-            remainder = remainder - RatFunc.const(coeff) / (u - c) ** order
-    if remainder.den.degree != 0:
-        raise UnsupportedDenominatorError(
-            "denominator has poles outside the supplied set"
-        )
-    poly = Poly([c / remainder.den.coeffs[0] for c in remainder.num.coeffs])
-    return PartialFractions(poly, terms)
+    terms, found = [], 0
+    for c in dict.fromkeys(poles):
+        m, coeffs = local_expansion(f, c, -1)
+        found += m
+        terms += [(c, m - j, x) for j, x in enumerate(coeffs) if x]
+    if found != f.den.degree:
+        raise UnsupportedDenominatorError("denominator has poles outside the supplied set")
+    # a canonical denominator is monic: of degree 0 it is 1
+    return PartialFractions(f.num // f.den if f.den.degree else f.num, terms)
 
 
 def partial_fractions(f: RatFunc) -> PartialFractions:

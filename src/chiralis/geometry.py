@@ -26,9 +26,7 @@ from .exactnum import (
     QI_ONE,
     QI_ZERO,
     RatFunc,
-    gauss_rational_roots,
     partial_fractions,
-    residue_at,
 )
 
 __all__ = [
@@ -286,12 +284,7 @@ class VectorField:
 
 
 def _all_residues_vanish(coeff: RatFunc) -> bool:
-    if coeff.is_zero():
-        return True
-    for c in gauss_rational_roots(coeff.den):
-        if residue_at(coeff, c):
-            return False
-    return True
+    return all(order != 1 for _, order, _ in partial_fractions(coeff).terms)
 
 
 def is_second_kind(form: Form | RatFunc) -> bool:

@@ -15,13 +15,20 @@ from chiralis.exactnum import (
     UnsupportedDenominatorError,
     evaluate,
     gauss_rational_roots,
+    _taylor_shift,
     local_expansion,
     partial_fractions,
+    partial_fractions_known,
+    pole_order,
+    pole_part_coeffs,
     qi,
     residue_at,
+    residue_pairing,
     sqrt_gauss_rational,
 )
-from chiralis.sampling import rand_ratfunc, rand_scalar
+from chiralis.sampling import rand_distinct_scalars, rand_ratfunc, rand_scalar
+
+import expansion_oracle as oracle
 
 U = RatFunc.variable(GaussRational(1))
 
@@ -481,6 +488,99 @@ class TestLaurent:
                 assert tail.get(k, qi(0)) == evaluate(g, z) / fact
                 g = g.derivative()
                 fact *= k + 1
+
+
+def _rand_known(rng, lift, count, max_order, scalar):
+    """(f, poles): a random polynomial plus up to ``count`` pole parts of
+    order <= ``max_order`` at distinct Q(i) points, built term by term, and
+    the pole points lifted into the coefficient field by ``lift``."""
+    x = RatFunc.variable(lift(qi(1)))
+    points = rand_distinct_scalars(rng, rng.randint(0, count), span=4)
+    f = RatFunc.const(lift(qi(0)))
+    for k in range(rng.randint(0, 2) + 1):
+        f = f + scalar(rng) * x ** k
+    for c in points:
+        for order in range(1, rng.randint(1, max_order) + 1):
+            if rng.random() < 0.7:
+                f = f + scalar(rng) / (x - lift(c)) ** order
+    return f, [lift(c) for c in points]
+
+
+class TestTaylorShiftOracle:
+    """The coefficient-list expansions against the generic ones they
+    replaced (``tests/expansion_oracle.py``), on seeded random data."""
+
+    def assert_matches(self, f, poles, others):
+        for c in poles + others:
+            assert pole_order(f, c) == oracle.pole_order(f, c), (f, c)
+            assert pole_part_coeffs(f, c) == oracle.pole_part_coeffs(f, c), (f, c)
+            for order in (-3, -1, 0, 2):
+                assert local_expansion(f, c, order) == oracle.local_expansion(f, c, order), (f, c, order)
+            assert residue_at(f, c) == oracle.residue_at(f, c), (f, c)
+        assert residue_at(f, INFINITY) == oracle.residue_at(f, INFINITY), f
+        for p in (f.num, f.den):
+            for c in poles + others:
+                assert _taylor_shift(p.coeffs, c, len(p.coeffs)) == list(oracle.poly_shift(p, c).coeffs)
+        # the listed points shuffled, a repeated pole and points that are not poles
+        listed = poles + others[:1] + poles[:1]
+        rng = random.Random(len(listed))
+        for order in (listed, rng.sample(listed, len(listed))):
+            got, want = partial_fractions_known(f, order), oracle.partial_fractions_known(f, order)
+            assert got.terms == want.terms, (f, order)
+            assert got.polynomial == want.polynomial, (f, order)
+        if poles and f.den.degree:
+            missing = [c for c in poles if pole_order(f, c)][1:] + others
+            for fn in (partial_fractions_known, oracle.partial_fractions_known):
+                with pytest.raises(UnsupportedDenominatorError):
+                    fn(f, missing)
+
+    def test_over_gauss_rationals(self):
+        rng = random.Random(1931)
+        for _ in range(40):
+            f, poles = _rand_known(rng, lambda c: c, 3, 4, rand_scalar)
+            others = rand_distinct_scalars(rng, 2, span=5)
+            others = [c for c in others if c not in poles]
+            self.assert_matches(f, poles, others)
+
+    def test_over_a_rational_function_field(self):
+        # coefficients in Q(i)(t), constant poles lifted as vir_oracle lifts
+        # them, and a pole that moves with t
+        rng = random.Random(1997)
+        t = RatFunc.variable(qi(1))
+
+        def scalar(r):
+            return RatFunc.const(rand_scalar(r)) + rand_scalar(r) * t if r.random() < 0.5 else (
+                RatFunc.const(rand_scalar(r)) / (t - rand_scalar(r, span=9) - 10))
+
+        for _ in range(6):
+            f, poles = _rand_known(rng, RatFunc.const, 2, 3, scalar)
+            self.assert_matches(f, poles, [RatFunc.const(qi(7, 2))])
+        x = RatFunc.variable(RatFunc.const(qi(1)))
+        w = t + 3
+        for f in (1 / (x - w) ** 2 + scalar(rng) / (x - w), x ** 2 / (x - w) ** 3 + scalar(rng) / (x + 1)):
+            self.assert_matches(f, [w, RatFunc.const(qi(-1))], [t])
+
+    def test_unsplit_denominator(self):
+        f = rf([1]) / (U * U * U - 2)
+        with pytest.raises(UnsupportedDenominatorError):
+            partial_fractions(f)
+        for fn in (partial_fractions_known, oracle.partial_fractions_known):
+            with pytest.raises(UnsupportedDenominatorError):
+                fn(f, [qi(2), qi(0), qi(1, 1)])
+
+    def test_residue_pairing(self):
+        rng = random.Random(2015)
+        for _ in range(30):
+            phi = rand_ratfunc(rng, max_poles=2)
+            psi = rand_ratfunc(rng, max_poles=2)
+            sites = gauss_rational_roots(phi.den) + gauss_rational_roots(psi.den) + [rand_scalar(rng)]
+            form = phi * psi.derivative()
+            for z in sites:
+                assert residue_pairing(phi, psi, z) == residue_at(form, z), (phi, psi, z)
+                assert residue_pairing(phi, psi, Point(z)) == residue_at(form, z), (phi, psi, z)
+            assert residue_pairing(phi, psi, INFINITY) == residue_at(form, INFINITY), (phi, psi)
+        zero = RatFunc.const(qi(0))
+        assert residue_pairing(zero, U, INFINITY) == residue_pairing(U, zero, qi(0)) == qi(0)
 
 
 class TestConjugation:

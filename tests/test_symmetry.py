@@ -206,16 +206,21 @@ class TestClosedFormResidues:
             assert sympy.simplify(sym(got) - expected) == 0, (site, atom)
 
     @pytest.mark.parametrize("site", [qi(0), INFINITY])
-    def test_commutator_check_calls_residue_at_once(self, monkeypatch, site):
+    def test_commutator_check_computes_one_residue(self, monkeypatch, site):
         # the contraction values come from the closed form: the one residue
-        # left is the check's own expected value
+        # left is the check's own expected value, a residue pairing
         calls = []
 
-        def counting(f, z):
-            calls.append(z)
-            return residue_at(f, z)
+        def counting(name, fn):
+            def counted(*args):
+                calls.append(name)
+                return fn(*args)
+            return counted
 
-        monkeypatch.setattr(symmetry, "residue_at", counting)
+        for module in (exactnum, symmetry):
+            for name in ("residue_at", "residue_pairing"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
         monkeypatch.setattr(symmetry, "_HEIS_VALUE_CACHE", {})
         rng = random.Random(61)
         for _ in range(3):
@@ -223,7 +228,7 @@ class TestClosedFormResidues:
             psi = rand_ratfunc(rng, max_poles=2)
             calls.clear()
             heis_commutator_check(phi, psi, site)
-            assert len(calls) == 1
+            assert calls == ["residue_pairing"]
 
 
 class TestVirasoro:
