@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .exactnum import GaussRational, QI_ONE, RatFunc
+from .exactnum import GaussRational, QI_ONE, RatFunc, coerce_scalar
 from .geometry import atom_deriv_eval, atom_eval, bergman_genus0, lie_atom
 from .jets import SLACK, coerce_scalar_or_jet, jet_point, moved_expansion, with_jet_retry
 from .states import (DomainError, SymState, drop_above_degree, monomial_state, require_distinct,
@@ -245,29 +245,25 @@ class OpeExpansion:
         return self.coefficient(0)
 
 
-def expand_at_generic_point(
-    field: Field, z, state: SymState, order: int, _prec: int | None = None
-) -> OpeExpansion:
+def expand_at_generic_point(field: Field, z, state: SymState, order: int) -> OpeExpansion:
     """Apply field at the moving point z + t and expand exactly in t.
 
     Scalar arithmetic runs in truncated Laurent series with a tracked
     precision bound; if an extraction would need orders beyond the bound,
     the expansion retries with a deeper window, so results are exact.
     """
-    z = coerce_scalar_or_jet(z)
-    prec = _prec if _prec is not None else order + SLACK
-    return with_jet_retry(lambda p: _expand_with_jets(field, z, state, order, p), prec)
+    z = coerce_scalar(z)
+    return with_jet_retry(lambda p: _expand_with_jets(field, z, state, order, p), order + SLACK)
 
 
 def _expand_with_jets(field, z, state, order, prec) -> OpeExpansion:
     w = jet_point(z, prec)
-    w_level = w._level()
     applied = field.apply(w, state)
     buckets: dict[int, SymState] = {}
     for mon, coeff in applied.terms.items():
         moving = [a[2] for a in mon if a[0] == "pole" and a[1] is w]
         fixed = [a for a in mon if not (a[0] == "pole" and a[1] is w)]
-        for k, factor, orders in moved_expansion(coeff, [(1, l) for l in moving], order, w_level):
+        for k, factor, orders in moved_expansion(coeff, [(1, l) for l in moving], order):
             add = monomial_state(fixed + [("pole", z, o) for o in orders], factor)
             buckets[k] = buckets.get(k, SymState()) + add
     return OpeExpansion(z, order, buckets)
@@ -279,7 +275,7 @@ def ope_extract(A, B, z, state: SymState, order: int) -> OpeExpansion:
         A = field_by_name(A)
     if isinstance(B, str):
         B = field_by_name(B)
-    z = coerce_scalar_or_jet(z)
+    z = coerce_scalar(z)
     inner = B.apply(z, state)
     return expand_at_generic_point(A, z, inner, order)
 

@@ -51,12 +51,11 @@ def _parsing(what: str):
 def _parse_points(text: str):
     if text.startswith("@"):
         with open(text[1:]) as fh:
-            data = json.load(fh)
-        return [scalar_from_str(p) for p in data]
-    try:
-        return [scalar_from_str(p) for p in text.split(",") if p]
-    except ValueError as err:
-        raise ConfigError(f"bad point list {text!r}: {err}")
+            items = json.load(fh)
+    else:
+        items = [p for p in text.split(",") if p]
+    with _parsing(f"point list {text!r}"):
+        return [scalar_from_str(p) for p in items]
 
 
 def _decimal(value: GaussRational, digits: int) -> str:
@@ -235,6 +234,8 @@ def cmd_commute_check(args) -> int:
     elif theory == "lattice":
         from .lattice import LatticeTheory, SectionClass
 
+        if args.N < 1:
+            raise ConfigError("--N takes a positive integer")
         th = LatticeTheory(args.N)
         for _ in range(args.samples):
             z1, z2 = rand_distinct_scalars(rng, 2, span=5)
@@ -275,7 +276,8 @@ def cmd_ope(args) -> int:
     names = args.fields.split(",")
     if len(names) != 2 or any(n not in ("e", "i", "b", "T") for n in names):
         raise ConfigError("--fields takes two of e,i,b,T separated by a comma")
-    z = scalar_from_str(args.point)
+    with _parsing("--point"):
+        z = scalar_from_str(args.point)
     rng = random.Random(args.seed)
     if args.on_vacuum:
         state = vacuum()
@@ -324,6 +326,8 @@ def cmd_gram(args) -> int:
 def cmd_axioms(args) -> int:
     from .vertexalg import axiom_suite
 
+    if args.degree < 0:
+        raise ConfigError("--degree takes a nonnegative integer")
     report = axiom_suite(args.structure, args.seed, degree=args.degree, samples=args.samples)
     payload = {
         "command": "axioms",
@@ -383,10 +387,10 @@ def cmd_modes(args) -> int:
     elif args.algebra == "current-sl2":
         from .current import affine_bracket_check, sl2_algebra
 
-        comps = (args.components or "e,f").split(",")
-        if len(comps) != 2:
-            raise ConfigError("--components takes two basis labels")
         algebra = sl2_algebra()
+        comps = (args.components or "e,f").split(",")
+        if len(comps) != 2 or any(label not in algebra.labels for label in comps):
+            raise ConfigError("--components takes two basis labels of sl2")
         central = affine_bracket_check(algebra, comps[0], l, comps[1], m)
         br = algebra.bracket(
             algebra.basis_element(comps[0]), algebra.basis_element(comps[1])
@@ -413,6 +417,8 @@ def cmd_modes(args) -> int:
 def cmd_lattice(args) -> int:
     from .lattice import LatticeTheory, SectionClass, du_power_balance
 
+    if args.N < 1:
+        raise ConfigError("--N takes a positive integer")
     th = LatticeTheory(args.N)
     with open(args.script) as fh:
         script = json.load(fh)

@@ -22,7 +22,7 @@ from .exactnum import (
     coerce_scalar,
 )
 from .geometry import _atom_residue, _loop_product, _pole_part_of_product, atom_eval, atom_product, dec_atoms
-from .jets import SLACK, Jet, coerce_scalar_or_jet, jet_point, moved_expansion, with_jet_retry
+from .jets import SLACK, coerce_scalar_or_jet, jet_point, moved_expansion, with_jet_retry
 from .states import DomainError, LinComb, add_term, require_distinct
 from .symmetry import _phi_pole_parts
 
@@ -926,36 +926,38 @@ def current_pair(algebra, dual: CurrentState, state: CurrentState):
             raise DomainError(f"dual pole {c} is outside its region")
     total = QI_ZERO
     for (word, ins), coeff in dual.terms.items():
-        value = with_jet_retry(lambda slack: _pair_word(algebra, word, state, slack, QI_ONE), SLACK)
+        value = with_jet_retry(lambda slack: _pair_word(algebra, word, state, slack), SLACK)
         total = total + coeff * value
     return total
 
 
-def _pair_word(algebra, word, state: CurrentState, slack: int, one):
-    """Pairing of one reciprocal-chart word against a state with scalars over ``one``.
+def _pair_word(algebra, word, state: CurrentState, slack: int):
+    """Pairing of one reciprocal-chart word against a state over Q(i).
 
     The first letter v_a (u_t - c~)^(-l) pairs through the order-(l-1)
-    Taylor coefficient at t = c~ of t^-2 <rest | iota_a(1/t) state>, with t
-    a jet at c~ of precision l + ``slack`` - SLACK, l on the first try: every
-    denominator of iota at 1/t is a unit since 1/c~ - c != 0 inside the disc.
-    The precision is l + ``slack`` at c~ = 0, where 1/t has a pole, and when
-    a later letter sits at c~ too: iota at its point 1/t' meets letters at
-    1/t, and 1/t' - 1/t vanishes at t' = t.  The rest of the word pairs with
-    the moved state, whose scalars are jets in t, at a point nested over
-    them; a shortfall raises JetPrecisionError.
+    Taylor coefficient at t = c~ of t^-2 <rest | iota_a(1/t) state>.  iota
+    leaves every letter at its Q(i) pole, so the moved state is
+    sum_k (t - c~)^k s_k with states s_k over Q(i): the rest of the word
+    pairs with s_(l-1), and an s_k with k < 0 that pairs to nonzero is a
+    pole at the dual point.  t is a jet at c~ of precision
+    l + ``slack`` - SLACK, l on the first try: every denominator of iota at
+    1/t is a unit since 1/c~ - c != 0 inside the disc; at c~ = 0, where 1/t
+    has a pole, it is l + ``slack``.  A shortfall raises JetPrecisionError.
     """
     if not word:
         return state.vacuum_coefficient()
     a, ctil, l = word[0]
-    units = ctil and all(c != ctil for _, c, _ in word[1:])
-    t = jet_point(ctil * one, l + slack - (SLACK if units else 0))
+    t = jet_point(ctil, l + slack - (SLACK if ctil else 0))
     moved = iota_apply(algebra, a, 1 / t, state).scale(1 / (t * t))
-    value = _pair_word(algebra, word[1:], moved, slack, t * 0 + 1)
-    if isinstance(value, Jet) and value._level() == t._level():
-        if value.val < 0:
+
+    def pair_rest(k):
+        s_k = CurrentState({key: c.coefficient(k) for key, c in moved.terms.items()}, state.ctx)
+        return _pair_word(algebra, word[1:], s_k, slack)
+
+    for k in range(min((c.val for c in moved.terms.values()), default=0), 0):
+        if pair_rest(k):
             raise DomainError(f"the pairing has a pole at the dual point {ctil}")
-        return value.coefficient(l - 1)
-    return value if l == 1 else value * 0
+    return pair_rest(l - 1)
 
 
 def residue_pair_degree_one(algebra, dual_gen, gen):
@@ -1002,7 +1004,7 @@ def current_expand_at_generic_point(
     shallow).  Returns {order: CurrentState}; negative orders are the
     singular data, order 0 the regular value.
     """
-    z = coerce_scalar_or_jet(z)
+    z = coerce_scalar(z)
     apply_fn = {"j": j_apply, "iota": iota_apply, "epsilon": epsilon_apply}[field]
     v = _as_elem(algebra, v)
     return with_jet_retry(
@@ -1013,12 +1015,11 @@ def current_expand_at_generic_point(
 
 def _expand_current(algebra, apply_fn, v, z, state, order, prec) -> dict:
     w = jet_point(z, prec)
-    level = w._level()
     buckets: dict = {}
     for (word, ins), coeff in apply_fn(algebra, v, w, state).terms.items():
         moving = [i for i, gen in enumerate(word) if gen[1] == w]
         moved = [(1, word[i][2]) for i in moving]
-        for k, factor, orders in moved_expansion(coeff, moved, order, level):
+        for k, factor, orders in moved_expansion(coeff, moved, order):
             # the product is ordered: each expanded generator keeps its position
             new_word = list(word)
             for i, o in zip(moving, orders):

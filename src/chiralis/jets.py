@@ -3,10 +3,9 @@
 A jet represents sum_{k >= val} c_k t^k known exactly for k < prec and
 unknown beyond; arithmetic propagates the precision bound, so any
 extraction below the bound is exact (a PrecisionError is raised rather
-than ever returning a possibly-corrupt coefficient).  Coefficients live
-in any scalar ring with the usual protocol, including jets themselves:
-two independent formal directions nest with level-aware coercion, just
-like nested rational functions, but with cheap bounded arithmetic.
+than ever returning a possibly-corrupt coefficient).  A jet has one
+level, over Q(i): its coefficients are plain scalars, never jets, and
+``jet_point`` rejects a jet as its point.
 
 Jets are the one series engine of the package: every expansion around a
 moving point (operator products of the boson and of the currents, the
@@ -64,8 +63,8 @@ class Jet:
             val = prec
         else:
             coeffs = coeffs[: prec - val]
-        # a trailing exact zero reads back as one * 0: dropping it keeps equal jets one key
-        while coeffs and not isinstance(coeffs[-1], Jet) and not coeffs[-1]:
+        # a trailing zero reads back as one * 0: dropping it keeps equal jets one key
+        while coeffs and not coeffs[-1]:
             coeffs.pop()
         object.__setattr__(self, "val", val)
         object.__setattr__(self, "coeffs", tuple(coeffs))
@@ -76,27 +75,11 @@ class Jet:
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("Jet is immutable")
 
-    # -- level-aware coercion --------------------------------------------------
-
-    def _level(self) -> int:
-        lvl = 0
-        one = self.one
-        while isinstance(one, Jet):
-            lvl += 1
-            one = one.one
-        return lvl
+    # -- coercion ------------------------------------------------------------------
 
     def _align(self, other):
         if isinstance(other, Jet):
-            a, b = self, other
-            la, lb = a._level(), b._level()
-            while lb < la:
-                b = Jet(0, [b], a.prec, b * 0 + 1)
-                lb += 1
-            while la < lb:
-                a = Jet(0, [a], b.prec, a * 0 + 1)
-                la += 1
-            return a, b
+            return self, other
         if _plain_scalar(other):
             # a bare scalar is exact: it never erodes the precision window
             return self, Jet(0, [self.one * other], EXACT, self.one)
@@ -204,9 +187,7 @@ class Jet:
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
-            # over jet coefficients the series would bound them more loosely
-            # than the inverse does, which exact equality sees
-            if len(self.coeffs) <= 2 and not isinstance(self.one, Jet):
+            if len(self.coeffs) <= 2:
                 return self._affine_power(-n)
             return self.inverse() ** (-n)
         if n == 0:
@@ -241,13 +222,12 @@ class Jet:
         return any(bool(c) for c in self.coeffs)
 
     def __eq__(self, other):
-        """Exact equality of level, order, coefficients and precision bound,
-        so that equal jets hash alike and no cache hands out a jet of another
+        """Exact equality of order, coefficients and precision bound, so that
+        equal jets hash alike and no cache hands out a jet of another
         precision; a jet never equals a plain scalar."""
         if not isinstance(other, Jet):
             return False if _plain_scalar(other) else NotImplemented
-        mine, theirs = (self.val, self.prec, self._level()), (other.val, other.prec, other._level())
-        return mine == theirs and self.coeffs == other.coeffs
+        return (self.val, self.prec, self.coeffs) == (other.val, other.prec, other.coeffs)
 
     def agrees_with(self, other) -> bool:
         """Truncated comparison: equal in every order below both precision bounds."""
@@ -279,9 +259,9 @@ class Jet:
 
 
 def jet_point(z, prec: int) -> Jet:
-    """The jet of the moving point z + t to the given precision."""
-    if isinstance(z, int):
-        z = GaussRational(z)
+    """The jet of the moving point z + t to the given precision; z is a
+    scalar, so a jet point raises TypeError (jets do not nest)."""
+    z = coerce_scalar(z)
     one = z * 0 + 1
     return Jet(0, [z, one], prec, one)
 
@@ -291,18 +271,17 @@ def coerce_scalar_or_jet(z):
     return z if isinstance(z, Jet) else coerce_scalar(z)
 
 
-def moved_expansion(coeff, moved, order: int, level: int):
+def moved_expansion(coeff, moved, order: int):
     """Expand coeff * prod_i (u - p_i - s_i t)^(-l_i) in t through t^order.
 
-    ``coeff`` is a jet in t at nesting ``level`` (anything else is constant
-    in t) and ``moved`` lists (s_i, l_i), one per pole at a moving point
-    p_i + s_i t.  Each pole expands as
+    ``coeff`` is a jet in t or a scalar, constant in t, and ``moved`` lists
+    (s_i, l_i), one per pole at a moving point p_i + s_i t.  Each pole expands as
     (u - p - s t)^(-l) = sum_k C(l+k-1, k) s^k t^k (u - p)^(-(l+k)),
     so this yields (order k, scalar factor, new pole orders l_i + k_i) for
     every combination of total order k <= ``order``.  Raises
     JetPrecisionError when the coefficient is not known through ``order``.
     """
-    if isinstance(coeff, Jet) and coeff._level() == level:
+    if isinstance(coeff, Jet):
         if coeff.prec <= order:
             raise JetPrecisionError("coefficient window too shallow")
         gammas = [(j, coeff.coefficient(j)) for j in range(coeff.val, order + 1)]

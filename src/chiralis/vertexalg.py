@@ -9,16 +9,11 @@ exactly on seeded random data and reports witnesses on failure.
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
-from .boson import (
-    DerivedField,
-    RenormProduct,
-    b_deriv_apply,
-    field_by_name,
-    lie_action,
-)
+from .boson import b_deriv_apply, e_deriv_apply, i_deriv_apply, lie_action
 from .exactnum import GaussRational, QI_ONE, QI_ZERO, RatFunc
 from .geometry import VectorField
 from .jets import Jet, coerce_scalar_or_jet, jet_point, moved_expansion
@@ -120,20 +115,23 @@ def Y_comm(state: SymState, amount, target: SymState) -> SymState:
     return moved.multiply(target)
 
 
-def _group_field(parts):
-    """The left-nested normal-ordered product of derivative fields."""
-    field = DerivedField(field_by_name("b"), parts[-1] - 1) if parts[-1] > 1 else field_by_name("b")
-    for p in reversed(parts[:-1]):
-        left = DerivedField(field_by_name("b"), p - 1) if p > 1 else field_by_name("b")
-        field = RenormProduct(left, field)
-    return field
-
-
 def _apply_b_group(parts, z, state: SymState) -> SymState:
-    """Apply the normal-ordered group of b-derivative fields at z."""
+    """Apply the normal-ordered group :b^(p_1-1)...b^(p_k-1):(z) of b-derivative fields.
+
+    Wick's rule, as b = i + e: the sum over subsets S of the parts of the
+    e^(p-1)(z) off S applied after the i^(p-1)(z) on S.  One part is ``b_deriv_apply``.
+    """
     if len(parts) == 1:
         return b_deriv_apply(z, parts[0] - 1, state)
-    return _group_field(list(parts)).apply(z, state)
+    out = SymState()
+    for in_s in itertools.product((True, False), repeat=len(parts)):
+        piece = state
+        for p in itertools.compress(parts, in_s):
+            piece = i_deriv_apply(z, p - 1, piece)
+        for p in itertools.compress(parts, [not x for x in in_s]):
+            piece = e_deriv_apply(z, p - 1, piece)
+        out = out + piece
+    return out
 
 
 _B_BASIS_CACHE: dict = {}
@@ -226,7 +224,7 @@ def structure_derivative(Y, state: SymState, amount, target: SymState) -> SymSta
     The amount is moved along a first-order jet; the moved-atom and
     coefficient contributions at order one are collected exactly.
     """
-    h = jet_point(coerce_scalar_or_jet(amount), 2)
+    h = jet_point(amount, 2)
     shifted = Y(state, h, target)
     buckets = jet_parameter_expansion(shifted, 1)
     return buckets.get(1, SymState())
@@ -235,26 +233,23 @@ def structure_derivative(Y, state: SymState, amount, target: SymState) -> SymSta
 def jet_parameter_expansion(state: SymState, order: int) -> dict:
     """Expand a state whose scalars and pole locations are jets in a parameter t.
 
-    t is the outermost jet variable in the state; a pole location in t
-    must be affine, p0 + s t.  Returns {order: state} through ``order``.
+    A pole location in t must be affine, p0 + s t.  Returns {order: state}
+    through ``order``.
     """
-    jets = [c for c in state.terms.values() if isinstance(c, Jet)]
-    jets += [a[1] for a in state.atoms() if a[0] == "pole" and isinstance(a[1], Jet)]
-    level = max((j._level() for j in jets), default=0)
     buckets: dict = {}
     for mon, coeff in state.terms.items():
         moving = []
         fixed = []
         for atom in mon:
             p = atom[1]
-            if atom[0] == "pole" and isinstance(p, Jet) and p._level() == level:
+            if atom[0] == "pole" and isinstance(p, Jet):
                 if any(c for k, c in enumerate(p.coeffs, p.val) if k not in (0, 1)):
                     raise DomainError("pole location is not affine in the parameter")
                 moving.append(atom)
             else:
                 fixed.append(atom)
         moved = [(p.coefficient(1), l) for _, p, l in moving]
-        for k, factor, orders in moved_expansion(coeff, moved, order, level):
+        for k, factor, orders in moved_expansion(coeff, moved, order):
             atoms = fixed + [("pole", p.coefficient(0), o) for (_, p, _), o in zip(moving, orders)]
             buckets[k] = buckets.get(k, SymState()) + monomial_state(atoms, factor)
     return {k: v for k, v in buckets.items() if v}

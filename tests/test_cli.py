@@ -241,6 +241,23 @@ class TestConfigErrors:
     def test_missing_components(self, capsys):
         assert run(["npoint", "--theory", "current", "--points", "0,1"]) == 2
 
+    @pytest.mark.parametrize("argv, data", [
+        ("gram --points @{file}", [1, 2]),
+        ("gram --points @{file}", ["1/2", "x"]),
+        ("npoint --theory boson --points @{file}", [1, 2]),
+        ("npoint --theory boson --points @{file}", ["1/2", "x"]),
+        ("ope --fields b,b --point x", None),
+        ("lattice --N 0 --script {file}", {"section": [], "ops": []}),
+        ("commute-check --theory lattice --N 0", None),
+        ("modes --algebra current-sl2 --bracket 1,1 --components e,q", None),
+        ("axioms --structure comm --degree -1", None),
+    ])
+    def test_malformed_arguments(self, tmp_path, capsys, argv, data):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(data))
+        assert run(argv.format(file=path).split()) == 2
+        assert "configuration error" in capsys.readouterr().err
+
 
 def _replay_scripts(scalars, orders, junk):
     """Replay scripts whose leaves come from ``scalars``/``orders``, any node

@@ -667,14 +667,14 @@ class TestPairing:
             assert precs == [l + slack]  # one attempt, at precision l away from c~ = 0
 
     def test_repeated_dual_point_needs_no_retry(self, monkeypatch):
-        # the first letter keeps SLACK at a repeated dual point, and one attempt reads the value
+        # one attempt at the first try's slack reads the value at a repeated dual point
         attempts = []
         pair_word = current._pair_word
 
-        def counting(algebra, word, state, slack, one):
-            if one is QI_ONE:
+        def counting(algebra, word, state, slack):
+            if len(word) == 2:
                 attempts.append(slack)
-            return pair_word(algebra, word, state, slack, one)
+            return pair_word(algebra, word, state, slack)
 
         monkeypatch.setattr(current, "_pair_word", counting)
         p = qi(Fraction(1, 3), Fraction(1, 4))
@@ -684,10 +684,10 @@ class TestPairing:
         assert attempts == [SLACK]
         assert value == current_pair_tower(AB, dual, state)
 
-    def test_repeated_dual_point_keeps_slack(self, monkeypatch):
-        # h (or f) at c~ brackets e into a letter at 1/t; iota of a later letter at
-        # c~ meets 1/t' - 1/t, which vanishes at t' = t, so only there the first
-        # letter starts at l + SLACK; away from a repeated point every letter starts at l
+    def test_repeated_dual_point_at_precision_l(self, monkeypatch):
+        # h (or f) at c~ brackets e into a letter at 1/t; the rest of the word pairs
+        # with a coefficient state over Q(i), so a later letter at c~ meets no 1/t and
+        # every letter starts at l, at a repeated dual point as at two distinct ones
         precs = []
 
         def recording_jet_point(z, prec):
@@ -705,7 +705,54 @@ class TestPairing:
                 dual = pbw_normalize(SL2, word)
                 precs.clear()
                 assert current_pair(SL2, dual, state) == current_pair_tower(SL2, dual, state)
-                assert precs == [word[0][2] + (SLACK if p2 == p else 0), word[1][2]]
+                assert precs == [word[0][2], word[1][2]]
+
+    # degree-two and -three pairings recorded from the nested-jet implementation;
+    # (algebra, dual word, state word, insertion point or None, value)
+    PINNED = (
+        ("SL2", ((2, "-1/2", 1), (0, "-1/2", 1)), ((0, "0-1/3*i", 1), (2, "-1/2", 1)), None,
+         "-11712/1369-7040/4107*i"),
+        ("SL2", ((1, "-2/3", 2), (1, "-2/3", 1)), ((1, "0-3/4*i", 1), (1, "0", 1)), None, "528/125-96/125*i"),
+        ("SL2", ((0, "-1/2", 2), (1, "0", 2)), ((1, "0-2/3*i", 2), (2, "-1/3-3/4*i", 2)), None,
+         "12930993245952/6690989040125+41872948683264/6690989040125*i"),
+        ("SL2", ((2, "-1/2-1/2*i", 2), (2, "0", 1)), ((0, "1/2-1/2*i", 1), (0, "0+1/2*i", 1)), None,
+         "3256/3375+2408/3375*i"),
+        ("SL2", ((0, "0", 2), (0, "2/3+1/3*i", 2), (1, "-2/3", 1)),
+         ((2, "0", 1), (2, "-2/3-1/2*i", 1), (1, "3/4", 1)), None,
+         "70823645793464/317294190975-37663502982194/951882572925*i"),
+        ("SL2", ((1, "0", 1), (1, "2/3-2/3*i", 1), (0, "2/3-2/3*i", 1)),
+         ((2, "-1/2-2/3*i", 1), (1, "-1/2-1/2*i", 2), (1, "-1/2", 1)), None,
+         "14797728/8256125-89849088/41280625*i"),
+        ("SL2", ((1, "0-2/3*i", 1), (1, "-1/3", 1)), ((1, "-1/2-1/3*i", 2), (1, "0+1/2*i", 1)), "-1/3+1/2*i",
+         "-36829573354517472/4514919019047125-27936368295978096/4514919019047125*i"),
+        ("SL2", ((1, "-1/2", 1), (2, "0-1/2*i", 1), (1, "-1/2+1/2*i", 1)),
+         ((1, "-1/4", 1), (2, "0+3/4*i", 1), (0, "1/2-2/3*i", 1)), "-1/2-1/2*i",
+         "-21403737690299265318912/2226790409675386953125-7354334944521343401984/2226790409675386953125*i"),
+        ("AB", ((0, "-3/4+1/4*i", 1), (0, "-3/4+1/4*i", 2), (0, "-3/4+1/4*i", 2)),
+         ((0, "1/2+2/3*i", 2), (0, "0+2/3*i", 2), (0, "0", 1)), None,
+         "61170868224/276281640625+105399263232/276281640625*i"),
+        ("AB", ((0, "-1/2", 1), (0, "0", 1), (0, "0", 2)), ((0, "-2/3", 1), (0, "-3/4", 2), (0, "-1/2-1/2*i", 2)),
+         None, "-1312/125-416/125*i"),
+        ("SL2", ((1, "0", 2), (0, "0+1/3*i", 1)), ((1, "1/4-2/3*i", 2), (2, "1/3", 1)), None, None),
+        ("SL2", ((1, "0", 1), (2, "1/4+1/3*i", 2), (1, "1/4+1/3*i", 1)), ((1, "-2/3", 1), (1, "0", 1), (0, "3/4", 1)),
+         None, None),
+    )
+
+    @pytest.mark.parametrize("case", range(len(PINNED)))
+    def test_degree_two_and_three_pinned(self, case):
+        # repeated dual points, c~ = 0, insertions and poles at the dual point (value None)
+        name, word, sword, site, value = self.PINNED[case]
+        algebra = {"SL2": SL2, "AB": AB}[name]
+        ctx = InsertionContext(SL2, [(GaussRational.parse(site), sl2_fundamental())]) if site else None
+        dual = pbw_normalize(algebra, tuple((a, GaussRational.parse(c), l) for a, c, l in word))
+        state = pbw_normalize(
+            algebra, tuple((a, GaussRational.parse(c), l) for a, c, l in sword), (0,) if site else (), QI_ONE, ctx
+        )
+        if value is None:
+            with pytest.raises(DomainError):
+                current_pair(algebra, dual, state)
+        else:
+            assert current_pair(algebra, dual, state) == GaussRational.parse(value)
 
     def test_region_violation(self):
         dual = pbw_normalize(SL2, ((2, qi(Fraction(1, 2)), 1),))

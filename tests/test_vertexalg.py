@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from chiralis.boson import b_apply, e_apply, e_deriv_apply
+from chiralis.boson import DerivedField, RenormProduct, b_apply, e_apply, e_deriv_apply, field_by_name
 from chiralis.exactnum import GaussRational, qi
 from chiralis.states import DomainError, SymState, monomial_state, vacuum
 from chiralis.vertexalg import (
@@ -19,6 +19,20 @@ from chiralis.vertexalg import (
     translate,
     translation_generator,
 )
+from chiralis.vertexalg import _apply_b_group, _rand_vertex_state
+
+
+def _group_field_oracle(parts):
+    """The left-nested normal-ordered product of b-derivative fields, built
+    from ``RenormProduct`` and ``DerivedField`` (an operator product expanded
+    at a moving point per factor): the generic route that
+    ``vertexalg._apply_b_group`` replaces by Wick's rule."""
+    b = field_by_name("b")
+    field = DerivedField(b, parts[-1] - 1) if parts[-1] > 1 else b
+    for p in reversed(parts[:-1]):
+        left = DerivedField(b, p - 1) if p > 1 else b
+        field = RenormProduct(left, field)
+    return field
 
 
 class TestGroupActions:
@@ -134,6 +148,35 @@ class TestYPrime:
         assert Y_prime(v, qi(0), vacuum()) == v
 
 
+class TestWickGroups:
+    def test_matches_the_normal_ordered_product(self):
+        # 2 and 3 parts, repeated parts, and states with poles at the group point,
+        # where both routes raise DomainError
+        rng = random.Random(2011)
+        pool = [qi(k) for k in (-1, 0, 1, 2)] + [qi(0, 1), qi(Fraction(1, 2), -1)]
+        fixed = [(1, 1), (2, 2), (1, 1, 1), (3, 2, 2), (2, 1, 2)]
+        parts_list = fixed + [tuple(rng.randint(1, 3) for _ in range(rng.randint(2, 3))) for _ in range(35)]
+        checked = raised = 0
+        for parts in parts_list:
+            z = rng.choice(pool)
+            state = _rand_vertex_state(rng, pool, max_degree=3)
+            try:
+                want = _group_field_oracle(list(parts)).apply(z, state)
+            except DomainError:
+                with pytest.raises(DomainError):
+                    _apply_b_group(parts, z, state)
+                raised += 1
+                continue
+            assert _apply_b_group(parts, z, state) == want, (parts, z, state)
+            checked += 1
+        assert checked >= 20 and raised >= 5
+
+    def test_one_part_is_the_derivative_field(self):
+        state = e_apply(qi(1), e_apply(qi(2), vacuum()))
+        for p in (1, 2, 3):
+            assert _apply_b_group((p,), qi(0), state) == _group_field_oracle([p]).apply(qi(0), state)
+
+
 class TestDerivativeProperty:
     def test_both_structures(self):
         v = e_apply(qi(0), e_apply(qi(1), vacuum()))
@@ -142,6 +185,15 @@ class TestDerivativeProperty:
             lhs = Y(translation_generator(v), qi(5), psi)
             rhs = structure_derivative(Y, v, qi(5), psi)
             assert lhs == rhs
+
+    def test_three_part_group(self):
+        # Y' applies the group :b b' b': at the moving point 5 + t, by Wick's rule
+        v = monomial_state([("pole", qi(0), 2), ("pole", qi(0), 3), ("pole", qi(0), 3)], qi(2))
+        v = v + monomial_state([("pole", qi(1), 2)])
+        psi = e_deriv_apply(qi(3), 1, vacuum())
+        assert ((qi(0), (2, 2, 1)),) in b_basis_coordinates(v)
+        lhs = Y_prime(translation_generator(v), qi(5), psi)
+        assert lhs == structure_derivative(Y_prime, v, qi(5), psi)
 
 
 class TestAxiomSuite:
