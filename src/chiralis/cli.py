@@ -167,6 +167,8 @@ def _rand_boson_state(rng, pool, max_degree=3):
 
 
 def cmd_commute_check(args) -> int:
+    if args.samples < 1:
+        raise ConfigError("--samples takes a positive integer")
     rng = random.Random(args.seed)
     results = []
     theory = args.theory
@@ -300,6 +302,8 @@ def cmd_ope(args) -> int:
 def cmd_gram(args) -> int:
     from .pairing import gram_matrix, leading_minors
 
+    if args.degree < 0:
+        raise ConfigError("--degree takes a nonnegative integer")
     points = _parse_points(args.points)
     labels, matrix = gram_matrix(points, args.degree)
     minors = leading_minors(matrix)
@@ -328,6 +332,8 @@ def cmd_axioms(args) -> int:
 
     if args.degree < 0:
         raise ConfigError("--degree takes a nonnegative integer")
+    if args.samples < 1:
+        raise ConfigError("--samples takes a positive integer")
     report = axiom_suite(args.structure, args.seed, degree=args.degree, samples=args.samples)
     payload = {
         "command": "axioms",

@@ -290,20 +290,36 @@ def _check_vir_domain(state: SymState, site: Point):
 def _L_exponents(n: int, terms: dict, sign=1, out=None) -> dict:
     """Accumulate sign * L_n(terms) into out (a new dict when None); return out.
     terms maps sorted tuples of orders k of the atoms ("pole", o, k) to
-    coefficients; the three parts are the closed forms stated in ``L_mode``."""
+    coefficients.  Each word's image is the memoized dict of ``_L_word``;
+    a memoized dict is shared and never mutated, only read and scaled into
+    out (a weight 1, as for a removed pair, is added without a product)."""
     out = {} if out is None else out
-    creation = _sugawara_pairs(-n - 1)  # xi = -(u-o)^(n+1): one pole part, g = -1
     for ks, c in terms.items():
         if sign != 1:
             c = c * sign
-        for i, j in itertools.combinations(range(len(ks)), 2):
-            if ks[i] + ks[j] == n + 2:
-                add_term(out, ks[:i] + ks[i + 1: j] + ks[j + 1:], c)
-        for i, k in enumerate(ks):
-            if k - n >= 2:
-                add_term(out, tuple(sorted(ks[:i] + (k - n,) + ks[i + 1:])), c * (k - n - 1))
-        for p, q, w in creation:
-            add_term(out, tuple(sorted(ks + (p, q))), c * -w)
+        for w, wc in _L_word(n, ks).items():
+            add_term(out, w, c if wc == 1 else c * wc)
+    return out
+
+
+_L_WORD_CACHE: dict = {}
+
+
+def _L_word(n: int, ks: tuple) -> dict:
+    """L_n on one word ks by the closed forms stated in ``L_mode``; memoized."""
+    cached = _L_WORD_CACHE.get((n, ks))
+    if cached is not None:
+        return cached
+    out: dict = {}
+    for i, j in itertools.combinations(range(len(ks)), 2):
+        if ks[i] + ks[j] == n + 2:
+            add_term(out, ks[:i] + ks[i + 1: j] + ks[j + 1:], 1)
+    for i, k in enumerate(ks):
+        if k - n >= 2:
+            add_term(out, tuple(sorted(ks[:i] + (k - n,) + ks[i + 1:])), k - n - 1)
+    for p, q, w in _sugawara_pairs(-n - 1):  # xi = -(u-o)^(n+1): one pole part, g = -1
+        add_term(out, tuple(sorted(ks + (p, q))), -w)
+    _L_WORD_CACHE[n, ks] = out
     return out
 
 

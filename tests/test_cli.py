@@ -251,6 +251,10 @@ class TestConfigErrors:
         ("commute-check --theory lattice --N 0", None),
         ("modes --algebra current-sl2 --bracket 1,1 --components e,q", None),
         ("axioms --structure comm --degree -1", None),
+        # each of these would check nothing and report a pass
+        ("axioms --structure comm --samples 0", None),
+        ("commute-check --theory boson --samples -1", None),
+        ("gram --points 1/3 --degree -1", None),
     ])
     def test_malformed_arguments(self, tmp_path, capsys, argv, data):
         path = tmp_path / "input.json"

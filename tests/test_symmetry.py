@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from chiralis import boson, exactnum, geometry, symmetry
+from chiralis import boson, cli, exactnum, geometry, symmetry
 from chiralis.exactnum import (
     INFINITY,
     GaussRational,
@@ -349,14 +349,17 @@ class TestExponentKernel:
                     assert isinstance(got, GaussRational)
                     assert got == _bracket_check_on_states(l, m, max_degree), (l, m, max_degree)
 
-    def test_wrong_sugawara_weights_raise(self, monkeypatch):
+    @pytest.mark.parametrize("wrong", [lambda w, p, q: w * 2, lambda w, p, q: w + (p == q)],
+                             ids=["doubled", "diagonal-shifted"])
+    def test_wrong_sugawara_weights_raise(self, monkeypatch, wrong):
+        # the memo of _L_word starts empty (tests/conftest.py), so the
+        # patched weights are read
         right = symmetry._sugawara_pairs
-        for wrong in (lambda j: [(p, q, w * 2) for p, q, w in right(j)],
-                      lambda j: [(p, q, w + (p == q)) for p, q, w in right(j)]):
-            monkeypatch.setattr(symmetry, "_sugawara_pairs", wrong)
-            for l, m in ((2, -2), (4, -4)):
-                with pytest.raises(AssertionError, match="is not central"):
-                    virasoro_bracket_check(l, m)
+        monkeypatch.setattr(symmetry, "_sugawara_pairs",
+                            lambda j: [(p, q, wrong(w, p, q)) for p, q, w in right(j)])
+        for l, m in ((2, -2), (4, -4)):
+            with pytest.raises(AssertionError, match="is not central"):
+                virasoro_bracket_check(l, m)
 
     @pytest.mark.parametrize("o", [qi(0), qi(1), I_HALF])
     def test_mode_b_matches_heis_apply(self, o):
@@ -400,6 +403,62 @@ class TestExponentKernel:
         for l, m in ((2, -2), (3, -1), (-4, 4)):
             virasoro_bracket_check(l, m)
         assert calls == []
+
+
+def _origin_words(rng, count, lowest=1):
+    """{sorted tuple of pole orders: coefficient}, seeded: the kernel's input."""
+    terms = {}
+    for _ in range(count):
+        ks = tuple(sorted(rng.randint(lowest, 6) for _ in range(rng.randint(0, 4))))
+        terms[ks] = rand_scalar(rng)
+    return terms
+
+
+class TestWordMemo:
+    def test_warm_memo_matches_empty_memo(self, monkeypatch):
+        rng = random.Random(29)
+        for n in range(-6, 7):
+            terms = _origin_words(rng, 5)
+            base = _origin_words(rng, 2)
+            monkeypatch.setattr(symmetry, "_L_WORD_CACHE", {})
+            cold = (symmetry._L_exponents(n, terms), symmetry._L_exponents(n, terms, -3, dict(base)))
+            assert symmetry._L_WORD_CACHE
+            warm = (symmetry._L_exponents(n, terms), symmetry._L_exponents(n, terms, -3, dict(base)))
+            assert warm == cold, n
+
+    def test_L_mode_matches_vir_apply_on_random_words(self, monkeypatch):
+        monkeypatch.setattr(symmetry, "_L_WORD_CACHE", {})
+        rng = random.Random(31)
+        for n in range(-6, 7):
+            op = VirasoroOp(VectorField(-(U ** (n + 1))), Point(qi(0)))
+            terms = _origin_words(rng, 3, lowest=2)
+            v = SymState({tuple(("pole", qi(0), k) for k in ks): c for ks, c in terms.items()})
+            for _ in range(2):  # on an empty memo, then on the one the first call filled
+                assert L_mode(n, v) == vir_apply(op, v), (n, v)
+
+    def test_no_caller_mutates_a_memoized_word(self, monkeypatch):
+        rng = random.Random(37)
+        for l in range(-5, 6):
+            for m in range(-5, 6):
+                virasoro_bracket_check(l, m)
+        v = SymState({tuple(("pole", qi(0), k) for k in ks): c
+                      for ks, c in _origin_words(rng, 4, lowest=2).items()})
+        for n in range(-5, 6):
+            bracket_L_b(n, 2, L_mode(n, v))
+        memo = dict(symmetry._L_WORD_CACHE)
+        assert memo
+        monkeypatch.setattr(symmetry, "_L_WORD_CACHE", {})
+        for (n, ks), image in memo.items():
+            assert image == symmetry._L_word(n, ks), (n, ks)
+
+    def test_modes_output_is_pinned_on_cold_and_warm_memo(self, capsys, monkeypatch):
+        monkeypatch.setattr(symmetry, "_L_WORD_CACHE", {})
+        pinned = ('{\n  "algebra": "virasoro",\n  "bracket": [\n    2,\n    -2\n  ],\n'
+                  '  "central": "1/2",\n  "command": "modes",\n'
+                  '  "identity": "virasoro-bracket-central",\n  "operator": "4*L_0"\n}\n')
+        for _ in range(2):
+            assert cli.run(["modes", "--algebra", "virasoro", "--bracket", "2,-2"]) == 0
+            assert capsys.readouterr().out == pinned
 
 
 HALF_I = GaussRational(1, Fraction(1, 2))
