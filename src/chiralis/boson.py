@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .exactnum import GaussRational, QI_ONE, RatFunc, coerce_scalar
+from .exactnum import GaussRational, QI_ONE, RatFunc
 from .geometry import atom_deriv_eval, atom_eval, bergman_genus0, lie_atom
 from .jets import SLACK, coerce_scalar_or_jet, jet_point, moved_expansion, with_jet_retry
 from .states import (DomainError, SymState, drop_above_degree, monomial_state, require_distinct,
@@ -252,7 +252,7 @@ def expand_at_generic_point(field: Field, z, state: SymState, order: int) -> Ope
     precision bound; if an extraction would need orders beyond the bound,
     the expansion retries with a deeper window, so results are exact.
     """
-    z = coerce_scalar(z)
+    z = GaussRational.coerce(z)
     return with_jet_retry(lambda p: _expand_with_jets(field, z, state, order, p), order + SLACK)
 
 
@@ -275,7 +275,7 @@ def ope_extract(A, B, z, state: SymState, order: int) -> OpeExpansion:
         A = field_by_name(A)
     if isinstance(B, str):
         B = field_by_name(B)
-    z = coerce_scalar(z)
+    z = GaussRational.coerce(z)
     inner = B.apply(z, state)
     return expand_at_generic_point(A, z, inner, order)
 

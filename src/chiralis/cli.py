@@ -48,10 +48,19 @@ def _parsing(what: str):
         raise ConfigError(f"malformed {what}: {err}") from err
 
 
+def _load_json(path: str, what: str):
+    """The JSON document in the file at path; a file that cannot be read as
+    UTF-8 text (missing, a directory, undecodable) is a ConfigError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, UnicodeDecodeError) as err:
+        raise ConfigError(f"cannot read {what} {path!r}: {err}") from err
+
+
 def _parse_points(text: str):
     if text.startswith("@"):
-        with open(text[1:]) as fh:
-            items = json.load(fh)
+        items = _load_json(text[1:], "point list")
     else:
         items = [p for p in text.split(",") if p]
     with _parsing(f"point list {text!r}"):
@@ -261,6 +270,8 @@ def cmd_commute_check(args) -> int:
             )
     else:
         raise ConfigError(f"unknown theory {theory!r}")
+    if not results:
+        raise ConfigError("every sample collided with a pole and was skipped, so nothing was checked")
     all_passed = all(r["passed"] for r in results)
     payload = {
         "command": "commute-check",
@@ -426,8 +437,7 @@ def cmd_lattice(args) -> int:
     if args.N < 1:
         raise ConfigError("--N takes a positive integer")
     th = LatticeTheory(args.N)
-    with open(args.script) as fh:
-        script = json.load(fh)
+    script = _load_json(args.script, "lattice script")
     steps = []
     with _parsing("lattice script"):
         roots = [(scalar_from_str(c), int(m)) for c, m in script.get("section", [])]
@@ -488,8 +498,7 @@ def cmd_lattice(args) -> int:
 def cmd_pair(args) -> int:
     from .serialize import current_state_from_json, state_from_json
 
-    with open(args.file) as fh:
-        data = json.load(fh)
+    data = _load_json(args.file, "pair file")
     parse = {"boson": lambda obj: state_from_json(obj, SymState),
              "current": current_state_from_json}.get(args.theory)
     if parse is None:
@@ -531,8 +540,7 @@ def cmd_replay(args) -> int:
     from .exactnum import Point, INFINITY
     from .serialize import ratfunc_from_json
 
-    with open(args.script) as fh:
-        script = json.load(fh)
+    script = _load_json(args.script, "replay script")
     steps = []
     with _parsing("replay script"):
         state = state_from_json(script["state"], SymState) if "state" in script else vacuum()
@@ -658,8 +666,7 @@ def run(argv=None) -> int:
             return 2
     try:
         return args.fn(args)
-    except (ConfigError, DomainError, FileNotFoundError, json.JSONDecodeError,
-            UnsupportedDenominatorError) as err:
+    except (ConfigError, DomainError, json.JSONDecodeError, UnsupportedDenominatorError) as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return 2
 

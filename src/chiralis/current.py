@@ -19,7 +19,6 @@ from .exactnum import (
     QI_ONE,
     QI_ZERO,
     RatFunc,
-    coerce_scalar,
 )
 from .geometry import _atom_residue, _loop_product, _pole_part_of_product, atom_eval, atom_product, dec_atoms
 from .jets import SLACK, coerce_scalar_or_jet, jet_point, moved_expansion, with_jet_retry
@@ -234,7 +233,7 @@ class InsertionContext:
 def LoopGen(a: int, c, l: int):
     if l < 1:
         raise ValueError("loop generators vanish at infinity (order >= 1)")
-    return (a, coerce_scalar(c), l)
+    return (a, GaussRational.coerce(c), l)
 
 
 def _gen_key(gen):
@@ -490,7 +489,7 @@ def j_apply(algebra, v, z, state: CurrentState) -> CurrentState:
 def npoint_current(algebra, vs, points):
     """Closed recursion for the vacuum expectation of a product of currents."""
     vs = [_as_elem(algebra, v) for v in vs]
-    pts = [coerce_scalar(p) for p in points]
+    pts = [GaussRational.coerce(p) for p in points]
     require_distinct(pts)
     return _npoint_rec(algebra, vs, pts)
 
@@ -520,7 +519,7 @@ def _npoint_rec(algebra, vs, pts):
 def npoint_current_operator(algebra, vs, points):
     """Vacuum component of the composed field product."""
     vs = [_as_elem(algebra, v) for v in vs]
-    pts = [coerce_scalar(p) for p in points]
+    pts = [GaussRational.coerce(p) for p in points]
     require_distinct(pts)
     state = current_vacuum()
     for v, z in zip(reversed(vs), reversed(pts)):
@@ -530,14 +529,14 @@ def npoint_current_operator(algebra, vs, points):
 
 def three_point_closed_form(algebra, vs, points):
     v1, v2, v3 = (_as_elem(algebra, v) for v in vs)
-    z1, z2, z3 = (coerce_scalar(p) for p in points)
+    z1, z2, z3 = (GaussRational.coerce(p) for p in points)
     num = algebra.pair(v1, algebra.bracket(v2, v3))
     return num / ((z1 - z2) * (z1 - z3) * (z2 - z3))
 
 
 def four_point_closed_form(algebra, vs, points):
     v = [_as_elem(algebra, x) for x in vs]
-    z = [coerce_scalar(p) for p in points]
+    z = [GaussRational.coerce(p) for p in points]
 
     def g(i, j):
         return algebra.pair(v[i], v[j])
@@ -883,7 +882,7 @@ def base_point_independence_check(algebra, v, z, recip_word) -> bool:
     the constant Lie element v/z (the base-point shift).
     """
     v = _as_elem(algebra, v)
-    z = coerce_scalar(z)
+    z = GaussRational.coerce(z)
     if not z:
         raise DomainError("base-point comparison needs a point away from both charts")
     # u-chart side
@@ -1004,7 +1003,7 @@ def current_expand_at_generic_point(
     shallow).  Returns {order: CurrentState}; negative orders are the
     singular data, order 0 the regular value.
     """
-    z = coerce_scalar(z)
+    z = GaussRational.coerce(z)
     apply_fn = {"j": j_apply, "iota": iota_apply, "epsilon": epsilon_apply}[field]
     v = _as_elem(algebra, v)
     return with_jet_retry(

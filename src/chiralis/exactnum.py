@@ -1,16 +1,11 @@
-"""Exact scalar and univariate rational-function arithmetic.
-
-Everything downstream runs on two nested number systems:
+"""Exact scalar and univariate rational-function arithmetic over Q(i).
 
 * ``GaussRational`` -- numbers a + b*i with a, b arbitrary-precision
-  rationals.  This is the base scalar field.
-* ``RatFunc`` -- reduced rational functions in one variable whose
-  coefficients live in any field obeying the informal scalar protocol
-  (arithmetic among themselves and with ints, truthiness as a zero test,
-  ``conjugate``, ``sort_key``).  Since ``RatFunc`` itself obeys that
-  protocol, rational functions over GaussRational can serve as the scalar
-  field of a second ``RatFunc`` layer; that is how generic-point ("w")
-  computations stay exact.
+  rationals: the one coefficient field of the package.
+* ``Poly`` / ``RatFunc`` -- polynomials and reduced rational functions in
+  one variable with ``GaussRational`` coefficients.  Ints and rationals
+  are coerced on the way in; anything else (a rational function, a jet)
+  raises ``TypeError``, so rational functions never nest.
 
 Canonical forms everywhere: fractions in lowest terms, polynomial
 fractions gcd-reduced with monic denominator, so equality is plain
@@ -47,7 +42,6 @@ __all__ = [
     "INFINITY",
     "Poly",
     "RatFunc",
-    "coerce_scalar",
     "PartialFractions",
     "partial_fractions",
     "partial_fractions_known",
@@ -391,33 +385,21 @@ INFINITY = Point()
 
 
 def as_point(z) -> Point:
-    if isinstance(z, Point):
-        return z
-    return Point(GaussRational.coerce(z))
+    return z if isinstance(z, Point) else Point(z)
 
 
 # ---------------------------------------------------------------------------
-# Polynomials over a scalar field
+# Polynomials over Q(i)
 # ---------------------------------------------------------------------------
 
 
 def _trim(coeffs: list) -> tuple:
+    """The coefficients as GaussRationals, trailing zeros dropped, so equal
+    polynomials are equal tuples; a non-scalar entry raises TypeError."""
     n = len(coeffs)
     while n and not coeffs[n - 1]:
         n -= 1
-    coeffs = coeffs[:n]
-    # promote plain int/Fraction entries to the coefficient field so that
-    # equal polynomials always hash equal and division stays exact
-    one = None
-    for c in coeffs:
-        if hasattr(c, "sort_key"):
-            one = c * 0 + 1
-            break
-    if one is not None:
-        coeffs = [c if hasattr(c, "sort_key") else one * c for c in coeffs]
-    else:
-        coeffs = [RATIONAL(c) if isinstance(c, int) else c for c in coeffs]
-    return tuple(coeffs)
+    return tuple(c if type(c) is GaussRational else GaussRational.coerce(c) for c in coeffs[:n])
 
 
 class Poly:
@@ -487,7 +469,7 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Poly()
-        out = [0] * (len(a) + len(b) - 1)
+        out = [QI_ZERO] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if not ca:
                 continue
@@ -503,7 +485,7 @@ class Poly:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             return NotImplemented
-        out = Poly([_one_like(self)])
+        out = _POLY_ONE
         base = self
         while n:
             if n & 1:
@@ -520,7 +502,7 @@ class Poly:
         dq = len(rem) - len(other.coeffs)
         if dq < 0:
             return Poly(), self
-        quot = [0] * (dq + 1)
+        quot = [QI_ZERO] * (dq + 1)
         lead = other.coeffs[-1]
         for k in range(dq, -1, -1):
             top = rem[k + len(other.coeffs) - 1]
@@ -567,17 +549,13 @@ class Poly:
         return out
 
     def sort_key(self):
-        return ("poly", len(self.coeffs), tuple(_key_of(c) for c in self.coeffs))
+        return ("poly", len(self.coeffs), tuple(c.sort_key() for c in self.coeffs))
 
     def __repr__(self):
         return f"Poly({list(self.coeffs)!r})"
 
 
-def _key_of(scalar):
-    sk = getattr(scalar, "sort_key", None)
-    if sk is not None:
-        return sk()
-    return ("int", scalar)
+_POLY_ONE = Poly([QI_ONE])
 
 
 # ---------------------------------------------------------------------------
@@ -592,12 +570,12 @@ class RatFunc:
 
     def __init__(self, num: Poly, den: Poly | None = None, *, _reduced=False):
         if den is None:
-            den = Poly([_one_like(num)]) if num.coeffs else Poly([1])
+            den = _POLY_ONE
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
         if not _reduced:
             if num.is_zero():
-                den = Poly([_one_like(den)])
+                den = _POLY_ONE
             else:
                 g = num.gcd(den)
                 if g.degree > 0:
@@ -620,9 +598,9 @@ class RatFunc:
         return RatFunc(Poly([c]))
 
     @staticmethod
-    def variable(one=1) -> "RatFunc":
-        """The coordinate function u (coefficients 0, 1 scaled by ``one``)."""
-        return RatFunc(Poly([0 * one, one]))
+    def variable(one=QI_ONE) -> "RatFunc":
+        """The coordinate function u, scaled by the scalar ``one``."""
+        return RatFunc(Poly([QI_ZERO, one]))
 
     # -- field protocol --------------------------------------------------------
 
@@ -639,14 +617,14 @@ class RatFunc:
         if not self.is_constant():
             raise ValueError("not a constant rational function")
         if self.num.is_zero():
-            return _one_like(self.den) * 0
+            return QI_ZERO
         return self.num.coeffs[0] / self.den.coeffs[0]
 
     def __eq__(self, other):
-        a, b = self._align(other)
+        b = _lift(other)
         if b is NotImplemented:
             return NotImplemented
-        return a.num == b.num and a.den == b.den
+        return self.num == b.num and self.den == b.den
 
     def __hash__(self):
         h = self._hash
@@ -655,38 +633,8 @@ class RatFunc:
             object.__setattr__(self, "_hash", h)
         return h
 
-    def _level(self) -> int:
-        """Nesting depth: 0 over Q(i), 1 over Q(i)(w), and so on."""
-        c = self.den.coeffs[0]
-        lvl = 0
-        while isinstance(c, RatFunc):
-            lvl += 1
-            c = c.den.coeffs[0]
-        return lvl
-
-    def _align(self, other):
-        """Bring self and other to a common nesting level, or NotImplemented.
-
-        A shallower rational function acts as a scalar constant of the
-        deeper field.
-        """
-        if isinstance(other, RatFunc):
-            sl, ol = self._level(), other._level()
-            a, b = self, other
-            while ol < sl:
-                b = RatFunc(Poly([b]))
-                ol += 1
-            while sl < ol:
-                a = RatFunc(Poly([a]))
-                sl += 1
-            return a, b
-        if isinstance(other, GaussRational) or is_rational_scalar(other):
-            base = _one_like(self.den)
-            return self, RatFunc(Poly([base * other]))
-        return self, NotImplemented
-
     def __add__(self, other):
-        a, b = self._align(other)
+        a, b = self, _lift(other)
         if b is NotImplemented:
             return NotImplemented
         return RatFunc(a.num * b.den + b.num * a.den, a.den * b.den)
@@ -694,19 +642,19 @@ class RatFunc:
     __radd__ = __add__
 
     def __sub__(self, other):
-        a, b = self._align(other)
+        a, b = self, _lift(other)
         if b is NotImplemented:
             return NotImplemented
         return RatFunc(a.num * b.den - b.num * a.den, a.den * b.den)
 
     def __rsub__(self, other):
-        a, b = self._align(other)
+        b = _lift(other)
         if b is NotImplemented:
             return NotImplemented
-        return b - a
+        return b - self
 
     def __mul__(self, other):
-        a, b = self._align(other)
+        a, b = self, _lift(other)
         if b is NotImplemented:
             return NotImplemented
         return RatFunc(a.num * b.num, a.den * b.den)
@@ -714,7 +662,7 @@ class RatFunc:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        a, b = self._align(other)
+        a, b = self, _lift(other)
         if b is NotImplemented:
             return NotImplemented
         if b.num.is_zero():
@@ -722,10 +670,10 @@ class RatFunc:
         return RatFunc(a.num * b.den, a.den * b.num)
 
     def __rtruediv__(self, other):
-        a, b = self._align(other)
+        b = _lift(other)
         if b is NotImplemented:
             return NotImplemented
-        return b / a
+        return b / self
 
     def __neg__(self):
         return RatFunc(-self.num, self.den, _reduced=True)
@@ -735,7 +683,7 @@ class RatFunc:
             return NotImplemented
         if n < 0:
             return (1 / self) ** (-n)
-        out = RatFunc.const(_one_like(self.den))
+        out = RatFunc(_POLY_ONE, _POLY_ONE, _reduced=True)
         base = self
         while n:
             if n & 1:
@@ -752,8 +700,8 @@ class RatFunc:
 
     def conjugate(self) -> "RatFunc":
         return RatFunc(
-            Poly([_conj(c) for c in self.num.coeffs]),
-            Poly([_conj(c) for c in self.den.coeffs]),
+            Poly([c.conjugate() for c in self.num.coeffs]),
+            Poly([c.conjugate() for c in self.den.coeffs]),
         )
 
     def compose_mobius(self, a, b, c, d) -> "RatFunc":
@@ -799,29 +747,18 @@ class RatFunc:
         return f"RatFunc({self})"
 
 
-def coerce_scalar(z):
-    """A field point or coefficient: GaussRational and RatFunc (a generic
-    point) pass through; anything else is coerced to GaussRational."""
-    if isinstance(z, (GaussRational, RatFunc)):
-        return z
-    return GaussRational.coerce(z)
-
-
-def _one_like(p: Poly):
-    for c in p.coeffs:
-        return c * 0 + 1
-    return 1
-
-
-def _conj(c):
-    conj = getattr(c, "conjugate", None)
-    if conj is not None:
-        return conj()
-    return c
+def _lift(other):
+    """other as a RatFunc: a rational function, or a Q(i) scalar as a
+    constant; NotImplemented for anything else."""
+    if isinstance(other, RatFunc):
+        return other
+    if isinstance(other, GaussRational) or is_rational_scalar(other):
+        return RatFunc(Poly([other]))
+    return NotImplemented
 
 
 # ---------------------------------------------------------------------------
-# Local expansion machinery (works over any scalar field)
+# Local expansion machinery
 # ---------------------------------------------------------------------------
 
 
@@ -850,7 +787,7 @@ def _chart(f: RatFunc, z):
     if isinstance(z, Point):
         if z.is_infinity:
             size = max(len(f.num.coeffs), len(f.den.coeffs))
-            num, den = ([0] * (size - len(p.coeffs)) + [*p.coeffs[::-1]] for p in (f.num, f.den))
+            num, den = ([QI_ZERO] * (size - len(p.coeffs)) + [*p.coeffs[::-1]] for p in (f.num, f.den))
             return num, den, 0
         z = z.value
     return f.num.coeffs, f.den.coeffs, z
@@ -866,7 +803,7 @@ def _series_inverse_mul(num: list, den: list, terms: int) -> list:
     lead = den[0]
     out = []
     for k in range(terms):
-        acc = num[k] if k < len(num) else lead * 0
+        acc = num[k] if k < len(num) else QI_ZERO
         for j in range(1, min(k, len(den) - 1) + 1):
             if den[j] and out[k - j]:
                 acc = acc - den[j] * out[k - j]
@@ -918,24 +855,23 @@ def evaluate(f: RatFunc, z) -> GaussRational:
 def residue_at(f: RatFunc, z) -> GaussRational:
     """Residue of the one-form f(u) du at the point z (infinity allowed).
 
-    ``z`` may be a Point, an int/Fraction/GaussRational, or a scalar of
-    whatever field f's coefficients live in (for generic-point work).  At
-    infinity u = 1/t, du = -dt/t^2: minus the t^1 coefficient of f(1/t).
+    ``z`` may be a Point or an int/Fraction/GaussRational.  At infinity
+    u = 1/t, du = -dt/t^2: minus the t^1 coefficient of f(1/t).
     """
     if f.is_zero():
-        return _one_like(f.den) * 0
+        return QI_ZERO
     at_infinity = isinstance(z, Point) and z.is_infinity
     m, coeffs = _laurent(*_chart(f, z), 1 if at_infinity else -1)
     if at_infinity:
         return -coeffs[m + 1]
-    return coeffs[m - 1] if m else _one_like(f.den) * 0
+    return coeffs[m - 1] if m else QI_ZERO
 
 
 def residue_pairing(phi: RatFunc, psi: RatFunc, z):
     """Res_z(phi dpsi), z as in ``residue_at``: sum_k k psi_k phi_(-k) over
     the Laurent coefficients at z, at infinity those of phi(1/t) and
     psi(1/t) at t = 0 (a residue does not depend on the coordinate)."""
-    total = _one_like(phi.den) * 0
+    total = QI_ZERO
     if phi.is_zero() or psi.is_zero():
         return total
     (pnum, pden, c), (qnum, qden, _) = _chart(phi, z), _chart(psi, z)
@@ -966,9 +902,9 @@ class PartialFractions:
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("PartialFractions is immutable")
 
-    def recompose(self, one=QI_ONE) -> RatFunc:
+    def recompose(self) -> RatFunc:
         out = RatFunc(self.polynomial)
-        u = RatFunc.variable(one)
+        u = RatFunc.variable()
         for c, order, coeff in self.terms:
             out = out + RatFunc.const(coeff) / (u - c) ** order
         return out
@@ -1017,8 +953,7 @@ def gauss_rational_roots(p: Poly) -> list:
     """
     if p.is_zero():
         raise ValueError("zero polynomial")
-    coeffs = [GaussRational.coerce(c) if not isinstance(c, GaussRational) else c for c in p.coeffs]
-    work = Poly(coeffs)
+    work = p
     roots = []
     while work.degree >= 1:
         root = _find_one_root(work)

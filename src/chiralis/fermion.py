@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactnum import GaussRational, QI_ONE, QI_ZERO, coerce_scalar
+from .exactnum import GaussRational, QI_ONE, QI_ZERO
 from .geometry import Kernel, atom_eval, atom_sort_key, szego_genus0
 from .states import (AtomValues, DomainError, LinComb, SymState, add_term, drop_above_degree,
                      require_distinct, require_regular)
@@ -106,11 +106,11 @@ def fermion_vacuum() -> ExtState:
 
 def psi_e_apply(z, state: ExtState) -> ExtState:
     """Wedge with the simple-pole half-form section at z."""
-    return state.wedge_front(("pole", coerce_scalar(z), 1))
+    return state.wedge_front(("pole", GaussRational.coerce(z), 1))
 
 
 def psi_i_apply(z, state: ExtState) -> ExtState:
-    z = coerce_scalar(z)
+    z = GaussRational.coerce(z)
     require_regular(state.terms, z)
     return state.contract(lambda atom: atom_eval(atom, z))
 
@@ -121,7 +121,7 @@ def psi_apply(z, state: ExtState) -> ExtState:
 
 def fermion_npoint(points) -> GaussRational:
     """Signed pair-partition sum of the odd kernel 1/(z_a - z_b)."""
-    pts = [coerce_scalar(p) for p in points]
+    pts = [GaussRational.coerce(p) for p in points]
     require_distinct(pts)
     return szego_genus0().matching_sum(pts)
 
@@ -129,7 +129,7 @@ def fermion_npoint(points) -> GaussRational:
 def fermion_npoint_operator(points) -> GaussRational:
     """Vacuum component of the composed field product, degree-bounded as in
     ``boson.npoint_operator``."""
-    pts = [coerce_scalar(p) for p in points]
+    pts = [GaussRational.coerce(p) for p in points]
     require_distinct(pts)
     state = fermion_vacuum()
     for left in range(len(pts) - 1, -1, -1):
@@ -181,7 +181,7 @@ def bc_vacuum() -> BCState:
 
 def bc_apply(field: str, z, state: BCState) -> BCState:
     """Apply one of the sector fields; Koszul signs cross the first sector."""
-    z = coerce_scalar(z)
+    z = GaussRational.coerce(z)
     out = {}
     if field in ("b_e", "c_e"):
         # b_e wedges into the first sector; c_e into the twist sector, whose
@@ -220,7 +220,7 @@ def bc_apply(field: str, z, state: BCState) -> BCState:
 
 def composite_b_apply(z, state: BCState) -> BCState:
     """The normal-ordered bilinear of the two sector fields at one point."""
-    z = coerce_scalar(z)
+    z = GaussRational.coerce(z)
     out = bc_apply("b_i", z, bc_apply("c_i", z, state))
     out = out + bc_apply("b_e", z, bc_apply("c_e", z, state))
     out = out + bc_apply("b_e", z, bc_apply("c_i", z, state))
@@ -230,7 +230,7 @@ def composite_b_apply(z, state: BCState) -> BCState:
 
 def composite_two_point(z1, z2) -> GaussRational:
     """Vacuum two-point value of the composite field (double-pole kernel)."""
-    state = composite_b_apply(coerce_scalar(z1), composite_b_apply(coerce_scalar(z2), bc_vacuum()))
+    state = composite_b_apply(GaussRational.coerce(z1), composite_b_apply(GaussRational.coerce(z2), bc_vacuum()))
     return state.vacuum_coefficient()
 
 
@@ -253,7 +253,7 @@ class KernelBoson:
         self.kernel = kernel
 
     def creation_expansion(self, z) -> dict:
-        return {("pole", coerce_scalar(z), 2): -QI_ONE}
+        return {("pole", GaussRational.coerce(z), 2): -QI_ONE}
 
     def e_apply(self, z, state: SymState) -> SymState:
         return state.multiply_expansion(self.creation_expansion(z))

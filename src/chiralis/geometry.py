@@ -68,9 +68,9 @@ def atom_sort_key(atom):
     return (1, atom[1])
 
 
-def atom_ratfunc(atom, one=QI_ONE) -> RatFunc:
+def atom_ratfunc(atom) -> RatFunc:
     """The atom's coefficient function of u (hatted value)."""
-    u = RatFunc.variable(one)
+    u = RatFunc.variable()
     if atom[0] == "pole":
         return 1 / (u - atom[1]) ** atom[2]
     return u ** atom[1]
@@ -89,8 +89,8 @@ def atom_eval(atom, z):
 def atom_deriv_eval(atom, z, k: int):
     """Value at z of the k-th coordinate derivative of the atom's function.
 
-    Closed form: no rational-function construction, exact in any scalar
-    field containing z.
+    Closed form: no rational-function construction, exact at a Q(i) point
+    or a jet point z.
     """
     if atom[0] == "pole":
         _, c, l = atom
@@ -110,8 +110,8 @@ def _loop_product(c1, l1, c2, l2):
     Returns [(pole, order, coeff)].  For c1 != c2 this is the binomial
     closed form of the partial fractions: expanding (u-c2)^-l2 around c1,
     the coefficient of (u-c1)^-(l1-j) is C(-l2, j) (c1-c2)^(-l2-j) for
-    0 <= j < l1, and symmetrically at c2.  The poles may be scalars of any
-    field, such as the jet point 1/t of the current pairing.
+    0 <= j < l1, and symmetrically at c2.  The poles are Q(i) scalars or
+    jet points, such as the point 1/t of the current pairing.
     """
     if c1 == c2:
         return [(c1, l1 + l2, QI_ONE)]

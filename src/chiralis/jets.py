@@ -4,8 +4,8 @@ A jet represents sum_{k >= val} c_k t^k known exactly for k < prec and
 unknown beyond; arithmetic propagates the precision bound, so any
 extraction below the bound is exact (a PrecisionError is raised rather
 than ever returning a possibly-corrupt coefficient).  A jet has one
-level, over Q(i): its coefficients are plain scalars, never jets, and
-``jet_point`` rejects a jet as its point.
+level, over Q(i): its coefficients are GaussRationals, never jets or
+rational functions, and ``jet_point`` rejects both as its point.
 
 Jets are the one series engine of the package: every expansion around a
 moving point (operator products of the boson and of the currents, the
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 
-from .exactnum import QI_ONE, GaussRational, RatFunc, coerce_scalar, is_rational_scalar
+from .exactnum import QI_ONE, QI_ZERO, GaussRational, is_rational_scalar
 
 __all__ = [
     "Jet",
@@ -47,14 +47,14 @@ PREC_CEILING = 512
 
 
 def _plain_scalar(x):
-    return isinstance(x, (GaussRational, RatFunc)) or is_rational_scalar(x)
+    return isinstance(x, GaussRational) or is_rational_scalar(x)
 
 
 class Jet:
-    __slots__ = ("val", "coeffs", "prec", "one", "_hash")
+    __slots__ = ("val", "coeffs", "prec", "_hash")
 
-    def __init__(self, val: int, coeffs, prec: int, one):
-        coeffs = list(coeffs)
+    def __init__(self, val: int, coeffs, prec: int):
+        coeffs = [c if type(c) is GaussRational else GaussRational.coerce(c) for c in coeffs]
         while coeffs and not coeffs[0]:
             coeffs.pop(0)
             val += 1
@@ -63,13 +63,12 @@ class Jet:
             val = prec
         else:
             coeffs = coeffs[: prec - val]
-        # a trailing zero reads back as one * 0: dropping it keeps equal jets one key
+        # a trailing zero reads back as QI_ZERO: dropping it keeps equal jets one key
         while coeffs and not coeffs[-1]:
             coeffs.pop()
         object.__setattr__(self, "val", val)
         object.__setattr__(self, "coeffs", tuple(coeffs))
         object.__setattr__(self, "prec", prec)
-        object.__setattr__(self, "one", one)
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):  # pragma: no cover
@@ -82,7 +81,7 @@ class Jet:
             return self, other
         if _plain_scalar(other):
             # a bare scalar is exact: it never erodes the precision window
-            return self, Jet(0, [self.one * other], EXACT, self.one)
+            return self, Jet(0, [other], EXACT)
         return self, NotImplemented
 
     def coefficient(self, k: int):
@@ -90,7 +89,7 @@ class Jet:
         if k >= self.prec:
             raise JetPrecisionError(f"order {k} beyond precision {self.prec}")
         if k < self.val or k - self.val >= len(self.coeffs):
-            return self.one * 0
+            return QI_ZERO
         return self.coeffs[k - self.val]
 
     # -- ring operations ---------------------------------------------------------
@@ -102,18 +101,17 @@ class Jet:
         prec = min(a.prec, b.prec)
         lo = min(a.val, b.val)
         hi = min(prec, max(a.val + len(a.coeffs), b.val + len(b.coeffs)))
-        zero = a.one * 0
         out = []
         for k in range(lo, hi):
-            x = a.coeffs[k - a.val] if 0 <= k - a.val < len(a.coeffs) else zero
-            y = b.coeffs[k - b.val] if 0 <= k - b.val < len(b.coeffs) else zero
+            x = a.coeffs[k - a.val] if 0 <= k - a.val < len(a.coeffs) else QI_ZERO
+            y = b.coeffs[k - b.val] if 0 <= k - b.val < len(b.coeffs) else QI_ZERO
             out.append(x + y)
-        return Jet(lo, out, prec, a.one)
+        return Jet(lo, out, prec)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(self.val, [-c for c in self.coeffs], self.prec, self.one)
+        return Jet(self.val, [-c for c in self.coeffs], self.prec)
 
     def __sub__(self, other):
         a, b = self._align(other)
@@ -133,11 +131,11 @@ class Jet:
             return NotImplemented
         prec = min(a.val + b.prec, b.val + a.prec)
         if not a.coeffs or not b.coeffs:
-            return Jet(prec, [], prec, a.one)
+            return Jet(prec, [], prec)
         val = a.val + b.val
         width = min(prec - val, len(a.coeffs) + len(b.coeffs) - 1)
         if width <= 0:
-            return Jet(prec, [], prec, a.one)
+            return Jet(prec, [], prec)
         out = [None] * width
         for i, x in enumerate(a.coeffs):
             if not x:
@@ -148,9 +146,8 @@ class Jet:
                     break
                 prod = x * y
                 out[k] = prod if out[k] is None else out[k] + prod
-        zero = a.one * 0
-        out = [zero if c is None else c for c in out]
-        return Jet(val, out, prec, a.one)
+        out = [QI_ZERO if c is None else c for c in out]
+        return Jet(val, out, prec)
 
     __rmul__ = __mul__
 
@@ -159,14 +156,14 @@ class Jet:
             raise JetPrecisionError("cannot invert a series with no known part")
         lead = self.coeffs[0]
         width = self.prec - self.val
-        inv = [self.one * 0] * width
+        inv = [QI_ZERO] * width
         inv[0] = 1 / lead
         for k in range(1, width):
-            acc = self.one * 0
+            acc = QI_ZERO
             for j in range(1, min(k, len(self.coeffs) - 1) + 1):
                 acc = acc + self.coeffs[j] * inv[k - j]
             inv[k] = -(acc * inv[0])
-        return Jet(-self.val, inv, -self.val + width, self.one)
+        return Jet(-self.val, inv, -self.val + width)
 
     def __truediv__(self, other):
         if _plain_scalar(other):
@@ -191,7 +188,7 @@ class Jet:
                 return self._affine_power(-n)
             return self.inverse() ** (-n)
         if n == 0:
-            return Jet(0, [self.one], self.prec, self.one)
+            return Jet(0, [QI_ONE], self.prec)
         out = None
         base = self
         while n:
@@ -209,12 +206,12 @@ class Jet:
         if not self.coeffs:
             raise JetPrecisionError("cannot invert a series with no known part")
         inv = 1 / self.coeffs[0]
-        ratio = -(self.coeffs[1] if len(self.coeffs) == 2 else self.one * 0) * inv
+        ratio = -(self.coeffs[1] if len(self.coeffs) == 2 else QI_ZERO) * inv
         term, binom, out = inv ** m, 1, []
         for k in range(self.prec - self.val):
             out.append(term * binom if binom != 1 else term)
             term, binom = term * ratio, binom * (m + k) // (k + 1)
-        return Jet(-m * self.val, out, self.prec - (m + 1) * self.val, self.one)
+        return Jet(-m * self.val, out, self.prec - (m + 1) * self.val)
 
     # -- structure ------------------------------------------------------------------
 
@@ -241,17 +238,10 @@ class Jet:
         return h
 
     def conjugate(self):
-        return Jet(self.val, [c.conjugate() for c in self.coeffs], self.prec, self.one)
+        return Jet(self.val, [c.conjugate() for c in self.coeffs], self.prec)
 
     def sort_key(self):
-        return (
-            "jet",
-            self.val,
-            tuple(
-                c.sort_key() if hasattr(c, "sort_key") else ("int", c)
-                for c in self.coeffs
-            ),
-        )
+        return ("jet", self.val, tuple(c.sort_key() for c in self.coeffs))
 
     def __repr__(self):
         bits = [f"({c})t^{self.val + i}" for i, c in enumerate(self.coeffs) if c]
@@ -260,15 +250,14 @@ class Jet:
 
 def jet_point(z, prec: int) -> Jet:
     """The jet of the moving point z + t to the given precision; z is a
-    scalar, so a jet point raises TypeError (jets do not nest)."""
-    z = coerce_scalar(z)
-    one = z * 0 + 1
-    return Jet(0, [z, one], prec, one)
+    Q(i) scalar, so a jet or a rational function raises TypeError."""
+    return Jet(0, [z, QI_ONE], prec)
 
 
 def coerce_scalar_or_jet(z):
-    """``coerce_scalar``, with a jet (a moving point) passed through too."""
-    return z if isinstance(z, Jet) else coerce_scalar(z)
+    """A point that may move: a jet passes through, anything else goes
+    through ``GaussRational.coerce`` (TypeError for a non-scalar)."""
+    return z if isinstance(z, Jet) else GaussRational.coerce(z)
 
 
 def moved_expansion(coeff, moved, order: int):

@@ -2,9 +2,8 @@
 
 A state is a finite linear combination of multisets of basis atoms; the
 multiset is stored as a tuple sorted by the atom order, so equality of
-states is plain dictionary equality.  Coefficients are GaussRational in
-ordinary use and rational functions of a generic point when a computation
-is carried out symbolically.
+states is plain dictionary equality.  Coefficients are GaussRational, or
+jets in t when a field is applied at a moving point.
 
 ``LinComb`` is the linear structure that every state type of the package
 shares, and ``add_term`` the one way a coefficient is accumulated into a

@@ -21,7 +21,7 @@ from .exactnum import (
     QI_ONE,
     QI_ZERO,
     RatFunc,
-    coerce_scalar,
+    as_point,
     partial_fractions,
     residue_pairing,
 )
@@ -66,8 +66,7 @@ class HeisenbergOp:
 
     def __init__(self, testfn: RatFunc, site=INFINITY, insertions=None):
         object.__setattr__(self, "testfn", testfn)
-        site = site if isinstance(site, Point) else Point(coerce_scalar(site))
-        object.__setattr__(self, "site", site)
+        object.__setattr__(self, "site", as_point(site))
         object.__setattr__(self, "insertions", tuple(insertions) if insertions else None)
 
     def __setattr__(self, name, value):  # pragma: no cover
@@ -151,7 +150,7 @@ def heis_commutator_check(phi: RatFunc, psi: RatFunc, site=INFINITY):
     expected value is -Res_site(phi dpsi) at a finite site and
     +Res_site(phi dpsi) at infinity.
     """
-    site = site if isinstance(site, Point) else Point(coerce_scalar(site))
+    site = as_point(site)
     op1 = HeisenbergOp(phi, site)
     op2 = HeisenbergOp(psi, site)
     measured = None
@@ -173,8 +172,8 @@ def heis_commutator_check(phi: RatFunc, psi: RatFunc, site=INFINITY):
 
 def spanning_states(site_point=QI_ZERO, extra_pole=None):
     """A small spanning family used by the measured-bracket checks."""
-    o = coerce_scalar(site_point)
-    c = coerce_scalar(extra_pole) if extra_pole is not None else o + 3
+    o = GaussRational.coerce(site_point)
+    c = GaussRational.coerce(extra_pole) if extra_pole is not None else o + 3
     out = [vacuum()]
     out.append(monomial_state([("pole", o, 2)]))
     out.append(monomial_state([("pole", o, 3)]))
@@ -192,7 +191,7 @@ def mode_b(l: int, state: SymState, site_point=QI_ZERO) -> SymState:
     expansion sum C(l, n) (-o)^(l-n) u^n for l > 0."""
     if l == 0:
         raise ValueError("the oscillator family has no zero mode here")
-    o = coerce_scalar(site_point)
+    o = GaussRational.coerce(site_point)
     if l < 0:
         dec = PartialFractions(Poly([]), [(o, -l, QI_ONE)])
     else:
@@ -211,8 +210,7 @@ class VirasoroOp:
 
     def __init__(self, X: VectorField, site=INFINITY):
         object.__setattr__(self, "X", X if isinstance(X, VectorField) else VectorField(X))
-        site = site if isinstance(site, Point) else Point(coerce_scalar(site))
-        object.__setattr__(self, "site", site)
+        object.__setattr__(self, "site", as_point(site))
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("VirasoroOp is immutable")
@@ -345,7 +343,7 @@ def L_mode(n: int, state: SymState, site_point=QI_ZERO) -> SymState:
     Raises DomainError, as ``vir_apply`` does, when the state has a pole
     away from the site or a pole at infinity.
     """
-    o = coerce_scalar(site_point)
+    o = GaussRational.coerce(site_point)
     _check_vir_domain(state, Point(o))
     terms = _L_exponents(n, {tuple(atom[2] for atom in mon): c for mon, c in state.terms.items()})
     return SymState({tuple(("pole", o, k) for k in ks): c for ks, c in terms.items()})
@@ -388,7 +386,7 @@ def primary_check(state: SymState, weight) -> bool:
     The sign convention follows the scaling grading: the weight is the
     eigenvalue of the rotation generator L_0.
     """
-    weight = coerce_scalar(weight)
+    weight = GaussRational.coerce(weight)
     u = RatFunc.variable(QI_ONE)
     for xi in (u, u * u, u * u * (u - 1)):
         xi_prime_0 = xi.derivative().num.evaluate(QI_ZERO) / xi.derivative().den.evaluate(QI_ZERO)
@@ -415,7 +413,7 @@ def heis_insertion_apply(op: HeisenbergOp, state: SymState) -> SymState:
     if site.is_infinity:
         return heis_P_with_insertions(phi, insertions, state)
     zl = site.value
-    weights = {Point(p).value if not isinstance(p, Point) else p.value: lam for p, lam in insertions}
+    weights = {as_point(p).value: lam for p, lam in insertions}
     if zl not in weights:
         raise DomainError("site is not an insertion point")
 
@@ -445,8 +443,7 @@ def heis_insertion_apply(op: HeisenbergOp, state: SymState) -> SymState:
 
 def heis_P_with_insertions(phi: RatFunc, insertions, state: SymState) -> SymState:
     """The site-at-infinity operator on function states with insertions."""
-    weights = [(coerce_scalar(p.value if isinstance(p, Point) else p), lam)
-               for p, lam in insertions]
+    weights = [(as_point(p).value, lam) for p, lam in insertions]
     dec = _phi_pole_parts(phi)
     atoms = dec_atoms(dec)
 
@@ -461,7 +458,7 @@ def heis_P_with_insertions(phi: RatFunc, insertions, state: SymState) -> SymStat
         out = out + state.multiply_atom(("pole", c, order), coeff)
     scalar_part = QI_ZERO
     for zj, lam in weights:
-        scalar_part = scalar_part + coerce_scalar(lam) * dec.polynomial.evaluate(zj)
+        scalar_part = scalar_part + GaussRational.coerce(lam) * dec.polynomial.evaluate(zj)
     if scalar_part:
         out = out + state.scale(scalar_part)
     return out
@@ -471,8 +468,8 @@ def insertion_suite(points, lambdas, rng) -> dict:
     """Verify the four insertion-operator identities on random data."""
     from .sampling import rand_ratfunc, rand_scalar
 
-    pts = [coerce_scalar(p) for p in points]
-    lams = [coerce_scalar(l) for l in lambdas]
+    pts = [GaussRational.coerce(p) for p in points]
+    lams = [GaussRational.coerce(l) for l in lambdas]
     ins = list(zip(pts, lams))
     report = {}
 

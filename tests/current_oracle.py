@@ -8,7 +8,10 @@ with ν a dict of ``RatFunc`` components:
 * ``iota_apply_oracle``: the contraction field by the commutation
   recursion on ``CurrentState`` words, with no cache, keeping the
   creation term at the field point and the whole loop product that
-  ``chiralis.current`` drops because they cancel;
+  ``chiralis.current`` drops because they cancel; with
+  ``epsilon_apply_oracle`` and ``j_apply_oracle`` it applies the fields
+  at a symbolic point of the test-side ``tower_field`` too, where
+  ``chiralis.current`` takes Q(i) and jet points only;
 * ``J_P_apply_oracle`` / ``J_site_apply_oracle``: brackets by
   ``RatFunc`` products, residues by ``residue_at``, and the base action
   from a fresh ``partial_fractions`` (a root search) on every call;
@@ -59,6 +62,15 @@ def iota_apply_oracle(algebra, v, z, state: CurrentState) -> CurrentState:
     """Contraction field at z via the commutation recursion."""
     v = _as_elem(algebra, v)
     return _sum_terms(state, lambda word, ins: _iota_term(algebra, v, z, word, ins, state.ctx))
+
+
+def epsilon_apply_oracle(algebra, v, z, state: CurrentState) -> CurrentState:
+    """Left multiplication by the simple-pole loop element at z."""
+    return _left_multiply(algebra, [((a, z, 1), c) for a, c in _as_elem(algebra, v).items()], state)
+
+
+def j_apply_oracle(algebra, v, z, state: CurrentState) -> CurrentState:
+    return epsilon_apply_oracle(algebra, v, z, state) + iota_apply_oracle(algebra, v, z, state)
 
 
 def _iota_term(algebra, v, z, word, ins, ctx) -> CurrentState:

@@ -11,38 +11,47 @@ kept as they were:
 * ``partial_fractions_known`` -- each pole part subtracted from a
   canonicalized ``RatFunc`` remainder, the polynomial part what is left;
 * ``residue_at`` -- at infinity through f(1/t) * (-1/t^2) as a ``RatFunc``.
+
+Each function builds its polynomials and rational functions in the layer
+of its input: ``chiralis``'s over Q(i), or the test-side tower of
+``tower_field``.
 """
 
 from __future__ import annotations
 
-from chiralis.exactnum import (
-    PartialFractions,
-    Point,
-    Poly,
-    RatFunc,
-    UnsupportedDenominatorError,
-)
+from chiralis import exactnum
+from chiralis.exactnum import Point, UnsupportedDenominatorError
+
+import tower_field
 
 
-def _one_like(p: Poly):
+def _layer(x):
+    """(Poly, RatFunc, PartialFractions) of the module that x (a polynomial
+    or rational function) belongs to."""
+    mod = tower_field if isinstance(x, (tower_field.Poly, tower_field.RatFunc)) else exactnum
+    return mod.Poly, mod.RatFunc, mod.PartialFractions
+
+
+def _one_like(p):
     for c in p.coeffs:
         return c * 0 + 1
     return 1
 
 
-def poly_shift(p: Poly, c) -> Poly:
+def poly_shift(p, c):
     """Compose with u -> u + c (Taylor shift)."""
+    Poly = _layer(p)[0]
     out = Poly([0])
     for coeff in reversed(p.coeffs):
         out = out * Poly([c, 1]) + Poly([coeff])
     return out
 
 
-def pole_order(f: RatFunc, c) -> int:
+def pole_order(f, c) -> int:
     """Multiplicity of u = c as a root of the denominator."""
     order = 0
     den = f.den
-    lin = Poly([-c, c * 0 + 1])
+    lin = _layer(f)[0]([-c, c * 0 + 1])
     while True:
         q, r = den.divmod(lin)
         if not r.is_zero():
@@ -63,7 +72,7 @@ def _series_inverse_mul(num: list, den: list, terms: int) -> list:
     return out
 
 
-def local_expansion(f: RatFunc, c, order: int):
+def local_expansion(f, c, order: int):
     """Laurent coefficients of f at u = c, from the pole order up to ``order``.
 
     Returns (pole_order m, coeffs) with coeffs[j] the coefficient of
@@ -72,7 +81,7 @@ def local_expansion(f: RatFunc, c, order: int):
     if f.is_zero():
         return 0, []
     m = pole_order(f, c)
-    lin = Poly([-c, c * 0 + 1])
+    lin = _layer(f)[0]([-c, c * 0 + 1])
     den = f.den
     for _ in range(m):
         den = den // lin
@@ -86,7 +95,7 @@ def local_expansion(f: RatFunc, c, order: int):
     return m, _series_inverse_mul(ncs, dcs, terms)
 
 
-def pole_part_coeffs(f: RatFunc, c) -> dict:
+def pole_part_coeffs(f, c) -> dict:
     """{order l: coefficient of (u-c)^(-l)} of the pole part of f at c."""
     m = pole_order(f, c)
     if m == 0:
@@ -95,29 +104,29 @@ def pole_part_coeffs(f: RatFunc, c) -> dict:
     return {m - j: coeffs[j] for j in range(m) if coeffs[j]}
 
 
-def _reversed_padded(p: Poly, degree: int) -> Poly:
+def _reversed_padded(p, degree: int):
     """Coefficient-reverse as a degree-``degree`` polynomial (u -> 1/u)."""
     if p.degree > degree:
         raise ValueError("padding degree too small")
     out = [0] * (degree + 1)
     for k, c in enumerate(p.coeffs):
         out[degree - k] = c
-    return Poly(out)
+    return _layer(p)[0](out)
 
 
-def at_infinity_substitution(f: RatFunc) -> RatFunc:
+def at_infinity_substitution(f):
     """f(1/t) as a rational function of t."""
     deg = max(f.num.degree, f.den.degree, 0)
-    return RatFunc(_reversed_padded(f.num, deg), _reversed_padded(f.den, deg))
+    return _layer(f)[1](_reversed_padded(f.num, deg), _reversed_padded(f.den, deg))
 
 
-def residue_at(f: RatFunc, z):
+def residue_at(f, z):
     """Residue of the one-form f(u) du at the point z (infinity allowed)."""
     zero = _one_like(f.den) * 0
     if isinstance(z, Point):
         if z.is_infinity:
             g = at_infinity_substitution(f)
-            t = RatFunc.variable(_one_like(f.den))
+            t = _layer(f)[1].variable(_one_like(f.den))
             g = g * (-(t ** -2))
             parts = pole_part_coeffs(g, zero)
             return parts.get(1, zero)
@@ -128,12 +137,13 @@ def residue_at(f: RatFunc, z):
     return parts.get(1, zero)
 
 
-def partial_fractions_known(f: RatFunc, poles) -> PartialFractions:
+def partial_fractions_known(f, poles):
     """Partial fractions given the (super)set of finite poles; no factoring.
 
     Raises UnsupportedDenominatorError when pole parts at the listed points
     do not exhaust the denominator.
     """
+    Poly, RatFunc, PartialFractions = _layer(f)
     terms = []
     remainder = f
     for c in poles:

@@ -121,3 +121,29 @@ def test_every_named_span_is_installed():
             target = getattr(module, attr, None)
             assert inspect.isfunction(target), source
             assert not attr.startswith("_") and target.__module__ == module.__name__, source
+
+
+def test_every_bench_import_resolves():
+    """Every ``from chiralis.X import name`` in ``bench/*.py``, at module
+    level or inside a function, names something the program still has, and
+    ``RatFunc.variable(QI_ONE)`` (the coordinate function of the checks)
+    still builds u.  A deletion in the program that the benchmark relies on
+    fails here, not in a benchmark run."""
+    import ast
+    import importlib
+
+    from chiralis.exactnum import QI_ONE, Poly, RatFunc
+
+    imported = set()
+    for path in sorted(Path(BENCH).glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "chiralis":
+                imported |= {(path.name, node.module, alias.name) for alias in node.names}
+            elif isinstance(node, ast.Import):
+                imported |= {(path.name, alias.name, None) for alias in node.names
+                             if alias.name.split(".")[0] == "chiralis"}
+    assert any(name == "RatFunc" for _, _, name in imported)
+    for source, module, name in sorted(imported, key=str):
+        target = importlib.import_module(module)
+        assert name is None or hasattr(target, name), (source, module, name)
+    assert RatFunc.variable(QI_ONE) == RatFunc(Poly([0, 1]))

@@ -255,12 +255,31 @@ class TestConfigErrors:
         ("axioms --structure comm --samples 0", None),
         ("commute-check --theory boson --samples -1", None),
         ("gram --points 1/3 --degree -1", None),
+        # the only draw collides with a pole and is skipped
+        ("commute-check --theory boson --samples 1 --seed 8", None),
+        ("commute-check --theory current --samples 1 --seed 13", None),
+        ("commute-check --theory lattice --samples 1 --seed 8", None),
     ])
     def test_malformed_arguments(self, tmp_path, capsys, argv, data):
         path = tmp_path / "input.json"
         path.write_text(json.dumps(data))
         assert run(argv.format(file=path).split()) == 2
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        "npoint --theory boson --points @{dir}",
+        "replay --script {dir}",
+        "npoint --theory boson --points @{missing}",
+        "npoint --theory boson --points @{latin1}",
+        "pair --theory boson --file {latin1}",
+        "lattice --N 1 --script {latin1}",
+    ])
+    def test_unreadable_input_files(self, tmp_path, capsys, argv):
+        # a directory, a missing file and a file that is not UTF-8 text
+        latin1 = tmp_path / "latin1.json"
+        latin1.write_bytes('["\u00bd"]'.encode("latin-1"))
+        assert run(argv.format(dir=tmp_path, missing=tmp_path / "none.json", latin1=latin1).split()) == 2
+        assert "configuration error: cannot read" in capsys.readouterr().err
 
 
 def _replay_scripts(scalars, orders, junk):

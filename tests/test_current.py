@@ -62,6 +62,7 @@ from current_oracle import (
     mode_j_oracle,
     residue_pair_degree_one_oracle,
 )
+import tower_field
 from tower_oracle import current_expand_tower, current_pair_tower
 
 SL2 = sl2_algebra()
@@ -141,9 +142,9 @@ class TestPBW:
         # the binomial closed form against the generic decomposition; the
         # symbolic cases are the ones the pairing feeds in (the point 1/t of
         # Q(i)(t) against a simple pole), since the generic path costs
-        # seconds each there
+        # seconds each there; it runs on the test-side tower field
         rng = random.Random(13)
-        t = RatFunc.variable(QI_ONE)
+        t = tower_field.RatFunc.variable(QI_ONE)
         cases = []
         for _ in range(12):
             c1, c2 = rand_distinct_scalars(rng, 2, span=4)
@@ -152,9 +153,9 @@ class TestPBW:
         cases += [(1 / t, 1, c, l) for l in (1, 2, 3)]
         cases += [(c, 2, 1 / t, 1), (1 / t + c, 1, c * 2, 2)]
         for c1, l1, c2, l2 in cases:
-            u = RatFunc.variable((c1 - c2) * 0 + 1)
+            u = tower_field.RatFunc.variable((c1 - c2) * 0 + 1)
             f = 1 / ((u - c1) ** l1 * (u - c2) ** l2)
-            expected = list(partial_fractions_known(f, [c1, c2]).terms)
+            expected = list(tower_field.partial_fractions_known(f, [c1, c2]).terms)
             assert _loop_product(c1, l1, c2, l2) == expected, (c1, l1, c2, l2)
         assert _loop_product(1 / t, 2, 1 / t, 1) == [(1 / t, 3, QI_ONE)]
 

@@ -15,20 +15,19 @@ from chiralis.exactnum import (
     UnsupportedDenominatorError,
     evaluate,
     gauss_rational_roots,
-    _taylor_shift,
     local_expansion,
     partial_fractions,
     partial_fractions_known,
-    pole_order,
-    pole_part_coeffs,
     qi,
     residue_at,
     residue_pairing,
     sqrt_gauss_rational,
 )
-from chiralis.sampling import rand_distinct_scalars, rand_ratfunc, rand_scalar
+from chiralis import exactnum
+from chiralis.sampling import rand_distinct_scalars, rand_poly, rand_ratfunc, rand_scalar
 
 import expansion_oracle as oracle
+import tower_field
 
 U = RatFunc.variable(GaussRational(1))
 
@@ -301,6 +300,57 @@ class TestGaussTriple:
             assert [str(r) for r in gauss_rational_roots(poly)] == expected
 
 
+class TestOneCoefficientField:
+    """Q(i) is the only coefficient field: ints and rationals are coerced,
+    and a rational function is neither a coefficient nor a point."""
+
+    def test_int_coefficients_are_gauss_rationals(self):
+        p, q = Poly([1, 2]), Poly([qi(1), qi(2)])
+        assert p == q and hash(p) == hash(q)
+        assert p.sort_key() == q.sort_key()
+        assert all(type(c) is GaussRational for c in Poly([Fraction(1, 2), 0, 3]).coeffs)
+        assert RatFunc(Poly([1]), Poly([0, 2])) == 1 / (2 * U)
+
+    def test_sort_key_orders_by_length_then_rational_pairs(self):
+        # the order of Poly.sort_key when coefficients could be of any field,
+        # on the seeded Q(i) polynomials: by length, then coefficient by
+        # coefficient as the (re, im) pairs
+        rng = random.Random(2203)
+        polys = [rand_poly(rng, max_degree=2, span=2) for _ in range(60)]
+        polys += [Poly([c.re, c.im]) for c in (rand_scalar(rng, span=2) for _ in range(10))]
+
+        def reference(p):
+            return len(p.coeffs), [(c.re, c.im) for c in p.coeffs]
+
+        assert sorted(polys, key=Poly.sort_key) == sorted(polys, key=reference)
+
+    def test_rational_function_points_and_coefficients_raise(self):
+        from chiralis.boson import e_apply
+        from chiralis.current import current_vacuum, iota_apply, sl2_algebra
+        from chiralis.jets import Jet, coerce_scalar_or_jet, jet_point
+        from chiralis.states import monomial_state, vacuum
+        from chiralis.vertexalg import translate
+
+        state = monomial_state([("pole", qi(0), 2)])
+        calls = [
+            lambda: Poly([U]),
+            lambda: Poly([qi(1), U]),
+            lambda: Poly([1, 2]) * U,
+            lambda: RatFunc.variable(U),
+            lambda: Jet(0, [U], 3),
+            lambda: jet_point(qi(1), 3) * U,
+            lambda: jet_point(U, 3),
+            lambda: coerce_scalar_or_jet(U),
+            lambda: e_apply(U, vacuum()),
+            lambda: iota_apply(sl2_algebra(), "e", U, current_vacuum()),
+            lambda: translate(U, state),
+            lambda: translate(qi(3) + U, state),
+        ]
+        for call in calls:
+            with pytest.raises(TypeError):
+                call()
+
+
 class TestFieldOps:
     def test_sum_of_simple_poles(self):
         # oracle: cross-multiply by hand, (u-2)+(u-1) over (u-1)(u-2)
@@ -490,13 +540,14 @@ class TestLaurent:
                 fact *= k + 1
 
 
-def _rand_known(rng, lift, count, max_order, scalar):
+def _rand_known(rng, lift, count, max_order, scalar, field=RatFunc):
     """(f, poles): a random polynomial plus up to ``count`` pole parts of
-    order <= ``max_order`` at distinct Q(i) points, built term by term, and
-    the pole points lifted into the coefficient field by ``lift``."""
-    x = RatFunc.variable(lift(qi(1)))
+    order <= ``max_order`` at distinct Q(i) points, built term by term in the
+    rational functions ``field``, and the pole points lifted into the
+    coefficient field by ``lift``."""
+    x = field.variable(lift(qi(1)))
     points = rand_distinct_scalars(rng, rng.randint(0, count), span=4)
-    f = RatFunc.const(lift(qi(0)))
+    f = field.const(lift(qi(0)))
     for k in range(rng.randint(0, 2) + 1):
         f = f + scalar(rng) * x ** k
     for c in points:
@@ -508,29 +559,31 @@ def _rand_known(rng, lift, count, max_order, scalar):
 
 class TestTaylorShiftOracle:
     """The coefficient-list expansions against the generic ones they
-    replaced (``tests/expansion_oracle.py``), on seeded random data."""
+    replaced (``tests/expansion_oracle.py``), on seeded random data: those
+    of ``chiralis.exactnum`` over Q(i), and the same Horner passes of the
+    test-side ``tower_field`` over a rational function field."""
 
-    def assert_matches(self, f, poles, others):
+    def assert_matches(self, f, poles, others, fast=exactnum):
         for c in poles + others:
-            assert pole_order(f, c) == oracle.pole_order(f, c), (f, c)
-            assert pole_part_coeffs(f, c) == oracle.pole_part_coeffs(f, c), (f, c)
+            assert fast.pole_order(f, c) == oracle.pole_order(f, c), (f, c)
+            assert fast.pole_part_coeffs(f, c) == oracle.pole_part_coeffs(f, c), (f, c)
             for order in (-3, -1, 0, 2):
-                assert local_expansion(f, c, order) == oracle.local_expansion(f, c, order), (f, c, order)
-            assert residue_at(f, c) == oracle.residue_at(f, c), (f, c)
-        assert residue_at(f, INFINITY) == oracle.residue_at(f, INFINITY), f
+                assert fast.local_expansion(f, c, order) == oracle.local_expansion(f, c, order), (f, c, order)
+            assert fast.residue_at(f, c) == oracle.residue_at(f, c), (f, c)
+        assert fast.residue_at(f, INFINITY) == oracle.residue_at(f, INFINITY), f
         for p in (f.num, f.den):
             for c in poles + others:
-                assert _taylor_shift(p.coeffs, c, len(p.coeffs)) == list(oracle.poly_shift(p, c).coeffs)
+                assert fast._taylor_shift(p.coeffs, c, len(p.coeffs)) == list(oracle.poly_shift(p, c).coeffs)
         # the listed points shuffled, a repeated pole and points that are not poles
         listed = poles + others[:1] + poles[:1]
         rng = random.Random(len(listed))
         for order in (listed, rng.sample(listed, len(listed))):
-            got, want = partial_fractions_known(f, order), oracle.partial_fractions_known(f, order)
+            got, want = fast.partial_fractions_known(f, order), oracle.partial_fractions_known(f, order)
             assert got.terms == want.terms, (f, order)
             assert got.polynomial == want.polynomial, (f, order)
         if poles and f.den.degree:
-            missing = [c for c in poles if pole_order(f, c)][1:] + others
-            for fn in (partial_fractions_known, oracle.partial_fractions_known):
+            missing = [c for c in poles if fast.pole_order(f, c)][1:] + others
+            for fn in (fast.partial_fractions_known, oracle.partial_fractions_known):
                 with pytest.raises(UnsupportedDenominatorError):
                     fn(f, missing)
 
@@ -546,19 +599,20 @@ class TestTaylorShiftOracle:
         # coefficients in Q(i)(t), constant poles lifted as vir_oracle lifts
         # them, and a pole that moves with t
         rng = random.Random(1997)
-        t = RatFunc.variable(qi(1))
+        tf = tower_field.RatFunc
+        t = tf.variable(qi(1))
 
         def scalar(r):
-            return RatFunc.const(rand_scalar(r)) + rand_scalar(r) * t if r.random() < 0.5 else (
-                RatFunc.const(rand_scalar(r)) / (t - rand_scalar(r, span=9) - 10))
+            return tf.const(rand_scalar(r)) + rand_scalar(r) * t if r.random() < 0.5 else (
+                tf.const(rand_scalar(r)) / (t - rand_scalar(r, span=9) - 10))
 
         for _ in range(6):
-            f, poles = _rand_known(rng, RatFunc.const, 2, 3, scalar)
-            self.assert_matches(f, poles, [RatFunc.const(qi(7, 2))])
-        x = RatFunc.variable(RatFunc.const(qi(1)))
+            f, poles = _rand_known(rng, tf.const, 2, 3, scalar, field=tf)
+            self.assert_matches(f, poles, [tf.const(qi(7, 2))], fast=tower_field)
+        x = tf.variable(tf.const(qi(1)))
         w = t + 3
         for f in (1 / (x - w) ** 2 + scalar(rng) / (x - w), x ** 2 / (x - w) ** 3 + scalar(rng) / (x + 1)):
-            self.assert_matches(f, [w, RatFunc.const(qi(-1))], [t])
+            self.assert_matches(f, [w, tf.const(qi(-1))], [t], fast=tower_field)
 
     def test_unsplit_denominator(self):
         f = rf([1]) / (U * U * U - 2)
@@ -593,27 +647,28 @@ class TestConjugation:
 
 
 class TestGenericScalars:
-    """The same algorithms must run with rational functions as scalars."""
+    """The tower field of the oracles (``tests/tower_field.py``) runs the same
+    algorithms with rational functions as scalars."""
 
     def test_nested_ratfunc_field(self):
-        w = RatFunc.variable(GaussRational(1))  # inner variable
-        one = RatFunc.const(GaussRational(1))
-        x = RatFunc.variable(one)  # outer variable over Q(i)(w)
+        tf = tower_field.RatFunc
+        w = tf.variable(GaussRational(1))  # inner variable
+        one = tf.const(GaussRational(1))
+        x = tf.variable(one)  # outer variable over Q(i)(w)
         f = one / (x - w) + one / (x + w)
         # 2x/(x^2 - w^2)
-        expected = RatFunc(
-            Poly([w * 0, w * 0 + 2]), Poly([-(w * w), w * 0, w * 0 + 1])
+        expected = tf(
+            tower_field.Poly([w * 0, w * 0 + 2]), tower_field.Poly([-(w * w), w * 0, w * 0 + 1])
         )
         assert f == expected
 
     def test_nested_laurent(self):
-        from chiralis.exactnum import local_expansion
-
-        w = RatFunc.variable(GaussRational(1))
-        one = RatFunc.const(GaussRational(1))
-        x = RatFunc.variable(one)
+        tf = tower_field.RatFunc
+        w = tf.variable(GaussRational(1))
+        one = tf.const(GaussRational(1))
+        x = tf.variable(one)
         f = one / (x - w)
-        m, coeffs = local_expansion(f, w, 1)
+        m, coeffs = tower_field.local_expansion(f, w, 1)
         assert m == 1
         assert coeffs[0] == one
         assert not coeffs[1]

@@ -20,9 +20,9 @@ from chiralis.geometry import (
     mobius_pushforward,
     szego_genus0,
 )
-from chiralis.exactnum import local_expansion
 from chiralis.sampling import rand_ratfunc, rand_scalar
 
+import tower_field
 from vir_oracle import (
     _spec_inner,
     bifunction_atom_matrix,
@@ -125,8 +125,8 @@ class TestOmegaX:
         xi1p = subst(X.xi.derivative(), x)
         xi2p = subst(X.xi.derivative(), w)
         numerator = 2 * (xi1 - xi2) - (xi1p + xi2p) * (x - w)
-        diag_scalar = RatFunc(Poly([qi(0), qi(1)]))
-        m, coeffs = local_expansion(numerator, diag_scalar, 1)
+        diag_scalar = tower_field.RatFunc(tower_field.Poly([qi(0), qi(1)]))
+        m, coeffs = tower_field.local_expansion(numerator, diag_scalar, 1)
         assert m == 0
         assert not coeffs[0]
         assert not coeffs[1]

@@ -131,12 +131,22 @@ class TestMovedExpansion:
 
 
 
+class TestOneLevel:
+    def test_coefficients_are_gauss_rationals(self):
+        w = jet_point(qi(2), 4)
+        assert not hasattr(w, "one")
+        v = Jet(0, [2, Fraction(1)], 4)
+        assert v == w and hash(v) == hash(w) and v.sort_key() == w.sort_key()
+        assert all(type(c) is GaussRational for c in v.coeffs)
+        assert w.coefficient(3) == qi(0) and type(w.coefficient(3)) is GaussRational
+
+
 def _two_term_jets(rng, prec):
     """The jets a negative power meets: moving points z + t minus a pole,
     the moving point on the pole (t alone), and t^v (a + s t) with v > 0."""
     w = jet_point(rand_scalar(rng), prec)
     t = w - w.coefficient(0)
-    shifted = Jet(2, [rand_scalar(rng) + 5, rand_scalar(rng)], prec, w.one)
+    shifted = Jet(2, [rand_scalar(rng) + 5, rand_scalar(rng)], prec)
     return [w - (rand_scalar(rng) + 20), t, t * (rand_scalar(rng) or qi(3)), shifted, w - 20]
 
 

@@ -71,13 +71,14 @@ class TestGroupActions:
         s = monomial_state([("pole", qi(0), 2)])
         amount = qi(3)
         moved = translate(amount, s)
-        from chiralis.exactnum import RatFunc, QI_ONE
+        from chiralis.exactnum import QI_ONE
         from chiralis.jets import jet_point
         from chiralis.vertexalg import jet_parameter_expansion
-        from tower_oracle import parameter_expansion
+        from tower_field import RatFunc
+        from tower_oracle import parameter_expansion, translate_tower
 
         h = RatFunc.variable(QI_ONE)
-        shifted = translate(amount + h, s)
+        shifted = translate_tower(amount + h, s)
         buckets = parameter_expansion(shifted, 4)
         jet_buckets = jet_parameter_expansion(translate(jet_point(amount, 5), s), 4)
         gen = s

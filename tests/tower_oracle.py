@@ -3,36 +3,33 @@
 ``chiralis`` reads Taylor and Laurent coefficients around a moving point
 off jets (``chiralis.jets``).  This module computes the same coefficients
 the generic way, with the moving point a variable t of Q(i)(t) (or a
-tower over it) and ``local_expansion`` or repeated derivatives:
+tower over it, from the test-side field ``tower_field``) and
+``local_expansion`` or repeated derivatives:
 
 * ``current_pair_tower``: the current pairing, applying iota at the
   symbolic point 1/t and differentiating l - 1 times in t;
 * ``current_expand_tower``: the current OPE, applying the field at the
   symbolic point w and expanding the coefficients at z;
 * ``parameter_expansion``: a boson state whose pole locations are affine
-  in a rational parameter, expanded at parameter 0;
+  in a rational parameter (``translate_tower``), expanded at parameter 0;
 * ``reflection_kernel_symbolic``: the mixed derivative of (1 - yx)^-2,
   taken symbolically in x and y.
 
-They cost seconds where the jets cost milliseconds; a degree-two current
-pairing can take minutes.
+``chiralis`` takes Q(i) points only, so the fields at a symbolic point are
+the recursions of ``current_oracle``.  The towers cost seconds where the
+jets cost milliseconds; a degree-two current pairing can take minutes.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from chiralis.current import (
-    CurrentState,
-    _as_elem,
-    epsilon_apply,
-    iota_apply,
-    j_apply,
-    pbw_normalize,
-)
-from chiralis.exactnum import GaussRational, Poly, QI_ONE, QI_ZERO, RatFunc, coerce_scalar, local_expansion
+from chiralis.current import CurrentState, pbw_normalize
+from chiralis.exactnum import GaussRational, QI_ONE, QI_ZERO
 from chiralis.states import DomainError, SymState, monomial_state
 
+from current_oracle import epsilon_apply_oracle, iota_apply_oracle, j_apply_oracle
+from tower_field import Poly, RatFunc, local_expansion
 from vir_oracle import inner_derivative, inner_variable, outer_variable, subst
 
 
@@ -51,8 +48,8 @@ def pair_word_tower(algebra, word, state: CurrentState):
     one = _one_of_state(state)
     t = RatFunc.variable(one)
     zu = 1 / t
-    moved = iota_apply(algebra, algebra.basis_element(a) if isinstance(a, int) else a, zu, state)
-    moved = moved.scale(1 / (t * t))
+    moved = iota_apply_oracle(algebra, a, zu, state)
+    moved = CurrentState({key: c / (t * t) for key, c in moved.terms.items()}, moved.ctx)
     value = pair_word_tower(algebra, rest, moved)
     value_rf = value if isinstance(value, RatFunc) else RatFunc(Poly([value]))
     for _ in range(l - 1):
@@ -72,19 +69,16 @@ def current_pair_tower(algebra, dual: CurrentState, state: CurrentState):
 
 def current_expand_tower(algebra, v, z, state: CurrentState, order: int, field: str = "j") -> dict:
     """The current OPE with the field applied at the symbolic point w of Q(i)(w)."""
-    z = coerce_scalar(z)
-    one = z * 0 + 1 if isinstance(z, RatFunc) else QI_ONE
-    w = RatFunc.variable(one)
-    apply_fn = {"j": j_apply, "iota": iota_apply, "epsilon": epsilon_apply}[field]
-    applied = apply_fn(algebra, _as_elem(algebra, v), w, state)
+    z = GaussRational.coerce(z)
+    w = RatFunc.variable(QI_ONE)
+    apply_fn = {"j": j_apply_oracle, "iota": iota_apply_oracle, "epsilon": epsilon_apply_oracle}[field]
+    applied = apply_fn(algebra, v, w, state)
     buckets: dict = {}
     for (word, ins), coeff in applied.terms.items():
         moving_pos = [
             i for i, gen in enumerate(word) if isinstance(gen[1], RatFunc) and gen[1] == w
         ]
         coeff_rf = coeff if isinstance(coeff, RatFunc) else RatFunc(Poly([coeff]))
-        while isinstance(coeff_rf, RatFunc) and coeff_rf._level() < w._level():
-            coeff_rf = RatFunc(Poly([coeff_rf]))
         m, series = local_expansion(coeff_rf, z, order)
         depth = order + m
         moved_options = []
@@ -115,11 +109,23 @@ def current_expand_tower(algebra, v, z, state: CurrentState, order: int, field: 
     return {k: s for k, s in buckets.items() if s}
 
 
-def parameter_expansion(state: SymState, order: int) -> dict:
-    """Expand a state whose scalars/pole keys depend on one rational
-    parameter around parameter = 0; returns {order: state}."""
-    buckets: dict = {}
+def translate_tower(amount, state: SymState) -> dict:
+    """The terms {monomial: coeff} of the boson state with every basis pole
+    shifted by ``amount``, which may be a rational function of a parameter."""
+    out = {}
     for mon, coeff in state.terms.items():
+        if any(atom[0] != "pole" for atom in mon):
+            raise DomainError("translation needs infinity-regular states")
+        out[tuple(("pole", atom[1] + amount, atom[2]) for atom in mon)] = coeff
+    return out
+
+
+def parameter_expansion(terms: dict, order: int) -> dict:
+    """Expand the terms {monomial: coeff} of a boson state whose scalars and
+    pole keys depend on one rational parameter around parameter = 0;
+    returns {order: state}."""
+    buckets: dict = {}
+    for mon, coeff in terms.items():
         moving = []
         fixed = []
         for atom in mon:

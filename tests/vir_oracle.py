@@ -19,20 +19,20 @@ The bivariate calculus behind the creation (rational functions of u1
 over rational functions of u2, the invariant bidifferential, the exchange
 u1 <-> u2, the closed form omega_X, d/du2 of a bivariate function, the
 Lie derivative of a bidifferential and its expansion in pairs of form
-atoms) lives here too: the closed forms in ``chiralis``, the genus-0
-kernels (u1-u2)^-k among them, no longer need it.
+atoms) lives here too, on the test-side tower field ``tower_field``: the
+closed forms in ``chiralis``, the genus-0 kernels (u1-u2)^-k among them,
+no longer need it, and ``chiralis`` computes over Q(i) only.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from chiralis import exactnum
 from chiralis.exactnum import (
     GaussRational,
-    Poly,
     QI_ONE,
     QI_ZERO,
-    RatFunc,
     gauss_rational_roots,
     partial_fractions,
     partial_fractions_known,
@@ -46,6 +46,9 @@ from chiralis.geometry import (
     dec_atoms,
 )
 from chiralis.states import SymState, add_term
+
+import tower_field
+from tower_field import Poly, RatFunc, lift, lower
 
 
 # ---------------------------------------------------------------------------
@@ -61,8 +64,11 @@ def inner_variable() -> RatFunc:
     return RatFunc.variable(QI_ONE)
 
 
-def subst(f: RatFunc, value):
-    """f evaluated at an arbitrary scalar-like value (exact substitution)."""
+def subst(f, value):
+    """f evaluated at an arbitrary scalar-like value (exact substitution); a
+    ``chiralis`` rational function is lifted to the tower first."""
+    if isinstance(f, exactnum.RatFunc):
+        f = lift(f)
     return f.num.evaluate(value) / f.den.evaluate(value)
 
 
@@ -178,9 +184,8 @@ def bifunction_atom_matrix(F: RatFunc, poles=None) -> dict:
     """
     if poles is None:
         poles = _constant_outer_poles(F)
-    one_inner = RatFunc.const(QI_ONE)
     lifted_poles = [RatFunc.const(p) if not isinstance(p, RatFunc) else p for p in poles]
-    dec = partial_fractions_known(F, lifted_poles)
+    dec = tower_field.partial_fractions_known(F, lifted_poles)
     out = {}
 
     def base_scalar(v):
@@ -189,7 +194,7 @@ def bifunction_atom_matrix(F: RatFunc, poles=None) -> dict:
         return GaussRational.coerce(v)
 
     def add_inner(atom1, inner_coeff: RatFunc):
-        inner_dec = partial_fractions(inner_coeff)
+        inner_dec = partial_fractions(lower(inner_coeff))
         for c2, order2, co2 in inner_dec.terms:
             if order2 == 1:
                 raise GeometryError("bidifferential has a residue in u2")
@@ -221,7 +226,7 @@ def _constant_outer_poles(F: RatFunc):
     # Desk-scale shortcut: specialize u2 at two generic rational values and
     # intersect the root sets.
     for probe in (GaussRational(Fraction(7, 13)), GaussRational(Fraction(19, 11))):
-        specialized = Poly([_spec_inner(c, probe) for c in den.coeffs])
+        specialized = exactnum.Poly([_spec_inner(c, probe) for c in den.coeffs])
         roots = set()
         for r in gauss_rational_roots(specialized):
             roots.add(r)
@@ -237,7 +242,7 @@ def _constant_outer_poles(F: RatFunc):
 _CREATION: dict = {}
 
 
-def _creation_state(xi_part: RatFunc) -> SymState:
+def _creation_state(xi_part: exactnum.RatFunc) -> SymState:
     """Degree-2 creation state of a singular vector-field part, from omega."""
     cached = _CREATION.get(xi_part)
     if cached is not None:
@@ -251,17 +256,17 @@ def _creation_state(xi_part: RatFunc) -> SymState:
     return out
 
 
-def singular_parts(xi: RatFunc, site) -> dict:
+def singular_parts(xi: exactnum.RatFunc, site) -> dict:
     """{pole c: the pole part of xi at c} for the poles that create at the site."""
-    u = RatFunc.variable(QI_ONE)
+    u = exactnum.RatFunc.variable()
     parts: dict = {}
     for c, order, coeff in partial_fractions(xi).terms:
         if site.is_infinity or c == site.value:
-            parts[c] = parts.get(c, RatFunc.const(QI_ZERO)) + coeff / (u - c) ** order
+            parts[c] = parts.get(c, exactnum.RatFunc.const(QI_ZERO)) + coeff / (u - c) ** order
     return parts
 
 
-def lie_image(xi: RatFunc, atom) -> dict:
+def lie_image(xi: exactnum.RatFunc, atom) -> dict:
     """L_xi(atom du) in form atoms, through RatFunc arithmetic."""
     a = atom_ratfunc(atom)
     poles = list(gauss_rational_roots(xi.den))
@@ -297,7 +302,7 @@ def vir_apply_oracle(op, state: SymState, split: bool = False) -> SymState:
     out = SymState(pairs) + state.derive_atoms(projected)
     parts = list(singular_parts(xi, site).values())
     if not split:
-        parts = [sum(parts, RatFunc.const(QI_ZERO))]
+        parts = [sum(parts, exactnum.RatFunc.const(QI_ZERO))]
     for part in parts:
         out = out + state.multiply(_creation_state(part))
     return out
