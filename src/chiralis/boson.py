@@ -11,13 +11,13 @@ become exact truncated Laurent series) and reading off the orders.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 from .exactnum import GaussRational, QI_ONE, RatFunc
-from .geometry import atom_deriv_eval, atom_eval, bergman_genus0, lie_atom
-from .jets import SLACK, coerce_scalar_or_jet, jet_point, moved_expansion, with_jet_retry
-from .states import (DomainError, SymState, drop_above_degree, monomial_state, require_distinct,
-                     require_regular, vacuum)
+from .geometry import atom_deriv_eval, atom_sort_key, bergman_genus0, lie_atom
+from .jets import SLACK, coerce_scalar_or_jet, jet_point, with_jet_retry
+from .states import (AtomValues, DomainError, SymState, _contract_terms, drop_above_degree,
+                     require_distinct, require_regular, vacuum)
 from .symmetry import _phi_pole_parts
 
 __all__ = [
@@ -55,8 +55,7 @@ __all__ = [
 
 def e_apply(z, state: SymState) -> SymState:
     """Multiplication by the double-pole creation form at z (hatted -1/(u-z)^2)."""
-    z = coerce_scalar_or_jet(z)
-    return state.multiply_atom(("pole", z, 2), -QI_ONE)
+    return e_deriv_apply(z, 0, state)
 
 
 def e_deriv_apply(z, order: int, state: SymState) -> SymState:
@@ -66,14 +65,12 @@ def e_deriv_apply(z, order: int, state: SymState) -> SymState:
     -(l+1)!/(u-z)^(l+2).
     """
     z = coerce_scalar_or_jet(z)
-    return state.multiply_atom(("pole", z, order + 2), -factorial(order + 1) * QI_ONE)
+    return state.multiply_atom(("pole", z, order + 2), GaussRational(-factorial(order + 1)))
 
 
 def i_apply(z, state: SymState) -> SymState:
     """The evaluation derivation at z: each basis form goes to -(its value at z)."""
-    z = coerce_scalar_or_jet(z)
-    require_regular(state.terms, z)
-    return state.contract(lambda atom: -atom_eval(atom, z))
+    return i_deriv_apply(z, 0, state)
 
 
 def i_deriv_apply(z, order: int, state: SymState) -> SymState:
@@ -84,18 +81,46 @@ def i_deriv_apply(z, order: int, state: SymState) -> SymState:
 
 
 def b_apply(z, state: SymState) -> SymState:
-    return i_apply(z, state) + e_apply(z, state)
+    return _b_group(z, (0,), state)
 
 
 def b_deriv_apply(z, order: int, state: SymState) -> SymState:
-    return i_deriv_apply(z, order, state) + e_deriv_apply(z, order, state)
+    return _b_group(z, (order,), state)
 
 
 def T_apply(z, state: SymState) -> SymState:
     """Energy field: half the normal-ordered square of b at z."""
+    return _b_group(z, (0, 0), state, Fraction(1, 2))
+
+
+def _b_group(z, orders, state: SymState, factor=1) -> SymState:
+    """factor times the normal-ordered product :b^(k_1)...b^(k_n):(z) of
+    b-derivative fields applied to the state, for orders (k_1, ..., k_n).
+
+    Wick's rule, as b^(k) = i^(k) + e^(k): each factor either contracts one
+    atom of the input monomial, by -atom^(k)(z), or creates ("pole", z, k+2)
+    with weight -(k+1)!.  Contractions read the input's own atoms only, and
+    each distinct (atom, order) is evaluated once.  Factors of one order are
+    alike: the j of n that contract are counted once, with weight C(n, j).
+    """
     z = coerce_scalar_or_jet(z)
-    iv = i_apply(z, state)
-    return (i_apply(z, iv) + e_apply(z, e_apply(z, state))).scale(Fraction(1, 2)) + e_apply(z, iv)
+    require_regular(state.terms, z)
+    partial = {(): state.terms}  # atoms created -> {input atoms left: coefficient}
+    for k in dict.fromkeys(orders):
+        n = orders.count(k)
+        values = AtomValues(lambda atom, k=k: -atom_deriv_eval(atom, z, k))
+        level, partial = partial, {}
+        for j in range(n + 1):
+            if j:
+                level = {made: _contract_terms(terms, values) for made, terms in level.items()}
+            weight = comb(n, j) * (-factorial(k + 1)) ** (n - j) * factor
+            weight = None if weight == 1 else GaussRational(weight)
+            for made, terms in level.items():
+                partial[made + (("pole", z, k + 2),) * (n - j)] = (
+                    terms if weight is None else {mon: c * weight for mon, c in terms.items()})
+        factor = 1
+    return SymState({tuple(sorted(mon + made, key=atom_sort_key)) if made else mon: c
+                     for made, terms in partial.items() for mon, c in terms.items()})
 
 
 def commutator_ie(z1, z2, state: SymState | None = None):
@@ -152,37 +177,10 @@ class Field:
 
     name = "field"
     weight = 1
+    deriv = None  # (z, order, state) -> the order-th derivative, when in closed form
 
     def apply(self, z, state: SymState) -> SymState:
         raise NotImplementedError
-
-
-class _EField(Field):
-    name, weight = "e", 1
-
-    def apply(self, z, state):
-        return e_apply(z, state)
-
-
-class _IField(Field):
-    name, weight = "i", 1
-
-    def apply(self, z, state):
-        return i_apply(z, state)
-
-
-class _BField(Field):
-    name, weight = "b", 1
-
-    def apply(self, z, state):
-        return b_apply(z, state)
-
-
-class _TField(Field):
-    name, weight = "T", 2
-
-    def apply(self, z, state):
-        return T_apply(z, state)
 
 
 class DerivedField(Field):
@@ -195,12 +193,8 @@ class DerivedField(Field):
         self.weight = base.weight + order
 
     def apply(self, z, state):
-        if isinstance(self.base, _EField):
-            return e_deriv_apply(z, self.order, state)
-        if isinstance(self.base, _IField):
-            return i_deriv_apply(z, self.order, state)
-        if isinstance(self.base, _BField):
-            return b_deriv_apply(z, self.order, state)
+        if self.base.deriv is not None:
+            return self.base.deriv(z, self.order, state)
         expansion = expand_at_generic_point(self.base, z, state, self.order)
         return expansion.coefficient(self.order).scale(factorial(self.order))
 
@@ -218,10 +212,26 @@ class RenormProduct(Field):
         return ope_extract(self.left, self.right, z, state, 0).regular
 
 
+class _BasicField(Field):
+    def __init__(self, name: str):
+        self.name = name
+        self.weight, self.apply, self.deriv = _BASIC_FIELDS[name]
+
+
+# name -> (weight, apply, closed-form derivative or None); the lambdas look
+# the module functions up at call time, so a rebound function (a span of
+# bench/tracer.py) also sees the calls made through a field object
+_BASIC_FIELDS = {
+    "e": (1, lambda z, s: e_apply(z, s), lambda z, k, s: e_deriv_apply(z, k, s)),
+    "i": (1, lambda z, s: i_apply(z, s), lambda z, k, s: i_deriv_apply(z, k, s)),
+    "b": (1, lambda z, s: b_apply(z, s), lambda z, k, s: b_deriv_apply(z, k, s)),
+    "T": (2, lambda z, s: T_apply(z, s), None),
+}
+
+
 def field_by_name(name: str) -> Field:
-    basics = {"e": _EField(), "i": _IField(), "b": _BField(), "T": _TField()}
-    if name in basics:
-        return basics[name]
+    if name in _BASIC_FIELDS:
+        return _BasicField(name)
     raise ValueError(f"unknown field {name!r}")
 
 
@@ -252,21 +262,11 @@ def expand_at_generic_point(field: Field, z, state: SymState, order: int) -> Ope
     precision bound; if an extraction would need orders beyond the bound,
     the expansion retries with a deeper window, so results are exact.
     """
+    from .vertexalg import jet_parameter_expansion  # vertexalg imports this module
+
     z = GaussRational.coerce(z)
-    return with_jet_retry(lambda p: _expand_with_jets(field, z, state, order, p), order + SLACK)
-
-
-def _expand_with_jets(field, z, state, order, prec) -> OpeExpansion:
-    w = jet_point(z, prec)
-    applied = field.apply(w, state)
-    buckets: dict[int, SymState] = {}
-    for mon, coeff in applied.terms.items():
-        moving = [a[2] for a in mon if a[0] == "pole" and a[1] is w]
-        fixed = [a for a in mon if not (a[0] == "pole" and a[1] is w)]
-        for k, factor, orders in moved_expansion(coeff, [(1, l) for l in moving], order):
-            add = monomial_state(fixed + [("pole", z, o) for o in orders], factor)
-            buckets[k] = buckets.get(k, SymState()) + add
-    return OpeExpansion(z, order, buckets)
+    return OpeExpansion(z, order, with_jet_retry(
+        lambda p: jet_parameter_expansion(field.apply(jet_point(z, p), state), order), order + SLACK))
 
 
 def ope_extract(A, B, z, state: SymState, order: int) -> OpeExpansion:
@@ -332,9 +332,7 @@ def eps_apply(z, state: SymState) -> SymState:
 
 def iota_apply(z, state: SymState) -> SymState:
     """Derivation sending each basis function to minus its derivative's value."""
-    z = coerce_scalar_or_jet(z)
-    require_regular(state.terms, z)
-    return state.contract(lambda atom: -atom_deriv_eval(atom, z, 1))
+    return i_deriv_apply(z, 1, state)
 
 
 def d_isomorphism(state: SymState) -> SymState:

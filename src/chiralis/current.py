@@ -22,6 +22,7 @@ from .exactnum import (
 )
 from .geometry import _atom_residue, _loop_product, _pole_part_of_product, atom_eval, atom_product, dec_atoms
 from .jets import SLACK, coerce_scalar_or_jet, jet_point, moved_expansion, with_jet_retry
+from .pairing import in_open_disc
 from .states import DomainError, LinComb, add_term, require_distinct
 from .symmetry import _phi_pole_parts
 
@@ -906,10 +907,6 @@ def base_point_independence_check(algebra, v, z, recip_word) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def in_unit_disc(c) -> bool:
-    return c.norm() < 1
-
-
 def current_pair(algebra, dual: CurrentState, state: CurrentState):
     """Adjointness-generated pairing of reciprocal-chart against u-chart states.
 
@@ -918,10 +915,10 @@ def current_pair(algebra, dual: CurrentState, state: CurrentState):
     region violations are rejected.
     """
     for c in state.poles():
-        if not in_unit_disc(c):
+        if not in_open_disc(c):
             raise DomainError(f"state pole {c} is not inside the unit circle")
     for c in dual.poles():
-        if not in_unit_disc(c):
+        if not in_open_disc(c):
             raise DomainError(f"dual pole {c} is outside its region")
     total = QI_ZERO
     for (word, ins), coeff in dual.terms.items():
@@ -971,7 +968,7 @@ def residue_pair_degree_one(algebra, dual_gen, gen):
     poles = {c, 1 / ctil} if ctil else {c}
     total = QI_ZERO
     for pole in poles:
-        if in_unit_disc(pole):
+        if in_open_disc(pole):
             total = total + _atom_residue(atoms, ("pole", c, m + 1), pole)
     return g * m * total
 

@@ -90,8 +90,10 @@ def atom_deriv_eval(atom, z, k: int):
     """Value at z of the k-th coordinate derivative of the atom's function.
 
     Closed form: no rational-function construction, exact at a Q(i) point
-    or a jet point z.
+    or a jet point z.  k = 0 is ``atom_eval``, with no unit factors.
     """
+    if not k:
+        return atom_eval(atom, z)
     if atom[0] == "pole":
         _, c, l = atom
         base = z - c

@@ -190,8 +190,7 @@ def _inner_O_monomial(mon, psi: SymState):
 
 
 def in_open_disc(point) -> bool:
-    p = point if isinstance(point, GaussRational) else GaussRational.coerce(point)
-    return p.norm() < 1
+    return GaussRational.coerce(point).norm() < 1
 
 
 # (k, l) -> [(coeff, px, py, pw)], the terms of the closed form below
@@ -303,7 +302,7 @@ def gram_matrix(points, degree: int):
 
     Returns (labels, matrix); points must be distinct and inside the disc.
     """
-    pts = [p if isinstance(p, GaussRational) else GaussRational.coerce(p) for p in points]
+    pts = [GaussRational.coerce(p) for p in points]
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
             if pts[i] == pts[j]:

@@ -23,7 +23,7 @@ __all__ = [
 
 
 def scalar_to_str(s) -> str:
-    return str(GaussRational.coerce(s) if not isinstance(s, GaussRational) else s)
+    return str(GaussRational.coerce(s))
 
 
 def scalar_from_str(text: str) -> GaussRational:

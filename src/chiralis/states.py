@@ -79,6 +79,17 @@ def atom_runs(mon):
         k += mult
 
 
+def _contract_terms(terms: dict, values) -> dict:
+    """The derivation sending each atom to values[atom], on a term dict."""
+    out = {}
+    for mon, c in terms.items():
+        for atom, mult, rest in atom_runs(mon):
+            val = values[atom]
+            if val:
+                add_term(out, rest, c * val * mult if mult > 1 else c * val)
+    return out
+
+
 def drop_above_degree(state, degree: int):
     """Delete, in place, the terms of a state the caller has just built whose
     monomial has more than ``degree`` atoms; returns the state."""
@@ -196,14 +207,7 @@ class SymState(LinComb):
         value_of_atom depends only on the atom, and is evaluated once per
         distinct atom per call (``AtomValues``).
         """
-        values = AtomValues(value_of_atom)
-        out = {}
-        for mon, c in self.terms.items():
-            for atom, mult, rest in atom_runs(mon):
-                val = values[atom]
-                if val:
-                    add_term(out, rest, c * val * mult if mult > 1 else c * val)
-        return SymState(out)
+        return SymState(_contract_terms(self.terms, AtomValues(value_of_atom)))
 
     def map_monomials(self, fn) -> "SymState":
         """Relabel monomials; fn(mon) -> (new_mon_atoms, scalar factor)."""

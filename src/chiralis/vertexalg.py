@@ -2,20 +2,22 @@
 
 ``Y_comm`` sends a state to the product of its translated creation
 monomials (the multiplication structure); ``Y_prime`` rewrites the state
-in the basis of normal-ordered field monomials and applies those at the
-translated points.  The axiom suite checks the defining identities
-exactly on seeded random data and reports witnesses on failure.
+in the basis of normal-ordered field monomials and applies those, each
+group of b-derivatives through the boson's Wick kernel, at the translated
+points.  ``jet_parameter_expansion`` expands a state whose poles move with
+a jet parameter, for structure derivatives and boson operator products.
+The axiom suite checks the defining identities exactly on seeded random
+data and reports witnesses on failure.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from fractions import Fraction
 
-from .boson import b_deriv_apply, e_deriv_apply, i_deriv_apply, lie_action
+from .boson import _b_group, lie_action
 from .exactnum import GaussRational, QI_ONE, QI_ZERO, RatFunc
-from .geometry import VectorField
+from .geometry import VectorField, atom_sort_key
 from .jets import Jet, coerce_scalar_or_jet, jet_point, moved_expansion
 from .sampling import rand_scalar
 from .states import DomainError, SymState, add_term, monomial_state, vacuum
@@ -115,25 +117,6 @@ def Y_comm(state: SymState, amount, target: SymState) -> SymState:
     return moved.multiply(target)
 
 
-def _apply_b_group(parts, z, state: SymState) -> SymState:
-    """Apply the normal-ordered group :b^(p_1-1)...b^(p_k-1):(z) of b-derivative fields.
-
-    Wick's rule, as b = i + e: the sum over subsets S of the parts of the
-    e^(p-1)(z) off S applied after the i^(p-1)(z) on S.  One part is ``b_deriv_apply``.
-    """
-    if len(parts) == 1:
-        return b_deriv_apply(z, parts[0] - 1, state)
-    out = SymState()
-    for in_s in itertools.product((True, False), repeat=len(parts)):
-        piece = state
-        for p in itertools.compress(parts, in_s):
-            piece = i_deriv_apply(z, p - 1, piece)
-        for p in itertools.compress(parts, [not x for x in in_s]):
-            piece = e_deriv_apply(z, p - 1, piece)
-        out = out + piece
-    return out
-
-
 _B_BASIS_CACHE: dict = {}
 
 
@@ -144,7 +127,7 @@ def b_basis_vector(label) -> SymState:
         return cached
     out = vacuum()
     for z, parts in reversed(label):
-        out = _apply_b_group(parts, z, out)
+        out = _b_group(z, tuple(p - 1 for p in parts), out)
     _B_BASIS_CACHE[label] = out
     return out
 
@@ -157,16 +140,6 @@ def _e_label_of_monomial(mon):
     for z in sorted(groups, key=lambda s: s.sort_key()):
         label.append((z, tuple(sorted(groups[z], reverse=True))))
     return tuple(label)
-
-
-def _e_coefficient(mon):
-    fact = QI_ONE
-    for atom in mon:
-        f = 1
-        for j in range(1, atom[2]):
-            f *= j
-        fact = fact * (-f)
-    return fact
 
 
 def b_basis_coordinates(state: SymState) -> dict:
@@ -185,9 +158,10 @@ def b_basis_coordinates(state: SymState) -> dict:
             raise AssertionError("triangular elimination lost its top layer")
         for mon, c in layer.items():
             label = _e_label_of_monomial(mon)
-            coeff = c / _e_coefficient(mon)
+            basis = b_basis_vector(label)
+            coeff = c / basis.terms[mon]
             coords[label] = coords.get(label, QI_ZERO) + coeff
-            remaining = remaining - b_basis_vector(label).scale(coeff)
+            remaining = remaining - basis.scale(coeff)
     return {k: v for k, v in coords.items() if v}
 
 
@@ -200,7 +174,7 @@ def Y_prime(state: SymState, amount, target: SymState) -> SymState:
     for label, coeff in coords.items():
         piece = target
         for z, parts in reversed(label):
-            piece = _apply_b_group(parts, z + amount, piece)
+            piece = _b_group(z + amount, tuple(p - 1 for p in parts), piece)
         out = out + piece.scale(coeff)
     return out
 
@@ -251,8 +225,8 @@ def jet_parameter_expansion(state: SymState, order: int) -> dict:
         moved = [(p.coefficient(1), l) for _, p, l in moving]
         for k, factor, orders in moved_expansion(coeff, moved, order):
             atoms = fixed + [("pole", p.coefficient(0), o) for (_, p, _), o in zip(moving, orders)]
-            buckets[k] = buckets.get(k, SymState()) + monomial_state(atoms, factor)
-    return {k: v for k, v in buckets.items() if v}
+            add_term(buckets.setdefault(k, {}), tuple(sorted(atoms, key=atom_sort_key)), factor)
+    return {k: SymState(terms) for k, terms in buckets.items() if terms}
 
 
 # ---------------------------------------------------------------------------

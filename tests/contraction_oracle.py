@@ -1,17 +1,23 @@
-"""Per-occurrence contractions and unpruned n-point values: the test oracle.
+"""Per-occurrence contractions, state-by-state Wick sums and unpruned
+n-point values: the test oracle.
 
 These are the field applications as they were written before every
 contraction read its atom values through one per-call memo
 (``states.AtomValues``): each occurrence of an atom is evaluated on its
 own, multiplicities are counted by scanning the whole monomial, and the
 n-point values are the full compositions and pair-partition sums.  The
-tests compare the program's memoized, degree-bounded versions with them
-on seeded states with repeated atoms.
+boson fields b, b^(k), T and the normal-ordered groups of b-derivatives
+are the compositions of evaluation and creation states that the one
+Wick kernel (``boson._b_group``) replaced.  The tests compare the
+program's versions with them on seeded states with repeated atoms.
 """
 
 from __future__ import annotations
 
-from chiralis.boson import b_apply
+import itertools
+from fractions import Fraction
+
+from chiralis.boson import b_apply, e_apply, e_deriv_apply, i_apply, i_deriv_apply
 from chiralis.exactnum import QI_ONE, QI_ZERO
 from chiralis.fermion import BCState, ExtState, fermion_vacuum, psi_apply
 from chiralis.geometry import atom_deriv_eval, atom_sort_key
@@ -141,3 +147,29 @@ def pfaffian_sum(pts):
         sign = -1 if (j - 1) % 2 else 1
         total = total + sign / (pts[0] - pts[j]) * pfaffian_sum(pts[1:j] + pts[j + 1:])
     return total
+
+
+def b_deriv_oracle(z, order: int, state: SymState) -> SymState:
+    """b^(order) = i^(order) + e^(order): the evaluation state plus the creation state."""
+    return i_deriv_apply(z, order, state) + e_deriv_apply(z, order, state)
+
+
+def T_oracle(z, state: SymState) -> SymState:
+    """T = ½ i i + e i + ½ e e, combined from five states."""
+    iv = i_apply(z, state)
+    return (i_apply(z, iv) + e_apply(z, e_apply(z, state))).scale(Fraction(1, 2)) + e_apply(z, iv)
+
+
+def b_group_oracle(z, orders, state: SymState) -> SymState:
+    """:b^(k_1)...b^(k_n):(z) by Wick's rule, as b = i + e: the sum over
+    subsets S of the factors of the e^(k)(z) off S applied after the
+    i^(k)(z) on S, one state per subset."""
+    out = SymState()
+    for in_s in itertools.product((True, False), repeat=len(orders)):
+        piece = state
+        for k in itertools.compress(orders, in_s):
+            piece = i_deriv_apply(z, k, piece)
+        for k in itertools.compress(orders, [not x for x in in_s]):
+            piece = e_deriv_apply(z, k, piece)
+        out = out + piece
+    return out

@@ -33,7 +33,6 @@ from chiralis.current import (
     _left_multiply,
     constant_adjoint,
     current_vacuum,
-    in_unit_disc,
     pbw_normalize,
 )
 from chiralis.exactnum import (
@@ -46,6 +45,7 @@ from chiralis.exactnum import (
     residue_at,
 )
 from chiralis.geometry import _loop_product
+from chiralis.pairing import in_open_disc
 from chiralis.states import DomainError, add_term
 
 
@@ -339,7 +339,7 @@ def residue_pair_degree_one_oracle(algebra, dual_gen, gen):
     poles = {c, 1 / ctil} if ctil else {c}
     total = QI_ZERO
     for pole in poles:
-        if in_unit_disc(pole):
+        if in_open_disc(pole):
             total = total + residue_at(prod, pole)
     return -g * total
 

@@ -28,6 +28,7 @@ from chiralis.boson import (
 )
 from chiralis.exactnum import GaussRational, RatFunc, qi
 from chiralis.geometry import VectorField
+from chiralis.jets import jet_point
 from chiralis.sampling import rand_distinct_scalars, rand_scalar
 from chiralis.states import DomainError, SymState, monomial_state
 
@@ -155,40 +156,78 @@ class TestNPoint:
 
 
 class TestAtomValuesOnce:
-    """Count pins: each distinct atom is evaluated once per field application."""
+    """Count pins: each distinct (atom, order) is evaluated once per field application."""
+
+    @staticmethod
+    def _count_evaluations(monkeypatch):
+        calls = []
+        atom_deriv_eval = geometry.atom_deriv_eval
+
+        def counting(atom, z, k):
+            calls.append((atom, k))
+            return atom_deriv_eval(atom, z, k)
+
+        monkeypatch.setattr(boson, "atom_deriv_eval", counting)
+        return calls
 
     def test_i_apply_evaluates_each_distinct_atom_once(self, monkeypatch):
-        calls = []
-        atom_eval = geometry.atom_eval
-
-        def counting(atom, z):
-            calls.append(atom)
-            return atom_eval(atom, z)
-
-        monkeypatch.setattr(boson, "atom_eval", counting)
+        calls = self._count_evaluations(monkeypatch)
         a, b, c = ("pole", qi(0), 2), ("pole", qi(1, 1), 3), ("poly", 2)
         v = (monomial_state([a, a, a, b], qi(2)) + monomial_state([a, b, b, c], qi(0, 1))
              + monomial_state([c, c], qi(-1)) + monomial_state([a]))
         out = i_apply(qi(5), v)
-        assert sorted(calls, key=repr) == sorted([a, b, c], key=repr)
-        assert out == contraction_oracle.sym_contract(v, lambda x: -atom_eval(x, qi(5)))
+        assert sorted(calls, key=repr) == sorted([(a, 0), (b, 0), (c, 0)], key=repr)
+        assert out == contraction_oracle.sym_contract(v, lambda x: -geometry.atom_eval(x, qi(5)))
 
-    def test_T_apply_contracts_twice(self, monkeypatch):
-        calls = []
-        contract = SymState.contract
-
-        def counting(self, value_of_atom):
-            calls.append(1)
-            return contract(self, value_of_atom)
-
+    def test_T_apply_evaluates_each_distinct_atom_order_once(self, monkeypatch):
         rng = random.Random(15)
         v, z = rand_form_state(rng, [qi(1), qi(0, 2)]), qi(-3)
         iv = i_apply(z, v)
         ii, ee, ei = i_apply(z, iv), e_apply(z, e_apply(z, v)), e_apply(z, iv)
         want = (ii + ee + ei.scale(2)).scale(Fraction(1, 2))
-        monkeypatch.setattr(SymState, "contract", counting)
+        calls = self._count_evaluations(monkeypatch)
         assert T_apply(z, v) == want
-        assert len(calls) == 2
+        assert sorted(calls, key=repr) == sorted({(a, 0) for a in v.atoms()}, key=repr)
+
+
+class TestWickKernel:
+    """The one kernel behind b, b^(k), T and the groups of Y', against the
+    state-by-state compositions it replaced (``contraction_oracle``)."""
+
+    def test_fields_match_their_compositions(self):
+        rng = random.Random(2023)
+        pool = [qi(4), qi(-1, 2), qi(Fraction(1, 3))]
+        for trial in range(12):
+            s = rand_form_state(rng, pool, max_degree=3)
+            z = qi(2) if trial % 3 else jet_point(qi(2, -1), 4)
+            assert b_apply(z, s) == contraction_oracle.b_deriv_oracle(z, 0, s)
+            k = rng.randint(1, 3)
+            assert b_deriv_apply(z, k, s) == contraction_oracle.b_deriv_oracle(z, k, s)
+            assert T_apply(z, s) == contraction_oracle.T_oracle(z, s)
+
+    def test_groups_match_the_subset_sum(self):
+        # 1 to 3 factors, repeated orders, Q(i) and jet points, and states
+        # with a pole at the group point, where both routes raise DomainError
+        rng = random.Random(2029)
+        pool = [qi(k) for k in (-1, 0, 1)] + [qi(0, 1), qi(Fraction(1, 2), -1)]
+        fixed = [(0,), (2,), (0, 0), (1, 1), (0, 1), (0, 0, 0), (2, 1, 1), (1, 0, 1)]
+        orders_list = fixed + [tuple(rng.randint(0, 2) for _ in range(rng.randint(1, 3))) for _ in range(30)]
+        checked = raised = jets = 0
+        for orders in orders_list:
+            z = rng.choice(pool)
+            if rng.random() < 0.3:
+                z, jets = jet_point(z, 3), jets + 1
+            s = rand_form_state(rng, pool, max_degree=3)
+            try:
+                want = contraction_oracle.b_group_oracle(z, orders, s)
+            except DomainError:
+                with pytest.raises(DomainError):
+                    boson._b_group(z, orders, s)
+                raised += 1
+                continue
+            assert boson._b_group(z, orders, s) == want, (orders, z, s)
+            checked += 1
+        assert checked >= 20 and raised >= 5 and jets >= 5
 
 
 class TestOpe:

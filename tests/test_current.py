@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -583,6 +584,21 @@ class TestPairing:
             dual_state = pbw_normalize(algebra, (dual,), (), rand_scalar(rng))
             state = pbw_normalize(algebra, (gen,)) + current_vacuum().scale(rand_scalar(rng))
             _assert_pair_matches_tower(algebra, dual_state, state)
+
+    def test_no_tower_point_outlives_its_test(self):
+        # the tower test above straightens words at tower_field points through
+        # the program's _PBW_CACHE; the conftest fixture empties the program
+        # caches around every test of a module that uses the tower oracles
+        def holds_tower_value(x):
+            if isinstance(x, tuple):
+                return any(holds_tower_value(y) for y in x)
+            return type(x).__module__ == "tower_field"
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("chiralis."):
+                for attr, cache in vars(module).items():
+                    if attr.endswith("_CACHE"):
+                        assert not [key for key in cache if holds_tower_value(key)], (name, attr)
 
     def test_jet_pair_matches_tower_degree_two(self):
         # degree-two duals and states on which the tower takes under 1 s

@@ -10,6 +10,8 @@ from chiralis.geometry import (
     Kernel,
     VectorField,
     antiderivative,
+    atom_deriv_eval,
+    atom_eval,
     atom_ratfunc,
     bergman_genus0,
     form_to_atoms,
@@ -20,6 +22,7 @@ from chiralis.geometry import (
     mobius_pushforward,
     szego_genus0,
 )
+from chiralis.jets import jet_point
 from chiralis.sampling import rand_ratfunc, rand_scalar
 
 import tower_field
@@ -215,3 +218,29 @@ class TestAtoms:
             for atom, coeff in atoms.items():
                 total = total + coeff * atom_ratfunc(atom)
             assert total == f
+
+    def test_zeroth_derivative_is_the_value(self, monkeypatch):
+        # k = 0 returns the value itself: no unit factors, so no more
+        # GaussRational constructions than atom_eval
+        rng = random.Random(37)
+        built = []
+        init = GaussRational.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(GaussRational, "__init__", counting)
+        for trial in range(20):
+            atom = ("pole", rand_scalar(rng), rng.randint(1, 4)) if trial % 4 else ("poly", rng.randint(0, 3))
+            z = rand_scalar(rng)
+            if trial % 3 == 0:
+                z = jet_point(z, 4)
+            if atom[0] == "pole" and not (z - atom[1]):
+                continue
+            del built[:]
+            value = atom_eval(atom, z)
+            evals = len(built)
+            del built[:]
+            deriv = atom_deriv_eval(atom, z, 0)
+            assert len(built) == evals and deriv == value, (atom, z)

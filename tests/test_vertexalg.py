@@ -19,20 +19,25 @@ from chiralis.vertexalg import (
     translate,
     translation_generator,
 )
-from chiralis.vertexalg import _apply_b_group, _rand_vertex_state
+from chiralis.boson import _b_group
+from chiralis.vertexalg import _rand_vertex_state
 
 
 def _group_field_oracle(parts):
     """The left-nested normal-ordered product of b-derivative fields, built
     from ``RenormProduct`` and ``DerivedField`` (an operator product expanded
-    at a moving point per factor): the generic route that
-    ``vertexalg._apply_b_group`` replaces by Wick's rule."""
+    at a moving point per factor): the generic route that the Wick kernel
+    ``boson._b_group`` replaces, for the parts p = k + 1 of Y''s labels."""
     b = field_by_name("b")
     field = DerivedField(b, parts[-1] - 1) if parts[-1] > 1 else b
     for p in reversed(parts[:-1]):
         left = DerivedField(b, p - 1) if p > 1 else b
         field = RenormProduct(left, field)
     return field
+
+
+def _orders(parts):
+    return tuple(p - 1 for p in parts)
 
 
 class TestGroupActions:
@@ -165,17 +170,17 @@ class TestWickGroups:
                 want = _group_field_oracle(list(parts)).apply(z, state)
             except DomainError:
                 with pytest.raises(DomainError):
-                    _apply_b_group(parts, z, state)
+                    _b_group(z, _orders(parts), state)
                 raised += 1
                 continue
-            assert _apply_b_group(parts, z, state) == want, (parts, z, state)
+            assert _b_group(z, _orders(parts), state) == want, (parts, z, state)
             checked += 1
         assert checked >= 20 and raised >= 5
 
     def test_one_part_is_the_derivative_field(self):
         state = e_apply(qi(1), e_apply(qi(2), vacuum()))
         for p in (1, 2, 3):
-            assert _apply_b_group((p,), qi(0), state) == _group_field_oracle([p]).apply(qi(0), state)
+            assert _b_group(qi(0), (p - 1,), state) == _group_field_oracle([p]).apply(qi(0), state)
 
 
 class TestDerivativeProperty:
