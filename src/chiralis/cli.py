@@ -1,9 +1,13 @@
 """Command-line front end: identity suites, correlation values, replays.
 
-Every numeric output is an exact scalar string; ``--decimal K`` appends a
-clearly-marked decimal rendering.  Randomized suites take their seed from
-``--seed`` (overridden by the CHIRALIS_SEED environment variable) and are
-byte-stable for a fixed seed and configuration.
+Each subcommand builds one payload dict and hands it to ``_emit``, which
+prints it and derives the exit code from its "passed" entry; commute-check
+runs the trial function of its theory in one shared loop.  Every numeric
+output is an exact scalar string; ``--decimal K`` appends a clearly-marked
+decimal rendering.  Randomized suites take their seed from ``--seed``
+(overridden by the CHIRALIS_SEED environment variable) and are byte-stable
+for a fixed seed and configuration.  JSON inputs are read as canonical
+states (``chiralis.serialize``).
 
 Exit codes: 0 all checks passed, 1 an identity failed, 2 configuration
 error.
@@ -20,7 +24,7 @@ import sys
 from fractions import Fraction
 
 from .exactnum import GaussRational, RatFunc, QI_ONE, UnsupportedDenominatorError
-from .sampling import rand_distinct_scalars, rand_scalar
+from .sampling import rand_distinct_scalars, rand_pole_state, rand_scalar
 from .serialize import (
     current_state_to_json,
     lattice_state_to_json,
@@ -28,7 +32,7 @@ from .serialize import (
     scalar_to_str,
     state_to_json,
 )
-from .states import DomainError, SymState, monomial_state, vacuum
+from .states import DomainError, SymState, vacuum
 
 __all__ = ["main", "run"]
 
@@ -67,20 +71,21 @@ def _parse_points(text: str):
         return [scalar_from_str(p) for p in items]
 
 
-def _decimal(value: GaussRational, digits: int) -> str:
-    re = float(Fraction(str(value.re)))
-    im = float(Fraction(str(value.im)))
+def _decimal(value, digits: int) -> str:
+    value = GaussRational.coerce(value)
+    re, im = (float(Fraction(str(x))) for x in (value.re, value.im))
     if im:
         return f"approx {re:.{digits}f}{im:+.{digits}f}i"
     return f"approx {re:.{digits}f}"
 
 
-def _emit(args, payload: dict, all_passed: bool) -> int:
+def _emit(args, payload: dict) -> int:
+    """Print the payload; the exit code is 1 when it says it did not pass."""
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:
         _emit_text(payload)
-    return 0 if all_passed else 1
+    return 0 if payload.get("passed", True) else 1
 
 
 def _emit_text(payload, indent=""):
@@ -105,105 +110,80 @@ def _emit_text(payload, indent=""):
 # ---------------------------------------------------------------------------
 
 
-def cmd_npoint(args) -> int:
-    points = _parse_points(args.points)
-    if len(points) != len(set((p.re, p.im) for p in points)):
-        raise ConfigError("points must be pairwise distinct")
-    payload = {"theory": args.theory, "points": [scalar_to_str(p) for p in points]}
+def _npoint_values(args, points):
+    """(identity, value, value by the other route) of the n-point function."""
     if args.theory == "boson":
         from .boson import npoint_operator, npoint_wick
 
-        value = npoint_wick(points)
-        agreed = value == npoint_operator(points)
-        payload["identity"] = "pair-sum-vs-operator-composition"
-    elif args.theory == "fermion":
+        return "pair-sum-vs-operator-composition", npoint_wick(points), npoint_operator(points)
+    if args.theory == "fermion":
         from .fermion import fermion_npoint, fermion_npoint_operator
 
-        value = fermion_npoint(points)
-        agreed = value == fermion_npoint_operator(points)
-        payload["identity"] = "signed-pair-sum-vs-operator-composition"
-    elif args.theory == "bc-composite":
+        return ("signed-pair-sum-vs-operator-composition", fermion_npoint(points),
+                fermion_npoint_operator(points))
+    if args.theory == "bc-composite":
+        from .boson import npoint_wick
         from .fermion import bc_vacuum, composite_b_apply
 
         state = bc_vacuum()
         for z in reversed(points):
             state = composite_b_apply(z, state)
-        value = state.vacuum_coefficient()
-        from .boson import npoint_wick
+        return "composite-vs-boson-pair-sum", state.vacuum_coefficient(), npoint_wick(points)
+    from .current import lie_algebra_by_name, npoint_current, npoint_current_operator
 
-        agreed = value == npoint_wick(points)
-        payload["identity"] = "composite-vs-boson-pair-sum"
-    elif args.theory == "current":
-        from .current import (
-            lie_algebra_by_name,
-            npoint_current,
-            npoint_current_operator,
-        )
+    algebra = lie_algebra_by_name(args.algebra)
+    comps = (args.components or "").split(",")
+    if len(comps) != len(points):
+        raise ConfigError("--components must list one basis label per point")
+    for label in comps:
+        if label not in algebra.labels:
+            raise ConfigError(f"unknown basis label {label!r}")
+    return ("correlation-recursion-vs-operator-composition", npoint_current(algebra, comps, points),
+            npoint_current_operator(algebra, comps, points))
 
-        algebra = lie_algebra_by_name(args.algebra)
-        comps = (args.components or "").split(",")
-        if len(comps) != len(points):
-            raise ConfigError("--components must list one basis label per point")
-        for label in comps:
-            if label not in algebra.labels:
-                raise ConfigError(f"unknown basis label {label!r}")
-        value = npoint_current(algebra, comps, points)
-        agreed = value == npoint_current_operator(algebra, comps, points)
-        payload["identity"] = "correlation-recursion-vs-operator-composition"
-    else:
-        raise ConfigError(f"unknown theory {args.theory!r}")
-    payload["value"] = scalar_to_str(value)
-    payload["passed"] = bool(agreed)
+
+def cmd_npoint(args) -> int:
+    points = _parse_points(args.points)
+    if len(points) != len(set((p.re, p.im) for p in points)):
+        raise ConfigError("points must be pairwise distinct")
+    identity, value, other = _npoint_values(args, points)
+    payload = {
+        "theory": args.theory,
+        "points": [scalar_to_str(p) for p in points],
+        "identity": identity,
+        "value": scalar_to_str(value),
+        "passed": bool(value == other),
+    }
     if args.decimal:
         payload["decimal"] = _decimal(value, args.decimal)
-    if args.format == "text":
-        print(scalar_to_str(value))
-        if args.decimal:
-            print(payload["decimal"])
-        return 0 if agreed else 1
-    return _emit(args, payload, agreed)
+    if args.format == "json":
+        return _emit(args, payload)
+    print(payload["value"])
+    if args.decimal:
+        print(payload["decimal"])
+    return 0 if payload["passed"] else 1
 
 
-def _rand_boson_state(rng, pool, max_degree=3):
-    out = SymState()
-    for _ in range(rng.randint(1, 2)):
-        atoms = [
-            ("pole", rng.choice(pool), rng.randint(2, 3))
-            for _ in range(rng.randint(0, max_degree))
-        ]
-        out = out + monomial_state(atoms, rand_scalar(rng))
-    return out if out else vacuum()
-
-
-def cmd_commute_check(args) -> int:
-    if args.samples < 1:
-        raise ConfigError("--samples takes a positive integer")
-    rng = random.Random(args.seed)
-    results = []
-    theory = args.theory
-    if theory == "boson":
+def _locality_trial(args):
+    """The commute-check trial of args.theory: rng -> (record fields, the two
+    points, passed, witness thunk), or None for a sample that hit a pole."""
+    if args.theory == "boson":
         from .boson import b_apply
 
-        for _ in range(args.samples):
+        def trial(rng):
             pool = rand_distinct_scalars(rng, 2, span=4)
-            s = _rand_boson_state(rng, pool)
+            s = rand_pole_state(rng, pool, 3)
             z1, z2 = rand_distinct_scalars(rng, 2, span=7)
             if any(not (z - c) for z in (z1, z2) for c in pool):
-                continue
+                return None
             ok = b_apply(z1, b_apply(z2, s)) == b_apply(z2, b_apply(z1, s))
-            results.append(
-                {
-                    "identity": "field-locality",
-                    "points": [scalar_to_str(z1), scalar_to_str(z2)],
-                    "passed": ok,
-                    "witness": None if ok else state_to_json(s),
-                }
-            )
-    elif theory == "current":
+            return {"identity": "field-locality"}, (z1, z2), ok, lambda: state_to_json(s)
+    elif args.theory == "current":
         from .current import j_apply, lie_algebra_by_name, pbw_normalize
 
         algebra = lie_algebra_by_name(args.algebra)
-        for _ in range(args.samples):
+
+        def trial(rng):
             pool = rand_distinct_scalars(rng, 2, span=3)
             word = tuple(
                 (rng.randrange(algebra.dim), rng.choice(pool), rng.randint(1, 2))
@@ -212,75 +192,60 @@ def cmd_commute_check(args) -> int:
             s = pbw_normalize(algebra, word, (), rand_scalar(rng))
             z1, z2 = rand_distinct_scalars(rng, 2, span=7)
             if any(not (z - c) for z in (z1, z2) for c in pool):
-                continue
-            va = algebra.labels[rng.randrange(algebra.dim)]
-            vb = algebra.labels[rng.randrange(algebra.dim)]
+                return None
+            va, vb = (algebra.labels[rng.randrange(algebra.dim)] for _ in range(2))
             lhs = j_apply(algebra, va, z1, j_apply(algebra, vb, z2, s))
-            rhs = j_apply(algebra, vb, z2, j_apply(algebra, va, z1, s))
-            ok = lhs == rhs
-            results.append(
-                {
-                    "identity": "current-locality",
-                    "components": [va, vb],
-                    "points": [scalar_to_str(z1), scalar_to_str(z2)],
-                    "passed": ok,
-                    "witness": None if ok else current_state_to_json(s),
-                }
-            )
-    elif theory == "fermion":
+            ok = lhs == j_apply(algebra, vb, z2, j_apply(algebra, va, z1, s))
+            return ({"identity": "current-locality", "components": [va, vb]}, (z1, z2), ok,
+                    lambda: current_state_to_json(s))
+    elif args.theory == "fermion":
         from .fermion import fermion_vacuum, psi_apply
 
-        for _ in range(args.samples):
+        def trial(rng):
             z1, z2 = rand_distinct_scalars(rng, 2, span=7)
-            s = psi_apply(rng.choice([z for z in rand_distinct_scalars(rng, 3, span=4) if (z - z1) and (z - z2)]), fermion_vacuum())
+            sites = [z for z in rand_distinct_scalars(rng, 3, span=4) if (z - z1) and (z - z2)]
+            s = psi_apply(rng.choice(sites), fermion_vacuum())
             ok = (psi_apply(z1, psi_apply(z2, s)) + psi_apply(z2, psi_apply(z1, s))).is_zero()
-            results.append(
-                {
-                    "identity": "fermion-anticommutator",
-                    "points": [scalar_to_str(z1), scalar_to_str(z2)],
-                    "passed": ok,
-                    "witness": None if ok else state_to_json(s),
-                }
-            )
-    elif theory == "lattice":
+            return {"identity": "fermion-anticommutator"}, (z1, z2), ok, lambda: state_to_json(s)
+    else:
         from .lattice import LatticeTheory, SectionClass
 
         if args.N < 1:
             raise ConfigError("--N takes a positive integer")
         th = LatticeTheory(args.N)
-        for _ in range(args.samples):
+
+        def trial(rng):
             z1, z2 = rand_distinct_scalars(rng, 2, span=5)
             lam = rng.choice((-1, 1, 2))
             sec = SectionClass([(rand_scalar(rng, span=2), rng.choice((-1, 1)))])
             if sec.multiplicity(z1) or sec.multiplicity(z2):
-                continue
+                return None
             s = th.vacuum(sec)
             ok = th.j(z1, th.vertex(lam, z2, s)) == th.vertex(lam, z2, th.j(z1, s))
-            results.append(
-                {
-                    "identity": "current-vs-vertex-commutator",
-                    "points": [scalar_to_str(z1), scalar_to_str(z2)],
-                    "passed": ok,
-                    "witness": None if ok else {
-                        "section": [[scalar_to_str(c), int(m)] for c, m in sec.roots],
-                        "lambda": lam,
-                        "vacuum": lattice_state_to_json(s),
-                    },
-                }
-            )
-    else:
-        raise ConfigError(f"unknown theory {theory!r}")
-    if not results:
+            return {"identity": "current-vs-vertex-commutator"}, (z1, z2), ok, lambda: {
+                "section": [[scalar_to_str(c), int(m)] for c, m in sec.roots],
+                "lambda": lam,
+                "vacuum": lattice_state_to_json(s),
+            }
+    return trial
+
+
+def cmd_commute_check(args) -> int:
+    if args.samples < 1:
+        raise ConfigError("--samples takes a positive integer")
+    trial = _locality_trial(args)
+    rng = random.Random(args.seed)
+    checks = []
+    for _ in range(args.samples):
+        result = trial(rng)
+        if result is not None:
+            fields, points, ok, witness = result
+            checks.append({**fields, "points": [scalar_to_str(z) for z in points],
+                           "passed": ok, "witness": None if ok else witness()})
+    if not checks:
         raise ConfigError("every sample collided with a pole and was skipped, so nothing was checked")
-    all_passed = all(r["passed"] for r in results)
-    payload = {
-        "command": "commute-check",
-        "theory": theory,
-        "seed": args.seed,
-        "checks": results,
-        "passed": all_passed,
-    }
-    return _emit(args, payload, all_passed)
+    return _emit(args, {"command": "commute-check", "theory": args.theory, "seed": args.seed,
+                        "checks": checks, "passed": all(c["passed"] for c in checks)})
 
 
 def cmd_ope(args) -> int:
@@ -296,18 +261,15 @@ def cmd_ope(args) -> int:
         state = vacuum()
     else:
         pool = [p for p in rand_distinct_scalars(rng, 3, span=4) if (p - z)]
-        state = _rand_boson_state(rng, pool, max_degree=2)
+        state = rand_pole_state(rng, pool, 2)
     expansion = ope_extract(names[0], names[1], z, state, args.order)
     payload = {
         "command": "ope",
         "fields": names,
         "point": scalar_to_str(z),
-        "orders": {
-            str(k): state_to_json(expansion.coefficient(k))
-            for k in sorted(expansion.buckets)
-        },
+        "orders": {str(k): state_to_json(expansion.coefficient(k)) for k in sorted(expansion.buckets)},
     }
-    return _emit(args, payload, True)
+    return _emit(args, payload)
 
 
 def cmd_gram(args) -> int:
@@ -318,11 +280,8 @@ def cmd_gram(args) -> int:
     points = _parse_points(args.points)
     labels, matrix = gram_matrix(points, args.degree)
     minors = leading_minors(matrix)
-    hermitian = all(
-        matrix[i][j] == matrix[j][i].conjugate()
-        for i in range(len(matrix))
-        for j in range(len(matrix))
-    )
+    n = len(matrix)
+    hermitian = all(matrix[i][j] == matrix[j][i].conjugate() for i in range(n) for j in range(n))
     positive = all(m.is_rational() and m.re > 0 for m in minors)
     payload = {
         "command": "gram",
@@ -335,7 +294,7 @@ def cmd_gram(args) -> int:
         "positive": positive,
         "passed": hermitian and positive,
     }
-    return _emit(args, payload, hermitian and positive)
+    return _emit(args, payload)
 
 
 def cmd_axioms(args) -> int:
@@ -352,18 +311,10 @@ def cmd_axioms(args) -> int:
         "seed": args.seed,
         "degree": args.degree,
         "samples": args.samples,
-        "identities": {
-            name: {
-                "passed": entry["passed"],
-                "checked": entry["checked"],
-                "witness": entry["witness"],
-            }
-            for name, entry in report.items()
-        },
+        "identities": report,
+        "passed": all(entry["passed"] for entry in report.values()),
     }
-    all_passed = all(entry["passed"] for entry in report.values())
-    payload["passed"] = all_passed
-    return _emit(args, payload, all_passed)
+    return _emit(args, payload)
 
 
 def cmd_modes(args) -> int:
@@ -371,20 +322,14 @@ def cmd_modes(args) -> int:
         l, m = (int(x) for x in args.bracket.split(","))
     except ValueError:
         raise ConfigError("--bracket takes two integers like 2,-2")
+    payload = {"command": "modes", "algebra": args.algebra, "bracket": [l, m]}
     if args.algebra == "virasoro":
         from .symmetry import virasoro_bracket_check
 
         if abs(l) > 5 or abs(m) > 5:
             raise ConfigError("bracket indices limited to |n| <= 5")
         central = virasoro_bracket_check(l, m)
-        payload = {
-            "command": "modes",
-            "algebra": "virasoro",
-            "bracket": [l, m],
-            "operator": f"{l - m}*L_{l + m}",
-            "central": scalar_to_str(central),
-            "identity": "virasoro-bracket-central",
-        }
+        payload.update(operator=f"{l - m}*L_{l + m}", identity="virasoro-bracket-central")
     elif args.algebra == "heisenberg":
         from .symmetry import heis_commutator_check
 
@@ -393,15 +338,8 @@ def cmd_modes(args) -> int:
         u = RatFunc.variable(QI_ONE)
         central = heis_commutator_check(u ** l if l > 0 else 1 / u ** (-l),
                                         u ** m if m > 0 else 1 / u ** (-m), 0)
-        payload = {
-            "command": "modes",
-            "algebra": "heisenberg",
-            "bracket": [l, m],
-            "operator": "0",
-            "central": scalar_to_str(central),
-            "identity": "oscillator-bracket-central",
-        }
-    elif args.algebra == "current-sl2":
+        payload.update(operator="0", identity="oscillator-bracket-central")
+    else:
         from .current import affine_bracket_check, sl2_algebra
 
         algebra = sl2_algebra()
@@ -409,26 +347,13 @@ def cmd_modes(args) -> int:
         if len(comps) != 2 or any(label not in algebra.labels for label in comps):
             raise ConfigError("--components takes two basis labels of sl2")
         central = affine_bracket_check(algebra, comps[0], l, comps[1], m)
-        br = algebra.bracket(
-            algebra.basis_element(comps[0]), algebra.basis_element(comps[1])
-        )
-        op = " + ".join(
-            f"({scalar_to_str(c)})*j[{algebra.labels[k]}]_{l + m}" for k, c in br.items()
-        )
-        payload = {
-            "command": "modes",
-            "algebra": "current-sl2",
-            "bracket": [l, m],
-            "components": comps,
-            "operator": op or "0",
-            "central": scalar_to_str(central),
-            "identity": "loop-bracket-central",
-        }
-    else:
-        raise ConfigError(f"unknown algebra {args.algebra!r}")
+        br = algebra.bracket(algebra.basis_element(comps[0]), algebra.basis_element(comps[1]))
+        op = " + ".join(f"({scalar_to_str(c)})*j[{algebra.labels[k]}]_{l + m}" for k, c in br.items())
+        payload.update(components=comps, operator=op or "0", identity="loop-bracket-central")
+    payload["central"] = scalar_to_str(central)
     if args.decimal:
-        payload["decimal"] = _decimal(scalar_from_str(payload["central"]), args.decimal)
-    return _emit(args, payload, True)
+        payload["decimal"] = _decimal(central, args.decimal)
+    return _emit(args, payload)
 
 
 def cmd_lattice(args) -> int:
@@ -456,32 +381,24 @@ def cmd_lattice(args) -> int:
             grades_before = {key[1].grade: key[2] for key in state.terms}
             state = getattr(th, op)(lam, z, state)
             if op in ("flat_plus", "vertex"):
-                for key in state.terms:
-                    old_grade = key[1].grade - lam
-                    if old_grade in grades_before:
-                        expected = grades_before[old_grade] + 2 * du_power_balance(
-                            args.N, old_grade, lam
-                        )
-                        if op == "vertex":
-                            expected += args.N * lam
-                        if key[2] != expected:
-                            ledger_ok = False
+                for _, section, tdu in state.terms:
+                    old = section.grade - lam
+                    if old in grades_before:
+                        expected = grades_before[old] + 2 * du_power_balance(args.N, old, lam)
+                        ledger_ok &= tdu == expected + (args.N * lam if op == "vertex" else 0)
     rng = random.Random(args.seed)
     sign_table = []
-    signs_ok = True
     base = th.vacuum(SectionClass())
     for l1 in range(-2, 3):
         for l2 in range(-2, 3):
             if not l1 or not l2:
                 continue
             z1, z2 = rand_distinct_scalars(rng, 2, span=4)
-            ok = th.sign_rule_check(l1, l2, z1, z2, base)
-            signs_ok = signs_ok and ok
             sign_table.append(
                 {
                     "weights": [l1, l2],
                     "sign": -1 if (args.N * l1 * l2) % 2 else 1,
-                    "passed": ok,
+                    "passed": th.sign_rule_check(l1, l2, z1, z2, base),
                 }
             )
     payload = {
@@ -490,9 +407,9 @@ def cmd_lattice(args) -> int:
         "state": lattice_state_to_json(state),
         "du_ledger_passed": ledger_ok,
         "sign_table": sign_table,
-        "passed": ledger_ok and signs_ok,
+        "passed": ledger_ok and all(entry["passed"] for entry in sign_table),
     }
-    return _emit(args, payload, ledger_ok and signs_ok)
+    return _emit(args, payload)
 
 
 def cmd_pair(args) -> int:
@@ -500,45 +417,32 @@ def cmd_pair(args) -> int:
 
     data = _load_json(args.file, "pair file")
     parse = {"boson": lambda obj: state_from_json(obj, SymState),
-             "current": current_state_from_json}.get(args.theory)
-    if parse is None:
-        raise ConfigError(f"unknown pairing theory {args.theory!r}")
+             "current": current_state_from_json}[args.theory]
     with _parsing("pair file"):
         dual, state = parse(data["dual"]), parse(data["state"])
+    payload = {"command": "pair", "theory": args.theory}
     if args.theory == "boson":
         from .pairing import pair_P
 
         value = pair_P(dual, state)
-        check = pair_P(dual, state, peel_last=True) == value
-        payload = {
-            "command": "pair",
-            "theory": "boson",
-            "value": scalar_to_str(value),
-            "identity": "peeling-order-independence",
-            "passed": check,
-        }
+        payload.update(identity="peeling-order-independence",
+                       passed=pair_P(dual, state, peel_last=True) == value)
     else:
         from .current import current_pair, lie_algebra_by_name
 
         value = current_pair(lie_algebra_by_name(args.algebra), dual, state)
-        payload = {
-            "command": "pair",
-            "theory": "current",
-            "algebra": args.algebra,
-            "value": scalar_to_str(value),
-            "passed": True,
-        }
+        payload.update(algebra=args.algebra, passed=True)
+    payload["value"] = scalar_to_str(value)
     if args.decimal:
-        payload["decimal"] = _decimal(scalar_from_str(payload["value"]), args.decimal)
-    return _emit(args, payload, payload["passed"])
+        payload["decimal"] = _decimal(value, args.decimal)
+    return _emit(args, payload)
 
 
 def cmd_replay(args) -> int:
     from .boson import T_apply, b_apply, e_apply, i_apply
-    from .serialize import state_from_json
-    from .symmetry import HeisenbergOp, heis_apply, L_mode, mode_b
-    from .exactnum import Point, INFINITY
-    from .serialize import ratfunc_from_json
+    from .exactnum import INFINITY, Point
+    from .serialize import ratfunc_from_json, state_from_json
+    from .symmetry import HeisenbergOp, L_mode, heis_apply, mode_b
 
     script = _load_json(args.script, "replay script")
     steps = []
@@ -570,7 +474,7 @@ def cmd_replay(args) -> int:
         "ops": [op for op, _ in steps],
         "state": state_to_json(state),
     }
-    return _emit(args, payload, True)
+    return _emit(args, payload)
 
 
 # ---------------------------------------------------------------------------

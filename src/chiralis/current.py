@@ -272,10 +272,16 @@ class CurrentState(LinComb):
         return max((len(w) for w, _ in self.terms), default=0)
 
     def vacuum_coefficient(self):
-        for (word, ins), coeff in self.terms.items():
-            if not word:
-                return coeff
-        return QI_ZERO
+        """The coefficient of the empty word.  In an insertion context the
+        empty word carries a vector of the sites' representations: this is
+        the coefficient of the one basis vector it has, and DomainError when
+        it has several, since a scalar would then depend on the basis."""
+        if self.ctx is None:
+            return self.terms.get(((), ()), QI_ZERO)
+        found = [c for (word, _), c in self.terms.items() if not word]
+        if len(found) > 1:
+            raise DomainError("the empty word carries several insertion vectors")
+        return found[0] if found else QI_ZERO
 
     def poles(self) -> set:
         out = set()
@@ -912,8 +918,12 @@ def current_pair(algebra, dual: CurrentState, state: CurrentState):
 
     The dual side carries poles (in the reciprocal coordinate) strictly
     inside the unit circle, the primal side strictly inside in the u-chart;
-    region violations are rejected.
+    region violations are rejected, and so are insertion indices on the dual
+    side or ones that do not index the sites of the state's context.
     """
+    sites = len(state.ctx.points) if state.ctx else 0
+    if any(ins for _, ins in dual.terms) or any(len(ins) != sites for _, ins in state.terms):
+        raise DomainError("insertion indices that index no insertion site")
     for c in state.poles():
         if not in_open_disc(c):
             raise DomainError(f"state pole {c} is not inside the unit circle")

@@ -124,6 +124,8 @@ class LatticeScalar:
         return bool(self.a or self.b)
 
     def __eq__(self, other):
+        if isinstance(other, LatticeScalar) and other.N != self.N:
+            return False
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented

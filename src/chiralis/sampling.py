@@ -11,6 +11,7 @@ import random
 from fractions import Fraction
 
 from .exactnum import GaussRational, Poly, RatFunc
+from .states import SymState, monomial_state, vacuum
 
 __all__ = [
     "rand_fraction",
@@ -19,6 +20,7 @@ __all__ = [
     "rand_poly",
     "rand_ratfunc",
     "rand_disc_point",
+    "rand_pole_state",
 ]
 
 
@@ -70,3 +72,14 @@ def rand_disc_point(rng: random.Random) -> GaussRational:
         p = GaussRational(re, im)
         if p.norm() < 1:
             return p
+
+
+def rand_pole_state(rng: random.Random, points, max_degree: int, max_order: int = 3):
+    """One or two monomials of up to ``max_degree`` pole atoms at the points,
+    of orders 2 to ``max_order``; the vacuum if they cancel."""
+    out = SymState()
+    for _ in range(rng.randint(1, 2)):
+        atoms = [("pole", rng.choice(points), rng.randint(2, max_order))
+                 for _ in range(rng.randint(0, max_degree))]
+        out = out + monomial_state(atoms, rand_scalar(rng))
+    return out if out else vacuum()

@@ -3,12 +3,16 @@
 Scalars travel as exact strings ("a/b" or "a/b+c/d*i"); rational functions
 as {"num": [...], "den": [...]} with coefficients low-to-high; states as
 lists of {"monomial": [...], "coeff": ...} with basis atoms encoded
-"pole:c:l" / "poly:m".
+"pole:c:l" / "poly:m".  A parsed state is canonical: monomials are sorted
+by the atom order and repeated entries summed; an exterior monomial that is
+not strictly sorted, or a current word out of normal order, is an error.
 """
 
 from __future__ import annotations
 
 from .exactnum import GaussRational, Poly, RatFunc
+from .geometry import atom_sort_key
+from .states import SymState, add_term
 
 __all__ = [
     "scalar_to_str",
@@ -83,11 +87,24 @@ def _monomial_sort_key(monomial):
     return tuple(atom_to_str(a) for a in monomial)
 
 
+def _monomial_from_json(texts, exterior: bool) -> tuple:
+    """The canonical monomial of a list of atom strings: sorted by the atom
+    order.  An exterior monomial must come strictly sorted, since sorting it
+    would change its sign and a repeated atom makes it zero."""
+    atoms = [atom_from_str(a) for a in texts]
+    keys = [atom_sort_key(a) for a in atoms]
+    if exterior and any(a >= b for a, b in zip(keys, keys[1:])):
+        raise ValueError(f"exterior monomial {texts} is not strictly sorted")
+    return tuple(sorted(atoms, key=atom_sort_key))
+
+
 def state_from_json(obj: list, state_cls):
+    """A SymState, or with state_cls the exterior ExtState; the coefficients
+    of entries with the same monomial are summed."""
     terms = {}
     for entry in obj:
-        monomial = tuple(atom_from_str(a) for a in entry["monomial"])
-        terms[monomial] = scalar_from_str(entry["coeff"])
+        monomial = _monomial_from_json(entry["monomial"], state_cls is not SymState)
+        add_term(terms, monomial, scalar_from_str(entry["coeff"]))
     return state_cls(terms)
 
 
@@ -117,13 +134,17 @@ def current_state_to_json(state) -> list:
 
 
 def current_state_from_json(obj: list, ctx=None):
-    from .current import CurrentState
+    """A CurrentState whose words must be in the order ``pbw_normalize``
+    leaves; the coefficients of repeated (word, insertions) entries are summed."""
+    from .current import CurrentState, _gen_key
 
     terms = {}
     for entry in obj:
         word = tuple(loopgen_from_obj(g) for g in entry["word"])
+        if list(word) != sorted(word, key=_gen_key):
+            raise ValueError(f"current word {entry['word']} is not in normal order")
         ins = tuple(int(i) for i in entry.get("insertions", ()))
-        terms[(word, ins)] = scalar_from_str(entry["coeff"])
+        add_term(terms, (word, ins), scalar_from_str(entry["coeff"]))
     return CurrentState(terms, ctx)
 
 
@@ -169,8 +190,8 @@ def bc_state_from_json(obj: list):
     terms = {}
     for entry in obj:
         key = (
-            tuple(atom_from_str(a) for a in entry["weight_sector"]),
-            tuple(atom_from_str(a) for a in entry["twist_sector"]),
+            _monomial_from_json(entry["weight_sector"], True),
+            _monomial_from_json(entry["twist_sector"], True),
         )
-        terms[key] = scalar_from_str(entry["coeff"])
+        add_term(terms, key, scalar_from_str(entry["coeff"]))
     return BCState(terms)

@@ -19,7 +19,7 @@ from .boson import _b_group, lie_action
 from .exactnum import GaussRational, QI_ONE, QI_ZERO, RatFunc
 from .geometry import VectorField, atom_sort_key
 from .jets import Jet, coerce_scalar_or_jet, jet_point, moved_expansion
-from .sampling import rand_scalar
+from .sampling import rand_pole_state
 from .states import DomainError, SymState, add_term, monomial_state, vacuum
 
 __all__ = [
@@ -235,15 +235,7 @@ def jet_parameter_expansion(state: SymState, order: int) -> dict:
 
 
 def _rand_vertex_state(rng, pool, max_degree=3, max_support=2, max_order=3):
-    points = rng.sample(pool, rng.randint(1, max_support))
-    out = SymState()
-    for _ in range(rng.randint(1, 2)):
-        deg = rng.randint(0, max_degree)
-        atoms = [
-            ("pole", rng.choice(points), rng.randint(2, max_order)) for _ in range(deg)
-        ]
-        out = out + monomial_state(atoms, rand_scalar(rng))
-    return out if out else vacuum()
+    return rand_pole_state(rng, rng.sample(pool, rng.randint(1, max_support)), max_degree, max_order)
 
 
 def _safe_translation(rng, pool_amounts, *states_and_supports):

@@ -1,5 +1,9 @@
+import contextlib
+import io
 import json
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -43,6 +47,63 @@ class TestRoundTrips:
 
         s = bc_apply("b_e", qi(1), bc_apply("c_e", qi(2), bc_vacuum()))
         assert bc_state_from_json(bc_state_to_json(s)) == s
+
+
+class TestCanonicalInput:
+    """A parsed state is the canonical form of its entries, whatever their order."""
+
+    @pytest.mark.parametrize("entries, expected", [
+        # the same monomial in two orders: two terms of one monomial before
+        ([(["pole:2:2", "pole:1:2"], "1"), (["pole:1:2", "pole:2:2"], "1")],
+         [{"coeff": "2", "monomial": ["pole:1:2", "pole:2:2"]}]),
+        # a repeated entry: the later one overwrote the earlier before
+        ([(["pole:1:2"], "1"), (["pole:1:2"], "2")], [{"coeff": "3", "monomial": ["pole:1:2"]}]),
+        ([(["poly:1", "pole:0:2"], "1/2"), (["pole:0:2", "poly:1"], "-1/2")], []),
+    ])
+    def test_replay_state_is_sorted_and_summed(self, tmp_path, capsys, entries, expected):
+        path = tmp_path / "replay.json"
+        path.write_text(json.dumps({"state": [{"monomial": m, "coeff": c} for m, c in entries], "ops": []}))
+        code, payload = run_json(capsys, ["replay", "--script", str(path)])
+        assert code == 0 and payload["state"] == expected
+
+    @pytest.mark.parametrize("monomial", [["pole:2:1", "pole:1:1"], ["pole:1:1", "pole:1:1"]])
+    def test_exterior_monomial_must_be_strictly_sorted(self, monomial):
+        from chiralis.fermion import ExtState
+
+        with pytest.raises(ValueError, match="not strictly sorted"):
+            state_from_json([{"monomial": monomial, "coeff": "1"}], ExtState)
+        for sector in ("weight_sector", "twist_sector"):
+            entry = {"weight_sector": [], "twist_sector": [], "coeff": "1", sector: monomial}
+            with pytest.raises(ValueError, match="not strictly sorted"):
+                bc_state_from_json([entry])
+        assert state_from_json([{"monomial": monomial[::-1], "coeff": "1"}], SymState)
+
+    def test_exterior_entries_are_summed(self):
+        from chiralis.fermion import ExtState
+
+        entry = {"monomial": ["pole:1:1", "pole:2:1"], "coeff": "1"}
+        assert state_from_json([entry, entry], ExtState) == state_from_json([dict(entry, coeff="2")], ExtState)
+
+    def test_current_word_out_of_normal_order(self, tmp_path, capsys):
+        word = [[0, "1/4", 1], [0, "-1/4", 1]]
+        assert current_state_from_json([{"word": word[::-1], "coeff": "1"}])
+        with pytest.raises(ValueError, match="not in normal order"):
+            current_state_from_json([{"word": word, "coeff": "1"}])
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps({"dual": [{"word": [], "coeff": "1"}], "state": [{"word": word, "coeff": "1"}]}))
+        assert run(["pair", "--theory", "current", "--file", str(path)]) == 2
+        assert "not in normal order" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("state", [
+        [{"word": [], "insertions": [1], "coeff": "5"}, {"word": [], "insertions": [0], "coeff": "3"}],
+        [{"word": [], "insertions": [0], "coeff": "3"}, {"word": [], "insertions": [1], "coeff": "5"}],
+    ])
+    def test_pair_rejects_insertion_indices(self, tmp_path, capsys, state):
+        # printed "5" or "3" with exit 0 before, after the order of the entries
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps({"dual": [{"word": [], "insertions": [], "coeff": "1"}], "state": state}))
+        assert run(["pair", "--theory", "current", "--file", str(path)]) == 2
+        assert "configuration error" in capsys.readouterr().err
 
 
 class TestCommands:
@@ -403,3 +464,156 @@ class TestDeterminism:
             capsys, ["axioms", "--structure", "comm", "--seed", "4", "--samples", "2"]
         )
         assert payload["seed"] == 21
+
+
+# ---------------------------------------------------------------------------
+# Byte pins: the exact stdout, stderr and exit code of fixed invocations,
+# held in tests/cli_pins.json.  ``python tests/test_cli.py`` prints that file
+# for the code on the path; refresh it only when an output change is meant.
+# ---------------------------------------------------------------------------
+
+PIN_FILES = {
+    "lattice": {"section": [["1", 1], ["1/2*i", -1]],
+                "ops": [{"op": "vertex", "z": "3", "lam": 1}, {"op": "flat_minus", "z": "2", "lam": -1},
+                        {"op": "j", "z": "1/3"}, {"op": "flat_plus", "z": "-1", "lam": 2},
+                        {"op": "epsilon", "z": "0"}, {"op": "iota", "z": "5"}]},
+    "replay": {"state": [{"monomial": ["pole:0:2", "pole:0:3"], "coeff": "1/2+1*i"},
+                         {"monomial": [], "coeff": "-3"}],
+               "ops": [{"op": "e", "z": "0"}, {"op": "mode", "l": -1}, {"op": "energy-mode", "n": 1},
+                       {"op": "testfn", "phi": {"num": ["0", "1", "1"]}, "site": "0"},
+                       {"op": "b", "z": "1"}, {"op": "T", "z": "2"}, {"op": "e", "z": "-1/2"}]},
+    "vacuum_replay": {"ops": [{"op": "e", "z": "0"},
+                              {"op": "testfn", "phi": {"num": ["0", "1"], "den": ["1", "1"]}, "site": "inf"},
+                              {"op": "mode", "l": -2}]},
+    "pair_boson": {"dual": [{"monomial": ["poly:0", "poly:1"], "coeff": "1"},
+                            {"monomial": ["poly:2"], "coeff": "1/2*i"}],
+                   "state": [{"monomial": ["pole:0:2", "pole:1/2:3"], "coeff": "-1"},
+                             {"monomial": ["pole:1/3*i:4"], "coeff": "2"}]},
+    "pair_current": {"dual": [{"word": [[1, "1/2", 1]], "coeff": "0-1/2*i"},
+                              {"word": [[2, "1/3-1/5*i", 2]], "coeff": "2"}],
+                     "state": [{"word": [[0, "1/4+1/2*i", 2]], "coeff": "3/4"},
+                               {"word": [[1, "-1/3", 1]], "coeff": "1"}]},
+}
+
+README_EXAMPLES = [
+    "--format text npoint --theory boson --points 0,2",
+    "npoint --theory current --algebra sl2 --components e,f,h --points 0,1,2",
+    "npoint --theory fermion --points 0,1",
+    "commute-check --theory current --algebra sl2 --seed 7 --samples 10",
+    "ope --fields T,T --point 1 --on-vacuum",
+    "gram --points 1/3,1/2*i --degree 2",
+    "axioms --structure prime --seed 7 --degree 2 --samples 10",
+    "modes --algebra virasoro --bracket 2,-2",
+    "modes --algebra current-sl2 --components e,f --bracket 1,-1",
+    "lattice --N 1 --script {lattice}",
+    "pair --theory boson --file {pair_boson}",
+    "replay --script {replay}",
+]
+
+PIN_CASES = [
+    *README_EXAMPLES,
+    *("--format text " + example for example in README_EXAMPLES[1:]),
+    "npoint --theory boson --points 0,2",
+    "npoint --theory boson --points 0,1,2,1/2*i,-1,3",
+    "npoint --theory bc-composite --points 0,1,1/2*i,3",
+    "--format text npoint --theory bc-composite --points 1,2",
+    "npoint --theory current --algebra abelian --components t,t --points 0,1",
+    "--decimal 4 npoint --theory boson --points 0,2",
+    "--format text --decimal 6 npoint --theory current --algebra sl2 --components e,f,h --points 0,1,2",
+    "--decimal 3 npoint --theory fermion --points 0,1,1/2*i,3",
+    "commute-check --theory boson --seed 3 --samples 4",
+    "commute-check --theory fermion --seed 2 --samples 3",
+    "commute-check --theory lattice --N 2 --seed 1 --samples 3",
+    "commute-check --theory current --algebra abelian --seed 5 --samples 3",
+    "--format text commute-check --theory lattice --seed 4 --samples 2",
+    "ope --fields T,b --point 1/2 --order 1 --seed 3",
+    "ope --fields b,b --point 1 --seed 5",
+    "--format text ope --fields e,i --point 2 --order 2 --seed 1",
+    "ope --fields b,T --point -1 --on-vacuum --order 1",
+    "gram --points 1/3 --degree 0",
+    "--format text gram --points 1/2,1/3*i,-1/4 --degree 1",
+    "--decimal 3 gram --points 1/3,1/2*i --degree 1",
+    "axioms --structure comm --seed 7 --degree 2 --samples 3",
+    "--format text axioms --structure prime --seed 2 --degree 1 --samples 2",
+    "modes --algebra heisenberg --bracket 1,-1",
+    "modes --algebra heisenberg --bracket=-3,2",
+    "--format text modes --algebra virasoro --bracket=-5,5",
+    "modes --algebra current-sl2 --bracket 2,-2",
+    "modes --algebra current-sl2 --components h,e --bracket 1,0",
+    "--decimal 4 modes --algebra virasoro --bracket 3,-3",
+    "--format text --decimal 2 modes --algebra current-sl2 --components e,f --bracket 1,-1",
+    "--decimal 5 modes --algebra heisenberg --bracket 2,-2",
+    "lattice --N 2 --script {lattice} --seed 3",
+    "pair --theory current --algebra sl2 --file {pair_current}",
+    "--decimal 5 pair --theory boson --file {pair_boson}",
+    "--format text --decimal 3 pair --theory current --file {pair_current}",
+    "replay --script {vacuum_replay}",
+    "--format text replay --script {vacuum_replay}",
+    # configuration errors
+    "npoint --theory boson --points 1,1",
+    "--format text npoint --theory boson --points 1,1",
+    "npoint --theory current --points 0,1",
+    "npoint --theory current --components e,q --points 0,1",
+    "modes --algebra virasoro --bracket 6,1",
+    "modes --algebra virasoro --bracket two",
+    "modes --algebra heisenberg --bracket 0,1",
+    "modes --algebra current-sl2 --components e --bracket 1,1",
+    "commute-check --theory boson --samples 1 --seed 8",
+    "commute-check --theory lattice --N 0",
+    "commute-check --theory fermion --samples 0",
+    "ope --fields x,y",
+    "ope --fields b,b --point x",
+    "gram --points 1/3 --degree -1",
+    "axioms --structure comm --samples 0",
+    "axioms --structure comm --degree -1",
+    "lattice --N 0 --script {lattice}",
+    # a broken locality identity: exit 1 and the witness of each failure
+    *(f"commute-check --theory {theory} --seed 3 --samples 2 [broken]"
+      for theory in ("boson", "current", "fermion", "lattice")),
+]
+
+PINS = Path(__file__).resolve().parent / "cli_pins.json"
+
+
+def _break_locality(mp, theory):
+    """Make the commute-check identity of theory fail on every sample."""
+    from chiralis import current, fermion, lattice
+
+    if theory == "fermion":
+        psi = fermion.psi_apply
+        mp.setattr(fermion, "psi_apply", lambda z, s: psi(z, s) + s)
+    else:
+        cls = {"boson": SymState, "current": current.CurrentState, "lattice": lattice.LatticeState}[theory]
+        mp.setattr(cls, "__eq__", lambda a, b: False)
+
+
+def pinned_run(case, tmp_path):
+    """(exit code, stdout, stderr) of one pin case, its input files written to tmp_path."""
+    paths = {}
+    for name, data in PIN_FILES.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(data))
+    argv = case.removesuffix(" [broken]").format(**paths).split()
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv("CHIRALIS_SEED", raising=False)
+        if case.endswith(" [broken]"):
+            _break_locality(mp, argv[argv.index("--theory") + 1])
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("case", PIN_CASES)
+def test_output_bytes_are_pinned(tmp_path, case):
+    code, out, err = pinned_run(case, tmp_path)
+    assert {"code": code, "stdout": out, "stderr": err} == json.loads(PINS.read_text())[case]
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        pins = {}
+        for case in PIN_CASES:
+            code, out, err = pinned_run(case, Path(tmp))
+            pins[case] = {"code": code, "stdout": out, "stderr": err}
+    print(json.dumps(pins, indent=1, ensure_ascii=False))

@@ -777,6 +777,27 @@ class TestPairing:
         with pytest.raises(DomainError):
             current_pair(SL2, dual, bad)
 
+    def test_insertion_indices_without_a_site_are_rejected(self):
+        # the value used to be that of whichever empty-word term came first
+        vacuum = current_vacuum()
+        for terms in ({((), (1,)): qi(5), ((), (0,)): qi(3)}, {((), (0,)): qi(3), ((), (1,)): qi(5)}):
+            state = CurrentState(terms)
+            assert state.vacuum_coefficient() == 0
+            with pytest.raises(DomainError):
+                current_pair(SL2, vacuum, state)
+            with pytest.raises(DomainError):
+                current_pair(SL2, state, vacuum)
+
+    def test_vacuum_coefficient_does_not_depend_on_term_order(self):
+        word = ((0, qi(Fraction(1, 2)), 1),)
+        terms = [((word, ()), qi(2)), (((), ()), qi(7))]
+        assert CurrentState(dict(terms)).vacuum_coefficient() == 7
+        assert CurrentState(dict(terms[::-1])).vacuum_coefficient() == 7
+        ctx = InsertionContext(SL2, [(qi(0), sl2_fundamental())])
+        assert CurrentState({((), (1,)): qi(5), (word, (0,)): qi(2)}, ctx).vacuum_coefficient() == 5
+        with pytest.raises(DomainError):
+            CurrentState({((), (1,)): qi(5), ((), (0,)): qi(3)}, ctx).vacuum_coefficient()
+
 
 class TestCurrentOpe:
     def test_expansion_structure(self):

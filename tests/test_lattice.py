@@ -30,6 +30,15 @@ class TestLatticeScalar:
         th = LatticeTheory(3)
         assert th.sqrtN * th.sqrtN == LatticeScalar(3, qi(3))
 
+    def test_scalars_of_different_parameters_are_unequal(self):
+        # b = 0 on both sides, so the hashes coincide and a dict lookup compares them
+        one, other = LatticeScalar(1, qi(1)), LatticeScalar(2, qi(1))
+        assert one != other and not one == other
+        assert {one: 0}.get(other) is None
+        assert one == 1 and other == 1
+        with pytest.raises(ValueError, match="mixed lattice parameters"):
+            one + other
+
 
 class TestSections:
     def test_grade_is_minus_degree(self):
