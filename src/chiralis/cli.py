@@ -4,10 +4,11 @@ Each subcommand builds one payload dict and hands it to ``_emit``, which
 prints it and derives the exit code from its "passed" entry; commute-check
 runs the trial function of its theory in one shared loop.  Every numeric
 output is an exact scalar string; ``--decimal K`` appends a clearly-marked
-decimal rendering.  Randomized suites take their seed from ``--seed``
-(overridden by the CHIRALIS_SEED environment variable) and are byte-stable
-for a fixed seed and configuration.  JSON inputs are read as canonical
-states (``chiralis.serialize``).
+decimal rendering of the value that npoint, modes and pair report (the
+other subcommands ignore it).  Randomized suites take their seed from
+``--seed`` (overridden by the CHIRALIS_SEED environment variable) and are
+byte-stable for a fixed seed and configuration.  JSON inputs are read as
+canonical states (``chiralis.serialize``).
 
 Exit codes: 0 all checks passed, 1 an identity failed, 2 configuration
 error.
@@ -413,11 +414,13 @@ def cmd_lattice(args) -> int:
 
 
 def cmd_pair(args) -> int:
+    from .current import current_pair, lie_algebra_by_name
     from .serialize import current_state_from_json, state_from_json
 
+    algebra = lie_algebra_by_name(args.algebra)
     data = _load_json(args.file, "pair file")
     parse = {"boson": lambda obj: state_from_json(obj, SymState),
-             "current": current_state_from_json}[args.theory]
+             "current": lambda obj: current_state_from_json(obj, algebra)}[args.theory]
     with _parsing("pair file"):
         dual, state = parse(data["dual"]), parse(data["state"])
     payload = {"command": "pair", "theory": args.theory}
@@ -428,9 +431,7 @@ def cmd_pair(args) -> int:
         payload.update(identity="peeling-order-independence",
                        passed=pair_P(dual, state, peel_last=True) == value)
     else:
-        from .current import current_pair, lie_algebra_by_name
-
-        value = current_pair(lie_algebra_by_name(args.algebra), dual, state)
+        value = current_pair(algebra, dual, state)
         payload.update(algebra=args.algebra, passed=True)
     payload["value"] = scalar_to_str(value)
     if args.decimal:
@@ -489,7 +490,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--format", choices=("text", "json"), default="json")
     parser.add_argument("--decimal", type=int, default=0, metavar="K",
-                        help="append a K-digit decimal rendering (approximate)")
+                        help="append a K-digit decimal rendering (approximate) of the value "
+                             "that npoint, modes and pair report; ignored elsewhere")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("npoint", help="correlation function values")

@@ -123,11 +123,10 @@ class GaussRational:
 
     @staticmethod
     def coerce(value) -> "GaussRational":
-        if isinstance(value, GaussRational):
-            return value
-        if isinstance(value, _RATIONAL_TYPES):
-            return GaussRational(value)
-        raise TypeError(f"cannot coerce {value!r} to GaussRational")
+        out = _as_gauss(value)
+        if out is NotImplemented:
+            raise TypeError(f"cannot coerce {value!r} to GaussRational")
+        return out
 
     # -- arithmetic ---------------------------------------------------------
 

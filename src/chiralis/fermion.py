@@ -252,11 +252,8 @@ class KernelBoson:
             raise DomainError("boson construction needs a symmetric double-pole kernel")
         self.kernel = kernel
 
-    def creation_expansion(self, z) -> dict:
-        return {("pole", GaussRational.coerce(z), 2): -QI_ONE}
-
     def e_apply(self, z, state: SymState) -> SymState:
-        return state.multiply_expansion(self.creation_expansion(z))
+        return state.multiply_atom(("pole", GaussRational.coerce(z), 2), -QI_ONE)
 
     def i_apply(self, z, state: SymState) -> SymState:
         from .boson import i_apply as plain_i

@@ -88,12 +88,9 @@ def heis_P_local_apply(phi: RatFunc, dual: SymState) -> SymState:
     _check_dual(dual)
     dec = _phi_pole_parts(phi)
     atoms = dec_atoms(dec)
-    out = dual.contract(lambda atom: _atom_residue(atoms, atom, None))
     # creation: from the part of phi singular only at infinity (polynomials)
-    for m, coeff in enumerate(dec.polynomial.coeffs):
-        if m >= 1 and coeff:
-            out = out + dual.multiply_atom(("poly", m - 1), -coeff * m)
-    return out
+    creation = [(("poly", m - 1), -coeff * m) for m, coeff in enumerate(dec.polynomial.coeffs) if m and coeff]
+    return dual.contract(lambda atom: _atom_residue(atoms, atom, None), creation)
 
 
 def dual_mode_apply(l: int, dual: SymState) -> SymState:

@@ -116,7 +116,10 @@ def loopgen_to_obj(gen) -> list:
 
 
 def loopgen_from_obj(obj):
-    return (int(obj[0]), scalar_from_str(obj[1]), int(obj[2]))
+    """A loop letter (a, c, l); ValueError when its order l is below 1."""
+    from .current import LoopGen
+
+    return LoopGen(int(obj[0]), scalar_from_str(obj[1]), int(obj[2]))
 
 
 def current_state_to_json(state) -> list:
@@ -133,9 +136,10 @@ def current_state_to_json(state) -> list:
     return out
 
 
-def current_state_from_json(obj: list, ctx=None):
-    """A CurrentState whose words must be in the order ``pbw_normalize``
-    leaves; the coefficients of repeated (word, insertions) entries are summed."""
+def current_state_from_json(obj: list, algebra):
+    """A CurrentState of the algebra whose words must be in the order
+    ``pbw_normalize`` leaves; the coefficients of repeated (word, insertions)
+    entries are summed.  A letter's basis index must lie in range(algebra.dim)."""
     from .current import CurrentState, _gen_key
 
     terms = {}
@@ -143,9 +147,11 @@ def current_state_from_json(obj: list, ctx=None):
         word = tuple(loopgen_from_obj(g) for g in entry["word"])
         if list(word) != sorted(word, key=_gen_key):
             raise ValueError(f"current word {entry['word']} is not in normal order")
+        if any(a not in range(algebra.dim) for a, _, _ in word):
+            raise ValueError(f"a basis index of {entry['word']} is outside {algebra.name}")
         ins = tuple(int(i) for i in entry.get("insertions", ()))
         add_term(terms, (word, ins), scalar_from_str(entry["coeff"]))
-    return CurrentState(terms, ctx)
+    return CurrentState(terms)
 
 
 # -- lattice states ----------------------------------------------------------

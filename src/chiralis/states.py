@@ -183,14 +183,6 @@ class SymState(LinComb):
             add_term(out, _sorted_monomial(mon + (atom,)), c * coeff)
         return SymState(out)
 
-    def multiply_expansion(self, expansion: dict) -> "SymState":
-        """Symmetric product with sum(expansion[atom] * atom)."""
-        out = {}
-        for atom, coeff in expansion.items():
-            for mon, c in self.terms.items():
-                add_term(out, _sorted_monomial(mon + (atom,)), c * coeff)
-        return SymState(out)
-
     def multiply(self, other: "SymState") -> "SymState":
         """Symmetric product with another state."""
         out = {}
@@ -199,15 +191,24 @@ class SymState(LinComb):
                 add_term(out, _sorted_monomial(mon + omon), c * oc)
         return SymState(out)
 
-    def contract(self, value_of_atom) -> "SymState":
-        """Apply the derivation sending each atom to the scalar value_of_atom(atom).
+    def contract(self, value_of_atom, creation=(), scalar=0) -> "SymState":
+        """Apply the derivation sending each atom to the scalar value_of_atom(atom),
+        plus the symmetric product with sum g * atom over the (atom, g) pairs
+        of creation, plus scalar times the state, in one term dict.
 
-        This is the common shape of every 'evaluation' field: the result is
-        the sum over atom occurrences of value * (monomial without it).
+        The derivation is the common shape of every 'evaluation' field: the
+        sum over atom occurrences of value * (monomial without it).
         value_of_atom depends only on the atom, and is evaluated once per
         distinct atom per call (``AtomValues``).
         """
-        return SymState(_contract_terms(self.terms, AtomValues(value_of_atom)))
+        out = _contract_terms(self.terms, AtomValues(value_of_atom))
+        for atom, g in creation:
+            for mon, c in self.terms.items():
+                add_term(out, _sorted_monomial(mon + (atom,)), c * g)
+        if scalar:
+            for mon, c in self.terms.items():
+                add_term(out, mon, c * scalar)
+        return SymState(out)
 
     def map_monomials(self, fn) -> "SymState":
         """Relabel monomials; fn(mon) -> (new_mon_atoms, scalar factor)."""

@@ -128,19 +128,9 @@ def heis_apply(op: HeisenbergOp, state: SymState) -> SymState:
             _HEIS_VALUE_CACHE[key] = cached
         return cached
 
-    return _contract_and_create(dec, site.value, state, value)
-
-
-def _contract_and_create(dec, o, state: SymState, value) -> SymState:
-    """The contraction by value(atom) plus the creation term: the derivative,
-    a form, of each pole part of phi (partial fractions dec) singular at o."""
-    out = state.contract(value)
-    creation = {}
-    for c, j, g in _singular_parts(dec, o):
-        add_term(creation, ("pole", c, j + 1), -j * g)
-    if creation:
-        out = out + state.multiply_expansion(creation)
-    return out
+    # creation: the derivative, a form, of each pole part of phi singular at the site
+    creation = [(("pole", c, j + 1), -j * g) for c, j, g in _singular_parts(dec, site.value)]
+    return state.contract(value, creation)
 
 
 def heis_commutator_check(phi: RatFunc, psi: RatFunc, site=INFINITY):
@@ -187,17 +177,20 @@ def spanning_states(site_point=QI_ZERO, extra_pole=None):
 def mode_b(l: int, state: SymState, site_point=QI_ZERO) -> SymState:
     """The l-th oscillator mode at the site o (l nonzero): ``heis_apply`` of
     phi = (u-o)^l at o, with phi's partial fractions written down, not
-    found by a root search: one pole part for l < 0, the binomial
-    expansion sum C(l, n) (-o)^(l-n) u^n for l > 0."""
+    found by a root search: one pole part for l < 0, which creates
+    l ("pole", o, 1-l), the binomial expansion sum C(l, n) (-o)^(l-n) u^n
+    for l > 0, which creates nothing."""
     if l == 0:
         raise ValueError("the oscillator family has no zero mode here")
     o = GaussRational.coerce(site_point)
     if l < 0:
         dec = PartialFractions(Poly([]), [(o, -l, QI_ONE)])
+        creation = [(("pole", o, 1 - l), GaussRational(l))]
     else:
         dec = PartialFractions(Poly([_binom(l, n) * (-o) ** (l - n) for n in range(l + 1)]), [])
+        creation = ()
     atoms = dec_atoms(dec)
-    return _contract_and_create(dec, o, state, lambda atom: -_atom_residue(atoms, atom, o))
+    return state.contract(lambda atom: -_atom_residue(atoms, atom, o), creation)
 
 
 # ---------------------------------------------------------------------------
@@ -419,49 +412,34 @@ def heis_insertion_apply(op: HeisenbergOp, state: SymState) -> SymState:
 
     dec = _phi_pole_parts(phi)
     atoms = dec_atoms(dec)
-
-    def value(atom):
-        return -_atom_derivative_residue(atoms, atom, zl)
-
-    out = state.contract(value)
     # phi = phi_reg + phi_s, phi_s its pole part at the site: phi_reg acts by
     # lambda_site phi_reg(z_site); phi_s, which vanishes at infinity, by
     # multiplication and by -sum_{j != site} lambda_j phi_s(z_j)
+    creation = []
     scalar_part = weights[zl] * dec.polynomial.evaluate(zl)
     for c, order, coeff in dec.terms:
         if c != zl:
             scalar_part = scalar_part + weights[zl] * coeff / (zl - c) ** order
             continue
-        out = out + state.multiply_atom(("pole", c, order), coeff)
+        creation.append((("pole", c, order), coeff))
         for zj, lam in weights.items():
             if zj != zl:
                 scalar_part = scalar_part - lam * coeff / (zj - c) ** order
-    if scalar_part:
-        out = out + state.scale(scalar_part)
-    return out
+    return state.contract(lambda atom: -_atom_derivative_residue(atoms, atom, zl), creation, scalar_part)
 
 
 def heis_P_with_insertions(phi: RatFunc, insertions, state: SymState) -> SymState:
     """The site-at-infinity operator on function states with insertions."""
-    weights = [(as_point(p).value, lam) for p, lam in insertions]
     dec = _phi_pole_parts(phi)
     atoms = dec_atoms(dec)
-
-    def value(atom):
-        return _atom_derivative_residue(atoms, atom, None)
-
-    out = state.contract(value)
     # the pole parts of phi (regular at infinity) act by multiplication; the
     # polynomial part p by p(inf) = p_0 times the total weight plus
     # sum_j lambda_j (p(z_j) - p_0), that is by sum_j lambda_j p(z_j)
-    for c, order, coeff in dec.terms:
-        out = out + state.multiply_atom(("pole", c, order), coeff)
     scalar_part = QI_ZERO
-    for zj, lam in weights:
-        scalar_part = scalar_part + GaussRational.coerce(lam) * dec.polynomial.evaluate(zj)
-    if scalar_part:
-        out = out + state.scale(scalar_part)
-    return out
+    for p, lam in insertions:
+        scalar_part = scalar_part + GaussRational.coerce(lam) * dec.polynomial.evaluate(as_point(p).value)
+    creation = [(("pole", c, order), coeff) for c, order, coeff in dec.terms]
+    return state.contract(lambda atom: _atom_derivative_residue(atoms, atom, None), creation, scalar_part)
 
 
 def insertion_suite(points, lambdas, rng) -> dict:

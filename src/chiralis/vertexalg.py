@@ -145,38 +145,36 @@ def _e_label_of_monomial(mon):
 def b_basis_coordinates(state: SymState) -> dict:
     """Exact coordinates of a state in the normal-ordered monomial basis.
 
-    Triangular elimination: the top-degree part of each basis vector is the
-    corresponding creation monomial, so peeling by descending degree
-    terminates with the zero remainder.
+    Triangular elimination on one remainder dict: the top-degree part of
+    each basis vector is the corresponding creation monomial, so peeling by
+    descending degree terminates with the zero remainder.
     """
     coords: dict = {}
-    remaining = state
+    remaining = dict(state.terms)
     while remaining:
-        degree = remaining.degree()
-        layer = {m: c for m, c in remaining.terms.items() if len(m) == degree}
-        if not layer:
-            raise AssertionError("triangular elimination lost its top layer")
-        for mon, c in layer.items():
+        degree = max(map(len, remaining))
+        for mon, c in [(m, c) for m, c in remaining.items() if len(m) == degree]:
             label = _e_label_of_monomial(mon)
-            basis = b_basis_vector(label)
-            coeff = c / basis.terms[mon]
-            coords[label] = coords.get(label, QI_ZERO) + coeff
-            remaining = remaining - basis.scale(coeff)
-    return {k: v for k, v in coords.items() if v}
+            basis = b_basis_vector(label).terms
+            coords[label] = coeff = c / basis[mon]
+            neg = -coeff
+            for m, b in basis.items():
+                add_term(remaining, m, neg * b)
+    return coords
 
 
 def Y_prime(state: SymState, amount, target: SymState) -> SymState:
     """The normal-ordered structure: fields at the translated points."""
     amount = coerce_scalar_or_jet(amount)
     _check_no_collision({p + amount for p in sing_support(state)}, target)
-    coords = b_basis_coordinates(state)
-    out = SymState()
-    for label, coeff in coords.items():
+    out: dict = {}
+    for label, coeff in b_basis_coordinates(state).items():
         piece = target
         for z, parts in reversed(label):
             piece = _b_group(z + amount, tuple(p - 1 for p in parts), piece)
-        out = out + piece.scale(coeff)
-    return out
+        for mon, c in piece.terms.items():
+            add_term(out, mon, c * coeff)
+    return SymState(out)
 
 
 def structure(name: str):

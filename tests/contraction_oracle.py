@@ -8,8 +8,12 @@ own, multiplicities are counted by scanning the whole monomial, and the
 n-point values are the full compositions and pair-partition sums.  The
 boson fields b, b^(k), T and the normal-ordered groups of b-derivatives
 are the compositions of evaluation and creation states that the one
-Wick kernel (``boson._b_group``) replaced.  The tests compare the
-program's versions with them on seeded states with repeated atoms.
+Wick kernel (``boson._b_group``) replaced.  The Heisenberg operators, at
+a site and with insertions, are the contraction plus one product state
+per pole part plus one scaled copy for the scalar part, which one call
+of ``SymState.contract`` replaced; their values come from ``residue_at``
+on a fresh partial-fraction split.  The tests compare the program's
+versions with them on seeded states with repeated atoms.
 """
 
 from __future__ import annotations
@@ -18,9 +22,9 @@ import itertools
 from fractions import Fraction
 
 from chiralis.boson import b_apply, e_apply, e_deriv_apply, i_apply, i_deriv_apply
-from chiralis.exactnum import QI_ONE, QI_ZERO
+from chiralis.exactnum import INFINITY, QI_ONE, QI_ZERO, partial_fractions, residue_at
 from chiralis.fermion import BCState, ExtState, fermion_vacuum, psi_apply
-from chiralis.geometry import atom_deriv_eval, atom_sort_key
+from chiralis.geometry import atom_deriv_eval, atom_ratfunc, atom_sort_key
 from chiralis.lattice import LatticeState
 from chiralis.states import SymState, add_term, vacuum
 
@@ -173,3 +177,46 @@ def b_group_oracle(z, orders, state: SymState) -> SymState:
             piece = e_deriv_apply(z, k, piece)
         out = out + piece
     return out
+
+
+def heis_oracle(phi, site, state: SymState) -> SymState:
+    """H^phi at a site: the contraction by -Res_o(phi atom) (+Res at
+    infinity) plus, per pole part g (u-c)^(-j) of phi singular at the site
+    (every finite one at infinity), the product with -j g ("pole", c, j+1)."""
+    sign = 1 if site.is_infinity else -1
+    out = sym_contract(state, lambda atom: sign * residue_at(phi * atom_ratfunc(atom), site))
+    for c, j, g in partial_fractions(phi).terms:
+        if site.is_infinity or c == site.value:
+            out = out + state.multiply_atom(("pole", c, j + 1), -j * g)
+    return out
+
+
+def heis_insertion_oracle(phi, zl, weights: dict, state: SymState) -> SymState:
+    """H^phi at the insertion point zl on function states, weights
+    {point: lambda}: the contraction by -Res_zl(phi atom'), the product with
+    each pole part of phi at zl, and the scalar lambda_zl phi_reg(zl) -
+    sum_{j != zl} lambda_j phi_s(z_j)."""
+    dec = partial_fractions(phi)
+    out = sym_contract(state, lambda atom: -residue_at(phi * atom_ratfunc(atom).derivative(), zl))
+    scalar = weights[zl] * dec.polynomial.evaluate(zl)
+    for c, order, coeff in dec.terms:
+        if c != zl:
+            scalar = scalar + weights[zl] * coeff / (zl - c) ** order
+            continue
+        out = out + state.multiply_atom(("pole", c, order), coeff)
+        for zj, lam in weights.items():
+            if zj != zl:
+                scalar = scalar - lam * coeff / (zj - c) ** order
+    return out + state.scale(scalar)
+
+
+def heis_P_with_insertions_oracle(phi, weights: dict, state: SymState) -> SymState:
+    """H^phi at infinity on function states: the contraction by
+    Res_inf(phi atom'), the product with every pole part of phi, and the
+    scalar sum_j lambda_j p(z_j) of its polynomial part p."""
+    dec = partial_fractions(phi)
+    out = sym_contract(state, lambda atom: residue_at(phi * atom_ratfunc(atom).derivative(), INFINITY))
+    for c, order, coeff in dec.terms:
+        out = out + state.multiply_atom(("pole", c, order), coeff)
+    scalar = sum((lam * dec.polynomial.evaluate(zj) for zj, lam in weights.items()), QI_ZERO)
+    return out + state.scale(scalar)

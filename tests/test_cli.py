@@ -40,7 +40,7 @@ class TestRoundTrips:
         from chiralis.current import pbw_normalize, sl2_algebra
 
         s = pbw_normalize(sl2_algebra(), ((0, qi(0), 1), (2, qi(1), 2)))
-        assert current_state_from_json(current_state_to_json(s)) == s
+        assert current_state_from_json(current_state_to_json(s), sl2_algebra()) == s
 
     def test_bc_state(self):
         from chiralis.fermion import bc_apply, bc_vacuum
@@ -85,14 +85,29 @@ class TestCanonicalInput:
         assert state_from_json([entry, entry], ExtState) == state_from_json([dict(entry, coeff="2")], ExtState)
 
     def test_current_word_out_of_normal_order(self, tmp_path, capsys):
+        from chiralis.current import sl2_algebra
+
         word = [[0, "1/4", 1], [0, "-1/4", 1]]
-        assert current_state_from_json([{"word": word[::-1], "coeff": "1"}])
+        assert current_state_from_json([{"word": word[::-1], "coeff": "1"}], sl2_algebra())
         with pytest.raises(ValueError, match="not in normal order"):
-            current_state_from_json([{"word": word, "coeff": "1"}])
+            current_state_from_json([{"word": word, "coeff": "1"}], sl2_algebra())
         path = tmp_path / "pair.json"
         path.write_text(json.dumps({"dual": [{"word": [], "coeff": "1"}], "state": [{"word": word, "coeff": "1"}]}))
         assert run(["pair", "--theory", "current", "--file", str(path)]) == 2
         assert "not in normal order" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("letter, message", [
+        ([7, "1/2", 1], "a basis index of [[7, '1/2', 1]] is outside sl2"),
+        ([0, "1/2", 0], "order >= 1"),
+        ([0, "1/2", -1], "order >= 1"),
+    ])
+    def test_pair_rejects_letters_outside_the_algebra(self, tmp_path, capsys, letter, message):
+        # printed "value": "0" with exit 0 before
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps({"dual": [{"word": [letter], "coeff": "1"}], "state": [{"word": [], "coeff": "1"}]}))
+        assert run(["pair", "--theory", "current", "--file", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and message in err
 
     @pytest.mark.parametrize("state", [
         [{"word": [], "insertions": [1], "coeff": "5"}, {"word": [], "insertions": [0], "coeff": "3"}],

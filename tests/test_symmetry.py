@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from chiralis import boson, cli, exactnum, geometry, symmetry
+import contraction_oracle
+from chiralis import boson, cli, exactnum, geometry, pairing, symmetry, vertexalg
 from chiralis.exactnum import (
     INFINITY,
     GaussRational,
@@ -24,6 +25,7 @@ from chiralis.symmetry import (
     bracket_L_b,
     heis_apply,
     heis_commutator_check,
+    heis_P_with_insertions,
     insertion_suite,
     mode_b,
     primary_check,
@@ -591,3 +593,106 @@ class TestInsertions:
         op = HeisenbergOp(RatFunc.const(qi(1)), Point(qi(2)), ins)
         v = monomial_state([("pole", qi(0), 1)])
         assert heis_apply(op, v) == v.scale(qi(-1))
+
+
+def _repeating_state(rng, pool):
+    """A seeded state: a vacuum term and monomials that each repeat an atom of pool."""
+    out = vacuum().scale(rand_scalar(rng) or qi(1))
+    for _ in range(rng.randint(1, 3)):
+        atoms = rng.choices(pool, k=rng.randint(1, 3))
+        out = out + monomial_state(atoms + atoms[:1], rand_scalar(rng))
+    return out
+
+
+class TestContractAndCreateOracle:
+    """One ``SymState.contract`` call per operator gives the states that the
+    contraction, one product per pole part and one scaled copy gave
+    (``contraction_oracle``)."""
+
+    @pytest.mark.parametrize("site", ORACLE_SITES, ids=["0", "1+i/2", "inf"])
+    def test_heis_apply(self, site):
+        rng = random.Random(1511)
+        o = site.value
+        for case in range(6):
+            poles = [rand_scalar(rng) + 5, qi(-2, 1)] + ([o] if o is not None and case % 2 else [])
+            parts = [(a, j, rand_scalar(rng) or qi(1)) for a in poles for j in range(1, rng.randint(1, 3) + 1)]
+            phi = _ratfunc_of([rand_scalar(rng) for _ in range(rng.randint(1, 3))], parts)
+            pool = [("pole", a, rng.randint(1, 3)) for a in poles] + [("poly", rng.randint(0, 3))]
+            if o is not None:
+                pool.append(("pole", o, rng.randint(1, 4)))
+            state = _repeating_state(rng, pool)
+            assert heis_apply(HeisenbergOp(phi, site), state) == contraction_oracle.heis_oracle(phi, site, state)
+
+    @pytest.mark.parametrize("o", [qi(0), I_HALF])
+    def test_mode_b(self, o):
+        rng = random.Random(1523)
+        pool = [("pole", o, 2), ("pole", o, 3), ("pole", o + 2, 1), ("poly", 1)]
+        for l in (-3, -1, 1, 2):
+            state = _repeating_state(rng, pool)
+            want = contraction_oracle.heis_oracle((U - o) ** l, Point(o), state)
+            assert mode_b(l, state, o) == want, (l, state)
+
+    def test_insertion_operators(self):
+        rng = random.Random(1531)
+        weights = {qi(0): qi(2), qi(3): qi(Fraction(-1, 2)), qi(0, 1): qi(1, 1)}
+        pool = [("pole", z, k) for z in weights for k in (1, 2)]
+        insertions = list(weights.items())
+        for _ in range(4):
+            poles = rng.sample(list(weights), 2) + [qi(7)]
+            parts = [(a, j, rand_scalar(rng) or qi(1)) for a in poles for j in range(1, rng.randint(1, 2) + 1)]
+            phi = _ratfunc_of([rand_scalar(rng) for _ in range(rng.randint(1, 3))], parts)
+            state = _repeating_state(rng, pool)
+            for zl in weights:
+                got = heis_apply(HeisenbergOp(phi, Point(zl), insertions), state)
+                assert got == contraction_oracle.heis_insertion_oracle(phi, zl, weights, state), zl
+            want = contraction_oracle.heis_P_with_insertions_oracle(phi, weights, state)
+            assert heis_apply(HeisenbergOp(phi, INFINITY, insertions), state) == want
+            assert heis_P_with_insertions(phi, insertions, state) == want
+
+
+class TestOneStatePerCall:
+    """The Heisenberg-type operators build their result in one term dict, and
+    the Y' coordinates need no state at all once the basis vectors are
+    cached: ``SymState`` constructions counted as ``bench/tracer.py`` counts
+    them, by patching ``SymState.__dict__["__init__"]``."""
+
+    @staticmethod
+    def made(monkeypatch, fn):
+        count = []
+        init = SymState.__dict__["__init__"]
+
+        def counting(self, *args, **kwargs):
+            count.append(None)
+            init(self, *args, **kwargs)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(SymState, "__init__", counting)
+            fn()
+        return len(count)
+
+    def test_heisenberg_operators(self, monkeypatch):
+        o = qi(1)
+        phi = U ** 2 + 1 / (U - o) ** 2 + qi(3) / (U + 2)
+        state = (monomial_state([("pole", o, 2), ("pole", o, 2), ("pole", qi(-2), 1)])
+                 + monomial_state([("pole", qi(0), 1)], qi(2)) + vacuum())
+        dual = monomial_state([("poly", 0), ("poly", 0), ("poly", 2)]) + vacuum().scale(qi(5))
+        insertions = [(o, qi(2)), (qi(-2), qi(-1)), (qi(0), qi(0, 1))]
+        calls = {
+            "heis_apply at a site": lambda: heis_apply(HeisenbergOp(phi, Point(o)), state),
+            "heis_apply at infinity": lambda: heis_apply(HeisenbergOp(phi, INFINITY), state),
+            "mode_b, l < 0": lambda: mode_b(-2, state, o),
+            "mode_b, l > 0": lambda: mode_b(1, state, o),
+            "heis_insertion_apply": lambda: symmetry.heis_insertion_apply(HeisenbergOp(phi, Point(o), insertions), state),
+            "heis_P_with_insertions": lambda: heis_P_with_insertions(phi, insertions, state),
+            "heis_P_local_apply": lambda: pairing.heis_P_local_apply(phi, dual),
+        }
+        for name, call in calls.items():
+            assert call(), name
+            assert self.made(monkeypatch, call) == 1, name
+
+    def test_b_basis_coordinates(self, monkeypatch):
+        z, w = qi(0), qi(1, 1)
+        state = (monomial_state([("pole", z, 2), ("pole", z, 2), ("pole", w, 3)])
+                 + monomial_state([("pole", z, 3)], qi(-4)) + vacuum())
+        coords = vertexalg.b_basis_coordinates(state)
+        assert coords and self.made(monkeypatch, lambda: vertexalg.b_basis_coordinates(state)) == 0
