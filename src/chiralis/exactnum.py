@@ -20,6 +20,7 @@ Laurent expansion of the function itself.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from typing import Iterable
 
@@ -89,10 +90,11 @@ class GaussRational:
     Stored as three ints: the value is (a + b*i)/d with ``d > 0`` and
     ``gcd(a, b, d) == 1``, so equal values have equal triples and every
     operation costs a few integer products and one gcd.  ``re`` and ``im``
-    are read back as rationals of the ``RATIONAL`` backend.
+    are read back as rationals of the ``RATIONAL`` backend.  A value's hash
+    and sort key are computed once, from the ints, and stored with it.
     """
 
-    __slots__ = ("a", "b", "d", "_hash")
+    __slots__ = ("a", "b", "d", "_hash", "_key")
 
     def __init__(self, re=0, im=0, *, _den=0):
         # _den > 0 marks (re, im, _den) as an already reduced integer triple
@@ -226,18 +228,24 @@ class GaussRational:
         return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self):
-        # consistent with hash(int)/hash(Fraction) when the value is real,
+        # hash(re) when real, else hash((re, im)), as ints and rationals hash,
         # so mixed-coefficient polynomials hash compatibly with equality
         try:
             return self._hash
         except AttributeError:
-            h = hash((self.re, self.im) if self.b else self.re)
+            a, b, d = self.a, self.b, self.d
+            h = hash((_rational_hash(a, d), _rational_hash(b, d))) if b else _rational_hash(a, d)
             _SET_HASH(self, h)
             return h
 
     def sort_key(self):
         # ints order, compare and hash as the equal rationals do
-        return ("q", self.a, self.b) if self.d == 1 else ("q", self.re, self.im)
+        try:
+            return self._key
+        except AttributeError:
+            key = ("q", self.a, self.b) if self.d == 1 else ("q", self.re, self.im)
+            _SET_KEY(self, key)
+            return key
 
     def is_rational(self) -> bool:
         return not self.b
@@ -281,7 +289,22 @@ def _parse_rat(text: str):
     return RATIONAL(Fraction(text))
 
 
-_SET_A, _SET_B, _SET_D, _SET_HASH = (getattr(GaussRational, n).__set__ for n in GaussRational.__slots__)
+_SET_A, _SET_B, _SET_D, _SET_HASH, _SET_KEY = (getattr(GaussRational, n).__set__
+                                               for n in GaussRational.__slots__)
+_HASH_P, _HASH_INF = sys.hash_info.modulus, sys.hash_info.inf
+
+
+def _rational_hash(n: int, d: int) -> int:
+    """hash(Fraction(n, d)) for d > 0, by the same modular formula, without the Fraction."""
+    if d == 1:
+        return hash(n)
+    g = math.gcd(n, d)
+    n, d = n // g, d // g
+    try:
+        h = hash(hash(abs(n)) * pow(d, -1, _HASH_P))
+    except ValueError:  # d is a multiple of the modulus: no inverse
+        h = _HASH_INF
+    return hash(h if n >= 0 else -h)  # 0 <= h < P, and hash(-1) == -2 as for a Fraction
 
 
 def _from_triple(a: int, b: int, d: int) -> GaussRational:

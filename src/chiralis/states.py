@@ -109,7 +109,9 @@ class LinComb:
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
-        self.terms = {key: c for key, c in terms.items() if c} if terms else {}
+        # a zero-free input is copied whole: the copy keeps its keys' stored hashes
+        terms = terms or {}
+        self.terms = dict(terms) if all(terms.values()) else {key: c for key, c in terms.items() if c}
 
     def _like(self, terms):
         """A combination of the same kind as self with the given terms."""

@@ -164,9 +164,9 @@ def b_basis_coordinates(state: SymState) -> dict:
 
 
 def Y_prime(state: SymState, amount, target: SymState) -> SymState:
-    """The normal-ordered structure: fields at the translated points."""
+    """The normal-ordered structure: fields at the translated points.  A
+    translated point on a target pole raises DomainError in ``_b_group``."""
     amount = coerce_scalar_or_jet(amount)
-    _check_no_collision({p + amount for p in sing_support(state)}, target)
     out: dict = {}
     for label, coeff in b_basis_coordinates(state).items():
         piece = target

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -298,6 +299,82 @@ class TestGaussTriple:
         for coeffs, expected in self.ROOTS:
             poly = Poly([GaussRational.parse(c) for c in coeffs])
             assert [str(r) for r in gauss_rational_roots(poly)] == expected
+
+
+class TestTripleHash:
+    """A value's hash comes from its int triple by the modular formula of
+    ``Fraction.__hash__``, and its sort key is computed once."""
+
+    P = sys.hash_info.modulus  # 2**61 - 1
+
+    @staticmethod
+    def _reference(re, im):
+        return hash(re) if im == 0 else hash((re, im))
+
+    def _check(self, re, im):
+        z = qi(re, im)
+        assert hash(z) == self._reference(Fraction(re), Fraction(im)), (re, im)
+        return z
+
+    def test_seeded_values_hash_as_fractions(self):
+        rng = random.Random(2611)
+        dens = (1, 2, 6, 10**6 + 3, self.P, 3 * self.P)
+        seen = set()
+        for _ in range(600):
+            d = rng.choice(dens) if rng.random() < 0.7 else rng.randint(1, 10**12)
+            re = Fraction(rng.randint(-10**20, 10**20), d)
+            im = Fraction(rng.choice((0, rng.randint(-10**20, 10**20))), rng.choice((1, d)))
+            z = self._check(re, im)
+            seen.add((z.d == 1, z.b == 0, z.a < 0 or z.b < 0))
+        assert len(seen) == 8
+
+    def test_parts_reduce_apart_from_the_common_denominator(self):
+        # gcd(a, d) > 1 while gcd(a, b, d) == 1: a/d is reduced before hashing
+        for re, im, triple in [(Fraction(1, 2), Fraction(1, 4), (2, 1, 4)),
+                               (Fraction(-2, 3), Fraction(1, 9), (-6, 1, 9)),
+                               (Fraction(5, 6), Fraction(-1, 4), (10, -3, 12)),
+                               (Fraction(1, 2), Fraction(1, 2 * self.P), (self.P, 1, 2 * self.P))]:
+            z = self._check(re, im)
+            assert (z.a, z.b, z.d) == triple
+            assert math.gcd(z.a, z.d) > 1 and math.gcd(z.a, z.b, z.d) == 1
+
+    def test_denominator_without_a_modular_inverse(self):
+        # a multiple of 2**61 - 1 has no inverse mod P: hash(inf), signed, as Fraction
+        inf = sys.hash_info.inf
+        for k in (1, 2, 7):
+            d = k * self.P
+            assert hash(qi(Fraction(1, d))) == hash(Fraction(1, d)) == inf
+            assert hash(qi(Fraction(-1, d))) == hash(Fraction(-1, d)) == -inf
+            self._check(Fraction(-3, d), Fraction(1, d))
+            self._check(Fraction(2), Fraction(-5, d))
+
+    def test_equal_keys_share_one_dict_entry(self):
+        for a, b, c in [(3, Fraction(3), qi(3)), (-1, Fraction(-2, 2), qi(Fraction(-3, 3))),
+                        (0, Fraction(0), qi(0, 0)), (Fraction(1, 2), Fraction(2, 4), qi(Fraction(1, 2)))]:
+            table = {a: "int"}
+            table[b] = "fraction"
+            table[c] = "gauss"
+            assert len(table) == 1 and table[a] == "gauss"
+        x = qi(Fraction(1, 3), Fraction(-2, 5))
+        table = {x: 1, (x * 7) / 7: 2, qi(1, 2) * qi(1, 2).inverse() * x: 3}
+        assert list(table.values()) == [3]
+
+    def test_hash_builds_no_rational(self, monkeypatch):
+        values = [qi(Fraction(2, 3), Fraction(-1, 6)), qi(Fraction(5, 7)), qi(4, -1)]
+
+        def refuse(*args):
+            raise AssertionError("a rational was built")
+
+        monkeypatch.setattr(exactnum, "RATIONAL", refuse)
+        hashes = [hash(z) for z in values]
+        monkeypatch.undo()
+        assert hashes == [hash((Fraction(2, 3), Fraction(-1, 6))), hash(Fraction(5, 7)), hash((4, -1))]
+
+    def test_sort_key_is_computed_once(self):
+        for z in (qi(Fraction(1, 3), 2), qi(-4, 1), qi(Fraction(-7, 2)), qi(0)):
+            key = z.sort_key()
+            assert z.sort_key() is key
+            assert key == ("q", z.re, z.im)
 
 
 class TestOneCoefficientField:

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from chiralis import pairing
 from chiralis.boson import e_apply, i_apply
 from chiralis.exactnum import (
     INFINITY,
@@ -243,6 +244,34 @@ class TestGram:
     def test_repeated_point_rejected(self):
         with pytest.raises(DomainError):
             gram_matrix([qi(0), qi(0)], 1)
+
+
+class TestPositivityGuards:
+    """``positivity_check`` rejects each way a Gram matrix can fail to be
+    positive definite.  ``gram_matrix`` admits only distinct points inside
+    the disc, whose matrices pass, so the failing matrices are patched in."""
+
+    MATRICES = {
+        "zero-minor": [[2, 1], [1, Fraction(1, 2)]],
+        "zero-first-minor": [[0, 0], [0, 1]],
+        "negative-minor": [[1, 2], [2, 1]],
+        "non-real-minor": [[qi(1, 1), 0], [0, 1]],
+        "non-hermitian": [[1, 1], [0, 1]],
+        "non-hermitian-complex": [[1, qi(0, 1)], [qi(0, 1), 2]],
+    }
+
+    def _check(self, monkeypatch, rows):
+        matrix = [[GaussRational.coerce(x) for x in row] for row in rows]
+        monkeypatch.setattr(pairing, "gram_matrix", lambda points, degree: ([(), ()], matrix))
+        return positivity_check([qi(0)], 1)
+
+    @pytest.mark.parametrize("name", sorted(MATRICES))
+    def test_rejected(self, monkeypatch, name):
+        assert self._check(monkeypatch, self.MATRICES[name]) is False
+
+    def test_positive_definite_accepted(self, monkeypatch):
+        # minors 2 and 2 - i(-i) = 1
+        assert self._check(monkeypatch, [[2, qi(0, 1)], [qi(0, -1), 1]]) is True
 
 
 class TestHeisAdjointness:

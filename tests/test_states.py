@@ -1,7 +1,9 @@
 """Seeded property tests of the linear structure shared by every state type."""
 
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -149,6 +151,63 @@ def test_current_state_keeps_ctx():
         assert (plain + plain).ctx is None
         # equality reads the terms only
         assert CurrentState(with_ctx.terms) == with_ctx
+
+
+class TestConstruction:
+    """A state is a fresh, zero-free dict in the insertion order of its input;
+    an input without zeros is copied whole, with the hashes its keys hold."""
+
+    CTX = InsertionContext(sl2_algebra(), [(qi(0), sl2_fundamental())])
+    MAKERS = {"sym": SymState, "bc": BCState, "current": CurrentState,
+              "current-ctx": lambda terms=None: CurrentState(terms, TestConstruction.CTX)}
+
+    @staticmethod
+    def _inputs(rng, kind):
+        """Nonzero terms, and the same terms with zeros put among them."""
+        base = kind.partition("-")[0]
+        terms = _terms(rng, base, count=6)
+        zeros = {key: c * 0 for key, c in _terms(rng, base, count=3).items() if key not in terms}
+        items = list(terms.items())
+        return terms, {**dict(items[:3]), **zeros, **dict(items[3:])}
+
+    @pytest.mark.parametrize("kind", sorted(MAKERS))
+    def test_drops_zeros_keeps_order_and_copies(self, kind):
+        make = self.MAKERS[kind]
+        for seed in SEEDS:
+            rng = random.Random(1000 + seed)
+            terms, with_zeros = self._inputs(rng, kind)
+            assert any(not c for c in with_zeros.values())
+            for given in (dict(terms), with_zeros):
+                state = make(given)
+                assert list(state.terms.items()) == [(k, c) for k, c in given.items() if c]
+                assert state.terms is not given
+                before = list(state.terms.items())
+                key = next(iter(given))
+                given[key] = given[key] * 2
+                given["a key of no state"] = qi(1)
+                assert list(state.terms.items()) == before
+                given.clear()
+                assert list(state.terms.items()) == before
+            if kind == "current-ctx":
+                assert state.ctx is self.CTX
+
+    def test_one_construction_counts_once(self):
+        bench = str(Path(__file__).resolve().parents[1] / "bench")
+        sys.path.insert(0, bench)
+        try:
+            import tracer as tracing
+        finally:
+            sys.path.remove(bench)
+        terms, with_zeros = self._inputs(random.Random(1100), "sym")
+        tracer = tracing.Tracer()
+        try:
+            tracer.install()
+            for given in (terms, with_zeros, {}):
+                before = tracer.counts["states.symstate_new"]
+                SymState(given)
+                assert tracer.counts["states.symstate_new"] - before == 1
+        finally:
+            tracer.uninstall()
 
 
 def test_lattice_state_keeps_its_parameter():

@@ -153,6 +153,16 @@ class TestYPrime:
         v = b_basis_vector(label)
         assert Y_prime(v, qi(0), vacuum()) == v
 
+    @pytest.mark.parametrize("target_order", [1, 2, 3])
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_translate_onto_a_target_pole_rejected(self, order, target_order):
+        # a pole of the state at 0, moved by 1 onto the target's pole at 1:
+        # the Wick kernel finds the collision before it applies a field
+        state = monomial_state([("pole", qi(0), order)])
+        target = monomial_state([("pole", qi(1), target_order)])
+        with pytest.raises(DomainError):
+            Y_prime(state, qi(1), target)
+
 
 class TestWickGroups:
     def test_matches_the_normal_ordered_product(self):
