@@ -11,6 +11,7 @@ symmetric k = 2 behind the kernel-driven bosons.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 
 from .exactnum import GaussRational, QI_ONE, QI_ZERO
@@ -38,16 +39,9 @@ __all__ = [
 
 def _wedge(atom, mono):
     """Sorted insertion into a strict exterior monomial: (sign, new) or None."""
-    key = atom_sort_key(atom)
-    pos = 0
-    for existing in mono:
-        k = atom_sort_key(existing)
-        if k == key:
-            return None
-        if k < key:
-            pos += 1
-        else:
-            break
+    pos = bisect_left(mono, atom_sort_key(atom), key=atom_sort_key)
+    if pos < len(mono) and mono[pos] == atom:
+        return None
     sign = -1 if pos % 2 else 1
     return sign, mono[:pos] + (atom,) + mono[pos:]
 
@@ -64,30 +58,31 @@ class ExtState(LinComb):
         return max((len(m) for m in self.terms), default=0)
 
     def wedge_front(self, atom, coeff=QI_ONE):
-        out = {}
-        for mon, c in self.terms.items():
-            hit = _wedge(atom, mon)
-            if hit is None:
-                continue
-            sign, new = hit
-            term = c * coeff
-            add_term(out, new, term if sign > 0 else -term)
-        return ExtState(out)
+        return self.contract(None, ((atom, coeff),))
 
-    def contract(self, value_of_atom):
-        """Signed contraction: sum_j (-1)^(j-1) value(atom_j) drop_j.
+    def contract(self, value_of_atom, creation=()):
+        """Signed contraction sum_j (-1)^(j-1) value(atom_j) drop_j, plus
+        the wedge from the front with sum g * atom over the (atom, g) pairs
+        of creation, in one term dict; value_of_atom None contracts nothing.
 
         value_of_atom depends only on the atom, and is evaluated once per
         distinct atom per call (``AtomValues``).
         """
-        values = AtomValues(value_of_atom)
         out = {}
-        for mon, c in self.terms.items():
-            for j, atom in enumerate(mon):
-                val = values[atom]
-                if val:
-                    term = c * val
-                    add_term(out, mon[:j] + mon[j + 1:], -term if j % 2 else term)
+        if value_of_atom is not None:
+            values = AtomValues(value_of_atom)
+            for mon, c in self.terms.items():
+                for j, atom in enumerate(mon):
+                    val = values[atom]
+                    if val:
+                        term = c * val
+                        add_term(out, mon[:j] + mon[j + 1:], -term if j % 2 else term)
+        for atom, g in creation:
+            for mon, c in self.terms.items():
+                hit = _wedge(atom, mon)
+                if hit is not None:
+                    term = c * g
+                    add_term(out, hit[1], term if hit[0] > 0 else -term)
         return ExtState(out)
 
     def __repr__(self):
@@ -116,7 +111,10 @@ def psi_i_apply(z, state: ExtState) -> ExtState:
 
 
 def psi_apply(z, state: ExtState) -> ExtState:
-    return psi_i_apply(z, state) + psi_e_apply(z, state)
+    """psi = psi_i + psi_e: the contraction and the wedge in one state."""
+    z = GaussRational.coerce(z)
+    require_regular(state.terms, z)
+    return state.contract(lambda atom: atom_eval(atom, z), ((("pole", z, 1), QI_ONE),))
 
 
 def fermion_npoint(points) -> GaussRational:
@@ -143,15 +141,9 @@ def mode_psi(l, state: ExtState) -> ExtState:
     if l.denominator != 2:
         raise ValueError("modes are indexed by half-odd integers")
     if l < 0:
-        order = int(-l + Fraction(1, 2))
-        return state.wedge_front(("pole", QI_ZERO, order))
-
-    def value(atom):
-        if atom[0] == "pole" and atom[1] == QI_ZERO and atom[2] == int(l + Fraction(1, 2)):
-            return QI_ONE
-        return QI_ZERO
-
-    return state.contract(value)
+        return state.wedge_front(("pole", QI_ZERO, int(-l + Fraction(1, 2))))
+    target = ("pole", QI_ZERO, int(l + Fraction(1, 2)))
+    return state.contract(lambda atom: QI_ONE if atom == target else QI_ZERO)
 
 
 # ---------------------------------------------------------------------------
@@ -167,9 +159,6 @@ class BCState(LinComb):
     def vacuum_coefficient(self):
         return self.terms.get(((), ()), QI_ZERO)
 
-    def degree(self):
-        return max((len(b) + len(c) for b, c in self.terms), default=0)
-
     def __repr__(self):
         bits = [f"({co})*{list(b)}|{list(c)}" for (b, c), co in self.terms.items()]
         return "BCState(" + (" + ".join(bits) or "0") + ")"
@@ -179,53 +168,66 @@ def bc_vacuum() -> BCState:
     return BCState({((), ()): QI_ONE})
 
 
-def bc_apply(field: str, z, state: BCState) -> BCState:
-    """Apply one of the sector fields; Koszul signs cross the first sector."""
-    z = GaussRational.coerce(z)
-    out = {}
-    if field in ("b_e", "c_e"):
-        # b_e wedges into the first sector; c_e into the twist sector, whose
-        # section reads the kernel in its second slot, minus the pole atom
-        # 1/(z - u), and crosses the first sector
-        sector = 1 if field == "c_e" else 0
-        for key, coeff in state.terms.items():
-            hit = _wedge(("pole", z, 1), key[sector])
-            if hit is None:
-                continue
-            sign, mon = hit
-            odd = (sign < 0) + (len(key[0]) + 1 if sector else 0)  # the wedge sign, the crossing, the minus
-            add_term(out, (key[0], mon) if sector else (mon, key[1]), -coeff if odd % 2 else coeff)
-    elif field in ("b_i", "c_i"):
-        # b_i contracts the twist sector, crossing the first; c_i the first
-        # sector, with a minus sign
-        sector = 1 if field == "b_i" else 0
-        require_regular((key[sector] for key in state.terms), z)
-        values = AtomValues(lambda atom: atom_eval(atom, z))
-        for key, coeff in state.terms.items():
-            mon, flip = key[sector], len(key[0]) if sector else 1
+# the parts of the sector fields: (the sector acted on, whether it contracts)
+_PARTS = {"b_e": (0, False), "c_i": (0, True), "c_e": (1, False), "b_i": (1, True)}
+_FIELDS = {"b": ("b_i", "b_e"), "c": ("c_i", "c_e"), **{part: (part,) for part in _PARTS}}
+
+
+def _sector_part(part, z, values, terms: dict, out: dict, parity=0) -> None:
+    """Accumulate (-1)^parity part(z) applied to a term dict into out.
+
+    b_e wedges the pole atom at z into the first sector; c_e into the twist
+    sector, whose section reads the kernel in its second slot, minus it.
+    b_i contracts the twist sector and c_i, with a minus sign, the first,
+    by values[atom] = atom(z).  A part on the twist sector crosses the first.
+    """
+    sector, contracts = _PARTS[part]
+    if contracts:
+        require_regular((key[sector] for key in terms), z)
+    for key, coeff in terms.items():
+        mon = key[sector]
+        odd = parity + (len(key[0]) if sector else 0) + (part[0] == "c")  # the crossing, the minus
+        if contracts:
             for j, atom in enumerate(mon):
                 val = values[atom]
                 if val:
                     term, rest = coeff * val, mon[:j] + mon[j + 1:]
                     add_term(out, (key[0], rest) if sector else (rest, key[1]),
-                             -term if (flip + j) % 2 else term)
-    elif field == "b":
-        return bc_apply("b_i", z, state) + bc_apply("b_e", z, state)
-    elif field == "c":
-        return bc_apply("c_i", z, state) + bc_apply("c_e", z, state)
-    else:
+                             -term if (odd + j) % 2 else term)
+            continue
+        hit = _wedge(("pole", z, 1), mon)
+        if hit is not None:
+            sign, new = hit
+            add_term(out, (key[0], new) if sector else (new, key[1]),
+                     -coeff if (odd + (sign < 0)) % 2 else coeff)
+
+
+def bc_apply(field: str, z, state: BCState) -> BCState:
+    """Apply b_e, b_i, c_e, c_i, b = b_i + b_e or c = c_i + c_e."""
+    z = GaussRational.coerce(z)
+    if field not in _FIELDS:
         raise ValueError(f"unknown sector field {field!r}")
+    values = AtomValues(lambda atom: atom_eval(atom, z))
+    out = {}
+    for part in _FIELDS[field]:
+        _sector_part(part, z, values, state.terms, out)
     return BCState(out)
 
 
 def composite_b_apply(z, state: BCState) -> BCState:
-    """The normal-ordered bilinear of the two sector fields at one point."""
+    """The normal-ordered bilinear of the two sector fields at one point:
+    b_e c + b_i c_i - c_e b_i."""
     z = GaussRational.coerce(z)
-    out = bc_apply("b_i", z, bc_apply("c_i", z, state))
-    out = out + bc_apply("b_e", z, bc_apply("c_e", z, state))
-    out = out + bc_apply("b_e", z, bc_apply("c_i", z, state))
-    out = out - bc_apply("c_e", z, bc_apply("b_i", z, state))
-    return out
+    values = AtomValues(lambda atom: atom_eval(atom, z))
+    c, b_i, out = {}, {}, {}
+    # c holds c_i(state) when b_i reads it, then c(state) when b_e does
+    _sector_part("c_i", z, values, state.terms, c)
+    _sector_part("b_i", z, values, c, out)
+    _sector_part("c_e", z, values, state.terms, c)
+    _sector_part("b_e", z, values, c, out)
+    _sector_part("b_i", z, values, state.terms, b_i)
+    _sector_part("c_e", z, values, b_i, out, parity=1)
+    return BCState(out)
 
 
 def composite_two_point(z1, z2) -> GaussRational:
@@ -262,7 +264,3 @@ class KernelBoson:
 
     def b_apply(self, z, state: SymState) -> SymState:
         return self.i_apply(z, state) + self.e_apply(z, state)
-
-    def two_point(self, z1, z2):
-        state = self.b_apply(z1, self.b_apply(z2, SymState({(): QI_ONE})))
-        return state.vacuum_coefficient()

@@ -249,9 +249,6 @@ class LatticeState(LinComb):
             return False
         return LinComb.__eq__(self, other)
 
-    def grades(self) -> set:
-        return {key[1].grade for key in self.terms}
-
     def __repr__(self):
         bits = []
         for (mon, section, tdu), coeff in self.terms.items():
@@ -353,8 +350,8 @@ class LatticeTheory:
             if scale is not None:
                 value = value * _lat(self.N, scale) ** (self.N * lam_check)
             base = coeff * value
-            # peel function factors: each either stays or is replaced by its
-            # value times -lambda
+            # peel function factors in order: each either stays or is replaced
+            # by its value times -lambda, so every piece stays sorted
             pieces = [((), LatticeScalar(self.N, QI_ONE))]
             for atom in mon:
                 nxt = []
@@ -363,12 +360,7 @@ class LatticeTheory:
                     nxt.append((atoms, w * (-lam) * values[atom]))
                 pieces = nxt
             for atoms, w in pieces:
-                key = (
-                    tuple(sorted(atoms, key=atom_sort_key)),
-                    section,
-                    tdu + self.N * lam_check,
-                )
-                add_term(out, key, base * w)
+                add_term(out, (atoms, section, tdu + self.N * lam_check), base * w)
         return LatticeState(self.N, out)
 
     def vertex(self, lam_check: int, z, state: LatticeState, scale=None) -> LatticeState:

@@ -12,7 +12,12 @@ Wick kernel (``boson._b_group``) replaced.  The Heisenberg operators, at
 a site and with insertions, are the contraction plus one product state
 per pole part plus one scaled copy for the scalar part, which one call
 of ``SymState.contract`` replaced; their values come from ``residue_at``
-on a fresh partial-fraction split.  The tests compare the program's
+on a fresh partial-fraction split.  The fermion fields are the sums of
+their parts that the one sector kernel (``fermion._sector_part``) and the
+contract-and-wedge call of ``ExtState.contract`` replaced: b = b_i + b_e
+and c = c_i + c_e as two states, the composite field as its four
+compositions, and psi = psi_i + psi_e; each wedge counts the atoms it moves
+past instead of inserting by bisection.  The tests compare the program's
 versions with them on seeded states with repeated atoms.
 """
 
@@ -22,11 +27,11 @@ import itertools
 from fractions import Fraction
 
 from chiralis.boson import b_apply, e_apply, e_deriv_apply, i_apply, i_deriv_apply
-from chiralis.exactnum import INFINITY, QI_ONE, QI_ZERO, partial_fractions, residue_at
+from chiralis.exactnum import INFINITY, QI_ONE, QI_ZERO, GaussRational, partial_fractions, residue_at
 from chiralis.fermion import BCState, ExtState, fermion_vacuum, psi_apply
-from chiralis.geometry import atom_deriv_eval, atom_ratfunc, atom_sort_key
+from chiralis.geometry import atom_deriv_eval, atom_eval, atom_ratfunc, atom_sort_key
 from chiralis.lattice import LatticeState
-from chiralis.states import SymState, add_term, vacuum
+from chiralis.states import SymState, add_term, require_regular, vacuum
 
 
 def _sorted_monomial(atoms):
@@ -84,6 +89,72 @@ def bc_contract(field: str, value_of_atom, state: BCState) -> BCState:
                 sign = -1 if j % 2 else 1
                 add_term(out, (b[:j] + b[j + 1:], c), -coeff * value_of_atom(atom) * sign)
     return BCState(out)
+
+
+def _wedge_sign(atom, mon) -> int:
+    """(-1)^(the atoms of mon that sort before atom), or 0 when mon holds it."""
+    if atom in mon:
+        return 0
+    return -1 if sum(atom_sort_key(a) < atom_sort_key(atom) for a in mon) % 2 else 1
+
+
+def ext_wedge(state: ExtState, atom, coeff=QI_ONE) -> ExtState:
+    """The wedge from the front: the atom moves past each smaller atom."""
+    out = {}
+    for mon, c in state.terms.items():
+        sign = _wedge_sign(atom, mon)
+        if sign:
+            add_term(out, _sorted_monomial(mon + (atom,)), c * coeff * sign)
+    return ExtState(out)
+
+
+def psi_oracle(z, state: ExtState) -> ExtState:
+    """psi = psi_i + psi_e: the contraction state plus the wedge state."""
+    z = GaussRational.coerce(z)
+    require_regular(state.terms, z)
+    return ext_contract(state, lambda a: atom_eval(a, z)) + ext_wedge(state, ("pole", z, 1))
+
+
+def bc_wedge(field: str, z, state: BCState) -> BCState:
+    """b_e wedges the pole atom at z into the first sector; c_e wedges minus
+    it into the twist sector, crossing the first."""
+    atom = ("pole", z, 1)
+    out = {}
+    for (b, c), coeff in state.terms.items():
+        if field == "b_e":
+            sign = _wedge_sign(atom, b)
+            if sign:
+                add_term(out, (_sorted_monomial(b + (atom,)), c), coeff * sign)
+        else:
+            sign = _wedge_sign(atom, c) * (-1 if len(b) % 2 else 1)
+            if sign:
+                add_term(out, (b, _sorted_monomial(c + (atom,))), -coeff * sign)
+    return BCState(out)
+
+
+def bc_apply_oracle(field: str, z, state: BCState) -> BCState:
+    """The sector fields as sums of their parts: b = b_i + b_e and
+    c = c_i + c_e, two states each."""
+    z = GaussRational.coerce(z)
+    if field in ("b", "c"):
+        return bc_apply_oracle(field + "_i", z, state) + bc_apply_oracle(field + "_e", z, state)
+    if field in ("b_e", "c_e"):
+        return bc_wedge(field, z, state)
+    if field in ("b_i", "c_i"):
+        require_regular((key[1 if field == "b_i" else 0] for key in state.terms), z)
+        return bc_contract(field, lambda a: atom_eval(a, z), state)
+    raise ValueError(f"unknown sector field {field!r}")
+
+
+def composite_oracle(z, state: BCState) -> BCState:
+    """b_i c_i + b_e c_e + b_e c_i - c_e b_i, one composition each."""
+    def part(field, s):
+        return bc_apply_oracle(field, z, s)
+
+    out = part("b_i", part("c_i", state))
+    out = out + part("b_e", part("c_e", state))
+    out = out + part("b_e", part("c_i", state))
+    return out - part("c_e", part("b_i", state))
 
 
 def lattice_iota(theory, z, state: LatticeState) -> LatticeState:

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import contraction_oracle
 from chiralis.boson import b_apply, e_apply, i_apply, npoint_wick, vacuum
@@ -271,8 +272,154 @@ class TestKernelBoson:
         kb = KernelBoson(bergman_genus0())
         k = bergman_genus0()
         z1, z2 = qi(0), qi(3)
-        assert kb.two_point(z1, z2) == k.value(z1, z2)
+        state = kb.b_apply(z1, kb.b_apply(z2, vacuum()))
+        assert state.vacuum_coefficient() == k.value(z1, z2)
 
     def test_odd_kernel_rejected(self):
         with pytest.raises(DomainError):
             KernelBoson(szego_genus0())
+
+
+# -- the sector kernel against the sums of its parts ---------------------------
+
+BC_FIELDS = ("b_e", "b_i", "c_e", "c_i", "b", "c")
+
+# points with denominator d != 1, real and not: (n d + 1)/d + i m/d
+POINTS = st.builds(lambda n, m, d: qi(Fraction(n * d + 1, d), Fraction(m, d)),
+                   st.integers(-2, 2), st.integers(-2, 2), st.sampled_from((2, 3, 5)))
+COEFFS = st.builds(lambda re, im: qi(re, im) or qi(1), st.fractions(-3, 3, max_denominator=4),
+                   st.fractions(-2, 2, max_denominator=3))
+KERNEL_CASES = settings(derandomize=True, max_examples=50, deadline=None)
+
+
+def _monomials(points, min_size=0):
+    """Strictly sorted monomials of at most three atoms at the given points."""
+    atoms = [("pole", p, k) for p in points for k in (1, 2)]
+    return st.lists(st.sampled_from(atoms), unique=True, min_size=min_size, max_size=3).map(
+        lambda mon: tuple(sorted(mon, key=atom_sort_key)))
+
+
+@st.composite
+def bc_states(draw, points, pole_at=None):
+    """A BCState with one term that has atoms in both sectors; pole_at =
+    (z, sector) puts a pole at z into that sector of the term."""
+    mono, filled = _monomials(points), _monomials(points, 1)
+    terms = draw(st.dictionaries(st.tuples(mono, mono), COEFFS, max_size=3))
+    key = [draw(filled), draw(filled)]
+    if pole_at is not None:
+        z, sector = pole_at
+        atom = ("pole", z, draw(st.sampled_from((1, 2))))
+        key[sector] = tuple(sorted(set(key[sector]) | {atom}, key=atom_sort_key))
+    terms[tuple(key)] = draw(COEFFS)
+    return BCState(terms)
+
+
+@st.composite
+def ext_states(draw, points, pole_at=None):
+    """An ExtState with a term of at least one atom; pole_at = z puts a pole
+    at z into that term."""
+    terms = draw(st.dictionaries(_monomials(points), COEFFS, max_size=3))
+    key = draw(_monomials(points, 1))
+    if pole_at is not None:
+        key = tuple(sorted(set(key) | {("pole", pole_at, 1)}, key=atom_sort_key))
+    terms[key] = draw(COEFFS)
+    return ExtState(terms)
+
+
+def _outcome(fn, *args):
+    """The state fn builds, or DomainError when it raises that."""
+    try:
+        return fn(*args)
+    except DomainError:
+        return DomainError
+
+
+class TestSectorKernel:
+    @KERNEL_CASES
+    @given(data=st.data(), points=st.lists(POINTS, min_size=4, max_size=4, unique=True))
+    def test_fields_match_sums_of_parts(self, data, points):
+        pool, z = points[:3], points[3]
+        state = data.draw(bc_states(pool))
+        for field in BC_FIELDS:
+            assert bc_apply(field, z, state) == contraction_oracle.bc_apply_oracle(field, z, state), field
+        assert composite_b_apply(z, state) == contraction_oracle.composite_oracle(z, state)
+
+    @KERNEL_CASES
+    @given(data=st.data(), points=st.lists(POINTS, min_size=3, max_size=3, unique=True),
+           sector=st.sampled_from((0, 1)))
+    def test_domain_errors_match(self, data, points, sector):
+        # the wedge parts read no value, so they take the pole at z and
+        # compare as states; the contractions of its sector raise
+        z = points[0]
+        state = data.draw(bc_states(points, pole_at=(z, sector)))
+        for field in BC_FIELDS:
+            got = _outcome(bc_apply, field, z, state)
+            assert got == _outcome(contraction_oracle.bc_apply_oracle, field, z, state), field
+        assert _outcome(composite_b_apply, z, state) is DomainError
+        assert _outcome(contraction_oracle.composite_oracle, z, state) is DomainError
+
+    @pytest.mark.parametrize("field", ["b_x", "", "bc"])
+    def test_unknown_field_rejected(self, field):
+        for apply in (bc_apply, contraction_oracle.bc_apply_oracle):
+            with pytest.raises(ValueError, match="unknown sector field"):
+                apply(field, qi(1), bc_vacuum())
+
+    @KERNEL_CASES
+    @given(data=st.data(), points=st.lists(POINTS, min_size=4, max_size=4, unique=True))
+    def test_psi_matches_contraction_plus_wedge(self, data, points):
+        pool, z = points[:3], points[3]
+        state = data.draw(ext_states(pool))
+        assert psi_apply(z, state) == contraction_oracle.psi_oracle(z, state)
+        for atom in (("pole", z, 1), ("pole", pool[0], 1)):
+            assert state.wedge_front(atom) == contraction_oracle.ext_wedge(state, atom)
+
+    @KERNEL_CASES
+    @given(data=st.data(), points=st.lists(POINTS, min_size=3, max_size=3, unique=True))
+    def test_psi_domain_error_matches(self, data, points):
+        state = data.draw(ext_states(points, pole_at=points[0]))
+        assert _outcome(psi_apply, points[0], state) is DomainError
+        assert _outcome(contraction_oracle.psi_oracle, points[0], state) is DomainError
+
+
+class TestOneStatePerCall:
+    """Each field builds its result as one state, with no intermediate ones."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        names = []
+        for cls in (BCState, ExtState):
+            def counting(self, *args, _init=cls.__init__, **kwargs):
+                names.append(type(self).__name__)
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        return names
+
+    @staticmethod
+    def _states():
+        rng = random.Random(41)
+        pool = [qi(Fraction(1, 2), 1), qi(Fraction(-1, 3)), qi(Fraction(2, 5), -1)]
+        bc = BCState({})
+        while len(bc.terms) < 3:
+            bc = bc + rand_bc_state(rng, pool)
+        ext = rand_fermion_state(rng, pool) + rand_fermion_state(rng, pool)
+        return bc, ext
+
+    def test_bc_fields(self, built):
+        bc, _ = self._states()
+        z = qi(Fraction(7, 3), Fraction(1, 2))
+        for field in BC_FIELDS:
+            del built[:]
+            assert bc_apply(field, z, bc), field
+            assert built == ["BCState"], field
+        del built[:]
+        assert composite_b_apply(z, bc)
+        assert built == ["BCState"]
+
+    def test_psi(self, built):
+        _, ext = self._states()
+        z = qi(Fraction(7, 3), Fraction(1, 2))
+        for apply in (psi_apply, psi_i_apply, psi_e_apply):
+            del built[:]
+            assert apply(z, ext)
+            assert built == ["ExtState"], apply.__name__

@@ -10,6 +10,7 @@ from chiralis.lattice import (
     SectionClass,
     du_power_balance,
 )
+from chiralis.geometry import atom_sort_key
 from chiralis.sampling import rand_scalar
 from chiralis.states import DomainError
 
@@ -126,7 +127,7 @@ class TestVertex:
             s = th.vacuum(sec)
             for lam in (-2, -1, 1, 2):
                 out = th.vertex(lam, qi(5), s)
-                assert out.grades() == {sec.grade + lam}
+                assert {key[1].grade for key in out.terms} == {sec.grade + lam}
 
     def test_du_ledger_after_vertex(self):
         for N in (1, 2, 4):
@@ -159,6 +160,27 @@ class TestVertex:
             a = th.j(zj, th.vertex(lam, zV, s))
             b = th.vertex(lam, zV, th.j(zj, s))
             assert a == b
+
+
+    def test_output_monomials_stay_sorted(self):
+        # flat_minus keys each peeled piece without re-sorting it
+        rng = random.Random(11)
+        pool = [("pole", qi(Fraction(1, 2), -1), 1), ("pole", qi(Fraction(1, 2), -1), 2),
+                ("pole", qi(-1, Fraction(1, 3)), 1), ("pole", qi(Fraction(2, 5)), 3), ("poly", 2)]
+        for _ in range(12):
+            th = LatticeTheory(rng.choice((1, 2, 3)))
+            sec = SectionClass([(qi(4, 1), rng.choice((-1, 1, 2)))])
+            state = th.vacuum(sec).scale(0)
+            for _ in range(3):
+                atoms = rng.choices(pool, k=rng.randint(3, 5))
+                atoms.append(atoms[0])  # a repeated atom
+                state = state + th.monomial(atoms, sec, rand_scalar(rng) or qi(1))
+            lam, z = rng.choice((-2, -1, 1, 2)), qi(Fraction(rng.randint(5, 9), 7), rng.randint(-2, 2))
+            for out in (th.flat_minus(lam, z, state), th.vertex(lam, z, state)):
+                monomials = [mon for mon, _, _ in out.terms]
+                assert any(len(mon) >= 3 and len(set(mon)) < len(mon) for mon in monomials)
+                for mon in monomials:
+                    assert mon == tuple(sorted(mon, key=atom_sort_key))
 
 
 class TestSignRule:
