@@ -247,10 +247,6 @@ class OpeExpansion:
         return self.buckets.get(k, SymState())
 
     @property
-    def singular(self) -> dict:
-        return {k: v for k, v in self.buckets.items() if k < 0}
-
-    @property
     def regular(self) -> SymState:
         return self.coefficient(0)
 

@@ -33,7 +33,7 @@ from .serialize import (
     scalar_to_str,
     state_to_json,
 )
-from .states import DomainError, SymState, vacuum
+from .states import DomainError, SymState, require_distinct, vacuum
 
 __all__ = ["main", "run"]
 
@@ -101,6 +101,7 @@ def _emit_text(payload, indent=""):
     elif isinstance(payload, list):
         for value in payload:
             if isinstance(value, (dict, list)):
+                print(f"{indent}-")
                 _emit_text(value, indent + "  ")
             else:
                 print(f"{indent}- {value}")
@@ -145,8 +146,7 @@ def _npoint_values(args, points):
 
 def cmd_npoint(args) -> int:
     points = _parse_points(args.points)
-    if len(points) != len(set((p.re, p.im) for p in points)):
-        raise ConfigError("points must be pairwise distinct")
+    require_distinct(points)
     identity, value, other = _npoint_values(args, points)
     payload = {
         "theory": args.theory,
@@ -274,16 +274,13 @@ def cmd_ope(args) -> int:
 
 
 def cmd_gram(args) -> int:
-    from .pairing import gram_matrix, leading_minors
+    from .pairing import _gram_verdict, gram_matrix
 
     if args.degree < 0:
         raise ConfigError("--degree takes a nonnegative integer")
     points = _parse_points(args.points)
     labels, matrix = gram_matrix(points, args.degree)
-    minors = leading_minors(matrix)
-    n = len(matrix)
-    hermitian = all(matrix[i][j] == matrix[j][i].conjugate() for i in range(n) for j in range(n))
-    positive = all(m.is_rational() and m.re > 0 for m in minors)
+    minors, hermitian, positive = _gram_verdict(matrix)
     payload = {
         "command": "gram",
         "points": [scalar_to_str(p) for p in points],

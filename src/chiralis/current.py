@@ -209,8 +209,7 @@ class InsertionContext:
         self.dims = tuple(
             max((len(m) for m in rep.values()), default=1) for rep in self.reps
         )
-        if len(set((p.re, p.im) for p in self.points)) != len(self.points):
-            raise DomainError("insertion points must be distinct")
+        require_distinct(self.points)
 
     def act(self, site: int, lie_idx: int, vec_idx: int) -> dict:
         """Action of a basis element on a basis vector: {new_idx: coeff}."""

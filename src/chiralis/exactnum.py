@@ -31,7 +31,6 @@ except ImportError:  # pragma: no cover
 
 __all__ = [
     "ExactnumError",
-    "PoleError",
     "UnsupportedDenominatorError",
     "GaussRational",
     "is_rational_scalar",
@@ -46,25 +45,14 @@ __all__ = [
     "PartialFractions",
     "partial_fractions",
     "partial_fractions_known",
-    "pole_order",
-    "pole_part_coeffs",
     "residue_at",
     "residue_pairing",
-    "evaluate",
     "sqrt_gauss_rational",
 ]
 
 
 class ExactnumError(ArithmeticError):
     """Base class for exact-arithmetic failures."""
-
-
-class PoleError(ExactnumError):
-    """Evaluation was attempted at a pole; carries the offending point."""
-
-    def __init__(self, point):
-        self.point = point
-        super().__init__(f"evaluation at a pole: {point}")
 
 
 class UnsupportedDenominatorError(ExactnumError):
@@ -632,16 +620,6 @@ class RatFunc:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def is_constant(self) -> bool:
-        return self.num.degree <= 0 and self.den.degree == 0
-
-    def constant_value(self):
-        if not self.is_constant():
-            raise ValueError("not a constant rational function")
-        if self.num.is_zero():
-            return QI_ZERO
-        return self.num.coeffs[0] / self.den.coeffs[0]
-
     def __eq__(self, other):
         b = _lift(other)
         if b is NotImplemented:
@@ -815,11 +793,6 @@ def _chart(f: RatFunc, z):
     return f.num.coeffs, f.den.coeffs, z
 
 
-def pole_order(f: RatFunc, c) -> int:
-    """Multiplicity of u = c as a root of the denominator."""
-    return _shifted_den(f.den.coeffs, c)[0]
-
-
 def _series_inverse_mul(num: list, den: list, terms: int) -> list:
     """Coefficients of (num/den) as a power series; den[0] must be a unit."""
     lead = den[0]
@@ -848,30 +821,6 @@ def local_expansion(f: RatFunc, c, order: int):
     if f.is_zero():
         return 0, []
     return _laurent(f.num.coeffs, f.den.coeffs, c, order)
-
-
-def pole_part_coeffs(f: RatFunc, c) -> dict:
-    """{order l: coefficient of (u-c)^(-l)} of the pole part of f at c."""
-    m, coeffs = local_expansion(f, c, -1)
-    return {m - j: x for j, x in enumerate(coeffs) if x}
-
-
-def evaluate(f: RatFunc, z) -> GaussRational:
-    """Exact value of f at a point; at infinity the leading-degree limit."""
-    z = as_point(z)
-    if z.is_infinity:
-        dn, dd = f.num.degree, f.den.degree
-        if f.is_zero() or dn < dd:
-            return QI_ZERO
-        if dn > dd:
-            raise PoleError(INFINITY)
-        return f.num.leading() / f.den.leading()
-    c = z.value
-    top = f.num.evaluate(c)
-    bot = f.den.evaluate(c)
-    if not bot:
-        raise PoleError(z)
-    return top / bot
 
 
 def residue_at(f: RatFunc, z) -> GaussRational:
@@ -923,13 +872,6 @@ class PartialFractions:
 
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("PartialFractions is immutable")
-
-    def recompose(self) -> RatFunc:
-        out = RatFunc(self.polynomial)
-        u = RatFunc.variable()
-        for c, order, coeff in self.terms:
-            out = out + RatFunc.const(coeff) / (u - c) ** order
-        return out
 
     def __repr__(self):
         return f"PartialFractions(poly={self.polynomial!r}, terms={self.terms!r})"

@@ -363,10 +363,6 @@ class Kernel:
     def __setattr__(self, name, value):  # pragma: no cover
         raise AttributeError("Kernel is immutable")
 
-    def section_at(self, z) -> RatFunc:
-        """K(u, z) = (u-z)^-k as a rational function of u."""
-        return atom_ratfunc(("pole", z, self.diagonal_order))
-
     def value(self, z1, z2):
         return atom_eval(("pole", z2, self.diagonal_order), z1)
 

@@ -226,10 +226,6 @@ class Jet:
             return False if _plain_scalar(other) else NotImplemented
         return (self.val, self.prec, self.coeffs) == (other.val, other.prec, other.coeffs)
 
-    def agrees_with(self, other) -> bool:
-        """Truncated comparison: equal in every order below both precision bounds."""
-        return not (self - other)
-
     def __hash__(self):
         h = self._hash
         if h is None:

@@ -399,14 +399,6 @@ class LatticeTheory:
                 add_term(out, (mon, section, tdu), coeff * response)
         return LatticeState(self.N, out)
 
-    def rescaled_representative(self, state: LatticeState, t) -> LatticeState:
-        """The same states written against the rescaled section t*sigma."""
-        t = _lat(self.N, t)
-        out = {}
-        for (mon, section, tdu), coeff in state.terms.items():
-            out[(mon, section, tdu)] = coeff * t ** (self.N * section.grade)
-        return LatticeState(self.N, out)
-
     def zero_mode_check(self, section: SectionClass):
         """Measured zero-mode scalar on the section vacuum (N = 1)."""
         if self.N != 1:

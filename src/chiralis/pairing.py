@@ -18,7 +18,7 @@ from math import comb, factorial, perm
 
 from .exactnum import GaussRational, INFINITY, QI_ONE, QI_ZERO, RatFunc
 from .geometry import GeometryError, _atom_residue, atom_product, dec_atoms
-from .states import DomainError, SymState, monomial_state, vacuum
+from .states import DomainError, SymState, monomial_state, require_distinct, vacuum
 from .symmetry import HeisenbergOp, _phi_pole_parts, heis_apply
 
 __all__ = [
@@ -300,12 +300,10 @@ def gram_matrix(points, degree: int):
     Returns (labels, matrix); points must be distinct and inside the disc.
     """
     pts = [GaussRational.coerce(p) for p in points]
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if pts[i] == pts[j]:
-                raise DomainError("gram points must be distinct")
-        if not in_open_disc(pts[i]):
-            raise DomainError(f"point {pts[i]} is not inside the open disc")
+    require_distinct(pts)
+    for p in pts:
+        if not in_open_disc(p):
+            raise DomainError(f"point {p} is not inside the open disc")
     import itertools
 
     labels = []
@@ -365,17 +363,17 @@ def _determinant(block):
     return det
 
 
+def _gram_verdict(matrix):
+    """(leading minors, hermitian, positive) of a square matrix, exactly:
+    positive when every leading principal minor is rational and positive."""
+    minors = leading_minors(matrix)
+    n = len(matrix)
+    hermitian = all(matrix[i][j] == matrix[j][i].conjugate() for i in range(n) for j in range(n))
+    positive = all(m.is_rational() and m.re > 0 for m in minors)
+    return minors, hermitian, positive
+
+
 def positivity_check(points, degree: int) -> bool:
     """Hermitian + all leading principal minors positive, exactly."""
-    _, matrix = gram_matrix(points, degree)
-    n = len(matrix)
-    for i in range(n):
-        for j in range(n):
-            if matrix[i][j] != matrix[j][i].conjugate():
-                return False
-    for minor in leading_minors(matrix):
-        if not minor.is_rational():
-            return False
-        if not (minor.re > 0):
-            return False
-    return True
+    _, hermitian, positive = _gram_verdict(gram_matrix(points, degree)[1])
+    return hermitian and positive

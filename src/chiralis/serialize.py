@@ -1,11 +1,13 @@
 """JSON encodings for scalars, rational functions, and state types.
 
 Scalars travel as exact strings ("a/b" or "a/b+c/d*i"); rational functions
-as {"num": [...], "den": [...]} with coefficients low-to-high; states as
-lists of {"monomial": [...], "coeff": ...} with basis atoms encoded
-"pole:c:l" / "poly:m".  A parsed state is canonical: monomials are sorted
-by the atom order and repeated entries summed; an exterior monomial that is
-not strictly sorted, or a current word out of normal order, is an error.
+as {"num": [...], "den": [...]} with coefficients low-to-high; boson-type
+states as lists of {"monomial": [...], "coeff": ...} with basis atoms
+encoded "pole:c:l" / "poly:m"; current states as lists of {"word": [...],
+"insertions": [...], "coeff": ...}; lattice states are written only.  A
+parsed state is canonical: monomials are sorted by the atom order and
+repeated entries summed; an exterior monomial that is not strictly sorted,
+or a current word out of normal order, is an error.
 """
 
 from __future__ import annotations
@@ -171,33 +173,3 @@ def lattice_state_to_json(state) -> list:
         )
     out.sort(key=lambda e: (e["monomial"], e["roots"], e["half_du_power"]))
     return out
-
-
-# -- sector states -----------------------------------------------------------
-
-
-def bc_state_to_json(state) -> list:
-    out = []
-    for (b, c), coeff in state.terms.items():
-        out.append(
-            {
-                "weight_sector": [atom_to_str(a) for a in b],
-                "twist_sector": [atom_to_str(a) for a in c],
-                "coeff": scalar_to_str(coeff),
-            }
-        )
-    out.sort(key=lambda e: (e["weight_sector"], e["twist_sector"]))
-    return out
-
-
-def bc_state_from_json(obj: list):
-    from .fermion import BCState
-
-    terms = {}
-    for entry in obj:
-        key = (
-            _monomial_from_json(entry["weight_sector"], True),
-            _monomial_from_json(entry["twist_sector"], True),
-        )
-        add_term(terms, key, scalar_from_str(entry["coeff"]))
-    return BCState(terms)

@@ -3,7 +3,9 @@
 The tracer patches the program from outside: it counts the constructor in
 ``SymState.__dict__``, swaps the module caches it names for counting dicts
 and wraps public functions and methods.  A refactor that removes one of
-these hooks fails here, not only in a traced benchmark run.
+these hooks fails here, not only in a traced benchmark run.  The last test
+keeps the other direction: the program carries no code that neither it nor
+its exports use, beyond what the benchmark alone imports.
 """
 
 import sys
@@ -171,3 +173,51 @@ def test_every_cache_is_traced_or_named_untraced():
     traced = set(_tracer_module().CACHES)
     assert found - traced == UNTRACED_CACHES
     assert traced <= found
+
+
+# definitions that only bench/ uses: each can move only with a benchmark change
+BENCH_ONLY = {("current", "sl2_fundamental")}
+
+
+def test_every_definition_is_referenced_or_exported():
+    """Every module-level function or class of chiralis is referenced
+    elsewhere in the package or listed in its module's ``__all__``, and every
+    private function or method (``_name``, not a dunder) is referenced in the
+    package outside its own body.  A reference is a name, an attribute or an
+    imported name, matched by spelling.  Code that nothing calls fails here."""
+    import ast
+    from collections import defaultdict
+
+    import chiralis
+
+    trees = {path.stem: ast.parse(path.read_text(), str(path))
+             for path in sorted(Path(chiralis.__file__).parent.glob("*.py"))}
+    refs = defaultdict(list)
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                refs[node.id].append((module, node.lineno))
+            elif isinstance(node, ast.Attribute):
+                refs[node.attr].append((module, node.lineno))
+            elif isinstance(node, ast.ImportFrom):
+                for alias in node.names:
+                    refs[alias.name].append((module, node.lineno))
+
+    def referenced(module, node):
+        return any(m != module or not node.lineno <= line <= node.end_lineno for m, line in refs[node.name])
+
+    unreferenced = set()
+    for module, tree in trees.items():
+        exported = set()
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+                exported = set(ast.literal_eval(node.value))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in exported:
+                if not referenced(module, node):
+                    unreferenced.add((module, node.name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_") and not node.name.endswith("__"):
+                if not referenced(module, node):
+                    unreferenced.add((module, node.name))
+    assert unreferenced == BENCH_ONLY

@@ -152,7 +152,7 @@ class TestNPoint:
 
         pts = [jet_point(qi(1, 1), 4), qi(0), qi(3), qi(-2, 1)]
         full = contraction_oracle.boson_npoint_composition(pts)
-        assert npoint_operator(pts) == full and npoint_wick(pts).agrees_with(full)
+        assert npoint_operator(pts) == full and not (npoint_wick(pts) - full)
 
 
 class TestAtomValuesOnce:

@@ -12,8 +12,6 @@ from chiralis.cli import run
 from chiralis.exactnum import qi
 from chiralis.sampling import rand_scalar
 from chiralis.serialize import (
-    bc_state_from_json,
-    bc_state_to_json,
     current_state_from_json,
     current_state_to_json,
     state_from_json,
@@ -42,12 +40,6 @@ class TestRoundTrips:
         s = pbw_normalize(sl2_algebra(), ((0, qi(0), 1), (2, qi(1), 2)))
         assert current_state_from_json(current_state_to_json(s), sl2_algebra()) == s
 
-    def test_bc_state(self):
-        from chiralis.fermion import bc_apply, bc_vacuum
-
-        s = bc_apply("b_e", qi(1), bc_apply("c_e", qi(2), bc_vacuum()))
-        assert bc_state_from_json(bc_state_to_json(s)) == s
-
 
 class TestCanonicalInput:
     """A parsed state is the canonical form of its entries, whatever their order."""
@@ -72,10 +64,6 @@ class TestCanonicalInput:
 
         with pytest.raises(ValueError, match="not strictly sorted"):
             state_from_json([{"monomial": monomial, "coeff": "1"}], ExtState)
-        for sector in ("weight_sector", "twist_sector"):
-            entry = {"weight_sector": [], "twist_sector": [], "coeff": "1", sector: monomial}
-            with pytest.raises(ValueError, match="not strictly sorted"):
-                bc_state_from_json([entry])
         assert state_from_json([{"monomial": monomial[::-1], "coeff": "1"}], SymState)
 
     def test_exterior_entries_are_summed(self):

@@ -6,6 +6,7 @@ import pytest
 from chiralis.exactnum import GaussRational, qi
 from chiralis.lattice import (
     LatticeScalar,
+    LatticeState,
     LatticeTheory,
     SectionClass,
     du_power_balance,
@@ -13,6 +14,12 @@ from chiralis.lattice import (
 from chiralis.geometry import atom_sort_key
 from chiralis.sampling import rand_scalar
 from chiralis.states import DomainError
+
+
+def rescaled_representative(th, state, t):
+    """The same states written against the rescaled section t*sigma."""
+    t = LatticeScalar(th.N, t)
+    return LatticeState(th.N, {key: coeff * t ** (th.N * key[1].grade) for key, coeff in state.terms.items()})
 
 
 class TestLatticeScalar:
@@ -146,7 +153,7 @@ class TestVertex:
         )
         for t in (qi(Fraction(2, 3)), qi(0, 1), qi(-2)):
             lhs = th.vertex(1, qi(5), state)
-            rhs = th.vertex(1, qi(5), th.rescaled_representative(state, t), scale=t)
+            rhs = th.vertex(1, qi(5), rescaled_representative(th, state, t), scale=t)
             assert lhs == rhs
 
     def test_j_commutes_with_vertex(self):

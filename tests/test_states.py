@@ -8,13 +8,15 @@ from pathlib import Path
 import pytest
 
 import contraction_oracle
+from chiralis.boson import npoint_wick
 from chiralis.current import CurrentState, InsertionContext, sl2_algebra, sl2_fundamental
 from chiralis.exactnum import RatFunc, qi
 from chiralis.fermion import BCState, ExtState, bc_apply
 from chiralis.geometry import atom_eval, atom_sort_key
 from chiralis.lattice import LatticeScalar, LatticeState, LatticeTheory, SectionClass
+from chiralis.pairing import gram_matrix
 from chiralis.sampling import rand_scalar
-from chiralis.states import LinComb, SymState, add_term, monomial_state
+from chiralis.states import DomainError, LinComb, SymState, add_term, monomial_state
 
 SEEDS = range(8)
 
@@ -223,6 +225,16 @@ def test_lattice_state_keeps_its_parameter():
         scaled = two.scale(rand_scalar(rng) or 1)
         assert scaled.N == 2
         assert all(isinstance(c, LatticeScalar) and c.N == 2 for c in scaled.terms.values())
+
+
+@pytest.mark.parametrize("call", [
+    lambda: gram_matrix([qi(0), Fraction(0)], 1),
+    lambda: InsertionContext(sl2_algebra(), [(1, sl2_fundamental()), (qi(1), sl2_fundamental())]),
+    lambda: npoint_wick([qi(2), qi(1), qi(2)]),
+], ids=["gram_matrix", "InsertionContext", "npoint_wick"])
+def test_repeated_points_fail_one_distinctness_check(call):
+    with pytest.raises(DomainError, match="^points must be pairwise distinct$"):
+        call()
 
 
 def test_add_term():
