@@ -23,7 +23,7 @@ from .exactnum import (
 from .geometry import _atom_residue, _loop_product, _pole_part_of_product, atom_eval, atom_product, dec_atoms
 from .jets import SLACK, coerce_scalar_or_jet, jet_point, moved_expansion, with_jet_retry
 from .pairing import in_open_disc
-from .states import DomainError, LinComb, add_term, require_distinct
+from .states import DomainError, LinComb, add_term, central_scalar, require_distinct
 from .symmetry import _phi_pole_parts
 
 __all__ = [
@@ -351,36 +351,27 @@ def _pbw_word_terms(algebra: LieAlgebra, word) -> dict:
 
 def pbw_normalize(algebra: LieAlgebra, word, ins=(), coeff=QI_ONE, ctx=None) -> CurrentState:
     """Straighten an arbitrary word into the fixed normal form."""
-    ins = tuple(ins)
     out: dict = {}
-    for w, c in _pbw_word_terms(algebra, tuple(word)).items():
-        val = c * coeff
-        if val:
-            out[(w, ins)] = val
+    _add_word(algebra, tuple(word), tuple(ins), coeff, out)
     return CurrentState(out, ctx)
 
 
-def _multiply(algebra, gen, word, ins, coeff, out: dict) -> None:
-    """Accumulate coeff * gen . word, straightened, at insertion indices ins into out."""
-    for w, wc in _pbw_word_terms(algebra, (gen,) + word).items():
-        add_term(out, (w, ins), wc * coeff)
+def _add_word(algebra, word, ins, coeff, out: dict) -> None:
+    """Accumulate coeff * word, straightened, at insertion indices ins into out."""
+    for w, c in _pbw_word_terms(algebra, word).items():
+        add_term(out, (w, ins), c * coeff)
 
 
-def _left_multiply(algebra, combos, state: CurrentState) -> CurrentState:
-    """Left multiplication by sum(coeff * LoopGen) followed by straightening."""
-    out: dict = {}
-    for gen, gcoeff in combos:
-        for (word, ins), c in state.terms.items():
-            _multiply(algebra, gen, word, ins, c * gcoeff, out)
-    return CurrentState(out, state.ctx)
-
-
-def _apply(algebra, op, state: CurrentState) -> CurrentState:
-    """The kernel operator op (``_through_word``) on a state."""
+def _apply(algebra, state: CurrentState, op=None, combos=()) -> CurrentState:
+    """The kernel operator op (``_through_word``) plus left multiplication by
+    sum(coeff * LoopGen) over combos, on a state, in one term dict."""
     out: dict = {}
     for (word, ins), coeff in state.terms.items():
-        for key, c in _through_word(algebra, op, word, ins).items():
-            add_term(out, key, c * coeff)
+        if op is not None:
+            for key, c in _through_word(algebra, op, word, ins).items():
+                add_term(out, key, c * coeff)
+        for gen, gc in combos:
+            _add_word(algebra, (gen,) + word, ins, coeff * gc, out)
     return CurrentState(out, state.ctx)
 
 
@@ -409,14 +400,14 @@ def _through_word(algebra, op, word, ins) -> dict:
         bracket, scalar, combos = step(x)
         out = {}
         for (w, i), c in _through_word(algebra, op, rest, ins).items():
-            _multiply(algebra, x, w, i, c, out)
+            _add_word(algebra, (x,) + w, i, c, out)
         if scalar:
             add_term(out, (rest, ins), scalar)
         if bracket is not None:
             for term, c in _through_word(algebra, bracket, rest, ins).items():
                 add_term(out, term, c)
         for gen, gc in combos:
-            _multiply(algebra, gen, rest, ins, gc, out)
+            _add_word(algebra, (gen,) + rest, ins, gc, out)
     if key is not None:
         _IOTA_CACHE[key + (word,)] = out
     return out
@@ -435,16 +426,13 @@ def _as_elem(algebra, v):
 
 def epsilon_apply(algebra, v, z, state: CurrentState) -> CurrentState:
     """Left multiplication by the simple-pole loop element at z."""
-    v = _as_elem(algebra, v)
     z = coerce_scalar_or_jet(z)
-    combos = [((a, z, 1), coeff) for a, coeff in v.items()]
-    return _left_multiply(algebra, combos, state)
+    return _apply(algebra, state, combos=[((a, z, 1), c) for a, c in _as_elem(algebra, v).items()])
 
 
 def iota_apply(algebra, v, z, state: CurrentState) -> CurrentState:
     """Contraction field at z via the commutation recursion."""
-    op = _iota_op(algebra, _as_elem(algebra, v), coerce_scalar_or_jet(z), state.ctx)
-    return _apply(algebra, op, state)
+    return _apply(algebra, state, _iota_op(algebra, _as_elem(algebra, v), coerce_scalar_or_jet(z), state.ctx))
 
 
 def _iota_op(algebra, v, z, ctx):
@@ -484,7 +472,9 @@ def _iota_op(algebra, v, z, ctx):
 
 
 def j_apply(algebra, v, z, state: CurrentState) -> CurrentState:
-    return epsilon_apply(algebra, v, z, state) + iota_apply(algebra, v, z, state)
+    """The current j = epsilon + iota at z, in one ``_apply``."""
+    v, z = _as_elem(algebra, v), coerce_scalar_or_jet(z)
+    return _apply(algebra, state, _iota_op(algebra, v, z, state.ctx), [((a, z, 1), c) for a, c in v.items()])
 
 
 # ---------------------------------------------------------------------------
@@ -580,8 +570,7 @@ def mode_j(algebra, v, l: int, state: CurrentState) -> CurrentState:
     into (a, 0, k) letters over the state's scalars."""
     v = _as_elem(algebra, v)
     if l <= -1:
-        combos = [((a, QI_ZERO, -l), coeff) for a, coeff in v.items()]
-        return _left_multiply(algebra, combos, state)
+        return _apply(algebra, state, combos=[((a, QI_ZERO, -l), c) for a, c in v.items()])
     out: dict = {}
     for ins, terms in _origin_sectors(state).items():
         for w, c in _j_exponents(algebra, _q_elem(v), l, terms).items():
@@ -655,11 +644,11 @@ def affine_bracket_check(algebra, a, l: int, b, m: int, spanning=None):
     """Measure [j_l, j_m] against the loop bracket plus central term.
 
     On the exponent kernel: per spanning state v (``_origin_spanning``, or
-    the given states split by insertion indices) [j^a_l, j^b_m] v -
-    j^[a,b]_{l+m} v accumulates in one dict, which must be central * v,
-    central measured on the first state of degree 0.  Returns it as a
-    GaussRational; raises AssertionError when the operator part is not
-    central or the central term is not l (a, b) delta_{l+m,0}.
+    the vacuum and the given states split by insertion indices)
+    [j^a_l, j^b_m] v - j^[a,b]_{l+m} v accumulates in one dict, which must
+    be central * v (``states.central_scalar``, central read on the vacuum).
+    Returns it as a GaussRational; raises AssertionError when the operator
+    part is not central or the central term is not l (a, b) delta_{l+m,0}.
     """
     ea, eb = _as_elem(algebra, a), _as_elem(algebra, b)
     va, vb, br = _q_elem(ea), _q_elem(eb), _q_elem(algebra.bracket(ea, eb))
@@ -672,16 +661,10 @@ def affine_bracket_check(algebra, a, l: int, b, m: int, spanning=None):
     if spanning is None:
         spanning = _origin_spanning(algebra)
     else:
-        spanning = [terms for s in spanning for terms in _origin_sectors(s).values()]
-    central = None
-    for v in spanning:
-        lhs = bracket(v)
-        if central is None and not any(v):
-            central = lhs.get((), 0)
-        if lhs != ({w: c * central for w, c in v.items()} if central else {}):
-            raise AssertionError(f"mode bracket [{a},{l};{b},{m}] is not central")
+        spanning = [{(): 1}] + [terms for s in spanning for terms in _origin_sectors(s).values()]
+    central = central_scalar(((v, bracket(v)) for v in spanning), f"mode bracket [{a},{l};{b},{m}]")
     expected_central = algebra.pair(ea, eb) * l if l + m == 0 else QI_ZERO
-    if central is None or central != expected_central:
+    if central != expected_central:
         raise AssertionError(
             f"central term {central} differs from {expected_central}"
         )
@@ -748,14 +731,14 @@ def _nu_pair_d_gen(algebra, nu_comps, gen, site):
 
 def J_P_apply(algebra, nu, state: CurrentState) -> CurrentState:
     """Operator attached to nu at the base point at infinity."""
-    return _apply(algebra, _nu_op(algebra, _nu_components(algebra, nu), None, state.ctx), state)
+    return _apply(algebra, state, _nu_op(algebra, _nu_components(algebra, nu), None, state.ctx))
 
 
 def J_site_apply(algebra, nu, site_index: int, state: CurrentState) -> CurrentState:
     """Operator attached to nu, local at the given insertion point."""
     if state.ctx is None:
         raise DomainError("site operators need an insertion context")
-    return _apply(algebra, _nu_op(algebra, _nu_components(algebra, nu), site_index, state.ctx), state)
+    return _apply(algebra, state, _nu_op(algebra, _nu_components(algebra, nu), site_index, state.ctx))
 
 
 def _nu_op(algebra, nu_comps, site, ctx):
@@ -785,7 +768,7 @@ def _J_P_base(algebra, nu_comps, ins, ctx) -> dict:
     for a, atoms in nu_comps.items():
         for atom, g in atoms.items():
             if atom[0] == "pole":
-                _multiply(algebra, (a, atom[1], atom[2]), (), ins, g, out)
+                _add_word(algebra, ((a, atom[1], atom[2]),), ins, g, out)
     if ctx is not None:
         for j, zj in enumerate(ctx.points):
             for a, atoms in nu_comps.items():
@@ -809,7 +792,7 @@ def _J_site_base(algebra, nu_comps, site, ins, ctx) -> dict:
     for a, atoms in nu_comps.items():
         for atom, g in atoms.items():
             if atom[0] == "pole" and atom[1] == zl:
-                _multiply(algebra, (a, zl, atom[2]), (), ins, g, out)
+                _add_word(algebra, ((a, zl, atom[2]),), ins, g, out)
                 for j, zj in enumerate(ctx.points):
                     if j != site:
                         _act_on_slot(ctx, j, ins, a, -g * atom_eval(atom, zj), out)
@@ -823,27 +806,17 @@ def _J_site_base(algebra, nu_comps, site, ins, ctx) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def constant_adjoint(algebra, elem: dict, state: CurrentState) -> CurrentState:
-    """Action of a constant Lie element on the vacuum-sector quotient.
+def _adjoint_op(algebra, elem: dict, ctx):
+    """A constant Lie element as a ``_through_word`` operator: it brackets
+    each letter, kills the vacuum slot and acts on each insertion slot
+    (``_J_P_base`` of the constant function)."""
+    comps = {a: {("poly", 0): va} for a, va in elem.items()}
 
-    Constants act by the derivation bracketing each word letter (their
-    direct action on the vacuum slot vanishes; insertion slots, when
-    present, are acted on matrix-wise).
-    """
-    out = CurrentState({}, state.ctx)
-    acts: dict = {}
-    for (word, ins), coeff in state.terms.items():
-        for i, (b, c, l) in enumerate(word):
-            br = algebra.bracket(elem, {b: QI_ONE})
-            for k, bc in br.items():
-                neww = word[:i] + ((k, c, l),) + word[i + 1:]
-                out = out + pbw_normalize(algebra, neww, ins, coeff * bc, state.ctx)
-        if state.ctx is not None:
-            for j in range(len(state.ctx.points)):
-                for a, va in elem.items():
-                    for idx, mc in state.ctx.act(j, a, ins[j]).items():
-                        add_term(acts, (word, ins[:j] + (idx,) + ins[j + 1:]), coeff * va * mc)
-    return out + CurrentState(acts, state.ctx)
+    def step(x):
+        b, c, l = x
+        return None, 0, [((k, c, l), bc) for k, bc in algebra.bracket(elem, {b: QI_ONE}).items()]
+
+    return None, lambda ins: _J_P_base(algebra, comps, ins, ctx), step
 
 
 def _dual_gen_atoms(ctil, l) -> list:
@@ -875,7 +848,7 @@ def _convert_reciprocal_word_to_origin(algebra, word, coeff):
             raise DomainError("reciprocal generator has a pole at the origin")
         (_, const), *poles = _dual_gen_atoms(c, l)
         combos = [((a, p[1], p[2]), co) for p, co in poles]
-        state = _left_multiply(algebra, combos, state) + constant_adjoint(algebra, {a: const}, state)
+        state = _apply(algebra, state, _adjoint_op(algebra, {a: const}, None), combos)
     return state
 
 
@@ -884,8 +857,8 @@ def base_point_independence_check(algebra, v, z, recip_word) -> bool:
 
     ``recip_word`` is a word of reciprocal-chart loop generators; the check
     converts it (modulo constants), applies the current on both sides, and
-    compares, also measuring that the creation halves differ by exactly
-    the constant Lie element v/z (the base-point shift).
+    compares.  The creation-half offset v/z of the base-point shift is
+    ``boson.eps_tilde_offset``, which this check does not measure.
     """
     v = _as_elem(algebra, v)
     z = GaussRational.coerce(z)
@@ -894,17 +867,15 @@ def base_point_independence_check(algebra, v, z, recip_word) -> bool:
     # u-chart side
     state_u = _convert_reciprocal_word_to_origin(algebra, recip_word, QI_ONE)
     j_u = j_apply(algebra, v, z, state_u)
-    # reciprocal-chart side: the same word, fields in the reciprocal coordinate
-    state_t = pbw_normalize(algebra, recip_word)
-    zt = 1 / z
-    eps_t = epsilon_apply(algebra, v, zt, state_t)
-    iota_t = iota_apply(algebra, v, zt, state_t)
+    # reciprocal-chart side: the same word, the field in the reciprocal coordinate
+    j_t = j_apply(algebra, v, 1 / z, pbw_normalize(algebra, recip_word))
     # hatted conversion: the reciprocal form factor d(u_t)/du at z is -1/z^2
-    j_t = (eps_t + iota_t).scale(-1 / z ** 2)
-    converted = CurrentState({}, None)
-    for (word, ins), c in j_t.terms.items():
-        converted = converted + _convert_reciprocal_word_to_origin(algebra, word, c)
-    return converted == j_u
+    factor = -1 / z ** 2
+    converted: dict = {}
+    for (word, _), c in j_t.terms.items():
+        for key, cc in _convert_reciprocal_word_to_origin(algebra, word, c * factor).terms.items():
+            add_term(converted, key, cc)
+    return converted == j_u.terms
 
 
 # ---------------------------------------------------------------------------
@@ -1029,6 +1000,5 @@ def _expand_current(algebra, apply_fn, v, z, state, order, prec) -> dict:
             new_word = list(word)
             for i, o in zip(moving, orders):
                 new_word[i] = (word[i][0], z, o)
-            addition = pbw_normalize(algebra, tuple(new_word), ins, factor, state.ctx)
-            buckets[k] = buckets[k] + addition if k in buckets else addition
-    return {k: s for k, s in buckets.items() if s}
+            _add_word(algebra, tuple(new_word), ins, factor, buckets.setdefault(k, {}))
+    return {k: CurrentState(terms, state.ctx) for k, terms in buckets.items() if terms}

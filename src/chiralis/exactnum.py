@@ -180,15 +180,7 @@ class GaussRational:
             return NotImplemented
         if n < 0:
             return self.inverse() ** -n
-        # the first factor starts the product, and no squaring follows the last bit
-        out, base = None, self
-        while n:
-            if n & 1:
-                out = base if out is None else out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return GaussRational(1) if out is None else out
+        return repeated_squaring(self, n) if n else GaussRational(1)
 
     def conjugate(self) -> "GaussRational":
         return GaussRational(self.a, -self.b, _den=self.d)
@@ -299,6 +291,19 @@ def _from_triple(a: int, b: int, d: int) -> GaussRational:
     """(a + b*i)/d for ints a, b and d > 0, reduced by one gcd."""
     g = math.gcd(a, b, d)
     return GaussRational(a // g, b // g, _den=d // g)
+
+
+def repeated_squaring(x, n: int):
+    """x ** n for n >= 1, the one power routine of the scalar types: the first
+    factor starts the product, and no squaring follows the last bit."""
+    out, base = None, x
+    while n:
+        if n & 1:
+            out = base if out is None else out * base
+        n >>= 1
+        if n:
+            base = base * base
+    return out
 
 
 def _as_gauss(value):
@@ -495,14 +500,7 @@ class Poly:
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             return NotImplemented
-        out = _POLY_ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return repeated_squaring(self, n) if n else _POLY_ONE
 
     def divmod(self, other: "Poly"):
         """Exact field division with remainder."""
@@ -683,14 +681,7 @@ class RatFunc:
             return NotImplemented
         if n < 0:
             return (1 / self) ** (-n)
-        out = RatFunc(_POLY_ONE, _POLY_ONE, _reduced=True)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return repeated_squaring(self, n) if n else RatFunc(_POLY_ONE, _POLY_ONE, _reduced=True)
 
     def derivative(self) -> "RatFunc":
         return RatFunc(

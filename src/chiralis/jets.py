@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 
-from .exactnum import QI_ONE, QI_ZERO, GaussRational, is_rational_scalar
+from .exactnum import QI_ONE, QI_ZERO, GaussRational, is_rational_scalar, repeated_squaring
 
 __all__ = [
     "Jet",
@@ -189,15 +189,7 @@ class Jet:
             return self.inverse() ** (-n)
         if n == 0:
             return Jet(0, [QI_ONE], self.prec)
-        out = None
-        base = self
-        while n:
-            if n & 1:
-                out = base if out is None else out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
+        return repeated_squaring(self, n)
 
     def _affine_power(self, m: int) -> "Jet":
         """(t^v (a + s t))^-m, m >= 1, over scalars a, s with one scalar inversion:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 
-from .exactnum import GaussRational, QI_ONE, QI_ZERO, RatFunc, is_rational_scalar
+from .exactnum import GaussRational, QI_ONE, QI_ZERO, RatFunc, is_rational_scalar, repeated_squaring
 from .geometry import atom_deriv_eval, atom_eval, atom_sort_key
 from .states import AtomValues, DomainError, LinComb, add_term, atom_runs, require_regular
 
@@ -111,14 +111,7 @@ class LatticeScalar:
     def __pow__(self, n: int):
         if n < 0:
             return 1 / (self ** (-n))
-        out = LatticeScalar(self.N, QI_ONE)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return repeated_squaring(self, n) if n else LatticeScalar(self.N, QI_ONE)
 
     def __bool__(self):
         return bool(self.a or self.b)

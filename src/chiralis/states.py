@@ -17,7 +17,7 @@ import itertools
 from .exactnum import QI_ONE, QI_ZERO
 from .geometry import atom_sort_key
 
-__all__ = ["DomainError", "require_regular", "require_distinct", "LinComb", "add_term",
+__all__ = ["DomainError", "require_regular", "require_distinct", "LinComb", "add_term", "central_scalar",
            "AtomValues", "atom_runs", "drop_above_degree", "SymState", "vacuum", "monomial_state"]
 
 
@@ -51,6 +51,19 @@ def add_term(out: dict, key, val) -> None:
         out[key] = acc
     elif key in out:
         del out[key]
+
+
+def central_scalar(pairs, what: str):
+    """The scalar c with [A, B] v = c v on every spanning state v: pairs
+    yields the term dicts (v, [A, B] v), the first v the vacuum {(): 1}, on
+    which c is read.  Raises AssertionError "<what> is not central"."""
+    central = None
+    for v, lhs in pairs:
+        if central is None:
+            central = lhs.get((), 0)
+        if lhs != ({key: c * central for key, c in v.items()} if central else {}):
+            raise AssertionError(f"{what} is not central")
+    return central
 
 
 class AtomValues(dict):

@@ -34,7 +34,7 @@ from .geometry import (
     dec_atoms,
     lie_atom,
 )
-from .states import DomainError, SymState, add_term, monomial_state, vacuum
+from .states import DomainError, SymState, add_term, central_scalar, monomial_state, vacuum
 
 __all__ = [
     "HeisenbergOp",
@@ -143,13 +143,9 @@ def heis_commutator_check(phi: RatFunc, psi: RatFunc, site=INFINITY):
     site = as_point(site)
     op1 = HeisenbergOp(phi, site)
     op2 = HeisenbergOp(psi, site)
-    measured = None
-    for v in spanning_states():
-        lhs = heis_apply(op1, heis_apply(op2, v)) - heis_apply(op2, heis_apply(op1, v))
-        if v == vacuum():
-            measured = lhs.vacuum_coefficient()
-        if lhs != v.scale(measured if measured is not None else QI_ZERO):
-            raise AssertionError("test-function commutator is not central")
+    pairs = ((v.terms, (heis_apply(op1, heis_apply(op2, v)) - heis_apply(op2, heis_apply(op1, v))).terms)
+             for v in spanning_states())
+    measured = central_scalar(pairs, "test-function commutator") or QI_ZERO
     expected = residue_pairing(phi, psi, site)
     if not site.is_infinity:
         expected = -expected
@@ -356,15 +352,10 @@ def virasoro_bracket_check(l: int, m: int, max_degree: int = 4):
         _L_exponents(m, _L_exponents(l, v), -1, out)
         return _L_exponents(l + m, v, m - l, out)
 
-    measured = bracket(()).get((), 0)
     states = [(), (2,), (3,), (4,), (5,), (2, 2), (2, 3), (2, 4), (3, 3), (3, 4), (4, 4),
               (2,) * min(3, max_degree)]
-    for ks in states:
-        if len(ks) <= max_degree and bracket(ks) != ({ks: measured} if measured else {}):
-            raise AssertionError(
-                f"[L_{l}, L_{m}] - ({l - m}) L_{l + m} is not central"
-            )
-    return GaussRational(measured)
+    pairs = (({ks: 1}, bracket(ks)) for ks in states if len(ks) <= max(max_degree, 0))
+    return GaussRational(central_scalar(pairs, f"[L_{l}, L_{m}] - ({l - m}) L_{l + m}"))
 
 
 def bracket_L_b(m: int, n: int, state: SymState) -> SymState:

@@ -22,7 +22,12 @@ with ν a dict of ``RatFunc`` components:
 * ``mode_j_oracle`` / ``affine_bracket_check_oracle``: the loop modes at
   the origin by the commutation recursion on ``CurrentState`` words with
   GaussRational coefficients, where ``chiralis.current`` runs an exponent
-  kernel on (basis index, pole order) tuples over ints and Fractions.
+  kernel on (basis index, pole order) tuples over ints and Fractions;
+* ``_left_multiply`` / ``constant_adjoint``: left multiplication by loop
+  generators and the adjoint action of a constant Lie element, one
+  ``pbw_normalize`` state per term (summed as states for the adjoint
+  action), where ``chiralis.current`` accumulates both in the one term
+  dict of its ``_apply``.
 """
 
 from __future__ import annotations
@@ -30,8 +35,6 @@ from __future__ import annotations
 from chiralis.current import (
     CurrentState,
     _as_elem,
-    _left_multiply,
-    constant_adjoint,
     current_vacuum,
     pbw_normalize,
 )
@@ -47,6 +50,39 @@ from chiralis.exactnum import (
 from chiralis.geometry import _loop_product
 from chiralis.pairing import in_open_disc
 from chiralis.states import DomainError, add_term
+
+
+def _left_multiply(algebra, combos, state: CurrentState) -> CurrentState:
+    """Left multiplication by sum(coeff * LoopGen) followed by straightening."""
+    out: dict = {}
+    for gen, gcoeff in combos:
+        for (word, ins), c in state.terms.items():
+            for key, wc in pbw_normalize(algebra, (gen,) + word, ins).terms.items():
+                add_term(out, key, wc * (c * gcoeff))
+    return CurrentState(out, state.ctx)
+
+
+def constant_adjoint(algebra, elem: dict, state: CurrentState) -> CurrentState:
+    """Action of a constant Lie element on the vacuum-sector quotient.
+
+    Constants act by the derivation bracketing each word letter (their
+    direct action on the vacuum slot vanishes; insertion slots, when
+    present, are acted on matrix-wise).
+    """
+    out = CurrentState({}, state.ctx)
+    acts: dict = {}
+    for (word, ins), coeff in state.terms.items():
+        for i, (b, c, l) in enumerate(word):
+            br = algebra.bracket(elem, {b: QI_ONE})
+            for k, bc in br.items():
+                neww = word[:i] + ((k, c, l),) + word[i + 1:]
+                out = out + pbw_normalize(algebra, neww, ins, coeff * bc, state.ctx)
+        if state.ctx is not None:
+            for j in range(len(state.ctx.points)):
+                for a, va in elem.items():
+                    for idx, mc in state.ctx.act(j, a, ins[j]).items():
+                        add_term(acts, (word, ins[:j] + (idx,) + ins[j + 1:]), coeff * va * mc)
+    return out + CurrentState(acts, state.ctx)
 
 
 def _sum_terms(state: CurrentState, term_of) -> CurrentState:

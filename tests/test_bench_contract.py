@@ -221,3 +221,27 @@ def test_every_definition_is_referenced_or_exported():
                 if not referenced(module, node):
                     unreferenced.add((module, node.name))
     assert unreferenced == BENCH_ONLY
+
+
+# private chiralis names an oracle may import, each with its reason
+ORACLE_PRIVATE_IMPORTS = {
+    ("current", "_as_elem"): "the coercion of a field's Lie argument, which the oracle fields take as the program's do",
+    ("geometry", "_loop_product"): "the product of two loop generators, the letter arithmetic that straightening is made of",
+}
+
+
+def test_oracles_own_their_compositions():
+    """No test oracle (``tests/*_oracle.py``, ``tests/tower_*.py``) imports a
+    private chiralis name outside ``ORACLE_PRIVATE_IMPORTS``: a composition
+    that the program replaced by a fast path lives on in the oracle that
+    checks it, not as a private helper of the program."""
+    import ast
+
+    tests = Path(__file__).resolve().parent
+    found = set()
+    for path in sorted([*tests.glob("*_oracle.py"), *tests.glob("tower_*.py")]):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "chiralis":
+                found |= {(path.name, node.module.split(".")[-1], alias.name) for alias in node.names
+                          if alias.name.startswith("_")}
+    assert {(module, name) for _, module, name in found} <= set(ORACLE_PRIVATE_IMPORTS), sorted(found)

@@ -36,7 +36,6 @@ from chiralis.boson import eps_tilde_offset
 from chiralis.current import (
     _convert_reciprocal_word_to_origin,
     _dual_gen_atoms,
-    _left_multiply,
     _loop_product,
 )
 from chiralis.exactnum import (
@@ -57,9 +56,13 @@ from chiralis.states import DomainError, monomial_state
 from current_oracle import (
     J_P_apply_oracle,
     J_site_apply_oracle,
+    _left_multiply,
     affine_bracket_check_oracle,
+    constant_adjoint,
     convert_reciprocal_word_oracle,
+    epsilon_apply_oracle,
     iota_apply_oracle,
+    j_apply_oracle,
     mode_j_oracle,
     residue_pair_degree_one_oracle,
 )
@@ -352,6 +355,11 @@ class TestModeKernel:
     def test_given_spanning_states(self):
         span = [current_vacuum(), pbw_normalize(SL2, ((0, QI_ZERO, 1), (2, QI_ZERO, 2)))]
         assert affine_bracket_check(SL2, "e", 1, "f", -1, span) == qi(1)
+        # the central term is read on the vacuum, whatever the order, scale or presence of
+        # a degree-0 state among the given ones
+        e1 = pbw_normalize(SL2, ((0, QI_ZERO, 1),))
+        for span in ([e1, current_vacuum()], [current_vacuum().scale(2), e1], [e1, span[1]]):
+            assert affine_bracket_check(SL2, "e", 1, "f", -1, span) == qi(1)
         with pytest.raises(DomainError):
             affine_bracket_check(SL2, "e", 1, "f", -1, [pbw_normalize(SL2, ((0, qi(1, 1), 1),))])
 
@@ -1034,6 +1042,86 @@ class TestKnownPoles:
         dual = monomial_state([("pole", qi(2), 3)])
         pairing.single_form_residue_pairing(dual, monomial_state([("pole", qi(0, 1), 2)]))
         assert calls == []
+
+
+class TestOneAccumulation:
+    """Every current field is one ``_apply`` call: epsilon, j and the negative
+    modes against the compositions kept in ``current_oracle``, with no
+    context and with one and two insertion sites, and a pin of one
+    ``CurrentState`` per call."""
+
+    POOL = [qi(0), qi(Fraction(1, 2)), qi(Fraction(-2, 3), Fraction(1, 4))]
+    POINTS = [qi(Fraction(5, 2)), qi(Fraction(1, 3), Fraction(-2, 5))]
+
+    def contexts(self, algebra):
+        rep = sl2_fundamental() if algebra is SL2 else trivial_rep()
+        sites = [qi(Fraction(-3, 2)), qi(Fraction(3, 4), 1)]
+        return [None] + [InsertionContext(algebra, [(z, rep) for z in sites[:n]]) for n in (1, 2)]
+
+    def states(self, rng, algebra, ctx):
+        for _ in range(4):
+            ins = tuple(rng.randint(0, 1) if algebra is SL2 else 0 for _ in (ctx.points if ctx else ()))
+            s = rand_state(rng, algebra, self.POOL, 3, ctx, ins)
+            yield s + pbw_normalize(algebra, ((rng.randrange(algebra.dim), rng.choice(self.POOL), 1),),
+                                    ins, rand_scalar(rng), ctx)
+
+    @pytest.mark.parametrize("algebra", [SL2, AB], ids=["sl2", "abelian"])
+    def test_fields_match_oracle(self, algebra):
+        rng = random.Random(1801)
+        for ctx in self.contexts(algebra):
+            for s in self.states(rng, algebra, ctx):
+                v = _rand_elem(rng, algebra)
+                for z in self.POINTS:
+                    for got, expected in ((epsilon_apply(algebra, v, z, s), epsilon_apply_oracle(algebra, v, z, s)),
+                                          (j_apply(algebra, v, z, s), j_apply_oracle(algebra, v, z, s))):
+                        assert got == expected and got.ctx is ctx, (v, z, s)
+                for l in (-1, -2, -3):
+                    got = mode_j(algebra, v, l, s)
+                    assert got == mode_j_oracle(algebra, v, l, s) and got.ctx is ctx, (v, l, s)
+
+    def test_adjoint_op_matches_oracle(self):
+        rng = random.Random(1802)
+        for ctx in self.contexts(SL2):
+            for s in self.states(rng, SL2, ctx):
+                elem = _rand_elem(rng, SL2)
+                assert current._apply(SL2, s, current._adjoint_op(SL2, elem, ctx)) == constant_adjoint(SL2, elem, s)
+
+    def test_one_state_per_call(self, monkeypatch):
+        ctx = self.contexts(SL2)[2]
+        s = pbw_normalize(SL2, ((0, QI_ZERO, 2), (2, self.POOL[2], 1)), (0, 1), qi(2), ctx)
+        bare = CurrentState(s.terms)
+        origin = pbw_normalize(SL2, ((0, QI_ZERO, 1), (1, QI_ZERO, 2)), (), qi(3))
+        nu = {"e": 1 / (U - ctx.points[0]) ** 2 + U, "h": qi(2)}
+        z = self.POINTS[1]
+        calls = [
+            lambda: epsilon_apply(SL2, "e", z, s),
+            lambda: iota_apply(SL2, "h", z, s),
+            lambda: j_apply(SL2, {0: qi(1), 2: qi(0, 1)}, z, s),
+            lambda: j_apply(SL2, "f", z, bare),
+            lambda: mode_j(SL2, "f", -2, s),
+            lambda: mode_j(SL2, "e", 1, origin),
+            lambda: J_P_apply(SL2, nu, s),
+            lambda: J_site_apply(SL2, nu, 0, s),
+        ]
+        built = []
+        init = CurrentState.__init__
+        monkeypatch.setattr(CurrentState, "__init__", lambda self, *a, **k: built.append(1) or init(self, *a, **k))
+        for call in calls:
+            built.clear()
+            assert call()
+            assert len(built) == 1
+
+        # the expansion: per precision attempt one state for the inner field,
+        # then one per returned order
+        attempts = []
+        monkeypatch.setattr(current, "jet_point", lambda *a: attempts.append(1) or jet_point(*a))
+        for field in ("j", "iota", "epsilon"):
+            for state in (s, bare):
+                built.clear()
+                attempts.clear()
+                orders = current_expand_at_generic_point(SL2, "e", z, state, 1, field)
+                assert orders and len(attempts) == 1
+                assert len(built) == 1 + len(orders), field
 
 
 class TestOneRecursion:

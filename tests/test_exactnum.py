@@ -160,6 +160,37 @@ operands = st.one_of(
 )
 
 
+class TestOnePowerRoutine:
+    """Every scalar type raises to n >= 1 by ``exactnum.repeated_squaring``
+    and keeps its own one for n = 0: x ** n is the repeated product, and a
+    jet's precision bound is that of the product too."""
+
+    @staticmethod
+    def values(rng):
+        from chiralis.jets import Jet
+        from chiralis.lattice import LatticeScalar
+
+        for _ in range(3):
+            yield rand_scalar(rng), GaussRational(1)
+            yield rand_poly(rng, max_degree=2, span=3), Poly([1])
+            yield rand_ratfunc(rng, max_poles=1, span=3), RatFunc.const(GaussRational(1))
+            val, prec = rng.randint(-1, 1), rng.randint(2, 4)
+            jet = Jet(val, [rand_scalar(rng) or qi(1) for _ in range(prec - val)], prec)
+            yield jet, Jet(0, [qi(1)], prec)
+            yield LatticeScalar(2, rand_scalar(rng), rand_scalar(rng)), LatticeScalar(2, qi(1))
+
+    def test_power_is_the_repeated_product(self):
+        rng = random.Random(2901)
+        for x, one in self.values(rng):
+            assert x ** 0 == one and type(x ** 0) is type(x)
+            product = x
+            for n in range(1, 10):
+                got = x ** n
+                assert got == product and type(got) is type(x), (x, n)
+                assert getattr(got, "prec", None) == getattr(product, "prec", None), (x, n)
+                product = product * x
+
+
 class TestGaussTriple:
     def test_operators_match_fraction_pairs_seeded(self):
         rng = random.Random(1969)

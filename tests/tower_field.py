@@ -21,8 +21,9 @@ layer so the expected side of those tests does not share it:
 
 No public ``chiralis`` function is called with a tower value: the current
 fields at a symbolic point are the recursions of ``current_oracle``, whose
-straightening (``current._left_multiply``) and ``CurrentState`` terms take
-the tower scalars as they come.  Arithmetic mixing a
+straightening (``current_oracle._left_multiply``, which scales the unit
+``pbw_normalize`` states itself) and ``CurrentState`` terms take the tower
+scalars as they come.  Arithmetic mixing a
 ``chiralis.exactnum.RatFunc`` with a ``RatFunc`` raises TypeError.
 """
 
