@@ -11,10 +11,10 @@ become exact truncated Laurent series) and reading off the orders.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from .exactnum import GaussRational, QI_ONE, RatFunc
-from .geometry import atom_deriv_eval, atom_sort_key, bergman_genus0, lie_atom
+from .geometry import VectorField, atom_deriv_eval, atom_derivative, atom_sort_key, bergman_genus0, lie_atom
 from .jets import SLACK, coerce_scalar_or_jet, jet_point, with_jet_retry
 from .states import (AtomValues, DomainError, SymState, _contract_terms, drop_above_degree,
                      require_distinct, require_regular, vacuum)
@@ -281,13 +281,13 @@ def ope_extract(A, B, z, state: SymState, order: int) -> OpeExpansion:
 # ---------------------------------------------------------------------------
 
 
-def lie_action(X, state: SymState) -> SymState:
+def lie_action(X: VectorField, state: SymState) -> SymState:
     """The derivation extending the Lie derivative along X to states."""
-    dec = _phi_pole_parts(X.xi if hasattr(X, "xi") else X)
+    dec = _phi_pole_parts(X.xi)
     return state.derive_atoms(lambda atom: lie_atom(dec, atom))
 
 
-def field_lie_derivative(field, X, z, state: SymState) -> SymState:
+def field_lie_derivative(field, X: VectorField, z, state: SymState) -> SymState:
     """Transport derivative of z -> F(z) along X, acting on a fixed state.
 
     This is the derivative of F along the state-space flow generated by
@@ -297,7 +297,7 @@ def field_lie_derivative(field, X, z, state: SymState) -> SymState:
     """
     if isinstance(field, str):
         field = field_by_name(field)
-    xi = X.xi if hasattr(X, "xi") else X
+    xi = X.xi
     z = coerce_scalar_or_jet(z)
     xi_z = xi.num.evaluate(z) / xi.den.evaluate(z)
     xip_z = xi.derivative().num.evaluate(z) / xi.derivative().den.evaluate(z)
@@ -334,16 +334,13 @@ def iota_apply(z, state: SymState) -> SymState:
 def d_isomorphism(state: SymState) -> SymState:
     """Factorwise differentiation: function monomials to form monomials."""
 
-    def on_atom(atom):
-        if atom[0] == "pole":
-            _, c, l = atom
-            return {("pole", c, l + 1): -l * QI_ONE}
-        m = atom[1]
-        if m == 0:
+    def on_monomial(mon):
+        if ("poly", 0) in mon:
             raise DomainError("constant factor has no image under d")
-        return {("poly", m - 1): GaussRational(m)}
+        images = [atom_derivative(atom) for atom in mon]
+        return [a for a, _ in images], prod(w for _, w in images)
 
-    return state.map_atoms_linear(on_atom)
+    return state.map_monomials(on_monomial)
 
 
 def eps_tilde_offset(z) -> RatFunc:

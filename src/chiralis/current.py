@@ -262,8 +262,8 @@ class CurrentState(LinComb):
     def _like(self, terms):
         return CurrentState(terms, self.ctx)
 
-    def __add__(self, other: "CurrentState") -> "CurrentState":
-        out = LinComb.__add__(self, other)
+    def _merge(self, other: "CurrentState", sign: int) -> "CurrentState":
+        out = LinComb._merge(self, other, sign)
         out.ctx = self.ctx or other.ctx
         return out
 
@@ -691,7 +691,7 @@ def _nu_components(algebra, nu):
     constant atom ("poly", 0).  Every later step reads these known poles.
     """
     out: dict = {}
-    for key, f in (nu.items() if isinstance(nu, dict) else nu):
+    for key, f in nu.items():
         idx = algebra.labels.index(key) if isinstance(key, str) else key
         if isinstance(f, RatFunc):
             atoms = dec_atoms(_phi_pole_parts(f))
@@ -924,13 +924,14 @@ def _pair_word(algebra, word, state: CurrentState, slack: int):
         return state.vacuum_coefficient()
     a, ctil, l = word[0]
     t = jet_point(ctil, l + slack - (SLACK if ctil else 0))
-    moved = iota_apply(algebra, a, 1 / t, state).scale(1 / (t * t))
+    inv_t2 = 1 / (t * t)
+    moved = {key: c * inv_t2 for key, c in iota_apply(algebra, a, 1 / t, state).terms.items()}
 
     def pair_rest(k):
-        s_k = CurrentState({key: c.coefficient(k) for key, c in moved.terms.items()}, state.ctx)
+        s_k = CurrentState({key: c.coefficient(k) for key, c in moved.items()}, state.ctx)
         return _pair_word(algebra, word[1:], s_k, slack)
 
-    for k in range(min((c.val for c in moved.terms.values()), default=0), 0):
+    for k in range(min((c.val for c in moved.values()), default=0), 0):
         if pair_rest(k):
             raise DomainError(f"the pairing has a pole at the dual point {ctil}")
     return pair_rest(l - 1)

@@ -743,9 +743,8 @@ def _lift(other):
     constant; NotImplemented for anything else."""
     if isinstance(other, RatFunc):
         return other
-    if isinstance(other, GaussRational) or is_rational_scalar(other):
-        return RatFunc(Poly([other]))
-    return NotImplemented
+    other = _as_gauss(other)
+    return other if other is NotImplemented else RatFunc(Poly([other]))
 
 
 # ---------------------------------------------------------------------------

@@ -57,8 +57,8 @@ class ExtState(LinComb):
     def degree(self):
         return max((len(m) for m in self.terms), default=0)
 
-    def wedge_front(self, atom, coeff=QI_ONE):
-        return self.contract(None, ((atom, coeff),))
+    def wedge_front(self, atom):
+        return self.contract(None, ((atom, QI_ONE),))
 
     def contract(self, value_of_atom, creation=()):
         """Signed contraction sum_j (-1)^(j-1) value(atom_j) drop_j, plus

@@ -7,21 +7,25 @@ than ever returning a possibly-corrupt coefficient).  A jet has one
 level, over Q(i): its coefficients are GaussRationals, never jets or
 rational functions, and ``jet_point`` rejects both as its point.
 
-Jets are the one series engine of the package: every expansion around a
-moving point (operator products of the boson and of the currents, the
+Jets are the engine for expansions around a moving point: every such
+expansion (operator products of the boson and of the currents, the
 translation parameter of the vertex structures, the Taylor coefficients
 of the current pairing) applies a field "at z + t", gets jet-valued
 matrix entries and reads the orders off directly, instead of
 canonicalizing rational functions of a generic coordinate.
 ``moved_expansion`` is the shared step that expands the poles sitting at
-the moving point.
+the moving point.  Laurent data of a rational function at a fixed point
+(``exactnum.local_expansion``, ``residue_at``, ``residue_pairing``) stay
+on exactnum's coefficient-list Horner shifts and series division, the
+faster path there.  A jet takes a plain operand exactly where
+``exactnum._as_gauss`` does.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .exactnum import QI_ONE, QI_ZERO, GaussRational, is_rational_scalar, repeated_squaring
+from .exactnum import QI_ONE, QI_ZERO, GaussRational, _as_gauss, repeated_squaring
 
 __all__ = [
     "Jet",
@@ -44,10 +48,6 @@ EXACT = 1 << 60
 SLACK = 6
 #: a retry doubles the precision until it passes this bound
 PREC_CEILING = 512
-
-
-def _plain_scalar(x):
-    return isinstance(x, GaussRational) or is_rational_scalar(x)
 
 
 class Jet:
@@ -79,10 +79,9 @@ class Jet:
     def _align(self, other):
         if isinstance(other, Jet):
             return self, other
-        if _plain_scalar(other):
-            # a bare scalar is exact: it never erodes the precision window
-            return self, Jet(0, [other], EXACT)
-        return self, NotImplemented
+        other = _as_gauss(other)
+        # a bare scalar is exact: it never erodes the precision window
+        return self, other if other is NotImplemented else Jet(0, [other], EXACT)
 
     def coefficient(self, k: int):
         """Exact coefficient of t^k; raises if k is beyond the bound."""
@@ -166,13 +165,11 @@ class Jet:
         return Jet(-self.val, inv, -self.val + width)
 
     def __truediv__(self, other):
-        if _plain_scalar(other):
+        if not isinstance(other, Jet):
+            other = _as_gauss(other)
             # an exact scalar's jet would invert to its unbounded precision
-            return self * (QI_ONE / other)
-        a, b = self._align(other)
-        if b is NotImplemented:
-            return NotImplemented
-        return a * b.inverse()
+            return other if other is NotImplemented else self * (QI_ONE / other)
+        return self * other.inverse()
 
     def __rtruediv__(self, other):
         a, b = self._align(other)
@@ -215,7 +212,7 @@ class Jet:
         equal jets hash alike and no cache hands out a jet of another
         precision; a jet never equals a plain scalar."""
         if not isinstance(other, Jet):
-            return False if _plain_scalar(other) else NotImplemented
+            return NotImplemented if _as_gauss(other) is NotImplemented else False
         return (self.val, self.prec, self.coeffs) == (other.val, other.prec, other.coeffs)
 
     def __hash__(self):

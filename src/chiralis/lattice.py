@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 
-from .exactnum import GaussRational, QI_ONE, QI_ZERO, RatFunc, is_rational_scalar, repeated_squaring
+from .exactnum import GaussRational, QI_ONE, QI_ZERO, RatFunc, _as_gauss, repeated_squaring
 from .geometry import atom_deriv_eval, atom_eval, atom_sort_key
 from .states import AtomValues, DomainError, LinComb, add_term, atom_runs, require_regular
 
@@ -52,9 +52,8 @@ class LatticeScalar:
             if other.N != self.N:
                 raise ValueError("mixed lattice parameters")
             return other
-        if isinstance(other, GaussRational) or is_rational_scalar(other):
-            return LatticeScalar(self.N, GaussRational.coerce(other))
-        return NotImplemented
+        other = _as_gauss(other)
+        return other if other is NotImplemented else LatticeScalar(self.N, other)
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -148,8 +147,6 @@ class SectionClass:
     __slots__ = ("roots",)
 
     def __init__(self, roots=()):
-        if isinstance(roots, dict):
-            roots = roots.items()
         clean = {}
         for c, m in roots:
             add_term(clean, GaussRational.coerce(c), m)
@@ -229,10 +226,10 @@ class LatticeState(LinComb):
     def _like(self, terms):
         return LatticeState(self.N, terms)
 
-    def __add__(self, other: "LatticeState") -> "LatticeState":
+    def _merge(self, other: "LatticeState", sign: int) -> "LatticeState":
         if other.N != self.N:
             raise ValueError("mixed lattice parameters")
-        return LinComb.__add__(self, other)
+        return LinComb._merge(self, other, sign)
 
     def scale(self, s) -> "LatticeState":
         return LinComb.scale(self, _lat(self.N, s))
@@ -263,16 +260,16 @@ class LatticeTheory:
     def one(self):
         return LatticeScalar(self.N, QI_ONE)
 
-    def vacuum(self, section: SectionClass | None = None, tdu: int = 0) -> LatticeState:
+    def vacuum(self, section: SectionClass | None = None) -> LatticeState:
         section = section or SectionClass()
-        return LatticeState(self.N, {((), section, tdu): self.one()})
+        return LatticeState(self.N, {((), section, 0): self.one()})
 
-    def monomial(self, atoms, section: SectionClass, coeff=None, tdu: int = 0) -> LatticeState:
+    def monomial(self, atoms, section: SectionClass, coeff=None) -> LatticeState:
         atoms = tuple(sorted(atoms, key=atom_sort_key))
         coeff = coeff if coeff is not None else self.one()
         if not isinstance(coeff, LatticeScalar):
             coeff = LatticeScalar(self.N, coeff)
-        return LatticeState(self.N, {(atoms, section, tdu): coeff})
+        return LatticeState(self.N, {(atoms, section, 0): coeff})
 
     # -- oscillator-type fields ---------------------------------------------
 

@@ -30,9 +30,9 @@ def rand_fraction(rng: random.Random, span: int = 4) -> Fraction:
     return Fraction(num, den)
 
 
-def rand_scalar(rng: random.Random, span: int = 4, complex_odds: float = 0.4) -> GaussRational:
+def rand_scalar(rng: random.Random, span: int = 4) -> GaussRational:
     re = rand_fraction(rng, span)
-    im = rand_fraction(rng, span) if rng.random() < complex_odds else Fraction(0)
+    im = rand_fraction(rng, span) if rng.random() < 0.4 else Fraction(0)
     return GaussRational(re, im)
 
 
@@ -74,12 +74,12 @@ def rand_disc_point(rng: random.Random) -> GaussRational:
             return p
 
 
-def rand_pole_state(rng: random.Random, points, max_degree: int, max_order: int = 3):
+def rand_pole_state(rng: random.Random, points, max_degree: int):
     """One or two monomials of up to ``max_degree`` pole atoms at the points,
-    of orders 2 to ``max_order``; the vacuum if they cancel."""
+    of orders 2 and 3; the vacuum if they cancel."""
     out = SymState()
     for _ in range(rng.randint(1, 2)):
-        atoms = [("pole", rng.choice(points), rng.randint(2, max_order))
+        atoms = [("pole", rng.choice(points), rng.randint(2, 3))
                  for _ in range(rng.randint(0, max_degree))]
         out = out + monomial_state(atoms, rand_scalar(rng))
     return out if out else vacuum()

@@ -116,7 +116,7 @@ class LinComb:
 
     Every state type of the package is one of these; a subclass names its
     basis keys and overrides ``_like`` when a result must carry more than
-    the terms.
+    the terms, and ``_merge`` when a sum has a rule of its own.
     """
 
     __slots__ = ("terms",)
@@ -130,14 +130,18 @@ class LinComb:
         """A combination of the same kind as self with the given terms."""
         return type(self)(terms)
 
-    def __add__(self, other):
+    def _merge(self, other, sign: int):
+        """self + sign * other in one term dict; sign is 1 or -1."""
         out = dict(self.terms)
         for key, coeff in other.terms.items():
-            add_term(out, key, coeff)
+            add_term(out, key, coeff if sign == 1 else -coeff)
         return self._like(out)
 
+    def __add__(self, other):
+        return self._merge(other, 1)
+
     def __sub__(self, other):
-        return self + other.scale(-1)
+        return self._merge(other, -1)
 
     def __neg__(self):
         return self.scale(-1)
@@ -231,22 +235,6 @@ class SymState(LinComb):
         for mon, c in self.terms.items():
             new_atoms, factor = fn(mon)
             add_term(out, _sorted_monomial(new_atoms), c * factor)
-        return SymState(out)
-
-    def map_atoms_linear(self, fn) -> "SymState":
-        """Apply an atom-wise linear substitution atom -> {atom: coeff} factorwise."""
-        out = {}
-        for mon, c in self.terms.items():
-            pieces = [fn(a) for a in mon]
-            expanded = [((), c)]
-            for piece in pieces:
-                nxt = []
-                for atoms, coeff in expanded:
-                    for atom, w in piece.items():
-                        nxt.append((atoms + (atom,), coeff * w))
-                expanded = nxt
-            for atoms, coeff in expanded:
-                add_term(out, _sorted_monomial(atoms), coeff)
         return SymState(out)
 
     def derive_atoms(self, fn) -> "SymState":

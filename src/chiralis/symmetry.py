@@ -156,10 +156,10 @@ def heis_commutator_check(phi: RatFunc, psi: RatFunc, site=INFINITY):
     return measured
 
 
-def spanning_states(site_point=QI_ZERO, extra_pole=None):
-    """A small spanning family used by the measured-bracket checks."""
-    o = GaussRational.coerce(site_point)
-    c = GaussRational.coerce(extra_pole) if extra_pole is not None else o + 3
+def spanning_states():
+    """A small spanning family used by the measured-bracket checks: the
+    origin family, with its extra pole at 3."""
+    o, c = QI_ZERO, GaussRational(3)
     out = [vacuum()]
     out.append(monomial_state([("pole", o, 2)]))
     out.append(monomial_state([("pole", o, 3)]))
@@ -198,7 +198,7 @@ class VirasoroOp:
     __slots__ = ("X", "site")
 
     def __init__(self, X: VectorField, site=INFINITY):
-        object.__setattr__(self, "X", X if isinstance(X, VectorField) else VectorField(X))
+        object.__setattr__(self, "X", X)
         object.__setattr__(self, "site", as_point(site))
 
     def __setattr__(self, name, value):  # pragma: no cover

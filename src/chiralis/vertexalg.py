@@ -178,9 +178,9 @@ def Y_prime(state: SymState, amount, target: SymState) -> SymState:
 
 
 def structure(name: str):
-    if name in ("comm", "Y", "Y_comm"):
+    if name == "comm":
         return Y_comm
-    if name in ("prime", "Y'", "Y_prime"):
+    if name == "prime":
         return Y_prime
     raise ValueError(f"unknown vertex structure {name!r}")
 
@@ -232,8 +232,8 @@ def jet_parameter_expansion(state: SymState, order: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _rand_vertex_state(rng, pool, max_degree=3, max_support=2, max_order=3):
-    return rand_pole_state(rng, rng.sample(pool, rng.randint(1, max_support)), max_degree, max_order)
+def _rand_vertex_state(rng, pool, max_degree=3):
+    return rand_pole_state(rng, rng.sample(pool, rng.randint(1, 2)), max_degree)
 
 
 def _safe_translation(rng, pool_amounts, *states_and_supports):
@@ -269,11 +269,10 @@ def axiom_suite(structure_name: str, seed: int, degree: int = 3, samples: int = 
             entry["passed"] = False
             entry["witness"] = witness
 
-    max_order = 3
     for trial in range(samples):
-        v1 = _rand_vertex_state(rng, pool, max_degree=degree, max_order=max_order)
-        v2 = _rand_vertex_state(rng, pool, max_degree=min(2, degree), max_order=max_order)
-        psi = _rand_vertex_state(rng, pool, max_degree=2, max_order=max_order)
+        v1 = _rand_vertex_state(rng, pool, max_degree=degree)
+        v2 = _rand_vertex_state(rng, pool, max_degree=min(2, degree))
+        psi = _rand_vertex_state(rng, pool, max_degree=2)
         s1, s2, sp = sing_support(v1), sing_support(v2), sing_support(psi)
 
         a1 = _safe_translation(rng, rng.sample(amounts, len(amounts)), (s1, sp | s2))
@@ -385,7 +384,7 @@ def solve_membership(vectors, target_vec, dim) -> bool:
     return not any(target.values())
 
 
-def generation_check(structure_name: str, points, degree_bound: int, target: SymState, max_order: int = 3) -> dict:
+def generation_check(structure_name: str, points, degree_bound: int, target: SymState) -> dict:
     """Span test: products of structure operators on the vacuum against a target.
 
     The span is explored within explicit degree and pole-order budgets;
@@ -393,9 +392,7 @@ def generation_check(structure_name: str, points, degree_bound: int, target: Sym
     """
     Y = structure(structure_name)
     pts = [coerce_scalar_or_jet(p) for p in points]
-    singles = []
-    for k in range(2, max_order + 1):
-        singles.append(monomial_state([("pole", QI_ZERO, k)]))
+    singles = [monomial_state([("pole", QI_ZERO, k)]) for k in (2, 3)]
     generated = [vacuum()]
     frontier = [vacuum()]
     for _ in range(degree_bound):

@@ -17,7 +17,9 @@ their parts that the one sector kernel (``fermion._sector_part``) and the
 contract-and-wedge call of ``ExtState.contract`` replaced: b = b_i + b_e
 and c = c_i + c_e as two states, the composite field as its four
 compositions, and psi = psi_i + psi_e; each wedge counts the atoms it moves
-past instead of inserting by bisection.  The tests compare the program's
+past instead of inserting by bisection.  The boson's d isomorphism is the
+generic factorwise substitution ``map_atoms_linear`` that
+``boson.d_isomorphism`` replaced with one image atom per atom.  The tests compare the program's
 versions with them on seeded states with repeated atoms.
 """
 
@@ -31,7 +33,7 @@ from chiralis.exactnum import INFINITY, QI_ONE, QI_ZERO, GaussRational, partial_
 from chiralis.fermion import BCState, ExtState, fermion_vacuum, psi_apply
 from chiralis.geometry import atom_deriv_eval, atom_eval, atom_ratfunc, atom_sort_key
 from chiralis.lattice import LatticeState
-from chiralis.states import SymState, add_term, require_regular, vacuum
+from chiralis.states import DomainError, SymState, add_term, require_regular, vacuum
 
 
 def _sorted_monomial(atoms):
@@ -61,6 +63,34 @@ def sym_derive(state: SymState, fn) -> SymState:
             for new_atom, w in fn(atom).items():
                 add_term(out, _sorted_monomial(mon[:k] + mon[k + 1:] + (new_atom,)), c * w * mult)
     return SymState(out)
+
+
+def map_atoms_linear(state: SymState, fn) -> SymState:
+    """Apply an atom-wise linear substitution atom -> {atom: coeff} factorwise."""
+    out = {}
+    for mon, c in state.terms.items():
+        expanded = [((), c)]
+        for piece in [fn(a) for a in mon]:
+            expanded = [(atoms + (atom,), coeff * w)
+                        for atoms, coeff in expanded for atom, w in piece.items()]
+        for atoms, coeff in expanded:
+            add_term(out, _sorted_monomial(atoms), coeff)
+    return SymState(out)
+
+
+def d_isomorphism_oracle(state: SymState) -> SymState:
+    """Factorwise d through the generic substitution: d(u-c)^-l = -l (u-c)^-(l+1),
+    d u^m = m u^(m-1); a constant factor has no image."""
+
+    def on_atom(atom):
+        if atom[0] == "pole":
+            _, c, l = atom
+            return {("pole", c, l + 1): -l * QI_ONE}
+        if atom[1] == 0:
+            raise DomainError("constant factor has no image under d")
+        return {("poly", atom[1] - 1): GaussRational(atom[1])}
+
+    return map_atoms_linear(state, on_atom)
 
 
 def ext_contract(state: ExtState, value_of_atom) -> ExtState:

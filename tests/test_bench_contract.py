@@ -3,9 +3,10 @@
 The tracer patches the program from outside: it counts the constructor in
 ``SymState.__dict__``, swaps the module caches it names for counting dicts
 and wraps public functions and methods.  A refactor that removes one of
-these hooks fails here, not only in a traced benchmark run.  The last test
-keeps the other direction: the program carries no code that neither it nor
-its exports use, beyond what the benchmark alone imports.
+these hooks fails here, not only in a traced benchmark run.  The last tests
+keep the other direction: the program carries no code that neither it nor
+its exports use, beyond what the benchmark alone imports, and no option
+that no caller sets.
 """
 
 import sys
@@ -245,3 +246,57 @@ def test_oracles_own_their_compositions():
                 found |= {(path.name, node.module.split(".")[-1], alias.name) for alias in node.names
                           if alias.name.startswith("_")}
     assert {(module, name) for _, module, name in found} <= set(ORACLE_PRIVATE_IMPORTS), sorted(found)
+
+
+def _unset_options(root: Path) -> list:
+    """The default-valued parameters of the module-level functions and methods
+    of ``root/src/chiralis`` that no call in src/, bench/ or tests/ passes.
+
+    A call is matched to its callee by spelling: the function or method name,
+    the class name for ``__init__``, or ``Cls`` in ``Cls.__init__(self, ...)``.
+    It passes a parameter by keyword, by position, or through ``*``/``**``."""
+    import ast
+    from collections import defaultdict
+
+    package = sorted((root / "src" / "chiralis").glob("*.py"))
+    callers = package + sorted((root / "bench").rglob("*.py")) + sorted((root / "tests").rglob("*.py"))
+    passed = defaultdict(lambda: [0, set(), False])  # spelling -> [most positional, keywords, starred]
+    for path in callers:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            func, explicit_self = node.func, 0
+            if isinstance(func, ast.Attribute) and func.attr == "__init__" and isinstance(func.value, ast.Name):
+                name, explicit_self = func.value.id, 1
+            elif isinstance(func, (ast.Attribute, ast.Name)):
+                name = getattr(func, "attr", None) or func.id
+            else:
+                continue
+            entry = passed[name]
+            entry[0] = max(entry[0], len(node.args) - explicit_self)
+            entry[1] |= {k.arg for k in node.keywords if k.arg}
+            entry[2] |= any(isinstance(a, ast.Starred) for a in node.args) or any(not k.arg for k in node.keywords)
+    unset = []
+    for path in package:
+        tree = ast.parse(path.read_text(), str(path))
+        defs = [(None, f) for f in tree.body if isinstance(f, ast.FunctionDef)]
+        defs += [(c, f) for c in tree.body if isinstance(c, ast.ClassDef)
+                 for f in c.body if isinstance(f, ast.FunctionDef)]
+        for cls, fn in defs:
+            is_method = cls is not None and "staticmethod" not in {getattr(d, "id", None) for d in fn.decorator_list}
+            count, keywords, starred = passed[cls.name if fn.name == "__init__" else fn.name]
+            args = fn.args.posonlyargs + fn.args.args
+            first = len(args) - len(fn.args.defaults)
+            options = [(arg, i - is_method < count) for i, arg in enumerate(args[first:], first)]
+            options += [(arg, False) for arg, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
+            where = f"{path.stem}.{cls.name + '.' if cls else ''}{fn.name}"
+            unset += [f"{where}({arg.arg})" for arg, by_position in options
+                      if not (by_position or starred or arg.arg in keywords)]
+    return unset
+
+
+def test_every_option_is_set_by_a_caller():
+    """Every default-valued parameter of chiralis is passed by some call in
+    src/, bench/ or tests/: an option that nobody sets is a constant, and each
+    one doubles the configurations a test would have to cover."""
+    assert _unset_options(Path(__file__).resolve().parents[1]) == []

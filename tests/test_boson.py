@@ -361,6 +361,23 @@ class TestAvatar:
         z = qi(-1)
         assert d_isomorphism(eps_apply(z, s)) == e_apply(z, d_isomorphism(s))
 
+    def test_d_isomorphism_matches_generic_substitution(self):
+        rng = random.Random(31)
+        for _ in range(30):
+            s = SymState()
+            for _ in range(rng.randint(1, 3)):
+                pts = rand_distinct_scalars(rng, 2)
+                atoms = [("pole", rng.choice(pts), rng.randint(1, 3)) for _ in range(rng.randint(0, 3))]
+                atoms += [("poly", rng.randint(1, 3))] * rng.randint(0, 2)
+                s = s + monomial_state(atoms + atoms[:1], rand_scalar(rng))
+            assert d_isomorphism(s) == contraction_oracle.d_isomorphism_oracle(s), s
+
+    def test_d_isomorphism_rejects_a_constant_factor(self):
+        s = monomial_state([("pole", qi(1), 2), ("poly", 0)])
+        for d in (d_isomorphism, contraction_oracle.d_isomorphism_oracle):
+            with pytest.raises(DomainError):
+                d(s)
+
 
 class TestGeneration:
     def test_e_derivatives_generate_atoms(self):

@@ -1123,6 +1123,24 @@ class TestOneAccumulation:
                 assert orders and len(attempts) == 1
                 assert len(built) == 1 + len(orders), field
 
+    def test_pair_builds_one_state_per_letter_and_order(self, monkeypatch):
+        """Each dual letter pairs through its iota state, scaled by 1/t^2 in
+        the same term dict, and one state per order it reads: off the origin
+        a word of degree n builds 2n states, whatever the state's degree."""
+        ctil = qi(Fraction(1, 3), Fraction(1, 4))
+        states = [pbw_normalize(SL2, ((2, qi(Fraction(1, 2)), 2),)),
+                  pbw_normalize(SL2, ((2, qi(Fraction(1, 2)), 2), (1, qi(Fraction(-1, 3)), 1)))]
+        built = []
+        init = CurrentState.__init__
+        monkeypatch.setattr(CurrentState, "__init__", lambda self, *a, **k: built.append(1) or init(self, *a, **k))
+        for l in (1, 2, 3):
+            for word in (((0, ctil, l),), ((0, ctil, l), (2, ctil, 1))):
+                dual = pbw_normalize(SL2, word)
+                for state in states:
+                    built.clear()
+                    current_pair(SL2, dual, state)
+                    assert len(built) == 2 * len(word), (word, state)
+
 
 class TestOneRecursion:
     """iota, J_P and J_site on the one commutation recursion against the

@@ -191,6 +191,40 @@ class TestOnePowerRoutine:
                 product = product * x
 
 
+def _scalar_rule_values():
+    from chiralis.jets import Jet
+    from chiralis.lattice import LatticeScalar
+
+    return {"RatFunc": (U + 1) / (U - 2), "Jet": Jet(-1, [qi(1), qi(2, 1), qi(3)], 3),
+            "LatticeScalar": LatticeScalar(2, qi(1), qi(Fraction(1, 2), 1))}
+
+
+_SCALAR_OPS = [lambda x, y: x + y, lambda x, y: y + x, lambda x, y: x - y, lambda x, y: y - x,
+               lambda x, y: x * y, lambda x, y: y * x, lambda x, y: x / y, lambda x, y: y / x]
+
+
+class TestOneScalarRule:
+    """RatFunc, Jet and LatticeScalar take a plain operand exactly where
+    ``exactnum._as_gauss`` does: an int, a Fraction or a GaussRational acts on
+    either side of + - * / as its GaussRational, and a float, a str or one of
+    the other two types raises TypeError."""
+
+    @pytest.mark.parametrize("kind", ["RatFunc", "Jet", "LatticeScalar"])
+    def test_operands(self, kind):
+        values = _scalar_rule_values()
+        x = values.pop(kind)
+        for operand in [3, Fraction(-2, 5), qi(Fraction(1, 3), -2), 1.5, "2", *values.values()]:
+            g = exactnum._as_gauss(operand)
+            for op in _SCALAR_OPS:
+                if g is NotImplemented:
+                    with pytest.raises(TypeError):
+                        op(x, operand)
+                else:
+                    got = op(x, operand)
+                    assert type(got) is type(x) and got == op(x, g), (kind, operand)
+            assert (g is NotImplemented) == (type(operand) not in (int, Fraction, GaussRational))
+
+
 class TestGaussTriple:
     def test_operators_match_fraction_pairs_seeded(self):
         rng = random.Random(1969)

@@ -252,9 +252,10 @@ def test_add_term():
 
 def test_state_classes_inherit_the_linear_structure():
     """Only the ctx rule of CurrentState and the N rule of LatticeState add
-    their own versions of the linear operations."""
-    own = {"__add__", "__sub__", "__neg__", "scale", "is_zero", "__bool__", "__eq__"}
-    allowed = {CurrentState: {"__add__"}, LatticeState: {"__add__", "scale", "__eq__"}}
+    their own versions of the linear operations; a sum's rule is the one
+    merge step ``_merge`` that ``+`` and ``-`` share."""
+    own = {"_merge", "__add__", "__sub__", "__neg__", "scale", "is_zero", "__bool__", "__eq__"}
+    allowed = {CurrentState: {"_merge"}, LatticeState: {"_merge", "scale", "__eq__"}}
     for cls in (SymState, ExtState, BCState, CurrentState, LatticeState):
         assert issubclass(cls, LinComb)
         assert own & set(vars(cls)) == allowed.get(cls, set())

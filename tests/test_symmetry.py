@@ -690,6 +690,13 @@ class TestOneStatePerCall:
             assert call(), name
             assert self.made(monkeypatch, call) == 1, name
 
+    def test_commutator_check_subtracts_in_one_merge(self, monkeypatch):
+        # per spanning state: the state itself, four operator results and one
+        # difference, which ``LinComb._merge`` fills without a scaled copy
+        spanning = len(spanning_states())
+        made = self.made(monkeypatch, lambda: heis_commutator_check(1 / U ** 2, U ** 2, 0))
+        assert made == 6 * spanning == 42
+
     def test_b_basis_coordinates(self, monkeypatch):
         z, w = qi(0), qi(1, 1)
         state = (monomial_state([("pole", z, 2), ("pole", z, 2), ("pole", w, 3)])
