@@ -295,8 +295,6 @@ def field_lie_derivative(field, X: VectorField, z, state: SymState) -> SymState:
     weight-c field, the sign fixed so that the commutator identity with
     lie_action holds for every vector field regular on the whole line.
     """
-    if isinstance(field, str):
-        field = field_by_name(field)
     xi = X.xi
     z = coerce_scalar_or_jet(z)
     xi_z = xi.num.evaluate(z) / xi.den.evaluate(z)
@@ -306,10 +304,9 @@ def field_lie_derivative(field, X: VectorField, z, state: SymState) -> SymState:
     return out.scale(-1)
 
 
-def covariance_check(X, field, z, state: SymState) -> bool:
-    """True iff the field's z-derivative along X equals [L^X, F(z)] on the state."""
-    if isinstance(field, str):
-        field = field_by_name(field)
+def covariance_check(X: VectorField, field: str, z, state: SymState) -> bool:
+    """True iff the named field's z-derivative along X equals [L^X, F(z)] on the state."""
+    field = field_by_name(field)
     lhs = field_lie_derivative(field, X, z, state)
     rhs = lie_action(X, field.apply(z, state)) - field.apply(z, lie_action(X, state))
     return lhs == rhs
