@@ -18,9 +18,10 @@ contract-and-wedge call of ``ExtState.contract`` replaced: b = b_i + b_e
 and c = c_i + c_e as two states, the composite field as its four
 compositions, and psi = psi_i + psi_e; each wedge counts the atoms it moves
 past instead of inserting by bisection.  The boson's d isomorphism is the
-generic factorwise substitution ``map_atoms_linear`` that
-``boson.d_isomorphism`` replaced with one image atom per atom.  The tests compare the program's
-versions with them on seeded states with repeated atoms.
+generic factorwise substitution ``map_atoms_linear``, which
+``boson.d_isomorphism`` replaced by one image atom per atom.  The tests
+compare the program's versions with them on seeded states with repeated
+atoms.
 """
 
 from __future__ import annotations

@@ -15,6 +15,7 @@ from chiralis.vertexalg import (
     generation_check,
     rotate,
     sing_support,
+    structure,
     structure_derivative,
     translate,
     translation_generator,
@@ -225,6 +226,13 @@ class TestAxiomSuite:
         a = axiom_suite("comm", seed=13, degree=2, samples=4)
         b = axiom_suite("comm", seed=13, degree=2, samples=4)
         assert a == b
+
+    def test_structure_names(self):
+        # the names of the CLI's --structure choices, and no others
+        assert structure("comm") is Y_comm and structure("prime") is Y_prime
+        for alias in ("Y", "Y_comm", "Y'", "Y_prime"):
+            with pytest.raises(ValueError, match="unknown vertex structure"):
+                structure(alias)
 
 
 class TestGeneration:
