@@ -123,19 +123,18 @@ def _b_group(z, orders, state: SymState, factor=1) -> SymState:
                      for made, terms in partial.items() for mon, c in terms.items()})
 
 
-def commutator_ie(z1, z2, state: SymState | None = None):
-    """Measured [i(z1), e(z2)] on a state; returns the scalar multiplier.
+def commutator_ie(z1, z2):
+    """Measured [i(z1), e(z2)] on the vacuum; returns the scalar multiplier.
 
     Must equal 1/(z1-z2)^2 exactly.
     """
     z1, z2 = coerce_scalar_or_jet(z1), coerce_scalar_or_jet(z2)
     if not (z1 - z2):
         raise DomainError("coincident points in the i/e commutator")
-    if state is None:
-        state = vacuum()
-    lhs = i_apply(z1, e_apply(z2, state)) - e_apply(z2, i_apply(z1, state))
+    vac = vacuum()
+    lhs = i_apply(z1, e_apply(z2, vac)) - e_apply(z2, i_apply(z1, vac))
     expected = 1 / (z1 - z2) ** 2
-    if lhs != state.scale(expected):
+    if lhs != vac.scale(expected):
         raise AssertionError("i/e commutator is not the invariant bidifferential")
     return expected
 

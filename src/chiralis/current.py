@@ -41,15 +41,12 @@ __all__ = [
     "j_apply",
     "npoint_current",
     "npoint_current_operator",
-    "three_point_closed_form",
-    "four_point_closed_form",
     "mode_j",
     "affine_bracket_check",
     "J_P_apply",
     "J_site_apply",
     "base_point_independence_check",
     "current_pair",
-    "residue_pair_degree_one",
     "separation_check",
     "current_expand_at_generic_point",
 ]
@@ -523,38 +520,6 @@ def npoint_current_operator(algebra, vs, points):
     return state.vacuum_coefficient()
 
 
-def three_point_closed_form(algebra, vs, points):
-    v1, v2, v3 = (_as_elem(algebra, v) for v in vs)
-    z1, z2, z3 = (GaussRational.coerce(p) for p in points)
-    num = algebra.pair(v1, algebra.bracket(v2, v3))
-    return num / ((z1 - z2) * (z1 - z3) * (z2 - z3))
-
-
-def four_point_closed_form(algebra, vs, points):
-    v = [_as_elem(algebra, x) for x in vs]
-    z = [GaussRational.coerce(p) for p in points]
-
-    def g(i, j):
-        return algebra.pair(v[i], v[j])
-
-    def gb(i, j, k, l):
-        return algebra.pair(algebra.bracket(v[i], v[j]), algebra.bracket(v[k], v[l]))
-
-    total = g(0, 1) * g(2, 3) / ((z[0] - z[1]) ** 2 * (z[2] - z[3]) ** 2)
-    total = total + g(0, 2) * g(1, 3) / ((z[0] - z[2]) ** 2 * (z[1] - z[3]) ** 2)
-    total = total + g(0, 3) * g(1, 2) / ((z[0] - z[3]) ** 2 * (z[1] - z[2]) ** 2)
-    total = total + gb(0, 1, 2, 3) / (
-        (z[0] - z[1]) * (z[1] - z[2]) * (z[1] - z[3]) * (z[2] - z[3])
-    )
-    total = total - gb(0, 2, 1, 3) / (
-        (z[0] - z[2]) * (z[1] - z[2]) * (z[1] - z[3]) * (z[2] - z[3])
-    )
-    total = total + gb(0, 3, 1, 2) / (
-        (z[0] - z[3]) * (z[2] - z[3]) * (z[1] - z[3]) * (z[1] - z[2])
-    )
-    return total
-
-
 # ---------------------------------------------------------------------------
 # Modes and test-function operators
 # ---------------------------------------------------------------------------
@@ -935,23 +900,6 @@ def _pair_word(algebra, word, state: CurrentState, slack: int):
         if pair_rest(k):
             raise DomainError(f"the pairing has a pole at the dual point {ctil}")
     return pair_rest(l - 1)
-
-
-def residue_pair_degree_one(algebra, dual_gen, gen):
-    """Degree-one contour realization: minus the sum of residues inside."""
-    a, ctil, l = dual_gen
-    b, c, m = gen
-    g = algebra.form.get((a, b), QI_ZERO)
-    if not g:
-        return QI_ZERO
-    # d(u-c)^-m = -m (u-c)^-(m+1); the poles are known: c, and 1/ctil when ctil != 0
-    atoms = _dual_gen_atoms(ctil, l)
-    poles = {c, 1 / ctil} if ctil else {c}
-    total = QI_ZERO
-    for pole in poles:
-        if in_open_disc(pole):
-            total = total + _atom_residue(atoms, ("pole", c, m + 1), pole)
-    return g * m * total
 
 
 def separation_check(algebra, z1, z2, gens1, gens2) -> bool:

@@ -32,7 +32,6 @@ __all__ = [
     "bc_vacuum",
     "bc_apply",
     "composite_b_apply",
-    "composite_two_point",
     "KernelBoson",
 ]
 
@@ -228,12 +227,6 @@ def composite_b_apply(z, state: BCState) -> BCState:
     _sector_part("b_i", z, values, state.terms, b_i)
     _sector_part("c_e", z, values, b_i, out, parity=1)
     return BCState(out)
-
-
-def composite_two_point(z1, z2) -> GaussRational:
-    """Vacuum two-point value of the composite field (double-pole kernel)."""
-    state = composite_b_apply(GaussRational.coerce(z1), composite_b_apply(GaussRational.coerce(z2), bc_vacuum()))
-    return state.vacuum_coefficient()
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,6 @@ from .exactnum import (
 __all__ = [
     "GeometryError",
     "atom_sort_key",
-    "atom_ratfunc",
     "atom_eval",
     "atom_product",
     "atom_derivative",
@@ -42,14 +41,12 @@ __all__ = [
     "Form",
     "VectorField",
     "is_second_kind",
-    "antiderivative",
     "lie_derivative",
     "interior_product",
     "mobius_pushforward",
     "Kernel",
     "bergman_genus0",
     "szego_genus0",
-    "kernel_by_name",
 ]
 
 
@@ -66,14 +63,6 @@ def atom_sort_key(atom):
     if atom[0] == "pole":
         return (0, atom[1].sort_key(), atom[2])
     return (1, atom[1])
-
-
-def atom_ratfunc(atom) -> RatFunc:
-    """The atom's coefficient function of u (hatted value)."""
-    u = RatFunc.variable()
-    if atom[0] == "pole":
-        return 1 / (u - atom[1]) ** atom[2]
-    return u ** atom[1]
 
 
 def atom_eval(atom, z):
@@ -294,25 +283,6 @@ def is_second_kind(form: Form | RatFunc) -> bool:
     return _all_residues_vanish(coeff)
 
 
-def antiderivative(form: Form | RatFunc) -> RatFunc:
-    """The function whose derivative is the form's coefficient.
-
-    Normalized so the polynomial part has no constant term.
-    """
-    coeff = form.coeff if isinstance(form, Form) else form
-    dec = partial_fractions(coeff)
-    u = RatFunc.variable(QI_ONE)
-    out = RatFunc.const(QI_ZERO)
-    for c, order, co in dec.terms:
-        if order == 1:
-            raise GeometryError("not a second-kind form: simple pole present")
-        out = out + co / ((1 - order) * (u - c) ** (order - 1))
-    for m, co in enumerate(dec.polynomial.coeffs):
-        if co:
-            out = out + co * u ** (m + 1) / (m + 1)
-    return out
-
-
 def lie_derivative(X: VectorField, form: Form) -> Form:
     """L_X (a du) = (xi a' + xi' a) du."""
     a = form.coeff
@@ -392,11 +362,3 @@ def bergman_genus0() -> Kernel:
 
 def szego_genus0() -> Kernel:
     return Kernel("szego_genus0", 1)
-
-
-def kernel_by_name(name: str) -> Kernel:
-    if name == "bergman_genus0":
-        return bergman_genus0()
-    if name == "szego_genus0":
-        return szego_genus0()
-    raise GeometryError(f"unknown kernel {name!r}")

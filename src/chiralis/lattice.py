@@ -264,12 +264,9 @@ class LatticeTheory:
         section = section or SectionClass()
         return LatticeState(self.N, {((), section, 0): self.one()})
 
-    def monomial(self, atoms, section: SectionClass, coeff=None) -> LatticeState:
+    def monomial(self, atoms, section: SectionClass) -> LatticeState:
         atoms = tuple(sorted(atoms, key=atom_sort_key))
-        coeff = coeff if coeff is not None else self.one()
-        if not isinstance(coeff, LatticeScalar):
-            coeff = LatticeScalar(self.N, coeff)
-        return LatticeState(self.N, {(atoms, section, 0): coeff})
+        return LatticeState(self.N, {(atoms, section, 0): self.one()})
 
     # -- oscillator-type fields ---------------------------------------------
 

@@ -17,20 +17,17 @@ from fractions import Fraction
 from math import comb, factorial, perm
 
 from .exactnum import GaussRational, INFINITY, QI_ONE, QI_ZERO, RatFunc
-from .geometry import GeometryError, _atom_residue, atom_product, dec_atoms
+from .geometry import _atom_residue, dec_atoms
 from .states import DomainError, SymState, monomial_state, require_distinct, vacuum
 from .symmetry import HeisenbergOp, _phi_pole_parts, heis_apply
 
 __all__ = [
     "pair_P",
     "heis_P_local_apply",
-    "dual_mode_apply",
     "heis_adjointness_check",
-    "single_form_residue_pairing",
     "hermitian_inner_O",
     "hermitian_inner_disc",
     "reflection_kernel_value",
-    "gram_entry_closed_form",
     "gram_matrix",
     "leading_minors",
     "positivity_check",
@@ -93,11 +90,6 @@ def heis_P_local_apply(phi: RatFunc, dual: SymState) -> SymState:
     return dual.contract(lambda atom: _atom_residue(atoms, atom, None), creation)
 
 
-def dual_mode_apply(l: int, dual: SymState) -> SymState:
-    """The dual-side oscillator modes on infinity-supported states."""
-    return heis_P_local_apply(_U ** l if l >= 0 else 1 / _U ** (-l), dual)
-
-
 def heis_adjointness_check(phi: RatFunc) -> bool:
     """<P-local op dual, state> = <dual, op-at-infinity state> on spanning states."""
     duals = [
@@ -122,33 +114,6 @@ def heis_adjointness_check(phi: RatFunc) -> bool:
             if lhs != rhs:
                 return False
     return True
-
-
-def _atom_antiderivative(atom):
-    """(F, w): w F is the antiderivative of the form atom, (u-c)^(1-l)/(1-l) or u^(m+1)/(m+1)."""
-    if atom[0] == "poly":
-        return ("poly", atom[1] + 1), Fraction(1, atom[1] + 1)
-    if atom[2] == 1:
-        raise GeometryError("not a second-kind form: simple pole present")
-    return ("pole", atom[1], atom[2] - 1), Fraction(1, 1 - atom[2])
-
-
-def single_form_residue_pairing(dual_form: SymState, form: SymState):
-    """Contour realization of the degree-1 pairing: sum of finite residues
-    of (antiderivative of the dual form) times the form.  The residues are
-    the simple-pole coefficients of the atom product (``atom_product``)."""
-    total = QI_ZERO
-    for dmon, dc in dual_form.terms.items():
-        if len(dmon) != 1:
-            raise DomainError("single-form pairing needs degree-1 inputs")
-        for mon, c in form.terms.items():
-            if len(mon) != 1:
-                raise DomainError("single-form pairing needs degree-1 inputs")
-            F, w = _atom_antiderivative(dmon[0])
-            for p, co in atom_product(F, mon[0]):
-                if p[0] == "pole" and p[2] == 1:
-                    total = total + dc * c * w * co
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -273,21 +238,6 @@ def _e_state(points) -> SymState:
     for z in points:
         out = out.multiply_atom(("pole", z, 2), -QI_ONE)
     return out
-
-
-def gram_entry_closed_form(ys, zs):
-    """Permutation-sum closed form of the inner product of creation states."""
-    if len(ys) != len(zs):
-        return QI_ZERO
-    import itertools
-
-    total = QI_ZERO
-    for sigma in itertools.permutations(range(len(ys))):
-        term = QI_ONE
-        for i, z in enumerate(zs):
-            term = term / (1 - z * ys[sigma[i]].conjugate()) ** 2
-        total = total + term
-    return total
 
 
 def gram_matrix(points, degree: int):

@@ -19,7 +19,6 @@ __all__ = [
     "rand_distinct_scalars",
     "rand_poly",
     "rand_ratfunc",
-    "rand_disc_point",
     "rand_pole_state",
 ]
 
@@ -45,33 +44,23 @@ def rand_distinct_scalars(rng: random.Random, count: int, span: int = 6) -> list
     return out
 
 
-def rand_poly(rng: random.Random, max_degree: int = 3, span: int = 4) -> Poly:
+def rand_poly(rng: random.Random, max_degree: int = 3) -> Poly:
     degree = rng.randint(0, max_degree)
-    coeffs = [rand_scalar(rng, span) for _ in range(degree + 1)]
+    coeffs = [rand_scalar(rng) for _ in range(degree + 1)]
     if not coeffs[-1]:
         coeffs[-1] = GaussRational(1)
     return Poly(coeffs)
 
 
-def rand_ratfunc(rng: random.Random, max_poles: int = 3, span: int = 4) -> RatFunc:
+def rand_ratfunc(rng: random.Random, max_poles: int = 3) -> RatFunc:
     """Random rational function with denominator split into linear factors."""
-    num = rand_poly(rng, max_degree=max_poles, span=span)
-    poles = rand_distinct_scalars(rng, rng.randint(0, max_poles), span=span)
+    num = rand_poly(rng, max_degree=max_poles)
+    poles = rand_distinct_scalars(rng, rng.randint(0, max_poles), span=4)
     den = Poly([GaussRational(1)])
     for c in poles:
         for _ in range(rng.randint(1, 2)):
             den = den * Poly([-c, GaussRational(1)])
     return RatFunc(num, den)
-
-
-def rand_disc_point(rng: random.Random) -> GaussRational:
-    """A point with |u|^2 < 1 exactly."""
-    while True:
-        re = Fraction(rng.randint(-3, 3), rng.randint(4, 7))
-        im = Fraction(rng.randint(-3, 3), rng.randint(4, 7)) if rng.random() < 0.5 else Fraction(0)
-        p = GaussRational(re, im)
-        if p.norm() < 1:
-            return p
 
 
 def rand_pole_state(rng: random.Random, points, max_degree: int):

@@ -19,7 +19,6 @@ from .states import SymState, add_term
 __all__ = [
     "scalar_to_str",
     "scalar_from_str",
-    "ratfunc_to_json",
     "ratfunc_from_json",
     "atom_to_str",
     "atom_from_str",
@@ -34,13 +33,6 @@ def scalar_to_str(s) -> str:
 
 def scalar_from_str(text: str) -> GaussRational:
     return GaussRational.parse(text)
-
-
-def ratfunc_to_json(f: RatFunc) -> dict:
-    return {
-        "num": [scalar_to_str(c) for c in f.num.coeffs],
-        "den": [scalar_to_str(c) for c in f.den.coeffs],
-    }
 
 
 def ratfunc_from_json(obj: dict) -> RatFunc:

@@ -32,9 +32,11 @@ from fractions import Fraction
 from chiralis.boson import b_apply, e_apply, e_deriv_apply, i_apply, i_deriv_apply
 from chiralis.exactnum import INFINITY, QI_ONE, QI_ZERO, GaussRational, partial_fractions, residue_at
 from chiralis.fermion import BCState, ExtState, fermion_vacuum, psi_apply
-from chiralis.geometry import atom_deriv_eval, atom_eval, atom_ratfunc, atom_sort_key
+from chiralis.geometry import atom_deriv_eval, atom_eval, atom_sort_key
 from chiralis.lattice import LatticeState
 from chiralis.states import DomainError, SymState, add_term, require_regular, vacuum
+
+from closed_form_oracle import atom_ratfunc
 
 
 def _sorted_monomial(atoms):

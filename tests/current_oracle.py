@@ -17,8 +17,6 @@ with ν a dict of ``RatFunc`` components:
   from a fresh ``partial_fractions`` (a root search) on every call;
 * ``convert_reciprocal_word_oracle``: the u-chart function of each
   reciprocal-chart generator split by ``partial_fractions``;
-* ``residue_pair_degree_one_oracle``: the degree-one contour pairing by
-  ``residue_at`` at the known poles inside the unit disc;
 * ``mode_j_oracle`` / ``affine_bracket_check_oracle``: the loop modes at
   the origin by the commutation recursion on ``CurrentState`` words with
   GaussRational coefficients, where ``chiralis.current`` runs an exponent
@@ -48,7 +46,6 @@ from chiralis.exactnum import (
     residue_at,
 )
 from chiralis.geometry import _loop_product
-from chiralis.pairing import in_open_disc
 from chiralis.states import DomainError, add_term
 
 
@@ -351,33 +348,6 @@ def convert_reciprocal_word_oracle(algebra, word, coeff):
                 )
         state = new_state
     return state
-
-
-def dual_gen_function(gen) -> RatFunc:
-    """The u-chart function of a reciprocal-chart generator."""
-    a, c, l = gen
-    u = RatFunc.variable(QI_ONE)
-    return (1 / (1 / u - c)) ** l
-
-
-def residue_pair_degree_one_oracle(algebra, dual_gen, gen):
-    """Degree-one contour realization: minus the sum of residues inside."""
-    a, ctil, l = dual_gen
-    b, c, m = gen
-    g = algebra.form.get((a, b), QI_ZERO)
-    if not g:
-        return QI_ZERO
-    u = RatFunc.variable(QI_ONE)
-    fprime = dual_gen_function(dual_gen)
-    alpha = (1 / (u - c) ** m).derivative()
-    prod = fprime * alpha
-    # the poles are known: c, from alpha, and 1/ctil, from fprime when ctil != 0
-    poles = {c, 1 / ctil} if ctil else {c}
-    total = QI_ZERO
-    for pole in poles:
-        if in_open_disc(pole):
-            total = total + residue_at(prod, pole)
-    return -g * total
 
 
 def mode_j_oracle(algebra, v, l: int, state: CurrentState) -> CurrentState:

@@ -13,12 +13,20 @@ import pytest
 
 from chiralis.exactnum import GaussRational, QI_ONE, QI_ZERO, RatFunc, qi, residue_at
 from chiralis.sampling import (
-    rand_disc_point,
     rand_distinct_scalars,
     rand_ratfunc,
     rand_scalar,
 )
 from chiralis.states import DomainError, SymState, monomial_state, vacuum
+
+from closed_form_oracle import (
+    composite_two_point,
+    four_point_closed_form,
+    gram_entry_closed_form,
+    rand_disc_point,
+    residue_pair_degree_one,
+    three_point_closed_form,
+)
 
 
 def _criterion(number: int, name: str, budget: float):
@@ -132,7 +140,6 @@ def test_criterion_4_central_terms():
 @_criterion(5, "reflection positivity", 20.0)
 def test_criterion_5_reflection_positivity():
     from chiralis.pairing import (
-        gram_entry_closed_form,
         gram_matrix,
         hermitian_inner_disc,
         leading_minors,
@@ -202,14 +209,12 @@ def test_criterion_7_current():
         affine_bracket_check,
         base_point_independence_check,
         current_vacuum,
-        four_point_closed_form,
         j_apply,
         npoint_current,
         npoint_current_operator,
         pbw_normalize,
         sl2_algebra,
         sl2_fundamental,
-        three_point_closed_form,
     )
 
     algebra = sl2_algebra()
@@ -309,7 +314,6 @@ def test_criterion_8_current_pairing():
         abelian_algebra,
         current_pair,
         pbw_normalize,
-        residue_pair_degree_one,
         sl2_algebra,
     )
 
@@ -392,7 +396,6 @@ def test_criterion_10_fermion_bc():
         bc_apply,
         bc_vacuum,
         composite_b_apply,
-        composite_two_point,
         fermion_npoint,
         fermion_npoint_operator,
         fermion_vacuum,

@@ -4,9 +4,10 @@ The tracer patches the program from outside: it counts the constructor in
 ``SymState.__dict__``, swaps the module caches it names for counting dicts
 and wraps public functions and methods.  A refactor that removes one of
 these hooks fails here, not only in a traced benchmark run.  The last tests
-keep the other direction: the program carries no code that neither it nor
-its exports use, beyond what the benchmark alone imports, and no option
-that no caller sets.
+keep the other direction: the program carries no code that only the tests
+reach, beyond the identity checks that no registry runs yet, and no option
+that only the tests set, beyond the ones the README or an acceptance
+criterion uses.
 """
 
 import sys
@@ -176,21 +177,39 @@ def test_every_cache_is_traced_or_named_untraced():
     assert traced <= found
 
 
-# definitions that only bench/ uses: each can move only with a benchmark change
-BENCH_ONLY = {("current", "sl2_fundamental")}
+# identity checks that only tests call, until an identity registry runs them
+UNREGISTERED_CHECKS = {
+    ("boson", "commutator_ie"),
+    ("boson", "covariance_check"),
+    ("boson", "davatar_check"),
+    ("current", "base_point_independence_check"),
+    ("current", "separation_check"),
+    ("lattice", "LatticeTheory.zero_mode_check"),
+    ("pairing", "heis_adjointness_check"),
+    ("pairing", "positivity_check"),
+    ("symmetry", "insertion_suite"),
+    ("symmetry", "primary_check"),
+    ("vertexalg", "generation_check"),
+}
 
 
 def test_every_definition_is_referenced_or_exported():
-    """Every module-level function or class of chiralis is referenced
-    elsewhere in the package or listed in its module's ``__all__``, and every
+    """Every module-level function or class and every public method of
+    chiralis is reached from outside the tests: it is referenced in the
+    package outside its own body (the CLI included), or the README or a
+    ``bench/*.py`` file names it, or it is an identity check listed in
+    ``UNREGISTERED_CHECKS``.  Being in ``__all__`` does not count.  Every
     private function or method (``_name``, not a dunder) is referenced in the
     package outside its own body.  A reference is a name, an attribute or an
-    imported name, matched by spelling.  Code that nothing calls fails here."""
+    imported name, matched by spelling.  Code that only the tests call
+    belongs in the tests, and code that nothing calls fails here."""
     import ast
+    import re
     from collections import defaultdict
 
     import chiralis
 
+    root = Path(__file__).resolve().parents[1]
     trees = {path.stem: ast.parse(path.read_text(), str(path))
              for path in sorted(Path(chiralis.__file__).parent.glob("*.py"))}
     refs = defaultdict(list)
@@ -203,25 +222,25 @@ def test_every_definition_is_referenced_or_exported():
             elif isinstance(node, ast.ImportFrom):
                 for alias in node.names:
                     refs[alias.name].append((module, node.lineno))
+    named = set(re.findall(r"\w+", "".join(path.read_text() for path in
+                                           [root / "README.md", *sorted(Path(BENCH).glob("*.py"))])))
 
     def referenced(module, node):
         return any(m != module or not node.lineno <= line <= node.end_lineno for m, line in refs[node.name])
 
-    unreferenced = set()
+    unreached = set()
     for module, tree in trees.items():
-        exported = set()
-        for node in tree.body:
-            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
-                exported = set(ast.literal_eval(node.value))
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in exported:
-                if not referenced(module, node):
-                    unreferenced.add((module, node.name))
+        defs = [(None, node) for node in tree.body]
+        defs += [(cls, node) for cls in tree.body if isinstance(cls, ast.ClassDef) for node in cls.body]
+        for cls, node in defs:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not (cls and node.name.startswith("_")):
+                if not (referenced(module, node) or node.name in named):
+                    unreached.add((module, f"{cls.name}.{node.name}" if cls else node.name))
         for node in ast.walk(tree):
             if isinstance(node, ast.FunctionDef) and node.name.startswith("_") and not node.name.endswith("__"):
                 if not referenced(module, node):
-                    unreferenced.add((module, node.name))
-    assert unreferenced == BENCH_ONLY
+                    unreached.add((module, node.name))
+    assert unreached == UNREGISTERED_CHECKS
 
 
 # private chiralis names an oracle may import, each with its reason
@@ -248,9 +267,10 @@ def test_oracles_own_their_compositions():
     assert {(module, name) for _, module, name in found} <= set(ORACLE_PRIVATE_IMPORTS), sorted(found)
 
 
-def _unset_options(root: Path) -> list:
+def _unset_options(root: Path, *dirs: str) -> list:
     """The default-valued parameters of the module-level functions and methods
-    of ``root/src/chiralis`` that no call in src/, bench/ or tests/ passes.
+    of ``root/src/chiralis`` that no call in src/ or in the directories
+    ``dirs`` of ``root`` passes.
 
     A call is matched to its callee by spelling: the function or method name,
     the class name for ``__init__``, or ``Cls`` in ``Cls.__init__(self, ...)``.
@@ -259,7 +279,7 @@ def _unset_options(root: Path) -> list:
     from collections import defaultdict
 
     package = sorted((root / "src" / "chiralis").glob("*.py"))
-    callers = package + sorted((root / "bench").rglob("*.py")) + sorted((root / "tests").rglob("*.py"))
+    callers = package + [path for d in dirs for path in sorted((root / d).rglob("*.py"))]
     passed = defaultdict(lambda: [0, set(), False])  # spelling -> [most positional, keywords, starred]
     for path in callers:
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -295,8 +315,25 @@ def _unset_options(root: Path) -> list:
     return unset
 
 
+# options that only tests set, each kept because the README or an acceptance
+# criterion uses it
+TEST_SET_OPTIONS = {
+    "current.affine_bracket_check(spanning)": "the README: the bracket is measured on given states",
+    "current.current_expand_at_generic_point(field)": "the README: expansions of j, iota or epsilon",
+    "exactnum.qi(im)": "the acceptance criteria build imaginary points, qi(0, 1)",
+    "exactnum.qi(re)": "the README's worked example builds its points, qi(0) and qi(2)",
+    "lattice.LatticeTheory.vertex(scale)": "the README: vertex operators at any representative's scale",
+    "symmetry.L_mode(site_point)": "the README: the energy modes at any site",
+    "symmetry.mode_b(site_point)": "the README: the oscillator modes at any site",
+}
+
+
 def test_every_option_is_set_by_a_caller():
     """Every default-valued parameter of chiralis is passed by some call in
-    src/, bench/ or tests/: an option that nobody sets is a constant, and each
-    one doubles the configurations a test would have to cover."""
-    assert _unset_options(Path(__file__).resolve().parents[1]) == []
+    src/ or bench/, or it is in ``TEST_SET_OPTIONS`` and a call in tests/
+    passes it: an option that nobody sets is a constant, one that only the
+    tests set is one that no user reaches, and each one doubles the
+    configurations a test would have to cover."""
+    root = Path(__file__).resolve().parents[1]
+    assert _unset_options(root, "bench", "tests") == []
+    assert sorted(_unset_options(root, "bench")) == sorted(TEST_SET_OPTIONS)

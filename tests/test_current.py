@@ -17,18 +17,15 @@ from chiralis.current import (
     current_pair,
     current_vacuum,
     epsilon_apply,
-    four_point_closed_form,
     iota_apply,
     j_apply,
     mode_j,
     npoint_current,
     npoint_current_operator,
     pbw_normalize,
-    residue_pair_degree_one,
     separation_check,
     sl2_algebra,
     sl2_fundamental,
-    three_point_closed_form,
     trivial_rep,
 )
 from chiralis import current, exactnum, fermion, geometry, pairing, symmetry
@@ -53,6 +50,7 @@ from chiralis.jets import SLACK, jet_point
 from chiralis.sampling import rand_distinct_scalars, rand_scalar
 from chiralis.states import DomainError, monomial_state
 
+from closed_form_oracle import four_point_closed_form, residue_pair_degree_one, three_point_closed_form
 from current_oracle import (
     J_P_apply_oracle,
     J_site_apply_oracle,
@@ -64,7 +62,6 @@ from current_oracle import (
     iota_apply_oracle,
     j_apply_oracle,
     mode_j_oracle,
-    residue_pair_degree_one_oracle,
 )
 import tower_field
 from tower_oracle import current_expand_tower, current_pair_tower
@@ -976,31 +973,6 @@ class TestKnownPoles:
         # the root search on (u/(1 - c~u))^4 gave up on the pole 1/c~
         assert base_point_independence_check(SL2, "e", qi(3), ((0, qi(Fraction(1, 3), Fraction(-1, 2)), 4),))
 
-    def test_degree_one_matches_oracle_on_disc_points(self):
-        # the 200 seeded disc-point pairs of the degree-one pairing test
-        rng = random.Random(1401)
-
-        def disc_point():
-            while True:
-                z = qi(
-                    Fraction(rng.randint(-6, 6), rng.randint(1, 9)),
-                    Fraction(rng.randint(-6, 6), rng.randint(1, 9)),
-                )
-                if z.norm() < 1:
-                    return z
-
-        for k in range(200):
-            algebra = (SL2, AB)[k % 2]
-            dual = (rng.randrange(algebra.dim), disc_point(), rng.randint(1, 3))
-            gen = (rng.randrange(algebra.dim), disc_point(), rng.randint(1, 3))
-            expected = residue_pair_degree_one_oracle(algebra, dual, gen)
-            assert residue_pair_degree_one(algebra, dual, gen) == expected, (dual, gen)
-        # a dual point outside the disc puts 1/c~ inside, and c~ = 0 is u^l
-        for dual in ((0, qi(2, 1), 2), (0, qi(0), 3)):
-            for gen in ((2, qi(Fraction(1, 3)), 1), (2, qi(Fraction(1, 2), Fraction(1, 5)), 2)):
-                expected = residue_pair_degree_one_oracle(SL2, dual, gen)
-                assert residue_pair_degree_one(SL2, dual, gen) == expected, (dual, gen)
-
     def test_no_generic_path(self, monkeypatch):
         # the site check decomposes each distinct nu component once (its one
         # root search and partial fractions) and finds no pole again; the
@@ -1037,10 +1009,7 @@ class TestKnownPoles:
 
         calls.clear()
         assert base_point_independence_check(SL2, "h", qi(5), ((0, qi(Fraction(1, 2)), 1), (2, qi(0, -1), 3)))
-        residue_pair_degree_one(SL2, (0, qi(Fraction(1, 3), 1), 4), (2, qi(Fraction(1, 2)), 2))
         fermion.KernelBoson(bergman_genus0()).b_apply(qi(3), monomial_state([("pole", qi(0), 2)]))
-        dual = monomial_state([("pole", qi(2), 3)])
-        pairing.single_form_residue_pairing(dual, monomial_state([("pole", qi(0, 1), 2)]))
         assert calls == []
 
 

@@ -23,11 +23,12 @@ from chiralis.exactnum import (
     sqrt_gauss_rational,
 )
 from chiralis import exactnum
-from chiralis.geometry import atom_ratfunc, dec_atoms
+from chiralis.geometry import dec_atoms
 from chiralis.sampling import rand_distinct_scalars, rand_poly, rand_ratfunc, rand_scalar
 
 import expansion_oracle as oracle
 import tower_field
+from closed_form_oracle import atom_ratfunc, ratfunc_to_json
 
 U = RatFunc.variable(GaussRational(1))
 
@@ -172,8 +173,8 @@ class TestOnePowerRoutine:
 
         for _ in range(3):
             yield rand_scalar(rng), GaussRational(1)
-            yield rand_poly(rng, max_degree=2, span=3), Poly([1])
-            yield rand_ratfunc(rng, max_poles=1, span=3), RatFunc.const(GaussRational(1))
+            yield rand_poly(rng, max_degree=2), Poly([1])
+            yield rand_ratfunc(rng, max_poles=1), RatFunc.const(GaussRational(1))
             val, prec = rng.randint(-1, 1), rng.randint(2, 4)
             jet = Jet(val, [rand_scalar(rng) or qi(1) for _ in range(prec - val)], prec)
             yield jet, Jet(0, [qi(1)], prec)
@@ -457,7 +458,7 @@ class TestOneCoefficientField:
         # on the seeded Q(i) polynomials: by length, then coefficient by
         # coefficient as the (re, im) pairs
         rng = random.Random(2203)
-        polys = [rand_poly(rng, max_degree=2, span=2) for _ in range(60)]
+        polys = [Poly([rand_scalar(rng, span=2) for _ in range(rng.randint(1, 3))]) for _ in range(60)]
         polys += [Poly([c.re, c.im]) for c in (rand_scalar(rng, span=2) for _ in range(10))]
 
         def reference(p):
@@ -813,7 +814,7 @@ class TestMobius:
 
 class TestRatFuncJson:
     def test_round_trip(self):
-        from chiralis.serialize import ratfunc_from_json, ratfunc_to_json
+        from chiralis.serialize import ratfunc_from_json
 
         rng = random.Random(3)
         for _ in range(10):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import contraction_oracle
+from closed_form_oracle import composite_two_point
 from chiralis.boson import b_apply, e_apply, i_apply, npoint_wick, vacuum
 from chiralis.exactnum import GaussRational, qi
 from chiralis.fermion import (
@@ -14,7 +15,6 @@ from chiralis.fermion import (
     bc_apply,
     bc_vacuum,
     composite_b_apply,
-    composite_two_point,
     fermion_npoint,
     fermion_npoint_operator,
     fermion_vacuum,

@@ -9,15 +9,12 @@ from chiralis.geometry import (
     GeometryError,
     Kernel,
     VectorField,
-    antiderivative,
     atom_deriv_eval,
     atom_eval,
-    atom_ratfunc,
     bergman_genus0,
     form_to_atoms,
     interior_product,
     is_second_kind,
-    kernel_by_name,
     lie_derivative,
     mobius_pushforward,
     szego_genus0,
@@ -26,6 +23,7 @@ from chiralis.jets import jet_point
 from chiralis.sampling import rand_ratfunc, rand_scalar
 
 import tower_field
+from closed_form_oracle import antiderivative, atom_ratfunc, kernel_by_name
 from vir_oracle import (
     _spec_inner,
     bifunction_atom_matrix,

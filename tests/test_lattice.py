@@ -148,9 +148,7 @@ class TestVertex:
 
     def test_scale_independence(self):
         th = LatticeTheory(4)
-        state = th.monomial(
-            [("pole", qi(0), 1)], SectionClass([(qi(1), 2)]), coeff=qi(3)
-        )
+        state = th.monomial([("pole", qi(0), 1)], SectionClass([(qi(1), 2)])).scale(qi(3))
         for t in (qi(Fraction(2, 3)), qi(0, 1), qi(-2)):
             lhs = th.vertex(1, qi(5), state)
             rhs = th.vertex(1, qi(5), rescaled_representative(th, state, t), scale=t)
@@ -161,7 +159,7 @@ class TestVertex:
         for N in (1, 2):
             th = LatticeTheory(N)
             sec = SectionClass([(qi(1), rng.choice((-2, -1, 1)))])
-            s = th.monomial([("pole", qi(0), rng.randint(1, 2))], sec, rand_scalar(rng))
+            s = th.monomial([("pole", qi(0), rng.randint(1, 2))], sec).scale(rand_scalar(rng))
             zV, zj = qi(2), qi(-3)
             lam = rng.choice((-1, 1, 2))
             a = th.j(zj, th.vertex(lam, zV, s))
@@ -181,7 +179,7 @@ class TestVertex:
             for _ in range(3):
                 atoms = rng.choices(pool, k=rng.randint(3, 5))
                 atoms.append(atoms[0])  # a repeated atom
-                state = state + th.monomial(atoms, sec, rand_scalar(rng) or qi(1))
+                state = state + th.monomial(atoms, sec).scale(rand_scalar(rng) or qi(1))
             lam, z = rng.choice((-2, -1, 1, 2)), qi(Fraction(rng.randint(5, 9), 7), rng.randint(-2, 2))
             for out in (th.flat_minus(lam, z, state), th.vertex(lam, z, state)):
                 monomials = [mon for mon, _, _ in out.terms]

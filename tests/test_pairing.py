@@ -14,9 +14,8 @@ from chiralis.exactnum import (
     qi,
     residue_at,
 )
-from chiralis.geometry import GeometryError, antiderivative, atom_ratfunc
+from chiralis.geometry import GeometryError
 from chiralis.pairing import (
-    gram_entry_closed_form,
     gram_matrix,
     heis_P_local_apply,
     heis_adjointness_check,
@@ -27,13 +26,20 @@ from chiralis.pairing import (
     pair_P,
     positivity_check,
     reflection_kernel_value,
-    single_form_residue_pairing,
 )
 from chiralis.pairing import _e_state
-from chiralis.sampling import rand_disc_point, rand_ratfunc, rand_scalar
+from chiralis.sampling import rand_ratfunc, rand_scalar
 from chiralis.states import DomainError, SymState, monomial_state, vacuum
 from chiralis.symmetry import mode_b
 
+from closed_form_oracle import (
+    antiderivative,
+    atom_ratfunc,
+    dual_mode_apply,
+    gram_entry_closed_form,
+    rand_disc_point,
+    single_form_residue_pairing,
+)
 from tower_oracle import reflection_kernel_symbolic
 
 U = RatFunc.variable(GaussRational(1))
@@ -52,8 +58,6 @@ class TestPairP:
         assert pair_P(dual, mode_b(-1, vacuum())) == qi(-1)
 
     def test_dual_modes_generate(self):
-        from chiralis.pairing import dual_mode_apply
-
         # the positive dual generator creates the degree-one polynomial atom
         out = dual_mode_apply(1, vacuum())
         assert out == monomial_state([("poly", 0)], qi(-1))
@@ -272,6 +276,13 @@ class TestPositivityGuards:
     def test_positive_definite_accepted(self, monkeypatch):
         # minors 2 and 2 - i(-i) = 1
         assert self._check(monkeypatch, [[2, qi(0, 1)], [qi(0, -1), 1]]) is True
+
+    def test_non_real_minor_is_not_positive(self):
+        # the non-hermitian matrix alone fails positivity_check; the verdict's
+        # "positive", which `chiralis gram` reports, must fail on its own
+        minors, hermitian, positive = pairing._gram_verdict([[qi(1, 1), qi(0)], [qi(0), qi(1)]])
+        assert minors == [qi(1, 1), qi(1, 1)]
+        assert (hermitian, positive) == (False, False)
 
 
 class TestHeisAdjointness:

@@ -344,7 +344,7 @@ class TestAtomMemo:
             for _ in range(5):
                 atoms = [rng.choice(pool) for _ in range(rng.randint(0, 4))]
                 coeff = rand_scalar(rng) or qi(1)
-                state = state + theory.monomial(atoms, rng.choice(sections), coeff)
+                state = state + theory.monomial(atoms, rng.choice(sections)).scale(coeff)
             z = qi(Fraction(1, 2), 1)
             assert theory.iota(z, state) == contraction_oracle.lattice_iota(theory, z, state)
 

@@ -15,7 +15,7 @@ from chiralis.exactnum import (
     qi,
     residue_at,
 )
-from chiralis.geometry import VectorField, _atom_residue, atom_ratfunc, dec_atoms
+from chiralis.geometry import VectorField, _atom_residue, dec_atoms
 from chiralis.sampling import rand_ratfunc, rand_scalar
 from chiralis.states import DomainError, SymState, monomial_state, vacuum
 from chiralis.symmetry import (
@@ -35,6 +35,7 @@ from chiralis.symmetry import (
     virasoro_bracket_check,
 )
 from chiralis.boson import lie_action
+from closed_form_oracle import atom_ratfunc
 from vir_oracle import _creation_state, lie_action as oracle_lie_action, vir_apply_oracle
 
 U = RatFunc.variable(GaussRational(1))

@@ -41,13 +41,13 @@ from chiralis.exactnum import (
 from chiralis.geometry import (
     GeometryError,
     VectorField,
-    atom_ratfunc,
     atom_sort_key,
     dec_atoms,
 )
 from chiralis.states import SymState, add_term
 
 import tower_field
+from closed_form_oracle import atom_ratfunc
 from tower_field import Poly, RatFunc, lift, lower
 
 
