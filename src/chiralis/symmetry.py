@@ -207,9 +207,10 @@ class VirasoroOp:
 
 def _sugawara_pairs(j: int):
     """[(p, q, w)]: the creation state of (u-c)^(-j) d/du is
-    sum w ("pole", c, p) ("pole", c, q) over p <= q, p + q = j + 3, p >= 2,
-    where w = -(p-1)(q-1)/2 summed over the ordered pairs (p, q) and (q, p)."""
-    return [(p, j + 3 - p, -(p - 1) * (j + 2 - p) if 2 * p < j + 3 else Fraction(-(p - 1) ** 2, 2))
+    1/2 sum w ("pole", c, p) ("pole", c, q) over p <= q, p + q = j + 3, p >= 2,
+    where the doubled weight w, an int, is -(p-1)(q-1) summed over the ordered
+    pairs (p, q) and (q, p): -2(p-1)(q-1) for p < q and -(p-1)^2 for p = q."""
+    return [(p, j + 3 - p, -2 * (p - 1) * (j + 2 - p) if 2 * p < j + 3 else -(p - 1) ** 2)
             for p in range(2, (j + 3) // 2 + 1)]
 
 
@@ -256,8 +257,9 @@ def vir_apply(op: VirasoroOp, state: SymState) -> SymState:
 
     creation = {}
     for c, j, g in _singular_parts(dec, o):
+        half = g / 2
         for p, q, w in _sugawara_pairs(j):
-            add_term(creation, (("pole", c, p), ("pole", c, q)), g * w)
+            add_term(creation, (("pole", c, p), ("pole", c, q)), half * w)
     out = SymState(pairs) + state.derive_atoms(lie)
     return out + state.multiply(SymState(creation)) if creation else out
 
@@ -275,17 +277,17 @@ def _check_vir_domain(state: SymState, site: Point):
 
 
 def _L_exponents(n: int, terms: dict, sign=1, out=None) -> dict:
-    """Accumulate sign * L_n(terms) into out (a new dict when None); return out.
+    """Accumulate sign * (2 L_n)(terms) into out (a new dict when None); return out.
     terms maps sorted tuples of orders k of the atoms ("pole", o, k) to
-    coefficients.  Each word's image is the memoized dict of ``_L_word``;
-    a memoized dict is shared and never mutated, only read and scaled into
-    out (a weight 1, as for a removed pair, is added without a product)."""
+    coefficients.  Each word's image is the memoized int dict of ``_L_word``,
+    the image of 2 L_n, so int coefficients stay ints; a memoized dict is
+    shared and never mutated, only read and scaled into out."""
     out = {} if out is None else out
     for ks, c in terms.items():
         if sign != 1:
             c = c * sign
         for w, wc in _L_word(n, ks).items():
-            add_term(out, w, c if wc == 1 else c * wc)
+            add_term(out, w, c * wc)
     return out
 
 
@@ -293,17 +295,18 @@ _L_WORD_CACHE: dict = {}
 
 
 def _L_word(n: int, ks: tuple) -> dict:
-    """L_n on one word ks by the closed forms stated in ``L_mode``; memoized."""
+    """2 L_n on one word ks by the closed forms stated in ``L_mode``, doubled
+    so that every weight is an int (``_sugawara_pairs``); memoized."""
     cached = _L_WORD_CACHE.get((n, ks))
     if cached is not None:
         return cached
     out: dict = {}
     for i, j in itertools.combinations(range(len(ks)), 2):
         if ks[i] + ks[j] == n + 2:
-            add_term(out, ks[:i] + ks[i + 1: j] + ks[j + 1:], 1)
+            add_term(out, ks[:i] + ks[i + 1: j] + ks[j + 1:], 2)
     for i, k in enumerate(ks):
         if k - n >= 2:
-            add_term(out, tuple(sorted(ks[:i] + (k - n,) + ks[i + 1:])), k - n - 1)
+            add_term(out, tuple(sorted(ks[:i] + (k - n,) + ks[i + 1:])), 2 * (k - n - 1))
     for p, q, w in _sugawara_pairs(-n - 1):  # xi = -(u-o)^(n+1): one pole part, g = -1
         add_term(out, tuple(sorted(ks + (p, q))), -w)
     _L_WORD_CACHE[n, ks] = out
@@ -314,7 +317,8 @@ def L_mode(n: int, state: SymState, site_point=QI_ZERO) -> SymState:
     """The n-th energy mode: the vector field -(u-o)^(n+1) d/du at the site o.
 
     This is ``vir_apply`` for xi = -(u-o)^(n+1), computed on atom
-    exponents alone (``_L_exponents``).  On the site's domain every atom is
+    exponents alone (``_L_exponents`` on the halved coefficients, since its
+    word images are those of 2 L_n).  On the site's domain every atom is
     ("pole", o, k), and the three parts of the action have closed forms:
 
     * pairs: each unordered pair of occurrences with k_i + k_j = n + 2 is
@@ -334,7 +338,7 @@ def L_mode(n: int, state: SymState, site_point=QI_ZERO) -> SymState:
     """
     o = GaussRational.coerce(site_point)
     _check_vir_domain(state, Point(o))
-    terms = _L_exponents(n, {tuple(atom[2] for atom in mon): c for mon, c in state.terms.items()})
+    terms = _L_exponents(n, {tuple(atom[2] for atom in mon): c / 2 for mon, c in state.terms.items()})
     return SymState({tuple(("pole", o, k) for k in ks): c for ks, c in terms.items()})
 
 
@@ -343,19 +347,20 @@ def virasoro_bracket_check(l: int, m: int, max_degree: int = 4):
 
     Returns the measured central scalar (and checks it is central).  The
     states are tuples of pole orders at the origin, and ``_L_exponents``
-    accumulates each bracket in one dict of int and Fraction coefficients.
+    accumulates 4 times each bracket, (2L_l)(2L_m) - (2L_m)(2L_l) -
+    2(l-m)(2L_{l+m}), in one dict of ints; the scalar is divided by 4 once.
     """
 
     def bracket(ks):
         v = {ks: 1}
         out = _L_exponents(l, _L_exponents(m, v))
         _L_exponents(m, _L_exponents(l, v), -1, out)
-        return _L_exponents(l + m, v, m - l, out)
+        return _L_exponents(l + m, v, 2 * (m - l), out)
 
     states = [(), (2,), (3,), (4,), (5,), (2, 2), (2, 3), (2, 4), (3, 3), (3, 4), (4, 4),
               (2,) * min(3, max_degree)]
     pairs = (({ks: 1}, bracket(ks)) for ks in states if len(ks) <= max(max_degree, 0))
-    return GaussRational(central_scalar(pairs, f"[L_{l}, L_{m}] - ({l - m}) L_{l + m}"))
+    return GaussRational(Fraction(central_scalar(pairs, f"[L_{l}, L_{m}] - ({l - m}) L_{l + m}"), 4))
 
 
 def bracket_L_b(m: int, n: int, state: SymState) -> SymState:

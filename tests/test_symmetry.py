@@ -36,7 +36,7 @@ from chiralis.symmetry import (
 )
 from chiralis.boson import lie_action
 from closed_form_oracle import atom_ratfunc
-from vir_oracle import _creation_state, lie_action as oracle_lie_action, vir_apply_oracle
+from vir_oracle import L_word_oracle, _creation_state, lie_action as oracle_lie_action, vir_apply_oracle
 
 U = RatFunc.variable(GaussRational(1))
 
@@ -363,6 +363,11 @@ class TestExponentKernel:
         for l, m in ((2, -2), (4, -4)):
             with pytest.raises(AssertionError, match="is not central"):
                 virasoro_bracket_check(l, m)
+        # vir_apply reads the same weights: L_{-2} and L_{-4} on the vacuum
+        # (a diagonal pair each) leave the generic creation state
+        for m in (2, 4):
+            op = VirasoroOp(VectorField(-(U ** (1 - m))), Point(qi(0)))
+            assert vir_apply(op, vacuum()) != vir_apply_oracle(op, vacuum()), m
 
     @pytest.mark.parametrize("o", [qi(0), qi(1), I_HALF])
     def test_mode_b_matches_heis_apply(self, o):
@@ -430,14 +435,44 @@ class TestWordMemo:
             assert warm == cold, n
 
     def test_L_mode_matches_vir_apply_on_random_words(self, monkeypatch):
+        # L_mode halves its input for the doubled word images: at the origin
+        # and at two translated sites, each on an empty memo and then on the
+        # one the first call filled
+        for o, seed in ((qi(0), 31), (qi(1), 32), (I_HALF, 33)):
+            monkeypatch.setattr(symmetry, "_L_WORD_CACHE", {})
+            rng = random.Random(seed)
+            for n in range(-6, 7):
+                op = VirasoroOp(VectorField(-((U - o) ** (n + 1))), Point(o))
+                terms = _origin_words(rng, 3, lowest=2)
+                v = SymState({tuple(("pole", o, k) for k in ks): c for ks, c in terms.items()})
+                for _ in range(2):
+                    assert L_mode(n, v, o) == vir_apply(op, v), (o, n, v)
+
+    def test_word_images_are_twice_the_fraction_oracle(self, monkeypatch):
         monkeypatch.setattr(symmetry, "_L_WORD_CACHE", {})
-        rng = random.Random(31)
-        for n in range(-6, 7):
-            op = VirasoroOp(VectorField(-(U ** (n + 1))), Point(qi(0)))
-            terms = _origin_words(rng, 3, lowest=2)
-            v = SymState({tuple(("pole", qi(0), k) for k in ks): c for ks, c in terms.items()})
-            for _ in range(2):  # on an empty memo, then on the one the first call filled
-                assert L_mode(n, v) == vir_apply(op, v), (n, v)
+        rng = random.Random(41)
+        words = [(n, ks) for n in range(-6, 7) for ks in _origin_words(rng, 6)]
+        for _ in range(2):  # on an empty memo, then on the one the first pass filled
+            for n, ks in words:
+                image = symmetry._L_word(n, ks)
+                assert image == {w: 2 * c for w, c in L_word_oracle(n, ks).items()}, (n, ks)
+                assert all(type(c) is int for c in image.values()), (n, ks)
+
+    def test_memo_holds_ints_only(self, monkeypatch):
+        # a Fraction weight that creeps back into the kernel shows in the memo
+        monkeypatch.setattr(symmetry, "_L_WORD_CACHE", {})
+        rng = random.Random(43)
+        for l in range(-5, 6):
+            for m in range(-5, 6):
+                virasoro_bracket_check(l, m)
+        v = SymState({tuple(("pole", qi(0), k) for k in ks): c
+                      for ks, c in _origin_words(rng, 4, lowest=2).items()})
+        for m in range(-5, 6):
+            for n in (-3, -1, 2):
+                bracket_L_b(m, n, v)
+        memo = symmetry._L_WORD_CACHE
+        assert memo
+        assert all(type(c) is int for image in memo.values() for c in image.values())
 
     def test_no_caller_mutates_a_memoized_word(self, monkeypatch):
         rng = random.Random(37)

@@ -11,6 +11,11 @@ way, on rational functions:
   bidifferential omega = du1 du2/(u1-u2)^2 along the doubled singular part
   of xi (``lie_derivative_bidiff`` -> ``bifunction_atom_matrix``).
 
+``L_word_oracle`` is the word rule of ``symmetry.L_mode`` on L_n itself,
+with the undoubled Sugawara weights (p-1)(q-1) and, on the diagonal, the
+half-integer (p-1)^2/2: the oracle for the integer kernel
+``symmetry._L_word``, which holds the image of 2 L_n.
+
 The generic creation costs seconds per call, and on a singular part with
 two poles its pole search can fail, so ``vir_apply_oracle(..., split=True)``
 sums the creation over the pole parts one pole at a time.
@@ -26,6 +31,7 @@ no longer need it, and ``chiralis`` computes over Q(i) only.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from chiralis import exactnum
@@ -305,4 +311,24 @@ def vir_apply_oracle(op, state: SymState, split: bool = False) -> SymState:
         parts = [sum(parts, exactnum.RatFunc.const(QI_ZERO))]
     for part in parts:
         out = out + state.multiply(_creation_state(part))
+    return out
+
+
+def L_word_oracle(n: int, ks: tuple) -> dict:
+    """L_n on one word ks of pole orders at the origin, with ``Fraction``
+    weights: pairs with k_i + k_j = n + 2 removed with weight 1, an order k
+    with k - n >= 2 lowered to k - n with weight k - n - 1, and the Sugawara
+    pairs (p, q), p + q = 2 - n, with weight (p-1)(q-1) summed over the
+    ordered pairs.  Not memoized."""
+    out: dict = {}
+    for i, j in itertools.combinations(range(len(ks)), 2):
+        if ks[i] + ks[j] == n + 2:
+            add_term(out, ks[:i] + ks[i + 1: j] + ks[j + 1:], 1)
+    for i, k in enumerate(ks):
+        if k - n >= 2:
+            add_term(out, tuple(sorted(ks[:i] + (k - n,) + ks[i + 1:])), k - n - 1)
+    for p in range(2, (2 - n) // 2 + 1):
+        q = 2 - n - p
+        w = (p - 1) * (q - 1) if p < q else Fraction((p - 1) ** 2, 2)
+        add_term(out, tuple(sorted(ks + (p, q))), w)
     return out
