@@ -379,7 +379,7 @@ def cmd_lattice(args) -> int:
             grades_before = {key[1].grade: key[2] for key in state.terms}
             state = getattr(th, op)(lam, z, state)
             if op in ("flat_plus", "vertex"):
-                for _, section, tdu in state.terms:
+                for _, section, tdu, _ in state.terms:
                     old = section.grade - lam
                     if old in grades_before:
                         expected = grades_before[old] + 2 * du_power_balance(args.N, old, lam)

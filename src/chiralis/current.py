@@ -239,7 +239,7 @@ def _gen_key(gen):
 
 
 def _demote(c):
-    """A rational GaussRational as an int or backend rational; anything else as it is."""
+    """A rational GaussRational as an int or a Fraction; anything else as it is."""
     return (c.a if c.d == 1 else c.re) if isinstance(c, GaussRational) and not c.b else c
 
 

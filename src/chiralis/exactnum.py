@@ -24,10 +24,7 @@ import sys
 from fractions import Fraction
 from typing import Iterable
 
-try:  # exact big-rational backend; stdlib fallback keeps behaviour identical
-    from gmpy2 import mpq as RATIONAL
-except ImportError:  # pragma: no cover
-    RATIONAL = Fraction
+RATIONAL = Fraction  # the rational type of .re, .im and parsed scalars
 
 __all__ = [
     "ExactnumError",
@@ -64,11 +61,11 @@ class UnsupportedDenominatorError(ExactnumError):
 # ---------------------------------------------------------------------------
 
 
-_RATIONAL_TYPES = (int, Fraction, type(RATIONAL(0)))
+_RATIONAL_TYPES = (int, Fraction)
 
 
 def is_rational_scalar(x) -> bool:
-    """True for an int or an exact rational (``Fraction`` or the backend's)."""
+    """True for an int or a ``Fraction``."""
     return isinstance(x, _RATIONAL_TYPES)
 
 
@@ -78,7 +75,7 @@ class GaussRational:
     Stored as three ints: the value is (a + b*i)/d with ``d > 0`` and
     ``gcd(a, b, d) == 1``, so equal values have equal triples and every
     operation costs a few integer products and one gcd.  ``re`` and ``im``
-    are read back as rationals of the ``RATIONAL`` backend.  A value's hash
+    are read back as ``Fraction`` values.  A value's hash
     and sort key are computed once, from the ints, and stored with it.
     """
 
@@ -710,9 +707,6 @@ class RatFunc:
             return out
 
         return RatFunc(clear(self.num), clear(self.den))
-
-    def sort_key(self):
-        return ("rf", self.num.sort_key(), self.den.sort_key())
 
     def __str__(self):
         def poly_str(p: Poly) -> str:

@@ -222,9 +222,6 @@ class Jet:
             object.__setattr__(self, "_hash", h)
         return h
 
-    def conjugate(self):
-        return Jet(self.val, [c.conjugate() for c in self.coeffs], self.prec)
-
     def sort_key(self):
         return ("jet", self.val, tuple(c.sort_key() for c in self.coeffs))
 

@@ -7,138 +7,26 @@ ledger.  The section class is stored by its root multiset; the grade is
 the degree character chi(f sqrt(du)) = -deg f (the sign fixed by
 requiring the zero-mode proposition and grade additivity, as measured).
 
-Scalars live in Q(i)[sqrt(N)]: exact quadratic-extension arithmetic that
-collapses to Q(i) whenever N is a perfect square.
+Coefficients are Gaussian rationals.  sqrt(N) enters through the vertex
+operators only, so a term is keyed by (monomial, section class, du-power,
+r) and its coefficient c stands for c * sqrt(N)^r with r in {0, 1}; r is 0
+throughout when N is a perfect square.
 """
 
 from __future__ import annotations
 
 import math
 
-from .exactnum import GaussRational, QI_ONE, QI_ZERO, RatFunc, _as_gauss, repeated_squaring
+from .exactnum import GaussRational, QI_ONE, QI_ZERO, RatFunc
 from .geometry import atom_deriv_eval, atom_eval, atom_sort_key
 from .states import AtomValues, DomainError, LinComb, add_term, atom_runs, require_regular
 
 __all__ = [
-    "LatticeScalar",
     "LatticeTheory",
     "SectionClass",
     "LatticeState",
     "du_power_balance",
 ]
-
-
-class LatticeScalar:
-    """a + b*sqrt(N) with Gaussian-rational components, exact."""
-
-    __slots__ = ("a", "b", "N")
-
-    def __init__(self, N: int, a=QI_ZERO, b=QI_ZERO):
-        a = a if isinstance(a, GaussRational) else GaussRational.coerce(a)
-        b = b if isinstance(b, GaussRational) else GaussRational.coerce(b)
-        root = math.isqrt(N)
-        if root * root == N and b:
-            a = a + b * root
-            b = QI_ZERO
-        object.__setattr__(self, "N", N)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-
-    def __setattr__(self, name, value):  # pragma: no cover
-        raise AttributeError("LatticeScalar is immutable")
-
-    def _coerce(self, other):
-        if isinstance(other, LatticeScalar):
-            if other.N != self.N:
-                raise ValueError("mixed lattice parameters")
-            return other
-        other = _as_gauss(other)
-        return other if other is NotImplemented else LatticeScalar(self.N, other)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return LatticeScalar(self.N, self.a + other.a, self.b + other.b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return LatticeScalar(self.N, self.a - other.a, self.b - other.b)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return LatticeScalar(
-            self.N,
-            self.a * other.a + self.b * other.b * self.N,
-            self.a * other.b + self.b * other.a,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        norm = other.a * other.a - other.b * other.b * self.N
-        if not norm:
-            raise ZeroDivisionError("division by zero lattice scalar")
-        conj = LatticeScalar(self.N, other.a, -other.b)
-        out = self * conj
-        return LatticeScalar(self.N, out.a / norm, out.b / norm)
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
-
-    def __neg__(self):
-        return LatticeScalar(self.N, -self.a, -self.b)
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return 1 / (self ** (-n))
-        return repeated_squaring(self, n) if n else LatticeScalar(self.N, QI_ONE)
-
-    def __bool__(self):
-        return bool(self.a or self.b)
-
-    def __eq__(self, other):
-        if isinstance(other, LatticeScalar) and other.N != self.N:
-            return False
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.a == other.a and self.b == other.b
-
-    def __hash__(self):
-        return hash((self.N, self.a, self.b)) if self.b else hash(self.a)
-
-    def conjugate(self):
-        return LatticeScalar(self.N, self.a.conjugate(), self.b.conjugate())
-
-    def sort_key(self):
-        return ("lat", self.a.sort_key(), self.b.sort_key())
-
-    def __str__(self):
-        if not self.b:
-            return str(self.a)
-        return f"({self.a}) + ({self.b})*sqrt({self.N})"
-
-    def __repr__(self):
-        return f"LatticeScalar({self.N}, '{self}')"
 
 
 class SectionClass:
@@ -211,10 +99,10 @@ def du_power_balance(N: int, grade: int, lam_check: int) -> int:
 
 
 class LatticeState(LinComb):
-    """Linear combination of (function monomial, section class, du-power).
+    """Linear combination of (function monomial, section class, du-power, r).
 
-    Coefficients are LatticeScalars of the state's own N; states of
-    different N neither add nor compare equal.
+    A coefficient is a GaussRational c standing for c * sqrt(N)^r of the
+    state's own N; states of different N neither add nor compare equal.
     """
 
     __slots__ = ("N",)
@@ -231,9 +119,6 @@ class LatticeState(LinComb):
             raise ValueError("mixed lattice parameters")
         return LinComb._merge(self, other, sign)
 
-    def scale(self, s) -> "LatticeState":
-        return LinComb.scale(self, _lat(self.N, s))
-
     def __eq__(self, other):
         if isinstance(other, LatticeState) and other.N != self.N:
             return False
@@ -241,8 +126,9 @@ class LatticeState(LinComb):
 
     def __repr__(self):
         bits = []
-        for (mon, section, tdu), coeff in self.terms.items():
-            bits.append(f"({coeff})*{list(mon)}x{section!r}[du^{tdu}/2]")
+        for (mon, section, tdu, r), coeff in self.terms.items():
+            root = f"*sqrt({self.N})" if r else ""
+            bits.append(f"({coeff}){root}*{list(mon)}x{section!r}[du^{tdu}/2]")
         return "LatticeState(" + (" + ".join(bits) or "0") + ")"
 
 
@@ -253,20 +139,23 @@ class LatticeTheory:
         if N < 1:
             raise ValueError("the lattice parameter is a positive integer")
         self.N = N
-        self.sqrtN = LatticeScalar(N, QI_ZERO, QI_ONE)
+
+    def _times_sqrtN(self, r: int, c) -> tuple:
+        """(r', c') with c' sqrt(N)^r' = sqrt(N) * c sqrt(N)^r."""
+        root = math.isqrt(self.N)
+        if root * root == self.N:
+            return 0, c * root
+        return (0, c * self.N) if r else (1, c)
 
     # -- constructors -------------------------------------------------------
 
-    def one(self):
-        return LatticeScalar(self.N, QI_ONE)
-
     def vacuum(self, section: SectionClass | None = None) -> LatticeState:
         section = section or SectionClass()
-        return LatticeState(self.N, {((), section, 0): self.one()})
+        return LatticeState(self.N, {((), section, 0, 0): QI_ONE})
 
     def monomial(self, atoms, section: SectionClass) -> LatticeState:
         atoms = tuple(sorted(atoms, key=atom_sort_key))
-        return LatticeState(self.N, {(atoms, section, 0): self.one()})
+        return LatticeState(self.N, {(atoms, section, 0, 0): QI_ONE})
 
     # -- oscillator-type fields ---------------------------------------------
 
@@ -274,9 +163,9 @@ class LatticeTheory:
         """Multiplication by the simple-pole function; adds one du."""
         z = GaussRational.coerce(z)
         out = {}
-        for (mon, section, tdu), coeff in state.terms.items():
+        for (mon, section, tdu, r), coeff in state.terms.items():
             atoms = tuple(sorted(mon + (("pole", z, 1),), key=atom_sort_key))
-            add_term(out, (atoms, section, tdu + 2), coeff)
+            add_term(out, (atoms, section, tdu + 2, r), coeff)
         return LatticeState(self.N, out)
 
     def iota(self, z, state: LatticeState) -> LatticeState:
@@ -286,16 +175,17 @@ class LatticeTheory:
         values = AtomValues(lambda atom: -atom_deriv_eval(atom, z, 1))
         dlogs = AtomValues(lambda section: section.dlog_value(z))
         out = {}
-        for (mon, section, tdu), coeff in state.terms.items():
+        for (mon, section, tdu, r), coeff in state.terms.items():
             if section.multiplicity(z):
                 raise DomainError("field point sits on a section root")
             # derivation over the function factors: alpha -> -d alpha(z)
             for atom, mult, rest in atom_runs(mon):
-                add_term(out, (rest, section, tdu + 2), coeff * values[atom] * mult)
+                add_term(out, (rest, section, tdu + 2, r), coeff * values[atom] * mult)
             # vacuum-sector response: -sqrt(N) (log f)'(z)
             log_val = dlogs[section]
             if log_val:
-                add_term(out, (mon, section, tdu + 2), coeff * self.sqrtN * (-log_val))
+                r_out, c = self._times_sqrtN(r, coeff * (-log_val))
+                add_term(out, (mon, section, tdu + 2, r_out), c)
         return LatticeState(self.N, out)
 
     def j(self, z, state: LatticeState) -> LatticeState:
@@ -307,7 +197,7 @@ class LatticeTheory:
         """Grade-shifting section twist; commutes with the function factors."""
         z = GaussRational.coerce(z)
         out = {}
-        for (mon, section, tdu), coeff in state.terms.items():
+        for (mon, section, tdu, r), coeff in state.terms.items():
             if section.multiplicity(z):
                 raise DomainError("twist point collides with a section root")
             grade = section.grade
@@ -317,37 +207,36 @@ class LatticeTheory:
             if scale is not None:
                 # a non-canonical representative E[t sigma] re-canonicalizes
                 # with t^(-N * new grade)
-                t = _lat(self.N, scale)
-                c = c * t ** (-self.N * new_section.grade)
-            add_term(out, (mon, new_section, tdu + shift), c)
+                c = c * GaussRational.coerce(scale) ** (-self.N * new_section.grade)
+            add_term(out, (mon, new_section, tdu + shift, r), c)
         return LatticeState(self.N, out)
 
     def flat_minus(self, lam_check: int, z, state: LatticeState, scale=None) -> LatticeState:
         """Evaluation twist: multiplies by sigma(z)^(N lam) and dresses the
-        function factors with -lambda alpha(z) cross-terms."""
+        function factors with -lambda alpha(z) cross-terms, where lambda is
+        sqrt(N) lam_check."""
         z = GaussRational.coerce(z)
         require_regular((key[0] for key in state.terms), z)
         values = AtomValues(lambda atom: atom_eval(atom, z))
         out = {}
-        lam = self.sqrtN * lam_check
-        for (mon, section, tdu), coeff in state.terms.items():
+        for (mon, section, tdu, r), coeff in state.terms.items():
             if section.multiplicity(z):
                 raise DomainError("evaluation point sits on a section root")
             value = section.value_at(z) ** (self.N * lam_check)
             if scale is not None:
-                value = value * _lat(self.N, scale) ** (self.N * lam_check)
-            base = coeff * value
+                value = value * GaussRational.coerce(scale) ** (self.N * lam_check)
             # peel function factors in order: each either stays or is replaced
             # by its value times -lambda, so every piece stays sorted
-            pieces = [((), LatticeScalar(self.N, QI_ONE))]
+            pieces = [((), r, coeff * value)]
             for atom in mon:
+                peel = values[atom] * -lam_check
                 nxt = []
-                for atoms, w in pieces:
-                    nxt.append((atoms + (atom,), w))
-                    nxt.append((atoms, w * (-lam) * values[atom]))
+                for atoms, r_w, w in pieces:
+                    nxt.append((atoms + (atom,), r_w, w))
+                    nxt.append((atoms, *self._times_sqrtN(r_w, w * peel)))
                 pieces = nxt
-            for atoms, w in pieces:
-                add_term(out, (atoms, section, tdu + self.N * lam_check), base * w)
+            for atoms, r_w, w in pieces:
+                add_term(out, (atoms, section, tdu + self.N * lam_check, r_w), w)
         return LatticeState(self.N, out)
 
     def vertex(self, lam_check: int, z, state: LatticeState, scale=None) -> LatticeState:
@@ -377,13 +266,14 @@ class LatticeTheory:
 
         out = {}
         u = RatFunc.variable(QI_ONE)
-        for (mon, section, tdu), coeff in state.terms.items():
+        for (mon, section, tdu, r), coeff in state.terms.items():
             dlog = RatFunc.const(QI_ZERO)
             for c, m in section.roots:
                 dlog = dlog + GaussRational(m) / (u - c)
-            response = self.sqrtN * residue_at(dlog, INFINITY)
+            response = residue_at(dlog, INFINITY)
             if response:
-                add_term(out, (mon, section, tdu), coeff * response)
+                r_out, c = self._times_sqrtN(r, coeff * response)
+                add_term(out, (mon, section, tdu, r_out), c)
         return LatticeState(self.N, out)
 
     def zero_mode_check(self, section: SectionClass):
@@ -396,9 +286,3 @@ class LatticeTheory:
         if out != expected:
             raise AssertionError("zero mode does not read off the grade")
         return GaussRational(section.grade)
-
-
-def _lat(N, s):
-    if isinstance(s, LatticeScalar):
-        return s
-    return LatticeScalar(N, s)

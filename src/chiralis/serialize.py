@@ -4,7 +4,8 @@ Scalars travel as exact strings ("a/b" or "a/b+c/d*i"); rational functions
 as {"num": [...], "den": [...]} with coefficients low-to-high; boson-type
 states as lists of {"monomial": [...], "coeff": ...} with basis atoms
 encoded "pole:c:l" / "poly:m"; current states as lists of {"word": [...],
-"insertions": [...], "coeff": ...}; lattice states are written only.  A
+"insertions": [...], "coeff": ...}; lattice states are written only, each
+coefficient as "a" or "(a) + (b)*sqrt(N)" over its r = 0 and r = 1 terms.  A
 parsed state is canonical: monomials are sorted by the atom order and
 repeated entries summed; an exterior monomial that is not strictly sorted,
 or a current word out of normal order, is an error.
@@ -12,7 +13,7 @@ or a current word out of normal order, is an error.
 
 from __future__ import annotations
 
-from .exactnum import GaussRational, Poly, RatFunc
+from .exactnum import QI_ZERO, GaussRational, Poly, RatFunc
 from .geometry import atom_sort_key
 from .states import SymState, add_term
 
@@ -152,15 +153,21 @@ def current_state_from_json(obj: list, algebra):
 
 
 def lattice_state_to_json(state) -> list:
+    """One entry per (monomial, section class, du-power): its r = 0 and
+    r = 1 coefficients a and b are written "a", or "(a) + (b)*sqrt(N)"
+    when b is not zero."""
+    parts = {}
+    for (mon, section, tdu, r), coeff in state.terms.items():
+        parts.setdefault((mon, section, tdu), [QI_ZERO, QI_ZERO])[r] = coeff
     out = []
-    for (mon, section, tdu), coeff in state.terms.items():
+    for (mon, section, tdu), (a, b) in parts.items():
         out.append(
             {
-                "monomial": [atom_to_str(a) for a in mon],
+                "monomial": [atom_to_str(atom) for atom in mon],
                 "roots": [[scalar_to_str(c), int(m)] for c, m in section.roots],
                 "grade": section.grade,
                 "half_du_power": int(tdu),
-                "coeff": str(coeff),
+                "coeff": f"({a}) + ({b})*sqrt({state.N})" if b else str(a),
             }
         )
     out.sort(key=lambda e: (e["monomial"], e["roots"], e["half_du_power"]))

@@ -27,6 +27,7 @@ atoms.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from chiralis.boson import b_apply, e_apply, e_deriv_apply, i_apply, i_deriv_apply
@@ -192,17 +193,24 @@ def composite_oracle(z, state: BCState) -> BCState:
 
 def lattice_iota(theory, z, state: LatticeState) -> LatticeState:
     """Contraction by -d alpha(z) plus -sqrt(N) (log f)'(z), per term."""
+    root = math.isqrt(theory.N)
     out = {}
-    for (mon, section, tdu), coeff in state.terms.items():
+    for (mon, section, tdu, r), coeff in state.terms.items():
         for i in range(len(mon)):
             if i > 0 and mon[i] == mon[i - 1]:
                 continue
             mult = sum(1 for a in mon if a == mon[i])
             val = -atom_deriv_eval(mon[i], z, 1)
-            add_term(out, (mon[:i] + mon[i + 1:], section, tdu + 2), coeff * val * mult)
+            add_term(out, (mon[:i] + mon[i + 1:], section, tdu + 2, r), coeff * val * mult)
         log_val = section.dlog_value(z)
         if log_val:
-            add_term(out, (mon, section, tdu + 2), coeff * theory.sqrtN * (-log_val))
+            # c sqrt(N)^r times sqrt(N): a square N has sqrt(N) in Q, and
+            # otherwise sqrt(N)^2 = N
+            c = -coeff * log_val
+            if root * root == theory.N:
+                add_term(out, (mon, section, tdu + 2, 0), c * root)
+            else:
+                add_term(out, (mon, section, tdu + 2, 1 - r), c * theory.N if r else c)
     return LatticeState(theory.N, out)
 
 

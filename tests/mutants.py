@@ -92,6 +92,19 @@ MUTANTS = [
            "return [(p, j + 3 - p, -2 * (p - 1) * (j + 2 - p) if 2 * p < j + 3 else -(p - 1) ** 2)",
            "return [(p, j + 3 - p, -2 * (p - 1) * (j + 2 - p) if 2 * p < j + 3 else -2 * (p - 1) ** 2)",
            "tests/test_symmetry.py::TestVirasoro::test_creation_is_sugawara_sum"),
+    # the lattice theory over Q(i): sqrt(N) in the term key
+    Mutant("sqrtN-square-drop", "lattice",
+           "return (0, c * self.N) if r else (1, c)",
+           "return (0, c) if r else (1, c)",
+           "tests/test_lattice.py::TestScalarOracle::test_fields_match_the_sqrt_field_oracle"),
+    Mutant("peel-keeps-r", "lattice",
+           "nxt.append((atoms, *self._times_sqrtN(r_w, w * peel)))",
+           "nxt.append((atoms, r_w, w * peel))",
+           "tests/test_lattice.py::TestScalarOracle::test_fields_match_the_sqrt_field_oracle"),
+    Mutant("serialize-drops-sqrtN", "serialize",
+           '"coeff": f"({a}) + ({b})*sqrt({state.N})" if b else str(a),',
+           '"coeff": f"({a}) + ({b})" if b else str(a),',
+           "tests/test_cli.py::test_output_bytes_are_pinned[lattice --N 2 --script {lattice} --seed 3]"),
 ]
 
 

@@ -381,7 +381,7 @@ def test_criterion_9_lattice():
         for lam, z in ((1, qi(3)), (-1, qi(-2)), (2, qi(5))):
             before = {key[1].grade: key[2] for key in state.terms}
             state = th.vertex(lam, z, state)
-            for (_, section, tdu) in state.terms:
+            for (_, section, tdu, _) in state.terms:
                 old = section.grade - lam
                 assert tdu == before[old] + N * lam + 2 * du_power_balance(N, old, lam)
 

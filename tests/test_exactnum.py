@@ -169,7 +169,6 @@ class TestOnePowerRoutine:
     @staticmethod
     def values(rng):
         from chiralis.jets import Jet
-        from chiralis.lattice import LatticeScalar
 
         for _ in range(3):
             yield rand_scalar(rng), GaussRational(1)
@@ -178,7 +177,6 @@ class TestOnePowerRoutine:
             val, prec = rng.randint(-1, 1), rng.randint(2, 4)
             jet = Jet(val, [rand_scalar(rng) or qi(1) for _ in range(prec - val)], prec)
             yield jet, Jet(0, [qi(1)], prec)
-            yield LatticeScalar(2, rand_scalar(rng), rand_scalar(rng)), LatticeScalar(2, qi(1))
 
     def test_power_is_the_repeated_product(self):
         rng = random.Random(2901)
@@ -194,10 +192,8 @@ class TestOnePowerRoutine:
 
 def _scalar_rule_values():
     from chiralis.jets import Jet
-    from chiralis.lattice import LatticeScalar
 
-    return {"RatFunc": (U + 1) / (U - 2), "Jet": Jet(-1, [qi(1), qi(2, 1), qi(3)], 3),
-            "LatticeScalar": LatticeScalar(2, qi(1), qi(Fraction(1, 2), 1))}
+    return {"RatFunc": (U + 1) / (U - 2), "Jet": Jet(-1, [qi(1), qi(2, 1), qi(3)], 3)}
 
 
 _SCALAR_OPS = [lambda x, y: x + y, lambda x, y: y + x, lambda x, y: x - y, lambda x, y: y - x,
@@ -205,12 +201,12 @@ _SCALAR_OPS = [lambda x, y: x + y, lambda x, y: y + x, lambda x, y: x - y, lambd
 
 
 class TestOneScalarRule:
-    """RatFunc, Jet and LatticeScalar take a plain operand exactly where
+    """RatFunc and Jet take a plain operand exactly where
     ``exactnum._as_gauss`` does: an int, a Fraction or a GaussRational acts on
-    either side of + - * / as its GaussRational, and a float, a str or one of
-    the other two types raises TypeError."""
+    either side of + - * / as its GaussRational, and a float, a str or the
+    other type raises TypeError."""
 
-    @pytest.mark.parametrize("kind", ["RatFunc", "Jet", "LatticeScalar"])
+    @pytest.mark.parametrize("kind", ["RatFunc", "Jet"])
     def test_operands(self, kind):
         values = _scalar_rule_values()
         x = values.pop(kind)
@@ -465,6 +461,23 @@ class TestOneCoefficientField:
             return len(p.coeffs), [(c.re, c.im) for c in p.coeffs]
 
         assert sorted(polys, key=Poly.sort_key) == sorted(polys, key=reference)
+
+    def test_lattice_coefficients_are_gauss_rationals(self):
+        # the seeded states of the sqrt(N)-field oracle test in test_lattice.py:
+        # sqrt(N) sits in the term key as r, never in a coefficient
+        import lattice_oracle
+        from chiralis.lattice import LatticeTheory
+
+        rng = random.Random(3303)
+        for N in (1, 2, 3, 4):
+            th = LatticeTheory(N)
+            for _ in range(60):
+                terms, chain = lattice_oracle.seeded_case(rng)
+                state = lattice_oracle.build(th, terms)
+                for step in chain:
+                    state = lattice_oracle.apply(th, step, state)
+                    assert all(type(c) is GaussRational for c in state.terms.values()), (N, step)
+                    assert {key[3] for key in state.terms} <= ({0} if N in (1, 4) else {0, 1}), (N, step)
 
     def test_rational_function_points_and_coefficients_raise(self):
         from chiralis.boson import e_apply

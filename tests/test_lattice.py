@@ -5,7 +5,6 @@ import pytest
 
 from chiralis.exactnum import GaussRational, qi
 from chiralis.lattice import (
-    LatticeScalar,
     LatticeState,
     LatticeTheory,
     SectionClass,
@@ -14,38 +13,33 @@ from chiralis.lattice import (
 from chiralis.geometry import atom_sort_key
 from chiralis.sampling import rand_scalar
 from chiralis.states import DomainError
+import lattice_oracle
+from lattice_oracle import TestLatticeScalar  # noqa: F401  (collected here)
 
 
 def rescaled_representative(th, state, t):
     """The same states written against the rescaled section t*sigma."""
-    t = LatticeScalar(th.N, t)
     return LatticeState(th.N, {key: coeff * t ** (th.N * key[1].grade) for key, coeff in state.terms.items()})
 
 
-class TestLatticeScalar:
-    def test_square_parameter_collapses(self):
-        s = LatticeScalar(4, qi(1), qi(1))  # 1 + sqrt(4) = 3
-        assert s == LatticeScalar(4, qi(3))
-        assert not s.b
-
-    def test_nonsquare_field(self):
-        s = LatticeScalar(2, qi(1), qi(1))
-        inv = 1 / s
-        assert s * inv == LatticeScalar(2, qi(1))
-        assert (s * s) == LatticeScalar(2, qi(3), qi(2))
-
-    def test_root_squares_to_parameter(self):
-        th = LatticeTheory(3)
-        assert th.sqrtN * th.sqrtN == LatticeScalar(3, qi(3))
-
-    def test_scalars_of_different_parameters_are_unequal(self):
-        # b = 0 on both sides, so the hashes coincide and a dict lookup compares them
-        one, other = LatticeScalar(1, qi(1)), LatticeScalar(2, qi(1))
-        assert one != other and not one == other
-        assert {one: 0}.get(other) is None
-        assert one == 1 and other == 1
-        with pytest.raises(ValueError, match="mixed lattice parameters"):
-            one + other
+class TestScalarOracle:
+    def test_fields_match_the_sqrt_field_oracle(self):
+        """Every field and chains of 2-3 of them, mapped to a + b*sqrt(N),
+        give the states of the Q(i)[sqrt(N)] oracle."""
+        rng = random.Random(3303)
+        for N in (1, 2, 3, 4):
+            th, ref = LatticeTheory(N), lattice_oracle.LatticeTheory(N)
+            sqrt_inputs = 0
+            for _ in range(60):
+                terms, chain = lattice_oracle.seeded_case(rng)
+                state, want = lattice_oracle.build(th, terms), lattice_oracle.build(ref, terms)
+                for step in chain:
+                    sqrt_inputs += any(key[3] for key in state.terms)
+                    state = lattice_oracle.apply(th, step, state)
+                    want = lattice_oracle.apply(ref, step, want)
+                    assert lattice_oracle.sqrt_pairs(state) == lattice_oracle.sqrt_pairs(want), (N, step)
+            # a square N keeps r = 0; otherwise r = 1 inputs occur
+            assert (sqrt_inputs > 0) == (N in (2, 3)), N
 
 
 class TestSections:
@@ -76,7 +70,7 @@ class TestFields:
         sec = SectionClass([(qi(1), 1)])
         out = th.iota(qi(3), th.vacuum(sec))
         assert out.terms == {
-            ((), sec, 2): LatticeScalar(1, -1 / (qi(3) - 1))
+            ((), sec, 2, 0): -1 / (qi(3) - 1)
         }
 
     def test_iota_bracket_rule(self):
@@ -86,7 +80,7 @@ class TestFields:
         z, c = qi(3), qi(0)
         s = th.epsilon(c, th.vacuum(sec))
         lhs = th.iota(z, s) - th.epsilon(c, th.iota(z, th.vacuum(sec)))
-        assert lhs.terms == {((), sec, 4): LatticeScalar(1, 1 / (z - c) ** 2)}
+        assert lhs.terms == {((), sec, 4, 0): 1 / (z - c) ** 2}
 
     def test_iota_at_root_rejected(self):
         th = LatticeTheory(1)
@@ -99,7 +93,7 @@ class TestFields:
         for N in (1, 2, 4):
             th = LatticeTheory(N)
             out = th.flat_plus(1, qi(2), th.vacuum(SectionClass()))
-            ((mon, sec, tdu),) = out.terms
+            ((mon, sec, tdu, r),) = out.terms
             assert sec.roots == ((qi(2), -1),)
             assert sec.grade == 1
             assert tdu == 2 * du_power_balance(N, 0, 1)
@@ -107,9 +101,9 @@ class TestFields:
     def test_flat_minus_trivial_section(self):
         th = LatticeTheory(1)
         out = th.flat_minus(1, qi(2), th.vacuum(SectionClass()))
-        ((mon, sec, tdu),) = out.terms
+        ((mon, sec, tdu, r),) = out.terms
         assert sec == SectionClass()
-        assert out.terms[(mon, sec, tdu)] == LatticeScalar(1, qi(1))
+        assert out.terms[(mon, sec, tdu, r)] == qi(1)
 
     def test_flat_plus_collision_rejected(self):
         th = LatticeTheory(1)
@@ -143,7 +137,7 @@ class TestVertex:
             grade = sec.grade
             for lam in (-1, 1, 2):
                 out = th.vertex(lam, qi(5), th.vacuum(sec))
-                ((_, _, tdu),) = [k for k in out.terms]
+                ((_, _, tdu, _),) = [k for k in out.terms]
                 assert tdu == N * lam + 2 * du_power_balance(N, grade, lam)
 
     def test_scale_independence(self):
@@ -182,7 +176,7 @@ class TestVertex:
                 state = state + th.monomial(atoms, sec).scale(rand_scalar(rng) or qi(1))
             lam, z = rng.choice((-2, -1, 1, 2)), qi(Fraction(rng.randint(5, 9), 7), rng.randint(-2, 2))
             for out in (th.flat_minus(lam, z, state), th.vertex(lam, z, state)):
-                monomials = [mon for mon, _, _ in out.terms]
+                monomials = [mon for mon, _, _, _ in out.terms]
                 assert any(len(mon) >= 3 and len(set(mon)) < len(mon) for mon in monomials)
                 for mon in monomials:
                     assert mon == tuple(sorted(mon, key=atom_sort_key))
