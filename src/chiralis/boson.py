@@ -65,7 +65,7 @@ def e_deriv_apply(z, order: int, state: SymState) -> SymState:
     -(l+1)!/(u-z)^(l+2).
     """
     z = coerce_scalar_or_jet(z)
-    return state.multiply_atom(("pole", z, order + 2), GaussRational(-factorial(order + 1)))
+    return state.multiply_atom(("pole", z, order + 2), -factorial(order + 1))
 
 
 def i_apply(z, state: SymState) -> SymState:
@@ -114,10 +114,12 @@ def _b_group(z, orders, state: SymState, factor=1) -> SymState:
             if j:
                 level = {made: _contract_terms(terms, values) for made, terms in level.items()}
             weight = comb(n, j) * (-factorial(k + 1)) ** (n - j) * factor
-            weight = None if weight == 1 else GaussRational(weight)
             for made, terms in level.items():
-                partial[made + (("pole", z, k + 2),) * (n - j)] = (
-                    terms if weight is None else {mon: c * weight for mon, c in terms.items()})
+                if weight == -1:  # one creation by b itself: a sign, not a product
+                    terms = {mon: -c for mon, c in terms.items()}
+                elif weight != 1:
+                    terms = {mon: c * weight for mon, c in terms.items()}
+                partial[made + (("pole", z, k + 2),) * (n - j)] = terms
         factor = 1
     return SymState({tuple(sorted(mon + made, key=atom_sort_key)) if made else mon: c
                      for made, terms in partial.items() for mon, c in terms.items()})

@@ -75,8 +75,11 @@ class GaussRational:
     Stored as three ints: the value is (a + b*i)/d with ``d > 0`` and
     ``gcd(a, b, d) == 1``, so equal values have equal triples and every
     operation costs a few integer products and one gcd.  ``re`` and ``im``
-    are read back as ``Fraction`` values.  A value's hash
-    and sort key are computed once, from the ints, and stored with it.
+    are read back as ``Fraction`` values, and the constructor takes ints and
+    ``Fraction``s, never floats.  A plain operand (an int or a ``Fraction``)
+    of + - * / and == acts by its numerator and denominator, with no
+    GaussRational made for it.  A value's hash and sort key are computed
+    once, from the ints, and stored with it.
     """
 
     __slots__ = ("a", "b", "d", "_hash", "_key")
@@ -86,11 +89,12 @@ class GaussRational:
         if not _den:
             if type(re) is int and type(im) is int:
                 _den = 1
-            else:
-                re, im = RATIONAL(re), RATIONAL(im)
+            elif isinstance(re, _RATIONAL_TYPES) and isinstance(im, _RATIONAL_TYPES):
                 q, s = re.denominator, im.denominator
                 _den = q * s // math.gcd(q, s)
                 re, im = re.numerator * (_den // q), im.numerator * (_den // s)
+            else:
+                raise TypeError(f"GaussRational parts must be ints or Fractions, not {re!r}, {im!r}")
         _SET_A(self, re)
         _SET_B(self, im)
         _SET_D(self, _den)
@@ -118,9 +122,11 @@ class GaussRational:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
-        other = _as_gauss(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not GaussRational:
+            if isinstance(other, _RATIONAL_TYPES):
+                return _plus_rational(self.a, self.b, self.d, other.numerator, other.denominator)
+            if _as_gauss(other) is NotImplemented:  # else other is a GaussRational (subclass)
+                return NotImplemented
         d, d2 = self.d, other.d
         if d == d2:
             return _from_triple(self.a + other.a, self.b + other.b, d)
@@ -129,33 +135,42 @@ class GaussRational:
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _as_gauss(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not GaussRational:
+            if isinstance(other, _RATIONAL_TYPES):
+                return _plus_rational(self.a, self.b, self.d, -other.numerator, other.denominator)
+            if _as_gauss(other) is NotImplemented:
+                return NotImplemented
         d, d2 = self.d, other.d
         if d == d2:
             return _from_triple(self.a - other.a, self.b - other.b, d)
         return _from_triple(self.a * d2 - other.a * d, self.b * d2 - other.b * d, d * d2)
 
     def __rsub__(self, other):
+        if isinstance(other, _RATIONAL_TYPES):
+            return _plus_rational(-self.a, -self.b, self.d, other.numerator, other.denominator)
         other = _as_gauss(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
+        return other if other is NotImplemented else other - self
 
     def __mul__(self, other):
-        other = _as_gauss(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not GaussRational:
+            if isinstance(other, _RATIONAL_TYPES):
+                return _times_rational(self.a, self.b, self.d, other.numerator, other.denominator)
+            if _as_gauss(other) is NotImplemented:
+                return NotImplemented
         a, b, a2, b2 = self.a, self.b, other.a, other.b
         return _from_triple(a * a2 - b * b2, a * b2 + b * a2, self.d * other.d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _as_gauss(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not GaussRational:
+            if isinstance(other, _RATIONAL_TYPES):  # x / (p/q) = x * (±q/|p|)
+                p, q = other.numerator, other.denominator
+                if not p:
+                    raise ZeroDivisionError("division by zero GaussRational")
+                return _times_rational(self.a, self.b, self.d, q if p > 0 else -q, abs(p))
+            if _as_gauss(other) is NotImplemented:
+                return NotImplemented
         # (a + bi)/d / ((a2 + b2 i)/d2) = (a + bi)(a2 - b2 i) d2 / (d (a2^2 + b2^2))
         a, b, a2, b2, d2 = self.a, self.b, other.a, other.b, other.d
         n = a2 * a2 + b2 * b2
@@ -164,10 +179,15 @@ class GaussRational:
         return _from_triple((a * a2 + b * b2) * d2, (b * a2 - a * b2) * d2, self.d * n)
 
     def __rtruediv__(self, other):
-        other = _as_gauss(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
+        if not isinstance(other, _RATIONAL_TYPES):
+            other = _as_gauss(other)
+            return other if other is NotImplemented else other / self
+        # p/q / ((a + bi)/d) = p d (a - bi) / (q (a^2 + b^2))
+        n = self.a * self.a + self.b * self.b
+        if not n:
+            raise ZeroDivisionError("division by zero GaussRational")
+        p = other.numerator * self.d
+        return _from_triple(p * self.a, -p * self.b, other.denominator * n)
 
     def __neg__(self):
         return GaussRational(-self.a, -self.b, _den=self.d)
@@ -183,11 +203,7 @@ class GaussRational:
         return GaussRational(self.a, -self.b, _den=self.d)
 
     def inverse(self) -> "GaussRational":
-        # d / (a + bi) = d (a - bi) / (a^2 + b^2)
-        n = self.a * self.a + self.b * self.b
-        if not n:
-            raise ZeroDivisionError("division by zero GaussRational")
-        return _from_triple(self.a * self.d, -self.b * self.d, n)
+        return self.__rtruediv__(1)
 
     def norm(self):
         """|z|^2 as an exact rational."""
@@ -199,9 +215,11 @@ class GaussRational:
         return bool(self.a or self.b)
 
     def __eq__(self, other):
-        other = _as_gauss(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not GaussRational:
+            if isinstance(other, _RATIONAL_TYPES):  # b = 0 and a/d in lowest terms, as p/q is
+                return not self.b and self.a == other.numerator and self.d == other.denominator
+            if _as_gauss(other) is NotImplemented:
+                return NotImplemented
         return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self):
@@ -287,7 +305,22 @@ def _rational_hash(n: int, d: int) -> int:
 def _from_triple(a: int, b: int, d: int) -> GaussRational:
     """(a + b*i)/d for ints a, b and d > 0, reduced by one gcd."""
     g = math.gcd(a, b, d)
-    return GaussRational(a // g, b // g, _den=d // g)
+    return GaussRational(a, b, _den=d) if g == 1 else GaussRational(a // g, b // g, _den=d // g)
+
+
+def _plus_rational(a: int, b: int, d: int, p: int, q: int) -> GaussRational:
+    """(a + b*i)/d + p/q for a reduced triple and p/q in lowest terms, q > 0."""
+    if q == 1:  # gcd(a + p*d, b, d) = gcd(a, b, d) = 1: nothing to reduce
+        return GaussRational(a + p * d, b, _den=d)
+    return _from_triple(a * q + p * d, b * q, d * q)
+
+
+def _times_rational(a: int, b: int, d: int, p: int, q: int) -> GaussRational:
+    """(a + b*i)/d * p/q for a reduced triple and p/q in lowest terms, q > 0."""
+    if q == 1:  # gcd(a*p, b*p, d) = gcd(p, d), as gcd(a, b, d) = 1
+        g = math.gcd(p, d)
+        return GaussRational(a * (p // g), b * (p // g), _den=d // g)
+    return _from_triple(a * p, b * p, d * q)
 
 
 def repeated_squaring(x, n: int):

@@ -18,14 +18,15 @@ the moving point.  Laurent data of a rational function at a fixed point
 (``exactnum.local_expansion``, ``residue_at``, ``residue_pairing``) stay
 on exactnum's coefficient-list Horner shifts and series division, the
 faster path there.  A jet takes a plain operand exactly where
-``exactnum._as_gauss`` does.
+``exactnum._as_gauss`` does: a nonzero scalar factor scales the
+coefficients, and any other scalar operand acts as its exact jet.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .exactnum import QI_ONE, QI_ZERO, GaussRational, _as_gauss, repeated_squaring
+from .exactnum import QI_ONE, QI_ZERO, GaussRational, _as_gauss, is_rational_scalar, repeated_squaring
 
 __all__ = [
     "Jet",
@@ -125,6 +126,10 @@ class Jet:
         return b + (-a)
 
     def __mul__(self, other):
+        if self.coeffs and (type(other) is GaussRational or is_rational_scalar(other)) and other:
+            # a nonzero scalar scales each coefficient, to the bound its exact jet gives
+            prec = min(self.val + EXACT, self.prec)
+            return Jet(self.val, [c * other if c else QI_ZERO for c in self.coeffs], prec)
         a, b = self._align(other)
         if b is NotImplemented:
             return NotImplemented

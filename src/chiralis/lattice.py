@@ -77,7 +77,7 @@ class SectionClass:
             base = z - c
             if not base:
                 raise DomainError(f"logarithmic derivative singular at {z}")
-            out = out + GaussRational(m) / base
+            out = out + m / base
         return out
 
     def __eq__(self, other):
@@ -269,7 +269,7 @@ class LatticeTheory:
         for (mon, section, tdu, r), coeff in state.terms.items():
             dlog = RatFunc.const(QI_ZERO)
             for c, m in section.roots:
-                dlog = dlog + GaussRational(m) / (u - c)
+                dlog = dlog + m / (u - c)
             response = residue_at(dlog, INFINITY)
             if response:
                 r_out, c = self._times_sqrtN(r, coeff * response)

@@ -105,6 +105,23 @@ MUTANTS = [
            '"coeff": f"({a}) + ({b})*sqrt({state.N})" if b else str(a),',
            '"coeff": f"({a}) + ({b})" if b else str(a),',
            "tests/test_cli.py::test_output_bytes_are_pinned[lattice --N 2 --script {lattice} --seed 3]"),
+    # plain operands on their own lane: Q(i) and jet arithmetic without temporary scalars
+    Mutant("int-plus-lane-scale", "exactnum",
+           "return GaussRational(a + p * d, b, _den=d)",
+           "return GaussRational(a + p, b, _den=d)",
+           "tests/test_exactnum.py::TestPlainOperandLanes::test_lanes_match_the_coerce_first_operators"),
+    Mutant("fraction-times-lane-swap", "exactnum",
+           "return _from_triple(a * p, b * p, d * q)",
+           "return _from_triple(a * q, b * q, d * p)",
+           "tests/test_exactnum.py::TestPlainOperandLanes::test_lanes_match_the_coerce_first_operators"),
+    Mutant("jet-scalar-lane-prec", "jets",
+           "prec = min(self.val + EXACT, self.prec)",
+           "prec = self.prec",
+           "tests/test_jets.py::TestScalarLane::test_lane_matches_the_exact_jet_product"),
+    Mutant("b-creation-sign", "boson",
+           "terms = {mon: -c for mon, c in terms.items()}",
+           "terms = {mon: c for mon, c in terms.items()}",
+           "tests/test_boson.py::TestWickKernel::test_fields_match_their_compositions"),
 ]
 
 

@@ -17,6 +17,7 @@ from pathlib import Path
 from chiralis import current, states
 from chiralis.current import affine_bracket_check, iota_apply, pbw_normalize, sl2_algebra
 from chiralis.exactnum import qi
+from chiralis.jets import jet_point
 from chiralis.states import LinComb, SymState, vacuum
 
 BENCH = str(Path(__file__).resolve().parents[1] / "bench")
@@ -66,11 +67,14 @@ def test_tracer_installs_counts_and_uninstalls():
 
 def test_every_gauss_rational_result_is_counted():
     """Each scalar result passes through ``GaussRational.__init__``, which the
-    tracer counts as ``exactnum.gauss_new``: one count per result, and one
-    more for an int operand, which is coerced to a GaussRational first.  A
-    constructor that bypassed ``__init__`` would shrink the counter."""
+    tracer counts as ``exactnum.gauss_new``: one count per result.  A plain
+    operand (an int or a Fraction) acts by its numerator and denominator and
+    makes no GaussRational of its own, a comparison makes none, and a jet
+    times a nonzero scalar makes one jet (``jets.jet_new``).  A constructor
+    that bypassed ``__init__`` would shrink the counter."""
     tracing = _tracer_module()
     x, y = qi(Fraction(1, 2), 3), qi(-2, Fraction(1, 7))
+    jet = jet_point(x, 3)
     cases = {
         "x * y": (lambda: x * y, 1),
         "x + y": (lambda: x + y, 1),
@@ -79,8 +83,11 @@ def test_every_gauss_rational_result_is_counted():
         "x / y": (lambda: x / y, 1),
         "-x": (lambda: -x, 1),
         "x.conjugate()": (lambda: x.conjugate(), 1),
-        "x * 2": (lambda: x * 2, 2),
-        "3 - x": (lambda: 3 - x, 2),
+        "x * 2": (lambda: x * 2, 1),
+        "3 - x": (lambda: 3 - x, 1),
+        "x * Fraction(1, 3)": (lambda: x * Fraction(1, 3), 1),
+        "1 / x": (lambda: 1 / x, 1),
+        "x == 1": (lambda: x == 1, 0),
         # powers start from the first factor and skip the last squaring
         "x ** 2": (lambda: x ** 2, 1),
         "x ** 3": (lambda: x ** 3, 2),
@@ -94,6 +101,9 @@ def test_every_gauss_rational_result_is_counted():
             before = tracer.counts["exactnum.gauss_new"]
             case()
             assert tracer.counts["exactnum.gauss_new"] - before == expected, name
+        before = tracer.counts["jets.jet_new"]
+        jet * 2
+        assert tracer.counts["jets.jet_new"] - before == 1, "jet * 2"
     finally:
         tracer.uninstall()
 

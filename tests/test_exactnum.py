@@ -27,6 +27,7 @@ from chiralis.geometry import dec_atoms
 from chiralis.sampling import rand_distinct_scalars, rand_poly, rand_ratfunc, rand_scalar
 
 import expansion_oracle as oracle
+import scalar_oracle
 import tower_field
 from closed_form_oracle import atom_ratfunc, ratfunc_to_json
 
@@ -220,6 +221,56 @@ class TestOneScalarRule:
                     got = op(x, operand)
                     assert type(got) is type(x) and got == op(x, g), (kind, operand)
             assert (g is NotImplemented) == (type(operand) not in (int, Fraction, GaussRational))
+
+
+class TestPlainOperandLanes:
+    """An int or a Fraction operand of + - * / and == acts by its numerator
+    and denominator; each lane gives the triple, hash and sort key of the
+    coerce-first operators it replaced (``scalar_oracle``), on either side."""
+
+    @staticmethod
+    def operands(rng):
+        plain = [0, 1, -1, 2**70, -(2**70), True, False]
+        plain += [Fraction(rng.randint(-40, 40) or 1, rng.choice((2, 3, 12, 35, 2**70))) for _ in range(12)]
+        gauss = [qi(0), qi(1), qi(0, -1), qi(2**70, Fraction(1, 3))] + [rand_scalar(rng) for _ in range(12)]
+        return plain, gauss
+
+    @staticmethod
+    def same(got, want):
+        assert type(got) is GaussRational and all(type(p) is int for p in (got.a, got.b, got.d))
+        assert (got.a, got.b, got.d) == (want.a, want.b, want.d)
+        assert hash(got) == hash(want) and got.sort_key() == want.sort_key()
+
+    def test_lanes_match_the_coerce_first_operators(self):
+        rng = random.Random(3401)
+        plain, gauss = self.operands(rng)
+        assert any(isinstance(p, Fraction) and p.denominator > 1 for p in plain)
+        for x in gauss + [qi(Fraction(1, 2), 3), qi(Fraction(-5, 6), Fraction(1, 4))]:
+            for y in plain + gauss:
+                for name, want_op in scalar_oracle.OPS.items():
+                    for left, right in ((x, y), (y, x)):
+                        op = _OPS.get(name, lambda u, v: u == v)
+                        try:
+                            want = want_op(left, right)
+                        except ZeroDivisionError:
+                            with pytest.raises(ZeroDivisionError):
+                                op(left, right)
+                            continue
+                        got = op(left, right)
+                        if name == "==":
+                            assert got is want and (left != right) is not want, (left, right)
+                        else:
+                            self.same(got, want)
+
+    def test_parts_are_ints_or_fractions(self):
+        for bad in (0.1, 1.5, 1j, complex(1, 2), "1/2", None):
+            with pytest.raises(TypeError):
+                GaussRational(bad)
+            with pytest.raises(TypeError):
+                GaussRational(1, bad)
+        with pytest.raises(TypeError):
+            qi(1) * 0.1
+        assert GaussRational(True, Fraction(2, 4)) == qi(1, Fraction(1, 2))
 
 
 class TestGaussTriple:

@@ -7,10 +7,12 @@ import pytest
 from chiralis.boson import expand_at_generic_point, field_by_name, ope_extract
 from chiralis.current import current_expand_at_generic_point, current_vacuum, sl2_algebra
 from chiralis.exactnum import GaussRational, qi
-from chiralis.jets import Jet, JetPrecisionError, jet_point, moved_expansion, with_jet_retry
+from chiralis.jets import EXACT, Jet, JetPrecisionError, jet_point, moved_expansion, with_jet_retry
 from chiralis.sampling import rand_scalar
 from chiralis.states import monomial_state, vacuum
 from chiralis.vertexalg import Y_prime, structure_derivative
+
+import scalar_oracle
 
 
 class TestEquality:
@@ -195,3 +197,27 @@ class TestScalarDivision:
     def test_zero_divisor(self):
         with pytest.raises(ZeroDivisionError):
             jet_point(1, 3) / 0
+
+
+class TestScalarLane:
+    """A jet times a nonzero scalar scales the coefficients; it gives the
+    val, coefficients and precision bound of the product with the scalar's
+    exact jet (``scalar_oracle.jet_scale``), on either side, for jets with
+    val < 0, empty jets, exact jets and a zero scalar."""
+
+    def test_lane_matches_the_exact_jet_product(self):
+        rng = random.Random(3402)
+        jets = [Jet(-1, [qi(1)], EXACT), Jet(-2, [qi(3), qi(0), qi(1, 1)], EXACT), Jet(0, [], 5),
+                Jet(3, [], 3), Jet(-2, [qi(0), qi(0)], 4)]
+        for _ in range(12):
+            val, prec = rng.randint(-3, 2), rng.randint(1, 5)
+            jets.append(Jet(val, [rand_scalar(rng) if rng.random() < 0.7 else qi(0)
+                                  for _ in range(max(prec - val, 0))], prec))
+        assert any(j.val < 0 and j.coeffs for j in jets) and any(not j.coeffs for j in jets)
+        scalars = [0, qi(0), 1, -1, 2**70, True, Fraction(-3, 4), qi(Fraction(1, 2), -2), rand_scalar(rng)]
+        for jet in jets:
+            for s in scalars:
+                want = scalar_oracle.jet_scale(jet, s)
+                for got in (jet * s, s * jet):
+                    assert (got.val, got.coeffs, got.prec) == (want.val, want.coeffs, want.prec), (jet, s)
+                    assert got == want and hash(got) == hash(want)
